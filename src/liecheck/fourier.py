@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import c_constant
-from .models import GroupModel, MonteCarlo, haar_sample, irrep_matrices, rep_matrices, rep_matrix_holo
+from .models import GroupModel, MonteCarlo, exp_i, haar_sample, irrep_matrices, rep_matrices
 from .rootdata import build_root_system, dimension, weight
 
 __all__ = [
@@ -109,14 +109,12 @@ def synthesize_many(series: FourierSeries, model: GroupModel, xs, Y=None) -> np.
     xs = np.asarray(xs, complex)
     batch = xs.ndim == 3
     pts = xs if batch else xs[None]
+    if Y is not None:
+        pts = pts @ exp_i(Y)
     rs = build_root_system(series.rs_kind)
     out = np.zeros(len(pts), dtype=complex)
     for dynkin, coeff in series.terms.items():
-        m = irrep_matrices(dynkin[0])
-        if Y is None:
-            reps = rep_matrices(m, pts)
-        else:
-            reps = np.stack([rep_matrix_holo(m, x, Y) for x in pts])
+        reps = rep_matrices(irrep_matrices(dynkin[0]), pts)
         d = dimension(rs, weight(rs, dynkin))
         out += d * np.einsum("ab,nba->n", coeff, reps)
     return out if batch else out[0]

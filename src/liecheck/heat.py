@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import FourierSeries, synthesize, synthesize_many
-from .models import Estimate, GroupModel, haar_sample, su2_character
+from .models import Estimate, GroupModel, haar_sample
 from .rootdata import RootSystem, Weight, build_root_system, weight
 
 __all__ = [
@@ -61,31 +61,48 @@ def heat_multiplier_apply(
     return FourierSeries(series.rs_kind, series.space, series.t, terms)
 
 
+def _truncation(t: float, cutoff: float) -> tuple[np.ndarray, float]:
+    """Multipliers e^{-t epsilon_n/2} of the kept heat-kernel terms, and the
+    first omitted bound.
+
+    Term n is kept while every earlier bound (m+1)^2 e^{-t epsilon_m/2},
+    m <= n, is at least cutoff.  Raises when more than 10^4 terms would be
+    kept.
+    """
+    rs = build_root_system("A1")
+    ns = np.arange(_TERM_CAP + 1)
+    lr = ns[:, None] * rs.fundamental_weights[0] + rs.rho
+    decay = np.exp(-t * (np.sum(lr * lr, axis=-1) - rs.rho @ rs.rho) / 2.0)
+    bounds = (ns + 1.0) ** 2 * decay
+    below = bounds < cutoff
+    if not below.any():
+        raise ValueError(f"t too small for cutoff: over {_TERM_CAP} terms needed")
+    n_terms = int(np.argmax(below))
+    return decay[:n_terms], float(bounds[n_terms])
+
+
 def heat_kernel_eval(model: GroupModel, t: float, x, cutoff: float = 1e-12):
     """Heat kernel p_t(x) = sum d_lam e^{-t epsilon/2} chi_lam(x), truncated.
 
     Terms are dropped once the bound d^2 e^{-t epsilon/2} falls below
     cutoff; the first omitted bound is reported alongside the value.
-    Raises when the truncation set would exceed 10^4 terms.
+    Raises, before touching x, when the truncation set would exceed 10^4
+    terms.  The characters come from one Chebyshev recurrence
+    U_n(cos phi) carried across n.
     """
     if model.kind != "SU2":
         raise ValueError("heat_kernel_eval needs pointwise characters (SU2 only)")
     if t <= 0:
         raise ValueError("t must be positive")
-    rs = build_root_system("A1")
+    decay, bound = _truncation(t, cutoff)
     xs = np.asarray(x, complex)
+    c = np.clip(np.einsum("...ii->...", xs).real / 2.0, -1.0, 1.0)
     total = np.zeros(xs.shape[:-2])
-    n = 0
-    while True:
-        eps = energy_eigenvalue(rs, weight(rs, (n,)))
-        bound = (n + 1) ** 2 * np.exp(-t * eps / 2.0)
-        if bound < cutoff:
-            break
-        if n >= _TERM_CAP:
-            raise ValueError(f"t too small for cutoff: over {_TERM_CAP} terms needed")
-        total = total + (n + 1) * np.exp(-t * eps / 2.0) * su2_character(n, xs)
-        n += 1
-    return (total if total.shape else float(total)), float(bound)
+    u_prev, u = np.zeros_like(c), np.ones_like(c)
+    for n, e in enumerate(decay):
+        total = total + (n + 1) * e * u
+        u_prev, u = u, 2.0 * c * u - u_prev
+    return (total if total.shape else float(total)), bound
 
 
 def heat_convolution_residual(

@@ -27,7 +27,8 @@ from .models import (
     Estimate,
     GroupModel,
     build_group_model,
-    expm_hermitian,
+    chamber_coordinates,
+    exp_i,
     haar_sample,
     irrep_matrices,
     rep_matrices,
@@ -260,14 +261,6 @@ def _hermite_grid(t: float, order: int):
     return coords, weights
 
 
-def _eta_half_su2(coords: np.ndarray) -> np.ndarray:
-    # eta(Y/2) for su(2) from |Y| alone: sinh(|Y|/sqrt2)/(|Y|/sqrt2)
-    x = np.linalg.norm(coords, axis=-1) / np.sqrt(2.0)
-    small = x < 1e-8
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
-
-
 def bks_integral_transform(
     phi, model: GroupModel, xs, hermite_order: int = 20
 ) -> np.ndarray:
@@ -286,19 +279,15 @@ def bks_integral_transform(
     xs = np.asarray(xs, complex)
     pts = xs if xs.ndim == 3 else xs[None]
     coords, gh_w = _hermite_grid(phi.t, hermite_order)
-    w_eta = gh_w * _eta_half_su2(coords)
+    w_eta = gh_w * chars.eta(rs, chamber_coordinates(model, coords) / 2.0)
+    polar = exp_i(coords)
     out = np.zeros(len(pts), dtype=complex)
     for dynkin, coeff in phi.terms.items():
         m = irrep_matrices(dynkin[0])
-        gy = np.einsum("ma,aij->mij", coords, m.generators)
-        E = expm_hermitian(1j * gy)          # exp(i T'(Y_j)), hermitian positive
-        tx = rep_matrices(m, pts)
+        # the grid sum of w eta(Y/2) T(exp iY) first; then one trace per point
+        moment = np.einsum("j,jab->ab", w_eta, rep_matrices(m, polar))
         d = dimension(rs, weight(rs, dynkin))
-        dim = m.dim
-        # tr((E coeff) T(x)) as one GEMM over flattened matrix entries
-        left = (E @ coeff).reshape(len(coords), dim * dim)
-        right = tx.transpose(0, 2, 1).reshape(len(pts), dim * dim)
-        out += d * (w_eta @ (left @ right.T))
+        out += d * np.einsum("ab,nba->n", moment @ coeff, rep_matrices(m, pts))
     return out if xs.ndim == 3 else complex(out[0])
 
 

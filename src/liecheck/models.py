@@ -3,14 +3,17 @@
 The orthonormal algebra bases realize <X, Y> = -trace(XY) in the defining
 representation.  SU(3) is modelled at the level of its defining
 representation (adjoint action, Haar sampling); SU(2) additionally carries
-explicit spin-j matrices that serve as brute-force oracles for characters,
-Fourier coefficients, and the integral transforms.
+its irreducible representations as exact symmetric powers of the defining
+one, with the closed-form exp(iY) for the holomorphic extension.  These
+serve as brute-force oracles for characters, Fourier coefficients, and the
+integral transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -25,14 +28,10 @@ __all__ = [
     "build_group_model",
     "cartan_element",
     "chamber_coordinates",
-    "expm_antihermitian",
-    "expm_hermitian",
+    "exp_i",
     "haar_sample",
     "irrep_matrices",
-    "log_coords",
     "rep_matrices",
-    "rep_matrix",
-    "rep_matrix_holo",
     "su2_character",
 ]
 
@@ -216,44 +215,6 @@ def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
     return q / (det ** (1.0 / n))[..., None, None]
 
 
-def expm_antihermitian(A: np.ndarray) -> np.ndarray:
-    """exp(A) for anti-hermitian A via the spectral decomposition; unitary."""
-    w, V = np.linalg.eigh(1j * np.asarray(A))
-    return (V * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
-
-
-def expm_hermitian(B: np.ndarray) -> np.ndarray:
-    """exp(B) for hermitian B; positive-definite hermitian."""
-    w, V = np.linalg.eigh(np.asarray(B))
-    return (V * np.exp(w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
-
-
-def log_coords(model: GroupModel, x) -> np.ndarray:
-    """Principal-branch algebra coordinates X with exp(X) = x, SU(2) only.
-
-    Any branch produces the same image under a (single-valued) group
-    representation, so downstream uses are branch-insensitive.
-    """
-    if model.kind != "SU2":
-        raise ValueError("log_coords is implemented for SU2 only")
-    x = np.asarray(x, complex)
-    c = np.clip(np.einsum("...ii->...", x).real / 2.0, -1.0, 1.0)
-    phi = np.arccos(c)
-    s = np.sin(phi)
-    eye = np.eye(2)
-    big = s > 1e-8
-    denom = np.where(big, s, 1.0)[..., None, None]
-    M = np.where(big[..., None, None], (x - c[..., None, None] * eye) / (1j * denom), 0.0)
-    n1 = (M[..., 0, 1] + M[..., 1, 0]).real / 2.0
-    n2 = ((M[..., 1, 0] - M[..., 0, 1]) / 2j).real
-    n3 = (M[..., 0, 0] - M[..., 1, 1]).real / 2.0
-    axis = np.stack([n1, n2, n3], axis=-1)
-    # x close to -identity: phi = pi and any axis exponentiates to x
-    near_pi = (~big) & (c < 0)
-    axis[near_pi] = (0.0, 0.0, 1.0)
-    return SQRT2 * phi[..., None] * axis
-
-
 @dataclass(frozen=True, eq=False)
 class IrrepMatrices:
     """Spin n/2 representation of su(2): three anti-hermitian generators."""
@@ -285,39 +246,50 @@ def irrep_matrices(n: int) -> IrrepMatrices:
     return IrrepMatrices(n=n, dim=n + 1, generators=gens)
 
 
-def _algebra_action(m: IrrepMatrices, coords) -> np.ndarray:
-    return np.einsum("...a,aij->...ij", np.asarray(coords, float), m.generators)
+def rep_matrices(m: IrrepMatrices, gs) -> np.ndarray:
+    """Degree-n symmetric power T_n(g) of a batch of 2x2 complex matrices.
+
+    Column k is the image of the basis vector sqrt(C(n,k)) e1^(n-k) e2^k,
+    the product (g e1)^(n-k) (g e2)^k expanded in the same basis.  This is
+    the Condon-Shortley basis of irrep_matrices(n), so T_n(exp X) is the
+    exponential of the generator action of X.  The entries are polynomials
+    in the entries of g: exact and multiplicative on all of GL(2,C), unitary
+    on SU(2), and the holomorphic extension at x exp(iY) is T_n(x exp(iY)).
+    """
+    g = np.asarray(gs, complex)
+    n = m.n
+    k = np.arange(n + 1)
+    # p[..., l, k]: coefficient of e1^(s-l) e2^l after s linear factors of column k
+    p = np.zeros(g.shape[:-2] + (n + 1, n + 1), dtype=complex)
+    p[..., 0, :] = 1.0
+    for s in range(n):
+        col = (s < k).astype(int)  # column k takes g e2 for its first k factors
+        on_e1 = g[..., 0, col][..., None, :]
+        on_e2 = g[..., 1, col][..., None, :]
+        nxt = on_e1 * p
+        nxt[..., 1:, :] += on_e2 * p[..., :-1, :]
+        p = nxt
+    scale = np.sqrt([comb(n, i) for i in range(n + 1)])
+    return p * (scale[None, :] / scale[:, None])
 
 
-def rep_matrices(m: IrrepMatrices, xs) -> np.ndarray:
-    """Representation matrices of a batch of SU(2) elements; unitary."""
-    coords = log_coords(build_group_model("SU2"), xs)
-    return expm_antihermitian(_algebra_action(m, coords))
+def exp_i(Y) -> np.ndarray:
+    """exp(iY) in SL(2,C) for Y in su(2), in closed form; batched.
 
-
-def rep_matrix(m: IrrepMatrices, x) -> np.ndarray:
-    """Representation matrix of a single SU(2) element."""
-    return rep_matrices(m, np.asarray(x))
-
-
-def _holo_coords(model: GroupModel, Y) -> np.ndarray:
+    Y carries Cartan (rank) or full algebra (dim_k) coordinates.  Because
+    (iY)^2 = r^2 I with r = |Y|/sqrt(2), exp(iY) = cosh(r) I + sinh(r)/r iY,
+    a positive-definite hermitian matrix.
+    """
+    model = build_group_model("SU2")
     c = np.asarray(getattr(Y, "coords", Y), float)
     if c.shape[-1] == model.rank:
-        return cartan_to_algebra(model, c)
-    if c.shape[-1] == model.dim_k:
-        return c
-    raise ValueError("Y must have rank or dim_k coordinates")
-
-
-def rep_matrix_holo(m: IrrepMatrices, x, Y) -> np.ndarray:
-    """T(x) * exp(i T'(Y)): evaluation at the polar point x * exp(iY).
-
-    Y may carry Cartan coordinates (rank) or full algebra coordinates
-    (dim_k).  The right factor is positive-definite hermitian.
-    """
-    coords = _holo_coords(build_group_model("SU2"), Y)
-    hermitian_part = expm_hermitian(1j * _algebra_action(m, coords))
-    return rep_matrix(m, x) @ hermitian_part
+        c = cartan_to_algebra(model, c)
+    elif c.shape[-1] != model.dim_k:
+        raise ValueError("Y must have rank or dim_k coordinates")
+    r = np.linalg.norm(c, axis=-1) / SQRT2
+    sinhc = np.where(r > 0, np.sinh(r) / np.where(r > 0, r, 1.0), 1.0)
+    iy = 1j * algebra_element(model, c)
+    return np.cosh(r)[..., None, None] * np.eye(2) + sinhc[..., None, None] * iy
 
 
 def su2_character(n: int, xs) -> np.ndarray:

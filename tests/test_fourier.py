@@ -12,7 +12,7 @@ from liecheck.fourier import (
     synthesize,
     synthesize_many,
 )
-from liecheck.models import MonteCarlo, haar_sample, su2_character
+from liecheck.models import MonteCarlo, exp_i, haar_sample, irrep_matrices, rep_matrices, su2_character
 from liecheck.rootdata import dimension, weight
 
 
@@ -68,6 +68,22 @@ def test_synthesize_holomorphic_polar_point(a1, su2):
     val = synthesize(chi, su2, np.eye(2), np.array([0.0, np.sqrt(2.0) * theta, 0.0]))
     expected = weyl_char_holo(a1, mk_weight(a1, (2,)), Y)
     assert abs(val - expected) < 1e-12 * expected
+
+
+def test_synthesize_many_holomorphic_matches_per_point_loop(su2):
+    rng = np.random.default_rng(14)
+    series = random_series([(0,), (1,), (2,), (4,)], rng, space="HL2")
+    xs = haar_sample(su2, rng, 30)
+    for Y in (np.array([0.6]), rng.normal(0.0, 0.7, size=3)):
+        batched = synthesize_many(series, su2, xs, Y)
+        loop = [
+            sum((dn[0] + 1) * np.trace(coeff @ rep_matrices(irrep_matrices(dn[0]), x)
+                                       @ rep_matrices(irrep_matrices(dn[0]), exp_i(Y)))
+                for dn, coeff in series.terms.items())
+            for x in xs
+        ]
+        assert np.abs(batched - np.array(loop)).max() < 1e-12 * np.abs(batched).max()
+        assert np.array_equal(batched, [synthesize(series, su2, x, Y) for x in xs])
 
 
 def test_roundtrip_band_limited(su2):

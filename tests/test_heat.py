@@ -3,14 +3,31 @@ import pytest
 
 from liecheck.fourier import FourierSeries, character_series
 from liecheck.heat import (
+    _truncation,
     energy_eigenvalue,
     heat_convolution_residual,
     heat_kernel_eval,
     heat_multiplier_apply,
 )
 from liecheck.hilbert import transform_apply
-from liecheck.models import haar_sample
-from liecheck.rootdata import enumerate_dominant, weight
+from liecheck.models import haar_sample, su2_character
+from liecheck.rootdata import build_root_system, enumerate_dominant, weight
+
+
+def reference_heat_kernel(t, x, cutoff):
+    """Term-by-term heat kernel: (value, term count, first omitted bound)."""
+    rs = build_root_system("A1")
+    total = np.zeros(np.shape(x)[:-2])
+    n = 0
+    while True:
+        eps = energy_eigenvalue(rs, weight(rs, (n,)))
+        bound = (n + 1) ** 2 * np.exp(-t * eps / 2.0)
+        if bound < cutoff:
+            return total, n, float(bound)
+        if n >= 10_000:
+            raise ValueError("t too small for cutoff")
+        total = total + (n + 1) * np.exp(-t * eps / 2.0) * su2_character(n, x)
+        n += 1
 
 
 def random_series(dynkins, rng, space="L2K", t=1.0):
@@ -99,8 +116,22 @@ def test_heat_kernel_truncation_stability(su2):
     v2, _ = heat_kernel_eval(su2, 1.0, np.eye(2), cutoff=1e-13)
     assert abs(v1 - v2) < 1e-10
     assert bound1 < 1e-12
+    # refused from the bound alone, before x is read
+    with pytest.raises(ValueError, match="t too small for cutoff"):
+        heat_kernel_eval(su2, 1e-9, "not a group element", cutoff=1e-300)
+
+
+def test_heat_kernel_matches_term_by_term_reference(su2):
+    xs = haar_sample(su2, 12, 100)
+    for t in (0.02, 0.1, 0.5, 1.0, 3.0, 40.0):
+        for cutoff in (1e-3, 1e-12, 1e-16, 1e-40, 2.0):
+            ref, n_terms, ref_bound = reference_heat_kernel(t, xs, cutoff)
+            decay, bound = _truncation(t, cutoff)
+            assert (len(decay), bound) == (n_terms, ref_bound)
+            vals, bound = heat_kernel_eval(su2, t, xs, cutoff)
+            assert np.array_equal(vals, ref) and bound == ref_bound
     with pytest.raises(ValueError):
-        heat_kernel_eval(su2, 1e-9, np.eye(2), cutoff=1e-300)
+        _truncation(1e-6, 1e-12)
 
 
 def test_heat_convolution_constant(su2):

@@ -3,20 +3,44 @@ import pytest
 
 from liecheck import chars
 from liecheck.models import (
-    algebra_element,
     build_group_model,
-    cartan_element,
     chamber_coordinates,
-    expm_antihermitian,
+    exp_i,
     haar_sample,
     irrep_matrices,
-    log_coords,
     rep_matrices,
-    rep_matrix,
-    rep_matrix_holo,
     su2_character,
 )
 from liecheck.rootdata import weight
+
+
+def generator_exp(m, coords):
+    """Reference T_n(exp X) = exp(sum_a X_a generators_a), by eigh."""
+    A = np.einsum("...a,aij->...ij", np.asarray(coords, float), m.generators)
+    w, V = np.linalg.eigh(1j * A)
+    return (V * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+
+
+def generator_exp_i(m, coords):
+    """Reference T_n(exp iY) = exp(i sum_a Y_a generators_a), by eigh."""
+    B = 1j * np.einsum("...a,aij->...ij", np.asarray(coords, float), m.generators)
+    w, V = np.linalg.eigh(B)
+    return (V * np.exp(w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+
+
+def su2_log_coords(xs):
+    """Algebra coordinates X with exp(X) = x, for x away from +-I."""
+    pauli = -1j * np.sqrt(2.0) * build_group_model("SU2").ad_basis
+    c = np.einsum("...ii->...", xs).real / 2.0
+    phi = np.arccos(c)
+    n_sigma = (xs - c[..., None, None] * np.eye(2)) / (1j * np.sin(phi)[..., None, None])
+    axis = np.einsum("...ij,aji->...a", n_sigma, pauli).real / 2.0
+    return np.sqrt(2.0) * phi[..., None] * axis
+
+
+def su2_diag(theta):
+    """exp of the Cartan element with coordinate sqrt(2)*theta."""
+    return np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
 
 
 def test_basis_orthonormality(su2, su3):
@@ -41,15 +65,14 @@ def test_generator_brackets():
 
 
 def test_rep_matrix_basics(su2):
-    assert rep_matrix(irrep_matrices(0), haar_sample(su2, 1)).shape == (1, 1)
-    assert abs(rep_matrix(irrep_matrices(0), haar_sample(su2, 2))[0, 0] - 1.0) < 1e-14
-    assert np.abs(rep_matrix(irrep_matrices(1), np.eye(2)) - np.eye(2)).max() < 1e-14
+    assert rep_matrices(irrep_matrices(0), haar_sample(su2, 1)).shape == (1, 1)
+    assert abs(rep_matrices(irrep_matrices(0), haar_sample(su2, 2))[0, 0] - 1.0) < 1e-14
+    assert np.abs(rep_matrices(irrep_matrices(1), np.eye(2)) - np.eye(2)).max() < 1e-14
 
 
 def test_rep_trace_matches_compact_character(a1, su2):
     theta = 0.37
-    x = expm_antihermitian(cartan_element(su2, np.array([np.sqrt(2.0) * theta])))
-    tr = np.trace(rep_matrix(irrep_matrices(2), x))
+    tr = np.trace(rep_matrices(irrep_matrices(2), su2_diag(theta)))
     assert abs(tr - np.sin(3 * theta) / np.sin(theta)) < 1e-12
     assert abs(tr - chars.weyl_char_compact(a1, weight(a1, (2,)), chars.CartanPoint.from_a1_theta(theta))) < 1e-12
 
@@ -65,27 +88,68 @@ def test_unitarity_and_multiplicativity(su2):
     assert np.abs(prod - reps[:500] @ reps[500:]).max() < 1e-11
 
 
-def test_log_coords_edge_cases(su2):
-    assert np.abs(log_coords(su2, np.eye(2))).max() < 1e-12
-    c = log_coords(su2, -np.eye(2))
-    x = expm_antihermitian(algebra_element(su2, c))
-    assert np.abs(x + np.eye(2)).max() < 1e-12
+def test_rep_matrices_match_generator_exponential(su2):
+    rng = np.random.default_rng(37)
+    xs = haar_sample(su2, rng, 200)
+    coords = su2_log_coords(xs)
+    assert np.abs(generator_exp(irrep_matrices(1), coords) - xs).max() < 1e-13
+    # exactly -I, and within 1e-9 of it, where a principal-branch log degenerates
+    axes = rng.normal(size=(20, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    delta = rng.uniform(-1e-9, 1e-9, size=20)
+    near = np.sqrt(2.0) * (np.pi - delta)[:, None] * axes
+    near_pi = generator_exp(irrep_matrices(1), near)
+    assert np.abs(near_pi + np.eye(2)).max() < 2e-9
+    for n in range(7):
+        m = irrep_matrices(n)
+        tol = 1e-12 * max(1, n)
+        assert np.abs(rep_matrices(m, xs) - generator_exp(m, coords)).max() < tol
+        assert np.abs(rep_matrices(m, -np.eye(2)) - (-1) ** n * np.eye(n + 1)).max() == 0.0
+        at_pi = generator_exp(m, np.sqrt(2.0) * np.pi * axes)
+        assert np.abs(rep_matrices(m, -np.eye(2)) - at_pi).max() < tol
+        assert np.abs(rep_matrices(m, near_pi) - generator_exp(m, near)).max() < tol
+
+
+def test_polar_points_match_hermitian_exponential(su2):
+    rng = np.random.default_rng(41)
+    xs = haar_sample(su2, rng, 50)
+    coords = su2_log_coords(xs)
+    Y = rng.normal(0.0, 0.8, size=3)
+    assert np.abs(exp_i(Y) - generator_exp_i(irrep_matrices(1), Y)).max() < 1e-13
+    assert np.abs(exp_i(np.zeros(3)) - np.eye(2)).max() == 0.0
+    assert np.abs(exp_i(np.zeros(1)) - np.eye(2)).max() == 0.0
+    for n in range(7):
+        m = irrep_matrices(n)
+        hol = rep_matrices(m, xs @ exp_i(Y))
+        ref = generator_exp(m, coords) @ generator_exp_i(m, Y)
+        assert np.abs(hol - ref).max() < 1e-11 * np.abs(ref).max()
+
+
+def test_multiplicative_on_gl2c():
+    rng = np.random.default_rng(43)
+    g = rng.normal(size=(100, 2, 2)) + 1j * rng.normal(size=(100, 2, 2))
+    h = rng.normal(size=(100, 2, 2)) + 1j * rng.normal(size=(100, 2, 2))
+    for n in range(7):
+        m = irrep_matrices(n)
+        tg, th = rep_matrices(m, g), rep_matrices(m, h)
+        err = np.linalg.norm(rep_matrices(m, g @ h) - tg @ th, axis=(1, 2))
+        scale = np.linalg.norm(tg, axis=(1, 2)) * np.linalg.norm(th, axis=(1, 2))
+        assert (err / scale).max() < 1e-14 * (n + 1)
 
 
 def test_rep_matrix_holo(su2, a1):
     m = irrep_matrices(1)
     rng = np.random.default_rng(9)
     x = haar_sample(su2, rng)
-    assert np.abs(rep_matrix_holo(m, x, np.zeros(1)) - rep_matrix(m, x)).max() < 1e-13
+    assert np.abs(rep_matrices(m, x @ exp_i(np.zeros(1))) - rep_matrices(m, x)).max() < 1e-13
     theta = 0.4
     Y = chars.CartanPoint.from_a1_theta(theta)
-    hol = rep_matrix_holo(m, np.eye(2), Y)
+    hol = rep_matrices(m, exp_i(Y))
     hs2 = np.sum(np.abs(hol) ** 2)
     assert abs(hs2 - np.sinh(4 * theta) / np.sinh(2 * theta)) < 1e-12
     # hermitian positive factor
-    factor = rep_matrix_holo(m, np.eye(2), Y)
-    assert np.abs(factor - np.conj(factor.T)).max() < 1e-13
-    assert np.linalg.eigvalsh(factor).min() > 0
+    assert np.abs(hol - np.conj(hol.T)).max() < 1e-13
+    assert np.linalg.eigvalsh(hol).min() > 0
 
 
 def test_hermitian_continuation_hs_norm(a1, su2):
@@ -95,7 +159,7 @@ def test_hermitian_continuation_hs_norm(a1, su2):
         m = irrep_matrices(n)
         theta = rng.uniform(0.1, 0.9)
         Y = chars.CartanPoint.from_a1_theta(theta)
-        hol = rep_matrix_holo(m, np.eye(2), Y)
+        hol = rep_matrices(m, exp_i(Y))
         hs2 = float(np.sum(np.abs(hol) ** 2))
         expected = chars.weyl_char_holo(a1, weight(a1, (n,)), 2.0 * Y.coords)
         assert abs(hs2 - expected) < 1e-10 * max(1.0, expected)
@@ -106,7 +170,7 @@ def test_restriction_principle_traces(a1, su2):
     for n in range(7):
         theta = rng.uniform(0.05, 1.0)
         Y = chars.CartanPoint.from_a1_theta(theta)
-        tr = np.trace(rep_matrix_holo(irrep_matrices(n), np.eye(2), Y)).real
+        tr = np.trace(rep_matrices(irrep_matrices(n), exp_i(Y))).real
         assert abs(tr - chars.weyl_char_holo(a1, weight(a1, (n,)), Y)) < 1e-11 * max(1.0, tr)
 
 
@@ -156,8 +220,7 @@ def test_su2_character_values(su2):
 def test_model_errors():
     with pytest.raises(ValueError):
         build_group_model("SU4")
-    su3 = build_group_model("SU3")
     with pytest.raises(ValueError):
-        log_coords(su3, np.eye(3))
+        exp_i(np.zeros(2))
     with pytest.raises(ValueError):
         irrep_matrices(-1)
