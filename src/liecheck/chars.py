@@ -180,12 +180,6 @@ def weyl_char_compact(rs: RootSystem, lam: Weight, Y) -> complex:
     return complex(num / den)
 
 
-def _char_holo_raw(rs, wl, wr, signs, c):
-    num = np.exp(-(c @ wl.T)) @ signs
-    den = np.exp(-(c @ wr.T)) @ signs
-    return num, den
-
-
 def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:
     """Holomorphically continued character at exp(iY), batched.
 
@@ -203,9 +197,11 @@ def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:
     signs = rs.weyl_signs.astype(float)
     wl = _weyl_orbit(rs, lam.coords + rs.rho)
     wr = _weyl_orbit(rs, rs.rho)
-    num, den = _char_holo_raw(rs, wl, wr, signs, pts)
+    num = np.exp(-(pts @ wl.T)) @ signs
+    den_terms = np.exp(-(pts @ wr.T))
+    den, den_scale = den_terms @ signs, den_terms @ np.abs(signs)
+    del den_terms  # (N, |W|): free it before the wall test's temporaries
     # wall detection: absolute underflow or heavy cancellation in the sum
-    den_scale = np.exp(-(pts @ wr.T)) @ np.abs(signs)
     bad = (np.abs(den) < 1e-12) | (np.abs(den) < 1e-7 * den_scale)
     out = np.divide(num, np.where(bad, 1.0, den))
     if np.any(bad) and not rs.is_torus:

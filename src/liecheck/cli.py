@@ -354,9 +354,8 @@ def _suite_lemma64(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> 
         lam = weight(rs, (n,))
         phi = fourier.character_series("A1", (n,), "HL2", cfg.t)
         f_vals = hilbert.bks_integral_transform(phi, model, xs)
-        target = hilbert.d_constant(rs, lam, cfg.t) * np.array(
-            [complex(fourier.synthesize(fourier.character_series("A1", (n,), "L2K", cfg.t), model, x))
-             for x in xs]
+        target = hilbert.d_constant(rs, lam, cfg.t) * fourier.synthesize_many(
+            fourier.character_series("A1", (n,), "L2K", cfg.t), model, xs
         )
         scale = hilbert.d_constant(rs, lam, cfg.t) * dimension(rs, lam)
         worst = max(worst, float(np.abs(f_vals - target).max() / scale))

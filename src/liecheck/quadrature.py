@@ -13,6 +13,7 @@ the chamber reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -62,8 +63,20 @@ def truncation_radius(t: float, target_mu_norm: float) -> float:
     return float(np.sqrt(t) * (target_mu_norm * np.sqrt(t) / 2.0 + 8.0))
 
 
-def _gauss_legendre_01(order: int, upper: float):
+@lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
     x, w = leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre_01(order: int, upper: float):
+    x, w = _leggauss(order)
     return (x + 1.0) * upper / 2.0, w * upper / 2.0
 
 
@@ -99,11 +112,19 @@ def _chamber_nodes_raw(
         gw = np.concatenate([gw_half[::-1], gw_half])
         grids = np.meshgrid(*([pts] * rank), indexing="ij")
         nodes = np.stack(grids, axis=-1).reshape(-1, rank)
-        weights = np.ones(len(nodes))
-        for axis in range(rank):
-            weights *= np.meshgrid(*([gw] * rank), indexing="ij")[axis].reshape(-1)
+        weights = reduce(np.multiply.outer, [gw] * rank).reshape(-1)
         return nodes, weights, R
     raise ValueError(f"unsupported kind for chamber quadrature: {kind!r}")
+
+
+def _gaussian_chamber_mass(
+    kind: str, positive_roots: np.ndarray, fundamental_weights: np.ndarray, order: int
+) -> float:
+    """Chamber integral of the density times e^{-|Y|^2}, without the flag volume."""
+    nodes, raw, _ = _chamber_nodes_raw(
+        kind, positive_roots, fundamental_weights, 1.0, order, 0.0
+    )
+    return float(raw @ np.exp(-np.sum(nodes**2, axis=-1)))
 
 
 def flag_volume_from_gaussian(
@@ -120,10 +141,7 @@ def flag_volume_from_gaussian(
     """
     if kind.startswith("T"):
         return 1.0
-    nodes, weights, _ = _chamber_nodes_raw(
-        kind, positive_roots, fundamental_weights, 1.0, order, 0.0
-    )
-    q = float(weights @ np.exp(-np.sum(nodes**2, axis=-1)))
+    q = _gaussian_chamber_mass(kind, positive_roots, fundamental_weights, order)
     return float(np.pi ** (dim_k / 2.0) / q)
 
 
@@ -235,10 +253,7 @@ def calibrate_flag_volume(
         return 1.0
     if model is None:
         raise ValueError("calibration against the Cartesian oracle needs a model")
-    nodes, raw, _ = _chamber_nodes_raw(
-        rs.kind, rs.positive_roots, rs.fundamental_weights, 1.0, 200, 0.0
-    )
-    q = float(raw @ np.exp(-np.sum(nodes**2, axis=-1)))
+    q = _gaussian_chamber_mass(rs.kind, rs.positive_roots, rs.fundamental_weights, 200)
     mc = cartesian_oracle_integrate(
         model,
         lambda c: np.exp(-np.sum(c**2, axis=-1) / 2.0),

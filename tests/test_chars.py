@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liecheck import chars
 from liecheck.chars import (
     CartanPoint,
     ClosedFormA1,
@@ -119,6 +120,42 @@ def test_weyl_char_holo_torus(t2):
     lam = weight(t2, (1, 2))
     y = np.array([0.3, -0.4])
     assert abs(weyl_char_holo(t2, lam, y) - np.exp(-lam.coords @ y)) < 1e-14
+
+
+def _weyl_char_holo_two_exp(rs, lam, pts):
+    """The continued character with the denominator exponentiated twice;
+    returns the values and the points sent to the positive-monomial form."""
+    signs = rs.weyl_signs.astype(float)
+    wl = np.einsum("wij,j->wi", rs.weyl_elements, lam.coords + rs.rho)
+    wr = np.einsum("wij,j->wi", rs.weyl_elements, rs.rho)
+    num = np.exp(-(pts @ wl.T)) @ signs
+    den = np.exp(-(pts @ wr.T)) @ signs
+    den_scale = np.exp(-(pts @ wr.T)) @ np.abs(signs)
+    bad = (np.abs(den) < 1e-12) | (np.abs(den) < 1e-7 * den_scale)
+    out = np.divide(num, np.where(bad, 1.0, den))
+    out[bad] = chars._char_holo_positive(rs, lam, pts[bad])
+    return out, bad
+
+
+def test_weyl_char_holo_matches_two_exponential_reference(a1, a2):
+    rng = np.random.default_rng(11)
+    for rs in (a1, a2):
+        fw = rs.fundamental_weights
+        interior = np.abs(rng.normal(size=(30, rs.rank))) @ fw
+        s = np.abs(rng.normal(size=(30, 1)))
+        near = rng.uniform(-1e-9, 1e-9, size=(30, 1))
+        if rs.rank == 1:
+            wall = np.zeros((1, 1))
+            near_wall = near * fw[0]
+        else:
+            wall = np.vstack([s * fw[0], s * fw[1]])
+            near_wall = np.vstack([s * fw[0] + near * fw[1], near * fw[0] + s * fw[1]])
+        pts = np.vstack([interior, wall, np.zeros((1, rs.rank)), near_wall, -interior])
+        for lam in enumerate_dominant(rs, 3):
+            ref, bad = _weyl_char_holo_two_exp(rs, lam, pts)
+            # walls, the origin and points within 1e-9 of a wall take the fallback
+            assert bad[len(interior):len(pts) - len(interior)].all()
+            assert np.array_equal(weyl_char_holo(rs, lam, pts), ref)
 
 
 def test_orbital_average_trivial(su2):

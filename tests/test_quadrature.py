@@ -6,13 +6,14 @@ from liecheck import chars
 from liecheck.models import MonteCarlo, chamber_coordinates
 from liecheck.quadrature import (
     GridA1,
+    _leggauss,
     build_chamber_quadrature,
     calibrate_flag_volume,
     cartesian_oracle_integrate,
     gaussian_linear_moment,
     integrate_invariant,
 )
-from liecheck.rootdata import dimension, weight
+from liecheck.rootdata import build_root_system, dimension, weight
 
 
 def gauss(t):
@@ -145,3 +146,54 @@ def test_errors(a1, su2):
         integrate_invariant(q, lambda Y: np.full(len(Y), np.nan))
     with pytest.raises(ValueError):
         cartesian_oracle_integrate(su2, lambda c: np.ones(len(c)), 1.0, "nope")
+
+
+def _reference_rule(rs, t, order, mu):
+    """Chamber rule rebuilt from a fresh leggauss call and per-axis meshgrids."""
+    R = np.sqrt(t) * (mu * np.sqrt(t) / 2.0 + 8.0)
+    x, w = leggauss(order)
+
+    def rule01(upper):
+        return (x + 1.0) * upper / 2.0, w * upper / 2.0
+
+    if rs.kind == "A1":
+        theta, gw = rule01(R / np.sqrt(2.0))
+        nodes, raw = (np.sqrt(2.0) * theta)[:, None], (2.0 * theta) ** 2 * gw
+    elif rs.kind == "A2":
+        s, gw = rule01(float(np.sqrt(1.5) * R))
+        s1, s2 = np.meshgrid(s, s, indexing="ij")
+        fw = rs.fundamental_weights
+        nodes = (s1[..., None] * fw[0] + s2[..., None] * fw[1]).reshape(-1, 2)
+        raw = ((s1 * s2 * (s1 + s2)) ** 2 * np.outer(gw, gw)).reshape(-1)
+    else:
+        half, gw_half = rule01(R)
+        pts = np.concatenate([-half[::-1], half])
+        gw = np.concatenate([gw_half[::-1], gw_half])
+        nodes = np.stack(np.meshgrid(*([pts] * rs.rank), indexing="ij"), axis=-1).reshape(-1, rs.rank)
+        raw = np.ones(len(nodes))
+        for axis in range(rs.rank):
+            raw *= np.meshgrid(*([gw] * rs.rank), indexing="ij")[axis].reshape(-1)
+    return nodes, rs.flag_volume * raw
+
+
+@pytest.mark.parametrize("t, order, mu", [(1.0, 16, 0.0), (0.5, 24, 3.7)])
+def test_chamber_rules_match_fresh_leggauss_reference(a1, a2, t2, t, order, mu):
+    for rs in (a1, a2, t2, build_root_system("T1"), build_root_system("T3")):
+        q = build_chamber_quadrature(rs, t, order, mu)
+        nodes, weights = _reference_rule(rs, t, order, mu)
+        assert np.array_equal(q.nodes, nodes)
+        assert np.array_equal(q.weights, weights)
+
+
+def test_cached_leggauss_rule_is_read_only_and_repeats():
+    x, w = _leggauss(20)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert _leggauss(20)[0] is x
+    _leggauss.cache_clear()
+    x2, w2 = _leggauss(20)
+    assert x2 is not x
+    assert np.array_equal(x2, x) and np.array_equal(w2, w)
+    ref_x, ref_w = leggauss(20)
+    assert np.array_equal(x2, ref_x) and np.array_equal(w2, ref_w)
