@@ -18,7 +18,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import Estimate, GroupModel, MonteCarlo, algebra_coords, cartan_element, haar_sample
+from .models import (
+    Estimate,
+    GroupModel,
+    MonteCarlo,
+    algebra_coords,
+    cartan_element,
+    group_model_for,
+    haar_sample,
+)
 from .rootdata import RootSystem, Weight, build_root_system, coords_of, dimension
 
 __all__ = [
@@ -111,17 +119,18 @@ def eta_det_oracle(model: GroupModel, Y) -> float:
 
 
 def j_half_identity_residual(rs: RootSystem, Y) -> float:
-    """|j(iY) - eta(Y/2)| with j evaluated from its own product form.
+    """|j(iY) - eta(Y/2)|, the two sides by independent routes.
 
-    Both sides reduce to the same product over positive roots; the residual
-    guards the implementation, not the identity.
+    j(iY) is the product over positive roots of sinh(<a,Y>/2)/(<a,Y>/2);
+    eta(Y/2) is the determinant route det(sin(ad)/ad)^(1/2) at the Cartan
+    element Y/2 of the SU(2) or SU(3) matrix model.  Tori give 0.
     """
     c = coords_of(Y)
-    if rs.is_torus:
+    model = group_model_for(rs.kind)
+    if model is None:
         return 0.0
-    pair = c @ rs.positive_roots.T
-    j_at_i = float(np.prod(_sinhc(pair / 2.0), axis=-1))
-    return abs(j_at_i - float(eta(rs, c / 2.0)))
+    j_at_i = float(np.prod(_sinhc(c @ rs.positive_roots.T / 2.0), axis=-1))
+    return abs(j_at_i - eta_det_oracle(model, cartan_element(model, c / 2.0)))
 
 
 def _weyl_orbit(rs: RootSystem, v: np.ndarray) -> np.ndarray:
@@ -227,10 +236,10 @@ def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
     if isinstance(scheme, MonteCarlo):
         rng = np.random.default_rng(scheme.seed)
         ys = haar_sample(model, rng, scheme.samples)
-        Ym = cartan_element(model, y_c)
-        Mm = cartan_element(model, mu_c)
-        ad_y = ys @ Ym @ np.conj(np.swapaxes(ys, -1, -2))
-        pair = -np.einsum("ij,nji->n", Mm, ad_y).real
+        # Y = i diag(b), mu = i diag(m): <mu, Ad_y Y> = sum_ij m_i b_j |y_ij|^2
+        b = np.diagonal(cartan_element(model, y_c)).imag
+        m = np.diagonal(cartan_element(model, mu_c)).imag
+        pair = ((ys.real**2 + ys.imag**2) @ b) @ m
         vals = np.exp(-pair)
         mean = float(vals.mean())
         sem = float(vals.std(ddof=1) / np.sqrt(len(vals)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chars, fourier, heat, hilbert
-from .models import GroupModel, MonteCarlo, build_group_model, haar_sample
+from .models import GroupModel, MonteCarlo, group_model_for, haar_sample
 from .quadrature import (
     build_chamber_quadrature,
     calibrate_flag_volume,
@@ -148,14 +148,6 @@ def _seed_for(cfg: RunConfig, check_id: str) -> int:
 
 def _rng_for(cfg: RunConfig, check_id: str) -> np.random.Generator:
     return np.random.default_rng(_seed_for(cfg, check_id))
-
-
-def _model_for(rs: RootSystem) -> GroupModel | None:
-    if rs.kind == "A1":
-        return build_group_model("SU2")
-    if rs.kind == "A2":
-        return build_group_model("SU3")
-    return None
 
 
 def _random_cartan(rs: RootSystem, rng, n: int, scale: float = 0.8) -> np.ndarray:
@@ -636,7 +628,7 @@ def _suite_available(suite: str, rs: RootSystem) -> str | None:
 def run_verification_suite(config: RunConfig, suite: str) -> dict:
     """Run one suite (or 'all') and assemble the structured report."""
     rs = build_root_system(config.group)
-    model = _model_for(rs)
+    model = group_model_for(rs.kind)
     names = SUITE_NAMES if suite == "all" else (suite,)
     checks: list[CheckRow] = []
     for name in names:

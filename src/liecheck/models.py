@@ -1,12 +1,13 @@
 """Concrete matrix models: su(2) and su(3) bases, Haar sampling, SU(2) irreps.
 
 The orthonormal algebra bases realize <X, Y> = -trace(XY) in the defining
-representation.  SU(3) is modelled at the level of its defining
-representation (adjoint action, Haar sampling); SU(2) additionally carries
-its irreducible representations as exact symmetric powers of the defining
-one, with the closed-form exp(iY) for the holomorphic extension.  These
-serve as brute-force oracles for characters, Fourier coefficients, and the
-integral transforms.
+representation.  Haar samples of both groups orthonormalise Ginibre
+matrices by Gram-Schmidt twice, equal to QR with positive diag(R).  SU(3)
+is modelled at the level of its defining representation (adjoint action,
+Haar sampling); SU(2) additionally carries its irreducible representations
+as exact symmetric powers of the defining one, with the closed-form exp(iY)
+for the holomorphic extension.  These serve as brute-force oracles for
+characters, Fourier coefficients, and the integral transforms.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "cartan_element",
     "chamber_coordinates",
     "exp_i",
+    "group_model_for",
     "haar_sample",
     "irrep_matrices",
     "rep_matrices",
@@ -114,7 +116,15 @@ def build_group_model(kind: str) -> GroupModel:
     comm = c[:, None] @ c[None, :] - np.swapaxes(c[:, None] @ c[None, :], 0, 1)
     if np.abs(comm).max() > 1e-14:
         raise AssertionError("Cartan basis does not commute")
+    if np.count_nonzero(c * (1.0 - np.eye(model.defining_dim))):
+        raise AssertionError("Cartan basis is not diagonal")
     return model
+
+
+def group_model_for(rs_kind: str) -> GroupModel | None:
+    """The matrix model realizing root system A1 (SU2) or A2 (SU3); None for tori."""
+    kind = {"A1": "SU2", "A2": "SU3"}.get(rs_kind)
+    return None if kind is None else build_group_model(kind)
 
 
 def algebra_element(model: GroupModel, coords) -> np.ndarray:
@@ -197,21 +207,53 @@ def chamber_coordinates(model: GroupModel, coords) -> np.ndarray:
     return np.stack([a @ u1, a @ u2], axis=-1)
 
 
+def _orthonormal_columns(z: np.ndarray) -> np.ndarray:
+    """Columns of a batch of square matrices orthonormalised in order.
+
+    Classical Gram-Schmidt, run twice per column: one pass loses
+    orthogonality in proportion to eps * cond(z)^2, the second restores it
+    to working precision ("twice is enough", Giraud, Langou & Rozloznik,
+    Numer. Math. 101 (2005)).  The result is the Q of z = QR with positive
+    diag(R), batched over the leading axes with elementwise operations only.
+    """
+    cols = np.moveaxis(z, -1, 0).copy()  # cols[k] is column k, contiguous
+    for k, v in enumerate(cols):
+        for _ in range(2):
+            coef = [np.einsum("...i,...i->...", q.conj(), v) for q in cols[:k]]
+            for q, c in zip(cols[:k], coef):
+                v -= c[..., None] * q
+        v /= np.sqrt(np.einsum("...i,...i->...", v.real, v.real)
+                     + np.einsum("...i,...i->...", v.imag, v.imag))[..., None]
+    return np.moveaxis(cols, 0, -1)
+
+
+def _det_of_columns(q: np.ndarray) -> np.ndarray:
+    """Determinant of a batch of 2x2 or 3x3 matrices in closed form."""
+    a, b = q[..., :, 0], q[..., :, 1]
+    if q.shape[-1] == 2:
+        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    c = q[..., :, 2]  # triple product a . (b x c)
+    return (a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+            + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
+            + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]))
+
+
 def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
     """Haar-distributed elements of SU(2) or SU(3).
 
-    Ginibre matrix, QR with the phase fix that makes the factor Haar on the
-    unitary group, then division by det^(1/n) to land in the special
-    unitary group.  Deterministic given the generator state.
+    Ginibre matrix, its columns orthonormalised by Gram-Schmidt twice, equal
+    to QR with positive diag(R): that factor is Haar on the unitary group
+    (Mezzadri, Notices AMS 54 (2007)).  Then division by det^(1/n), the
+    determinant in closed form, to land in the special unitary group.
+    Deterministic given the generator state; size=None gives one (n, n)
+    matrix.
     """
     rng = np.random.default_rng(rng)
     n = model.defining_dim
     shape = (n, n) if size is None else (size, n, n)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / SQRT2
-    q, r = np.linalg.qr(z)
-    d = np.einsum("...ii->...i", r)
-    q = q * (d / np.abs(d))[..., None, :]
-    det = np.linalg.det(q)
+    q = _orthonormal_columns(z)
+    det = _det_of_columns(q)
     return q / (det ** (1.0 / n))[..., None, None]
 
 

@@ -14,7 +14,13 @@ from liecheck.chars import (
     weyl_char_compact,
     weyl_char_holo,
 )
-from liecheck.models import MonteCarlo, algebra_element, cartan_element, chamber_coordinates
+from liecheck.models import (
+    MonteCarlo,
+    algebra_element,
+    cartan_element,
+    chamber_coordinates,
+    haar_sample,
+)
 from liecheck.rootdata import dimension, enumerate_dominant, weight
 
 
@@ -172,6 +178,30 @@ def test_orbital_average_closed_form_vs_mc(su2, a1):
     assert abs(closed.value - np.sinh(2.0) / 2.0) < 1e-14
     mc = orbital_average(su2, mu, Y, MonteCarlo(1_000_000, 7))
     assert abs(mc.value - closed.value) < 3 * mc.stderr
+
+
+def _orbital_average_ad_y(model, mu, Y, scheme):
+    """Reference MonteCarlo orbital average: -tr(M y Y y^H) by matrix products."""
+    ys = haar_sample(model, np.random.default_rng(scheme.seed), scheme.samples)
+    Ym = cartan_element(model, Y)
+    Mm = cartan_element(model, mu)
+    ad_y = ys @ Ym @ np.conj(np.swapaxes(ys, -1, -2))
+    vals = np.exp(np.einsum("ij,nji->n", Mm, ad_y).real)
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(len(vals))
+
+
+def test_orbital_average_matches_ad_y_reference(su2, su3):
+    rng = np.random.default_rng(61)
+    for model in (su2, su3):
+        pairs = [(rng.normal(size=model.rank) * 2.0, rng.normal(size=model.rank) * 0.7)
+                 for _ in range(4)]
+        pairs += [(rng.normal(size=model.rank), np.zeros(model.rank)),
+                  (np.zeros(model.rank), rng.normal(size=model.rank))]
+        for k, (mu, Y) in enumerate(pairs):
+            est = orbital_average(model, mu, Y, MonteCarlo(20_000, 70 + k))
+            mean, sem = _orbital_average_ad_y(model, mu, Y, MonteCarlo(20_000, 70 + k))
+            assert abs(est.value - mean) <= 1e-13 * mean
+            assert abs(est.stderr - sem) <= 1e-13 * sem
 
 
 def test_orbital_average_a2_seed_consistency(su3, a2):

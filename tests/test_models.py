@@ -3,6 +3,7 @@ import pytest
 
 from liecheck import chars
 from liecheck.models import (
+    _orthonormal_columns,
     build_group_model,
     chamber_coordinates,
     exp_i,
@@ -38,6 +39,23 @@ def su2_log_coords(xs):
     return np.sqrt(2.0) * phi[..., None] * axis
 
 
+def qr_positive(z):
+    """Reference Q of z = QR with positive diag(R): Householder QR, phase fix."""
+    q, r = np.linalg.qr(z)
+    d = np.einsum("...ii->...i", r)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def qr_haar_sample(model, rng, size=None):
+    """Reference Haar sampler: QR with the phase fix, then LAPACK det."""
+    rng = np.random.default_rng(rng)
+    n = model.defining_dim
+    shape = (n, n) if size is None else (size, n, n)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    q = qr_positive(z)
+    return q / (np.linalg.det(q) ** (1.0 / n))[..., None, None]
+
+
 def su2_diag(theta):
     """exp of the Cartan element with coordinate sqrt(2)*theta."""
     return np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
@@ -48,6 +66,7 @@ def test_basis_orthonormality(su2, su3):
         gram = -np.einsum("aij,bji->ab", model.ad_basis, model.ad_basis).real
         assert np.abs(gram - np.eye(model.dim_k)).max() < 1e-14
         c = model.cartan_basis
+        assert np.abs(c * (1.0 - np.eye(model.defining_dim))).max() == 0.0
         for i in range(len(c)):
             for j in range(len(c)):
                 assert np.abs(c[i] @ c[j] - c[j] @ c[i]).max() < 1e-14
@@ -192,10 +211,49 @@ def test_haar_schur_orthogonality(su2, su3):
         assert abs(vals.mean() - 1.0) < 3.5 * sem2
 
 
-def test_haar_determinant_and_unitarity(su3):
-    xs = haar_sample(su3, 23, 100)
-    assert np.abs(np.linalg.det(xs) - 1.0).max() < 1e-12
-    assert np.abs(np.conj(np.swapaxes(xs, 1, 2)) @ xs - np.eye(3)).max() < 1e-12
+def test_haar_determinant_and_unitarity(su2, su3):
+    for model in (su2, su3):
+        xs = haar_sample(model, 23, 200_000)
+        assert np.abs(np.linalg.det(xs) - 1.0).max() <= 1e-13
+        gram = np.conj(np.swapaxes(xs, 1, 2)) @ xs
+        assert np.abs(gram - np.eye(model.defining_dim)).max() <= 1e-13
+
+
+def test_haar_sample_matches_qr_reference(su2, su3):
+    for model in (su2, su3):
+        for seed in (3, 4):
+            one = haar_sample(model, seed)
+            assert one.shape == (model.defining_dim,) * 2
+            assert np.abs(one - qr_haar_sample(model, seed)).max() <= 1e-12
+        xs = haar_sample(model, 5, 20_000)
+        assert np.abs(xs - qr_haar_sample(model, 5, 20_000)).max() <= 1e-12
+        # the generator is left in the same state: same draws, same order
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        haar_sample(model, rng, 7)
+        qr_haar_sample(model, ref_rng, 7)
+        assert np.array_equal(haar_sample(model, rng, 7), haar_sample(model, ref_rng, 7))
+    # columns at angles ~1e-3 (cond 1e3..1e5): both routes are accurate to about
+    # eps * cond(z); one Gram-Schmidt pass on three columns is off by eps * cond(z)^2
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        z = rng.standard_normal((2000, n, n)) + 1j * rng.standard_normal((2000, n, n))
+        z[..., 1:] = z[..., :1] + 1e-3 * z[..., 1:]
+        err = np.abs(_orthonormal_columns(z) - qr_positive(z)).max(axis=(1, 2))
+        assert (err <= 1e-14 * np.linalg.cond(z)).all()
+
+
+def test_orthonormal_columns_of_nearly_parallel_columns():
+    rng = np.random.default_rng(53)
+    for n in (2, 3):
+        shape = (2000, n, n)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z[..., 1:] = z[..., :1] + 1e-11 * z[..., 1:]
+        assert np.linalg.cond(z).min() >= 1e10
+        q = _orthonormal_columns(z)
+        gram = np.conj(np.swapaxes(q, 1, 2)) @ q
+        assert np.abs(gram - np.eye(n)).max() <= 1e-14
+        # positive diag(R): each column has a positive component along its own z column
+        assert (np.einsum("nik,nik->nk", np.conj(q), z).real > 0).all()
 
 
 def test_chamber_coordinates_match_eigvalsh(su3):
