@@ -197,12 +197,17 @@ def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:
     alternating quotient degenerates (Weyl-denominator zeros on chamber
     walls, including Y = 0) the value is recomputed from the
     cancellation-free positive-monomial form, which stays exact there.
+    On a torus W = {1} and rho = 0, so the character is the single
+    monomial e^{-<lam, Y>}.
     """
     if not lam.is_dominant:
         raise ValueError("weyl_char_holo requires a dominant weight")
     c = coords_of(Y)
     scalar = c.ndim == 1
     pts = np.atleast_2d(c)
+    if rs.is_torus:
+        out = np.exp(-(pts @ lam.coords))
+        return float(out[0]) if scalar else out
     signs = rs.weyl_signs.astype(float)
     wl = _weyl_orbit(rs, lam.coords + rs.rho)
     wr = _weyl_orbit(rs, rs.rho)
@@ -213,7 +218,7 @@ def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:
     # wall detection: absolute underflow or heavy cancellation in the sum
     bad = (np.abs(den) < 1e-12) | (np.abs(den) < 1e-7 * den_scale)
     out = np.divide(num, np.where(bad, 1.0, den))
-    if np.any(bad) and not rs.is_torus:
+    if np.any(bad):
         out[bad] = _char_holo_positive(rs, lam, pts[bad])
     return float(out[0]) if scalar else out
 

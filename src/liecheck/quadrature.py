@@ -98,7 +98,7 @@ def _chamber_nodes_raw(
     if kind == "A2":
         S = float(np.sqrt(1.5) * R)  # s-box covering chamber ∩ ball(R)
         s, gw = _gauss_legendre_01(order, S)
-        s1, s2 = np.meshgrid(s, s, indexing="ij")
+        s1, s2 = np.meshgrid(s, s, indexing="ij", sparse=True)
         gw2 = np.outer(gw, gw)
         nodes = s1[..., None] * fundamental_weights[0] + s2[..., None] * fundamental_weights[1]
         dens = (s1 * s2 * (s1 + s2)) ** 2
@@ -110,7 +110,7 @@ def _chamber_nodes_raw(
         half, gw_half = _gauss_legendre_01(order, R)
         pts = np.concatenate([-half[::-1], half])
         gw = np.concatenate([gw_half[::-1], gw_half])
-        grids = np.meshgrid(*([pts] * rank), indexing="ij")
+        grids = np.meshgrid(*([pts] * rank), indexing="ij", copy=False)
         nodes = np.stack(grids, axis=-1).reshape(-1, rank)
         weights = reduce(np.multiply.outer, [gw] * rank).reshape(-1)
         return nodes, weights, R
@@ -124,7 +124,9 @@ def _gaussian_chamber_mass(
     nodes, raw, _ = _chamber_nodes_raw(
         kind, positive_roots, fundamental_weights, 1.0, order, 0.0
     )
-    return float(raw @ np.exp(-np.sum(nodes**2, axis=-1)))
+    # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
+    # without numpy's slow reduction over a length-1 or -2 axis
+    return float(raw @ np.exp(-np.einsum("...i,...i->...", nodes, nodes)))
 
 
 def flag_volume_from_gaussian(

@@ -21,7 +21,8 @@ from liecheck.models import (
     chamber_coordinates,
     haar_sample,
 )
-from liecheck.rootdata import dimension, enumerate_dominant, weight
+from liecheck.quadrature import build_chamber_quadrature
+from liecheck.rootdata import build_root_system, dimension, enumerate_dominant, weight
 
 
 def test_eta_values(a1, t2):
@@ -139,7 +140,8 @@ def _weyl_char_holo_two_exp(rs, lam, pts):
     den_scale = np.exp(-(pts @ wr.T)) @ np.abs(signs)
     bad = (np.abs(den) < 1e-12) | (np.abs(den) < 1e-7 * den_scale)
     out = np.divide(num, np.where(bad, 1.0, den))
-    out[bad] = chars._char_holo_positive(rs, lam, pts[bad])
+    if bad.any():
+        out[bad] = chars._char_holo_positive(rs, lam, pts[bad])
     return out, bad
 
 
@@ -162,6 +164,32 @@ def test_weyl_char_holo_matches_two_exponential_reference(a1, a2):
             # walls, the origin and points within 1e-9 of a wall take the fallback
             assert bad[len(interior):len(pts) - len(interior)].all()
             assert np.array_equal(weyl_char_holo(rs, lam, pts), ref)
+
+
+def test_weyl_char_holo_torus_matches_two_exponential_reference(t2):
+    # W = {1} and rho = 0: the quotient's denominator is exactly 1, so the
+    # single monomial must reproduce the alternating quotient bit for bit
+    rng = np.random.default_rng(12)
+    for rs in (build_root_system("T1"), t2, build_root_system("T3")):
+        interior = rng.normal(0.0, 3.0, size=(40, rs.rank))
+        pts = np.vstack([interior, -np.abs(interior), np.zeros((1, rs.rank))])
+        for lam in enumerate_dominant(rs, 3):
+            ref, bad = _weyl_char_holo_two_exp(rs, lam, pts)
+            assert not bad.any()
+            assert np.array_equal(weyl_char_holo(rs, lam, pts), ref)
+            assert weyl_char_holo(rs, lam, np.zeros(rs.rank)) == 1.0
+            scalar = weyl_char_holo(rs, lam, interior[0])
+            assert isinstance(scalar, float)
+            assert scalar == _weyl_char_holo_two_exp(rs, lam, interior[:1])[0][0]
+    # the sweep's rank-2 rule: order 96 at the radius of lam = (6, 6), t = 2
+    top = weight(t2, (6, 6))
+    q = build_chamber_quadrature(t2, 2.0, 96, 2.0 * float(np.linalg.norm(top.coords)))
+    pts = 2.0 * q.nodes
+    for lam in (weight(t2, (0, 0)), weight(t2, (3, 4)), top):
+        assert np.array_equal(weyl_char_holo(t2, lam, pts), _weyl_char_holo_two_exp(t2, lam, pts)[0])
+    t1 = build_root_system("T1")
+    with pytest.raises(ValueError):
+        weyl_char_holo(t1, weight(t1, (-1,)), np.ones(1))
 
 
 def test_orbital_average_trivial(su2):

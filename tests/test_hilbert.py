@@ -14,7 +14,9 @@ from liecheck.hilbert import (
     verify_norm_identity,
 )
 from liecheck.models import haar_sample, su2_character
-from liecheck.rootdata import enumerate_dominant, weight
+from liecheck.quadrature import build_chamber_quadrature, integrate_invariant
+from liecheck.rootdata import build_root_system, dimension, enumerate_dominant, weight
+from test_chars import _weyl_char_holo_two_exp
 
 
 def random_series(dynkins, rng, space, t=1.0):
@@ -81,15 +83,43 @@ def test_naive_constant(a1):
         assert est.value > 0
 
 
-def test_naive_constant_torus_degenerate():
-    from liecheck.rootdata import build_root_system
-
+def test_naive_constant_torus_degenerate(t2):
+    # eta = 1 on a torus, so the density-free constant is C itself
     t1 = build_root_system("T1")
     for n in range(4):
         lam = weight(t1, (n,))
         est = naive_constant(t1, lam, 1.0, 64)
         C = c_constant(t1, lam, 1.0)
         assert abs(est.value - C) <= 1e-12 * C
+    # the rank-2 tensor grid of the constants sweep, at its order
+    for t in (0.5, 1.0, 2.0):
+        for lam in enumerate_dominant(t2, 3):
+            est = naive_constant(t2, lam, t, 96)
+            C = c_constant(t2, lam, t)
+            assert abs(est.value - C) <= 1e-12 * C
+
+
+def _naive_constant_reference(rs, lam, t, order):
+    """C~ and its order-doubling delta from a reference integrand: the
+    two-exponential character times a Gaussian with |Y|^2 by np.sum."""
+    d = dimension(rs, lam)
+    mu = 2.0 * np.linalg.norm(lam.coords + rs.rho)
+
+    def f(Y):
+        return _weyl_char_holo_two_exp(rs, lam, 2.0 * Y)[0] * np.exp(-np.sum(Y**2, axis=-1) / t)
+
+    v0, v1 = (integrate_invariant(build_chamber_quadrature(rs, t, o, mu), f) / d
+              for o in (order, 2 * order))
+    return v0, abs(v0 - v1)
+
+
+def test_constants_row_c_tilde_is_bit_identical_to_reference(a1, a2, t2):
+    for rs, dynkins in ((a1, [(0,), (5,)]), (a2, [(0, 0), (2, 3)]), (t2, [(0, 0), (3, 4)])):
+        order = 64 if rs.rank == 1 else 96
+        for dynkin in dynkins:
+            lam = weight(rs, dynkin)
+            row = constants_row(rs, lam, 1.0, order)
+            assert (row.C_tilde, row.C_tilde_err) == _naive_constant_reference(rs, lam, 1.0, order)
 
 
 def test_constants_row(a1):
