@@ -7,11 +7,11 @@ together, the pairing transforms, and the heat multiplier, with every
 identity backed by an independent oracle.
 """
 
-from .chars import CartanPoint, ClosedFormA1, WallSingularityError
+from .chars import CartanPoint, ClosedFormA1, HurwitzSU3, WallSingularityError
 from .fourier import FourierSeries
 from .hilbert import ConstantsRow, IntegralRoute
 from .models import Estimate, GroupModel, IrrepMatrices, MonteCarlo, build_group_model
-from .quadrature import ChamberQuadrature, GridA1
+from .quadrature import ChamberQuadrature, GaussHermite
 from .rootdata import RootSystem, Weight, build_root_system, enumerate_dominant, weight
 
 __version__ = "0.1.0"
@@ -23,8 +23,9 @@ __all__ = [
     "ConstantsRow",
     "Estimate",
     "FourierSeries",
-    "GridA1",
+    "GaussHermite",
     "GroupModel",
+    "HurwitzSU3",
     "IntegralRoute",
     "IrrepMatrices",
     "MonteCarlo",

@@ -27,16 +27,19 @@ from .models import (
     group_model_for,
     haar_sample,
 )
+from .quadrature import _gauss_legendre_01, _leggauss
 from .rootdata import RootSystem, Weight, build_root_system, coords_of, dimension
 
 __all__ = [
     "CartanPoint",
     "ClosedFormA1",
+    "HurwitzSU3",
     "WallSingularityError",
     "eta",
     "eta_det_oracle",
     "j_half_identity_residual",
     "kirillov_residual",
+    "kirillov_sides",
     "orbital_average",
     "weyl_char_compact",
     "weyl_char_holo",
@@ -50,6 +53,18 @@ class WallSingularityError(ArithmeticError):
 @dataclass(frozen=True)
 class ClosedFormA1:
     """Orbital-average scheme using the exact 2-sphere average for su(2)."""
+
+
+@dataclass(frozen=True)
+class HurwitzSU3:
+    """Orbital-average scheme: a product rule over SU(3) Haar measure.
+
+    Hurwitz's column-by-column parametrisation of Haar measure (Zyczkowski
+    & Kus, J. Phys. A 27 (1994) 4235) with `order` points on each of its
+    four axes, order^4 nodes.  It uses neither the Weyl quotient nor HCIZ.
+    """
+
+    order: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,13 +238,63 @@ def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
+@lru_cache(maxsize=None)
+def _hurwitz_su3_moduli(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared moduli |y_ij|^2 at the nodes of the HurwitzSU3 rule, and weights.
+
+    A left torus factor leaves the moduli unchanged, so the first column u
+    is taken real.  Its squared moduli p are uniform on the 2-simplex:
+    collapsed (Duffy) Gauss-Legendre p = (s, (1-s) r, (1-s)(1-r)) with
+    weight 2 (1-s) w_s w_r.  The second column v is a uniform point of
+    CP^1 = S^2 inside u^perp; with e, f a real orthonormal basis of u^perp,
+    |v_i|^2 = (1+z)/2 e_i^2 + (1-z)/2 f_i^2 + sqrt(1-z^2) cos(phi) e_i f_i,
+    Gauss-Legendre in z and the trapezoid rule in phi.  The third column's
+    moduli are 1 - p_i - |v_i|^2.
+
+    Returns (N, 9) moduli, entry 3i + j being |y_ij|^2, and (N,) weights
+    summing to 1; N = order^4.  The arrays are shared by every caller, so
+    they are read-only.
+    """
+    s, ws = _gauss_legendre_01(order, 1.0)
+    s, r = s[:, None], s[None, :]
+    p = np.stack(np.broadcast_arrays(s, (1.0 - s) * r, (1.0 - s) * (1.0 - r)), axis=-1)
+    p = p.reshape(-1, 3)
+    w_simplex = (2.0 * (1.0 - s) * ws[:, None] * ws[None, :]).reshape(-1)
+    # e: the coordinate axis of u's smallest entry (u_k^2 <= 1/3) made
+    # orthogonal to u; f = u x e completes the basis of u^perp
+    u = np.sqrt(p)
+    k = np.argmin(u, axis=-1)
+    e = -u[np.arange(len(u)), k][:, None] * u
+    e[np.arange(len(u)), k] += 1.0
+    e /= np.sqrt(np.einsum("ni,ni->n", e, e))[:, None]
+    f = np.cross(u, e)
+    z, wz = _leggauss(order)
+    z, phi = np.meshgrid(z, 2.0 * np.pi * np.arange(order) / order, indexing="ij")
+    along_e = ((1.0 + z) / 2.0).reshape(-1, 1)
+    mixed = (np.sqrt(1.0 - z * z) * np.cos(phi)).reshape(-1, 1)
+    w_sphere = np.repeat(wz / (2.0 * order), order)
+    v = (along_e * (e * e)[:, None, :] + (1.0 - along_e) * (f * f)[:, None, :]
+         + mixed * (e * f)[:, None, :])
+    moduli = np.empty(v.shape + (3,))
+    moduli[..., 0] = p[:, None, :]
+    moduli[..., 1] = v
+    moduli[..., 2] = 1.0 - p[:, None, :] - v
+    moduli = moduli.reshape(-1, 9)
+    weights = np.outer(w_simplex, w_sphere).reshape(-1)
+    moduli.flags.writeable = False
+    weights.flags.writeable = False
+    return moduli, weights
+
+
 def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
     """Normalized orbital average A(mu, Y) of exp(-<mu, Ad_y Y>) over K/T.
 
     ClosedFormA1 uses the exact sphere average sinh(|mu||Y|)/(|mu||Y|);
+    HurwitzSU3 is a deterministic product rule over SU(3) Haar measure;
     MonteCarlo averages over Haar samples (the integrand is right
     T-invariant, so Haar on K realizes the normalized K/T measure) and
-    reports a standard error.
+    reports a standard error.  The last two see the group element only
+    through the squared moduli of its entries.
     """
     mu_c = coords_of(mu)
     y_c = coords_of(Y)
@@ -238,12 +303,17 @@ def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
             raise ValueError("ClosedFormA1 scheme requires the SU2 model")
         x = float(np.linalg.norm(mu_c) * np.linalg.norm(y_c))
         return Estimate(float(_sinhc(x)), 0.0)
+    # Y = i diag(b), mu = i diag(m): <mu, Ad_y Y> = sum_ij m_i b_j |y_ij|^2
+    b = np.diagonal(cartan_element(model, y_c)).imag
+    m = np.diagonal(cartan_element(model, mu_c)).imag
+    if isinstance(scheme, HurwitzSU3):
+        if model.kind != "SU3":
+            raise ValueError("HurwitzSU3 scheme requires the SU3 model")
+        moduli, weights = _hurwitz_su3_moduli(scheme.order)
+        return Estimate(float(weights @ np.exp(-(moduli @ np.outer(m, b).reshape(-1)))), 0.0)
     if isinstance(scheme, MonteCarlo):
         rng = np.random.default_rng(scheme.seed)
         ys = haar_sample(model, rng, scheme.samples)
-        # Y = i diag(b), mu = i diag(m): <mu, Ad_y Y> = sum_ij m_i b_j |y_ij|^2
-        b = np.diagonal(cartan_element(model, y_c)).imag
-        m = np.diagonal(cartan_element(model, mu_c)).imag
         pair = ((ys.real**2 + ys.imag**2) @ b) @ m
         vals = np.exp(-pair)
         mean = float(vals.mean())
@@ -252,18 +322,18 @@ def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
     raise ValueError(f"unknown orbital-average scheme: {scheme!r}")
 
 
-def kirillov_residual(
+def kirillov_sides(
     model: GroupModel,
     lam: Weight,
     Y,
     scheme,
     half_angle: bool = False,
-) -> Estimate:
-    """Residual of the character/orbit identity in volume-free form.
+) -> tuple[float, Estimate]:
+    """Both sides of the character/orbit identity in volume-free form.
 
-    Default: |eta(Y) * char_holo(lam, 2Y) - d * A(2(lam+rho), Y)|.
-    half_angle: |eta(Y/2) * char_holo(lam, Y) - d * A(lam+rho, Y)|.
-    The stderr is d times the orbital average's standard error.
+    Default: eta(Y) * char_holo(lam, 2Y) and d * A(2(lam+rho), Y).
+    half_angle: eta(Y/2) * char_holo(lam, Y) and d * A(lam+rho, Y).
+    The right side's stderr is d times the orbital average's standard error.
     """
     rs = build_root_system(model.rs_kind)
     d = dimension(rs, lam)
@@ -275,4 +345,16 @@ def kirillov_residual(
         lhs = float(eta(rs, y_c)) * float(weyl_char_holo(rs, lam, 2.0 * y_c))
         mu = 2.0 * (lam.coords + rs.rho)
     avg = orbital_average(model, mu, y_c, scheme)
-    return Estimate(abs(lhs - d * avg.value), d * avg.stderr)
+    return lhs, Estimate(d * avg.value, d * avg.stderr)
+
+
+def kirillov_residual(
+    model: GroupModel,
+    lam: Weight,
+    Y,
+    scheme,
+    half_angle: bool = False,
+) -> Estimate:
+    """|lhs - rhs| of kirillov_sides, with the right side's standard error."""
+    lhs, rhs = kirillov_sides(model, lam, Y, scheme, half_angle)
+    return Estimate(abs(lhs - rhs.value), rhs.stderr)

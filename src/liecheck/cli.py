@@ -5,8 +5,9 @@ either a relative error (deterministic checks, gated by --tolerance) or a
 sigma distance (Monte-Carlo checks, gated at 3 sigma).  All randomness is
 derived from the configured seed, so reports are byte-identical across
 runs; checks a group cannot support are reported as skip rows rather than
-silently dropped.  Exit codes: 0 all pass, 1 any check failed, 2 invalid
-configuration or usage.
+silently dropped.  The summary's `statistical` block counts the sigma rows
+and gives the chance that an honest run fails one of them.  Exit codes: 0
+all pass, 1 any check failed, 2 invalid configuration or usage.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import zlib
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ import numpy as np
 from . import chars, fourier, heat, hilbert
 from .models import GroupModel, MonteCarlo, group_model_for, haar_sample
 from .quadrature import (
+    GaussHermite,
     build_chamber_quadrature,
     calibrate_flag_volume,
     cartesian_oracle_integrate,
@@ -47,6 +50,14 @@ SUITE_NAMES = (
 )
 # suites that need pointwise SU(2) irreducible matrices end to end
 _IRREP_ONLY = {"fourier", "convolution", "bks", "heat"}
+
+# points per axis of the deterministic second routes; each row's note
+# carries the relative change from half the order
+_HURWITZ_ORDER = 20  # SU(3) Haar product rule of chars.HurwitzSU3, 20^4 nodes
+_HERMITE_ORDER = 24  # tensor Gauss-Hermite rule over su(2), 24^3 nodes
+# the one case per suite that keeps its Monte-Carlo route as a cross-check
+_KIRILLOV_MC_CASE = 3  # A2 lam = (1, 1), double angle
+_WEYLINT_MC_CASE = 5   # A1 eta^1 * char(2Y) at lam = (1,), t_g = 0.35 t
 
 _TRANSFORM_CLI = {
     "h": "H",
@@ -136,6 +147,10 @@ def _stat_row(check_id: str, lhs: float, rhs: float, stderr: float, note: str = 
     floor = 1e-12 * max(1.0, abs(lhs), abs(rhs))
     sigma = abs_err / max(stderr, floor)
     return CheckRow(check_id, "statistical", lhs, rhs, abs_err, None, sigma, sigma <= 3.0, note)
+
+
+def _doubling_note(fine: float, coarse: float, order: int) -> str:
+    return f"order {order} vs {order // 2}: rel delta {abs(fine - coarse) / abs(fine):.1e}"
 
 
 def _skip_row(check_id: str, note: str) -> CheckRow:
@@ -244,7 +259,6 @@ def _suite_weylint(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> 
     from .models import chamber_coordinates
 
     for i, (tg, p, lam, mu_eff) in enumerate(_invariant_test_functions(rs, cfg)):
-        cid = f"weylint/chamber-vs-cartesian-{i:02d}"
         q = build_chamber_quadrature(rs, tg, order, mu_eff)
 
         def f_chamber(Y, tg=tg, p=p, lam=lam):
@@ -252,22 +266,40 @@ def _suite_weylint(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> 
                     * chars.weyl_char_holo(rs, lam, 2.0 * Y)
                     * np.exp(-np.einsum("...i,...i->...", Y, Y) / tg))
 
+        # the integrand over the algebra without its Gaussian factor
+        def f_algebra(c, p=p, lam=lam):
+            rep = chamber_coordinates(model, c)
+            return chars.eta(rs, rep) ** p * chars.weyl_char_holo(rs, lam, 2.0 * rep)
+
+        val = integrate_invariant(q, f_chamber)
+        note = f"eta^{p} * char(2Y) * gaussian(t={tg:g}), lam={lam.dynkin}"
+        if rs.kind == "A1":
+            fine, coarse = (
+                cartesian_oracle_integrate(model, f_algebra, tg, GaussHermite(n)).value
+                for n in (_HERMITE_ORDER, _HERMITE_ORDER // 2)
+            )
+            rows.append(_det_row(f"weylint/chamber-vs-hermite-{i:02d}", fine, val,
+                                 max(cfg.tolerance, 1e-12),
+                                 f"{note}; {_doubling_note(fine, coarse, _HERMITE_ORDER)}"))
+            if i != _WEYLINT_MC_CASE:
+                continue
+            cid = "weylint/mc-crosscheck-a1"
+            note = f"{note}; Monte-Carlo route of chamber-vs-hermite-{i:02d}"
+        else:
+            cid = f"weylint/chamber-vs-cartesian-{i:02d}"
+
         # sample at double the Gaussian width and fold the remainder into f:
         # the reweighted integrand keeps Gaussian decay, so its variance
         # estimator (and hence the 3-sigma gate) stays trustworthy
         ts = 2.0 * tg
 
-        def f_cart(c, tg=tg, ts=ts, p=p, lam=lam):
-            rep = chamber_coordinates(model, c)
-            tail = np.exp(-np.sum(c**2, axis=-1) * (1.0 / tg - 1.0 / ts))
-            return chars.eta(rs, rep) ** p * chars.weyl_char_holo(rs, lam, 2.0 * rep) * tail
+        def f_cart(c, tg=tg, ts=ts, f_algebra=f_algebra):
+            return f_algebra(c) * np.exp(-np.sum(c**2, axis=-1) * (1.0 / tg - 1.0 / ts))
 
-        val = integrate_invariant(q, f_chamber)
         est = cartesian_oracle_integrate(
             model, f_cart, ts, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid))
         )
-        rows.append(_stat_row(cid, est.value, val, est.stderr,
-                              f"eta^{p} * char(2Y) * gaussian(t={tg:g}), lam={lam.dynkin}"))
+        rows.append(_stat_row(cid, est.value, val, est.stderr, note))
     return rows
 
 
@@ -307,16 +339,26 @@ def _suite_kirillov(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) ->
         est = chars.kirillov_residual(model, lam, Y, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
         rows.append(_stat_row(cid, est.value, 0.0, est.stderr))
         return rows
-    # A2: Monte-Carlo orbital averages
+    # A2: orbital averages by the SU(3) Haar product rule, signed sides
     lams = [weight(rs, d) for d in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2))]
-    for i, lam in enumerate(lams):
-        Y = chars.CartanPoint(coords=rng.normal(0.0, 0.5, size=2))
+    ys = [chars.CartanPoint(coords=rng.normal(0.0, 0.5, size=2)) for _ in lams]
+    # the Monte-Carlo cross-check goes first: its samples are freed before
+    # the rule's nodes are built, so the two never share the peak memory
+    cid = "kirillov/mc-crosscheck-a2"
+    lam, Y = lams[_KIRILLOV_MC_CASE], ys[_KIRILLOV_MC_CASE]
+    lhs, est = chars.kirillov_sides(model, lam, Y, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
+    rows.append(_stat_row(cid, lhs, est.value, est.stderr,
+                          f"lam={lam.dynkin}; Monte-Carlo route of "
+                          f"hurwitz-a2-double-{_KIRILLOV_MC_CASE}"))
+    for i, (lam, Y) in enumerate(zip(lams, ys)):
         for tag, half in (("double", False), ("half", True)):
-            cid = f"kirillov/mc-a2-{tag}-{i}"
-            est = chars.kirillov_residual(
-                model, lam, Y, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)), half_angle=half
-            )
-            rows.append(_stat_row(cid, est.value, 0.0, est.stderr, f"lam={lam.dynkin}"))
+            lhs, fine = chars.kirillov_sides(model, lam, Y, chars.HurwitzSU3(_HURWITZ_ORDER), half)
+            _, coarse = chars.kirillov_sides(model, lam, Y, chars.HurwitzSU3(_HURWITZ_ORDER // 2),
+                                             half)
+            rows.append(_det_row(
+                f"kirillov/hurwitz-a2-{tag}-{i}", lhs, fine.value, max(cfg.tolerance, 1e-12),
+                f"lam={lam.dynkin}; {_doubling_note(fine.value, coarse.value, _HURWITZ_ORDER)}",
+            ))
     return rows
 
 
@@ -644,6 +686,7 @@ def run_verification_suite(config: RunConfig, suite: str) -> dict:
     checks.sort(key=lambda r: r.check_id)
     failed = sum(1 for c in checks if not c.passed)
     skipped = sum(1 for c in checks if c.kind == "skip")
+    sigmas = [c.sigma_distance for c in checks if c.kind == "statistical"]
     return {
         "suite": suite,
         "config": {
@@ -656,7 +699,32 @@ def run_verification_suite(config: RunConfig, suite: str) -> dict:
             "tolerance": config.tolerance,
         },
         "checks": [c.to_dict() for c in checks],
-        "summary": {"total": len(checks), "failed": failed, "skipped": skipped},
+        "summary": {
+            "total": len(checks),
+            "failed": failed,
+            "skipped": skipped,
+            "statistical": _statistical_summary(sigmas),
+        },
+    }
+
+
+# two-sided normal tail beyond 2 sigma, and the mass within 3 sigma
+_P_BEYOND_2SIGMA = math.erfc(2.0 / math.sqrt(2.0))
+_P_WITHIN_3SIGMA = math.erf(3.0 / math.sqrt(2.0))
+
+
+def _statistical_summary(sigmas: list[float]) -> dict:
+    """How an honest run of the report's k statistical rows behaves.
+
+    With honest error bars, 0.0455 k rows lie beyond 2 sigma on average, and
+    some row fails its 3-sigma gate with probability 1 - 0.9973^k.
+    """
+    k = len(sigmas)
+    return {
+        "k": k,
+        "beyond_2sigma": sum(1 for s in sigmas if s > 2.0),
+        "expected_beyond_2sigma": round(_P_BEYOND_2SIGMA * k, 4),
+        "false_alarm_prob": round(1.0 - _P_WITHIN_3SIGMA**k, 4),
     }
 
 

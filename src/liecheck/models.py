@@ -244,7 +244,8 @@ def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
     Ginibre matrix, its columns orthonormalised by Gram-Schmidt twice, equal
     to QR with positive diag(R): that factor is Haar on the unitary group
     (Mezzadri, Notices AMS 54 (2007)).  Then division by det^(1/n), the
-    determinant in closed form, to land in the special unitary group.
+    determinant in closed form, to land in the special unitary group; |det|
+    is 1 to rounding, so the principal root is the phase e^{-i arg(det)/n}.
     Deterministic given the generator state; size=None gives one (n, n)
     matrix.
     """
@@ -254,7 +255,7 @@ def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / SQRT2
     q = _orthonormal_columns(z)
     det = _det_of_columns(q)
-    return q / (det ** (1.0 / n))[..., None, None]
+    return q * np.exp(-1j * np.angle(det) / n)[..., None, None]
 
 
 @dataclass(frozen=True, eq=False)

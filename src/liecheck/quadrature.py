@@ -7,7 +7,8 @@ type: the half-line in the angle theta (<alpha, Y> = 2*theta) for A1, the
 orthant of fundamental-weight coefficients for A2, and a full box for tori.
 The flag volume is calibrated once against the Gaussian closed form and is
 cross-checked here against a Cartesian Monte-Carlo oracle that never uses
-the chamber reduction.
+the chamber reduction; on su(2) the Cartesian oracle also has a
+deterministic tensor Gauss-Hermite rule.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .models import Estimate, GroupModel, MonteCarlo
@@ -23,7 +25,7 @@ from .rootdata import RootSystem, coords_of
 
 __all__ = [
     "ChamberQuadrature",
-    "GridA1",
+    "GaussHermite",
     "build_chamber_quadrature",
     "calibrate_flag_volume",
     "cartesian_oracle_integrate",
@@ -35,8 +37,12 @@ SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
-class GridA1:
-    """Radial 1-D grid scheme for Ad-invariant integrands over su(2)."""
+class GaussHermite:
+    """Tensor Gauss-Hermite scheme over su(2) = R^3, `order` points per axis.
+
+    It uses neither the chamber nor a radial reduction.  On su(3) = R^8 a
+    tensor rule does not converge at any affordable order, so it is refused.
+    """
 
     order: int
 
@@ -80,6 +86,13 @@ def _gauss_legendre_01(order: int, upper: float):
     return (x + 1.0) * upper / 2.0, w * upper / 2.0
 
 
+def _tensor_rule(x: np.ndarray, w: np.ndarray, dim: int):
+    """Tensor power of a 1-D rule: (n^dim, dim) nodes and (n^dim,) weights."""
+    grids = np.meshgrid(*([x] * dim), indexing="ij", copy=False)
+    nodes = np.stack(grids, axis=-1).reshape(-1, dim)
+    return nodes, reduce(np.multiply.outer, [w] * dim).reshape(-1)
+
+
 def _chamber_nodes_raw(
     kind: str,
     positive_roots: np.ndarray,
@@ -110,10 +123,7 @@ def _chamber_nodes_raw(
         half, gw_half = _gauss_legendre_01(order, R)
         pts = np.concatenate([-half[::-1], half])
         gw = np.concatenate([gw_half[::-1], gw_half])
-        grids = np.meshgrid(*([pts] * rank), indexing="ij", copy=False)
-        nodes = np.stack(grids, axis=-1).reshape(-1, rank)
-        weights = reduce(np.multiply.outer, [gw] * rank).reshape(-1)
-        return nodes, weights, R
+        return (*_tensor_rule(pts, gw, rank), R)
     raise ValueError(f"unsupported kind for chamber quadrature: {kind!r}")
 
 
@@ -214,7 +224,8 @@ def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme) -> Estima
 
     MonteCarlo: importance sampling with Y ~ Normal(0, t/2 per coordinate),
     so the estimator is (t*pi)^(m/2) * mean f with a reported standard
-    error.  GridA1: exact radial reduction for Ad-invariant f on su(2).
+    error.  GaussHermite: the tensor rule for e^{-|x|^2} on R^3 at
+    Y = sqrt(t) x, so t^(3/2) * sum w f(sqrt(t) x); su(2) only.
     """
     m = model.dim_k
     if isinstance(scheme, MonteCarlo):
@@ -225,15 +236,12 @@ def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme) -> Estima
         mean = norm * float(vals.mean())
         sem = norm * float(vals.std(ddof=1) / np.sqrt(len(vals)))
         return Estimate(mean, sem)
-    if isinstance(scheme, GridA1):
+    if isinstance(scheme, GaussHermite):
         if model.kind != "SU2":
-            raise ValueError("GridA1 scheme requires the SU2 model")
-        r, gw = _gauss_legendre_01(scheme.order, truncation_radius(t, 0.0))
-        coords = np.zeros((len(r), m))
-        coords[:, model.cartan_indices[0]] = r
-        vals = np.asarray(f(coords), dtype=float)
-        total = 4.0 * np.pi * float(gw @ (r**2 * vals * np.exp(-(r**2) / t)))
-        return Estimate(total, 0.0)
+            raise ValueError("GaussHermite scheme requires the SU2 model")
+        nodes, weights = _tensor_rule(*hermgauss(scheme.order), m)
+        vals = np.asarray(f(np.sqrt(t) * nodes), dtype=float)
+        return Estimate(t ** (m / 2.0) * float(weights @ vals), 0.0)
     raise ValueError(f"unknown Cartesian integration scheme: {scheme!r}")
 
 

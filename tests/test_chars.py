@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ from liecheck import chars
 from liecheck.chars import (
     CartanPoint,
     ClosedFormA1,
+    HurwitzSU3,
     WallSingularityError,
+    _hurwitz_su3_moduli,
     eta,
     eta_det_oracle,
     j_half_identity_residual,
     kirillov_residual,
+    kirillov_sides,
     orbital_average,
     weyl_char_compact,
     weyl_char_holo,
@@ -218,6 +223,64 @@ def _orbital_average_ad_y(model, mu, Y, scheme):
     return vals.mean(), vals.std(ddof=1) / np.sqrt(len(vals))
 
 
+def test_monte_carlo_standard_error_is_calibrated(su2, a1):
+    # seeds, sample size and bands fixed before the first run: the z-scores
+    # of 300 independent estimates must look like N(0, 1) draws.  mean z^2
+    # is chi^2_300 / 300 (sd 0.0816), |mean z| has sd 1/sqrt(300); both
+    # bands are +-4 sd.  A wrong ddof or a missing factor in the standard
+    # error moves mean z^2 out of its band.
+    lam = weight(a1, (1,))
+    mu = 2.0 * (lam.coords + a1.rho)
+    Y = np.array([0.5 * np.sqrt(2.0)])
+    exact = orbital_average(su2, mu, Y, ClosedFormA1()).value
+    z = np.array([(est.value - exact) / est.stderr
+                  for est in (orbital_average(su2, mu, Y, MonteCarlo(2000, seed))
+                              for seed in range(300))])
+    assert 0.67 <= float(np.mean(z**2)) <= 1.33
+    assert abs(float(np.mean(z))) <= 0.231
+
+
+def test_hurwitz_su3_rule_is_a_haar_rule():
+    for order in (4, 9, 16):
+        moduli, weights = _hurwitz_su3_moduli(order)
+        assert moduli.shape == (order**4, 9) and weights.shape == (order**4,)
+        assert abs(math.fsum(weights) - 1.0) <= 1e-14
+        assert weights.min() > 0.0 and moduli.min() > 0.0
+        # unistochastic: every row and column of |y_ij|^2 sums to 1
+        grid = moduli.reshape(-1, 3, 3)
+        assert np.abs(grid.sum(axis=1) - 1.0).max() <= 1e-14
+        assert np.abs(grid.sum(axis=2) - 1.0).max() <= 1e-14
+        # Haar moments E|y_ij|^2 = 1/3 and E|y_ij|^4 = 2/(n(n+1)) = 1/6,
+        # summed exactly so that only the rule is tested
+        for power, exact in ((1, 1.0 / 3.0), (2, 1.0 / 6.0)):
+            for col in (moduli**power).T:
+                assert abs(math.fsum(weights * col) - exact) <= 1e-14
+    for arr in _hurwitz_su3_moduli(4):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_hurwitz_su3_matches_character_side(su3, a2):
+    # the 12 (lam, double/half) cases of the kirillov suite, Y ~ N(0, 0.5^2)
+    rng = np.random.default_rng(606)
+    for dn in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2)):
+        lam = weight(a2, dn)
+        Y = rng.normal(0.0, 0.5, size=2)
+        for half in (False, True):
+            lhs, rhs = kirillov_sides(su3, lam, Y, HurwitzSU3(20), half_angle=half)
+            assert rhs.stderr == 0.0
+            assert abs(lhs - rhs.value) <= 1e-12 * abs(lhs)
+
+
+def test_hurwitz_su3_agrees_with_monte_carlo(su3, a2):
+    lam = weight(a2, (2, 2))
+    mu = 2.0 * (lam.coords + a2.rho)
+    Y = np.array([0.4, -0.3])
+    rule = orbital_average(su3, mu, Y, HurwitzSU3(20))
+    mc = orbital_average(su3, mu, Y, MonteCarlo(100_000, 616))
+    assert abs(mc.value - rule.value) <= 3.0 * mc.stderr
+
+
 def test_orbital_average_matches_ad_y_reference(su2, su3):
     rng = np.random.default_rng(61)
     for model in (su2, su3):
@@ -283,6 +346,8 @@ def test_kirillov_monte_carlo_a2(su3, a2):
         assert est.value <= 3 * est.stderr
 
 
-def test_scheme_mismatch(su3):
+def test_scheme_mismatch(su2, su3):
     with pytest.raises(ValueError):
         orbital_average(su3, np.array([1.0, 0.0]), np.array([0.5, 0.0]), ClosedFormA1())
+    with pytest.raises(ValueError, match="requires the SU3 model"):
+        orbital_average(su2, np.array([1.0]), np.array([0.5]), HurwitzSU3(8))

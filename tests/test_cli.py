@@ -129,3 +129,25 @@ def test_exit_code_one_on_failure(tmp_path):
     assert code == 1
     report = json.loads(out.read_text())
     assert report["summary"]["failed"] >= 1
+
+
+def test_statistical_summary_and_deterministic_second_routes():
+    t2 = run_verification_suite(RunConfig(group="T2"), "all")["summary"]["statistical"]
+    assert t2 == {"k": 0, "beyond_2sigma": 0, "expected_beyond_2sigma": 0.0,
+                  "false_alarm_prob": 0.0}
+    a2 = run_verification_suite(RunConfig(group="A2"), "kirillov")
+    stat = a2["summary"]["statistical"]
+    assert stat["k"] == 1 and stat["false_alarm_prob"] == 0.0027
+    assert stat["beyond_2sigma"] == sum(
+        1 for c in a2["checks"] if c["kind"] == "statistical" and c["sigma_distance"] > 2.0)
+    rule = [c for c in a2["checks"] if c["check_id"].startswith("kirillov/hurwitz-a2-")]
+    assert [c["check_id"] for c in a2["checks"] if c["kind"] == "statistical"] == [
+        "kirillov/mc-crosscheck-a2"]
+    a1 = run_verification_suite(RunConfig(group="A1"), "weylint")
+    assert a1["summary"]["statistical"]["k"] == 1
+    rule += [c for c in a1["checks"] if c["check_id"].startswith("weylint/chamber-vs-hermite-")]
+    assert len(rule) == 12 + 20
+    for c in rule:
+        assert c["kind"] == "deterministic" and c["pass"]
+        assert c["rel_err"] <= 1e-12
+        assert "rel delta" in c["note"]

@@ -3,9 +3,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from liecheck import chars
-from liecheck.models import MonteCarlo, chamber_coordinates
+from liecheck.models import MonteCarlo, build_group_model, chamber_coordinates
 from liecheck.quadrature import (
-    GridA1,
+    GaussHermite,
     _leggauss,
     build_chamber_quadrature,
     calibrate_flag_volume,
@@ -80,12 +80,28 @@ def test_cartesian_oracle_grid_vs_chamber(a1, su2):
         rep = chamber_coordinates(su2, c)
         return np.asarray(chars.eta(a1, rep))
 
-    grid = cartesian_oracle_integrate(su2, f_cart, 1.0, GridA1(200))
+    grid = cartesian_oracle_integrate(su2, f_cart, 1.0, GaussHermite(24))
+    assert grid.stderr == 0.0
     q = build_chamber_quadrature(a1, 1.0, 128, 2.0 * np.linalg.norm(a1.rho))
     chamber = integrate_invariant(q, lambda Y: chars.eta(a1, Y) * np.exp(-np.sum(Y**2, axis=-1)))
-    assert abs(grid.value - chamber) < 1e-9 * chamber
+    assert abs(grid.value - chamber) < 1e-12 * chamber
     mc = cartesian_oracle_integrate(su2, f_cart, 1.0, MonteCarlo(400_000, 5))
     assert abs(mc.value - chamber) < 3 * mc.stderr
+
+
+def test_gauss_hermite_exact_on_gaussian_moments(su2):
+    # integral of c_0^2 c_1^4 e^{-|c|^2/t} over R^3, a product of 1-D moments
+    # sqrt(pi t) * {t/2, 3t^2/4, 1}; an n-point rule is exact to degree 2n - 1
+    for t in (0.35, 1.0, 2.5):
+        exact = (np.pi * t) ** 1.5 * (t / 2.0) * (3.0 * t**2 / 4.0)
+        for order in (4, 24):
+            est = cartesian_oracle_integrate(su2, lambda c: c[:, 0] ** 2 * c[:, 1] ** 4, t,
+                                             GaussHermite(order))
+            assert abs(est.value - exact) <= 1e-13 * exact
+        # three points are exact only to degree 5 in each coordinate
+        low = cartesian_oracle_integrate(su2, lambda c: c[:, 0] ** 2 * c[:, 1] ** 6, t,
+                                         GaussHermite(3))
+        assert abs(low.value - (np.pi * t) ** 1.5 * (t / 2.0) * (15.0 * t**3 / 8.0)) > 1e-3
 
 
 def test_cartesian_oracle_a2(a2, su3):
@@ -146,6 +162,9 @@ def test_errors(a1, su2):
         integrate_invariant(q, lambda Y: np.full(len(Y), np.nan))
     with pytest.raises(ValueError):
         cartesian_oracle_integrate(su2, lambda c: np.ones(len(c)), 1.0, "nope")
+    su3 = build_group_model("SU3")
+    with pytest.raises(ValueError, match="requires the SU2 model"):
+        cartesian_oracle_integrate(su3, lambda c: np.ones(len(c)), 1.0, GaussHermite(4))
 
 
 def _reference_rule(rs, t, order, mu):
