@@ -10,7 +10,7 @@ identity backed by an independent oracle.
 from .chars import CartanPoint, ClosedFormA1, HurwitzSU3, WallSingularityError
 from .fourier import FourierSeries
 from .hilbert import ConstantsRow, IntegralRoute
-from .models import Estimate, GroupModel, IrrepMatrices, MonteCarlo, build_group_model
+from .models import Estimate, GroupModel, HaarSU2, IrrepMatrices, MonteCarlo, build_group_model
 from .quadrature import ChamberQuadrature, GaussHermite
 from .rootdata import RootSystem, Weight, build_root_system, enumerate_dominant, weight
 
@@ -25,6 +25,7 @@ __all__ = [
     "FourierSeries",
     "GaussHermite",
     "GroupModel",
+    "HaarSU2",
     "HurwitzSU3",
     "IntegralRoute",
     "IrrepMatrices",

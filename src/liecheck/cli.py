@@ -24,7 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chars, fourier, heat, hilbert
-from .models import GroupModel, MonteCarlo, group_model_for, haar_sample
+from .models import (
+    GroupModel,
+    HaarSU2,
+    MonteCarlo,
+    group_model_for,
+    haar_mean,
+    haar_nodes,
+    haar_sample,
+    su2_character,
+)
 from .quadrature import (
     GaussHermite,
     build_chamber_quadrature,
@@ -139,9 +148,11 @@ def _det_row(check_id: str, lhs: float, rhs: float, tol: float, note: str = "") 
     return CheckRow(check_id, "deterministic", lhs, rhs, abs_err, rel, None, rel <= tol, note)
 
 
-def _stat_row(check_id: str, lhs: float, rhs: float, stderr: float, note: str = "") -> CheckRow:
-    lhs, rhs = float(lhs), float(rhs)
-    abs_err = abs(lhs - rhs)
+def _stat_row(check_id: str, lhs, rhs, stderr: float, note: str = "") -> CheckRow:
+    """A 3-sigma row on |lhs - rhs|; complex sides are reported by modulus
+    but gated on their complex distance, so a phase error fails."""
+    abs_err = abs(complex(lhs) - complex(rhs))
+    lhs, rhs = (float(abs(v) if isinstance(v, complex) else v) for v in (lhs, rhs))
     # exactness floor: zero-variance estimators (constant integrands) are
     # correct to machine precision, not to their vanishing standard error
     floor = 1e-12 * max(1.0, abs(lhs), abs(rhs))
@@ -149,8 +160,26 @@ def _stat_row(check_id: str, lhs: float, rhs: float, stderr: float, note: str = 
     return CheckRow(check_id, "statistical", lhs, rhs, abs_err, None, sigma, sigma <= 3.0, note)
 
 
-def _doubling_note(fine: float, coarse: float, order: int) -> str:
-    return f"order {order} vs {order // 2}: rel delta {abs(fine - coarse) / abs(fine):.1e}"
+def _doubling_note(fine, coarse, order: int, *, residual: bool = False) -> str:
+    """Largest change from the rule at half the order; fine and coarse may be arrays.
+
+    Relative to the largest |fine|.  Absolute where fine is 0, and for a
+    residual, whose target is 0 and whose size is rounding.
+    """
+    delta = float(np.max(np.abs(np.subtract(fine, coarse))))
+    scale = float(np.max(np.abs(fine)))
+    if residual or scale == 0.0:
+        return f"order {order} vs {order // 2}: abs delta {delta:.1e}"
+    return f"order {order} vs {order // 2}: rel delta {delta / scale:.1e}"
+
+
+def _haar_su2_note(exact, doubled, degree: int, *, residual: bool = False) -> str:
+    """Note of a row by the HaarSU2 rule: the row's value comes from the
+    rule of the integrand's degree, and the rule of twice that degree
+    gives the delta."""
+    nodes = HaarSU2(degree).samples
+    return (f"SU(2) Haar rule exact to degree {degree} ({nodes} nodes); "
+            f"{_doubling_note(doubled, exact, 2 * degree, residual=residual)}")
 
 
 def _skip_row(check_id: str, note: str) -> CheckRow:
@@ -336,8 +365,8 @@ def _suite_kirillov(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) ->
         cid = "kirillov/mc-crosscheck-a1"
         lam = weight(rs, (2,))
         Y = chars.CartanPoint.from_a1_theta(0.45)
-        est = chars.kirillov_residual(model, lam, Y, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
-        rows.append(_stat_row(cid, est.value, 0.0, est.stderr))
+        lhs, est = chars.kirillov_sides(model, lam, Y, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
+        rows.append(_stat_row(cid, lhs, est.value, est.stderr, f"lam={lam.dynkin}"))
         return rows
     # A2: orbital averages by the SU(3) Haar product rule, signed sides
     lams = [weight(rs, d) for d in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2))]
@@ -409,38 +438,50 @@ def _random_series(rs_kind: str, space: str, t: float, dynkins, rng) -> fourier.
     return fourier.FourierSeries(rs_kind, space, t, terms)
 
 
+def _top_band(series: fourier.FourierSeries) -> int:
+    """Largest Dynkin label of an SU(2) series: its polynomial degree."""
+    return max(dn[0] for dn in series.terms)
+
+
 def _suite_fourier(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckRow]:
     rows = []
-    samples = cfg.mc_samples
+    tol = max(cfg.tolerance, 1e-12)
     # coefficient of the character: diagonal Id/d, off-diagonal zero
-    from .models import su2_character
-
     cid = "fourier/coeff-diagonal"
     coeff, sem = fourier.fourier_coeff(model, lambda xs: su2_character(1, xs).astype(complex),
-                                       (1,), MonteCarlo(samples, _seed_for(cfg, cid)))
+                                       (1,), MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
     diff = np.abs(coeff - np.eye(2) / 2.0)
     rows.append(_stat_row(cid, float(diff.max()), 0.0, float(sem.max()),
                           "coefficient of its own character is Id/d"))
     cid = "fourier/coeff-cross"
-    coeff, sem = fourier.fourier_coeff(model, lambda xs: su2_character(2, xs).astype(complex),
-                                       (1,), MonteCarlo(samples, _seed_for(cfg, cid)))
-    rows.append(_stat_row(cid, float(np.abs(coeff).max()), 0.0, float(sem.max()),
-                          "cross coefficients vanish by orthogonality"))
+    n_char, n_coeff = 2, 1
+    degree = n_char + n_coeff
+    exact, doubled = (
+        fourier.fourier_coeff(model, lambda xs: su2_character(n_char, xs).astype(complex),
+                              (n_coeff,), HaarSU2(d))[0]
+        for d in (degree, 2 * degree)
+    )
+    rows.append(_det_row(cid, float(np.abs(exact).max()), 0.0, tol,
+                         "cross coefficients vanish by orthogonality; "
+                         + _haar_su2_note(exact, doubled, degree, residual=True)))
     # round trip on a random band-limited function
     cid = "fourier/roundtrip"
     rng = _rng_for(cfg, cid)
     target = _random_series("A1", "L2K", cfg.t, [(0,), (1,), (2,)], rng)
+    degree = 2 * _top_band(target)
 
-    def f(xs):
-        return fourier.synthesize_many(target, model, xs)
+    def recovered(d):
+        return [fourier.fourier_coeff(
+            model, lambda xs: fourier.synthesize_many(target, model, xs), dn, HaarSU2(d))[0]
+            for dn in target.terms]
 
-    worst = 0.0
-    for dn in target.terms:
-        est, sem = fourier.fourier_coeff(model, f, dn, MonteCarlo(samples, _seed_for(cfg, cid + str(dn))))
-        dev = np.abs(est - target.terms[dn]) / np.where(sem > 0, sem, 1.0)
-        worst = max(worst, float(dev.max()))
-    rows.append(CheckRow(cid, "statistical", worst, 0.0, worst, None, worst,
-                         worst <= 4.0, "max entrywise sigma distance of recovered coefficients"))
+    exact, doubled = recovered(degree), recovered(2 * degree)
+    worst = max(float(np.abs(est - want).max() / np.abs(want).max())
+                for est, want in zip(exact, target.terms.values()))
+    rows.append(_det_row(cid, worst, 0.0, tol,
+                         "max relative deviation of recovered coefficients; "
+                         + _haar_su2_note(np.concatenate([c.ravel() for c in exact]),
+                                          np.concatenate([c.ravel() for c in doubled]), degree)))
     cid = "fourier/json-roundtrip"
     clone = fourier.series_from_json(fourier.series_to_json(target))
     dev = max(float(np.abs(clone.terms[k] - target.terms[k]).max()) for k in target.terms)
@@ -457,27 +498,35 @@ def _suite_convolution(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> lis
     dev = float(np.abs(conv.terms[(2,)] - np.eye(3) / 9.0).max())
     rows.append(_det_row("convolution/character-idempotent", dev, 0.0, 1e-14,
                          "chi * chi = chi / d at coefficient level"))
-    # direct Monte-Carlo of the convolution integral at random points
+    # the convolution integral, directly, at random points q
     cid = "convolution/integral-oracle"
     rng = _rng_for(cfg, cid)
     a = _random_series("A1", "L2K", t, [(0,), (1,)], rng)
     b = _random_series("A1", "L2K", t, [(1,), (2,)], rng)
     ab = fourier.convolve(a, b)
+    # the Monte-Carlo samples come from the same stream before the points q
     xs = haar_sample(model, rng, cfg.mc_samples)
-    worst_sig = 0.0
-    lhs_last = rhs_last = sem_last = 0.0
-    for q in haar_sample(model, rng, 5):
-        a_vals = fourier.synthesize_many(a, model, xs)
-        b_vals = fourier.synthesize_many(b, model, np.einsum("nij,jk->nik", np.conj(np.swapaxes(xs, 1, 2)), q))
-        prods = a_vals * b_vals
-        mc = complex(prods.mean())
-        sem = float(np.sqrt(prods.real.var(ddof=1) + prods.imag.var(ddof=1)) / np.sqrt(len(xs)))
-        direct = complex(fourier.synthesize(ab, model, q))
-        sig = abs(mc - direct) / sem if sem > 0 else 0.0
-        if sig > worst_sig:
-            worst_sig, lhs_last, rhs_last, sem_last = sig, abs(mc), abs(direct), sem
-    rows.append(_stat_row(cid, lhs_last, rhs_last, sem_last,
-                          "termwise coefficient product vs direct integral at the worst of 5 points"))
+    qs = haar_sample(model, rng, 5)
+    direct = fourier.synthesize_many(ab, model, qs)
+
+    def integral(nodes, weights, q):
+        a_vals = fourier.synthesize_many(a, model, nodes)
+        b_vals = fourier.synthesize_many(b, model, np.conj(np.swapaxes(nodes, 1, 2)) @ q)
+        return haar_mean(a_vals * b_vals, weights)
+
+    degree = _top_band(a) + _top_band(b)
+    exact, doubled = (
+        np.array([integral(*haar_nodes(model, HaarSU2(d)), q)[0] for q in qs])
+        for d in (degree, 2 * degree)
+    )
+    rows.append(_det_row(cid, float(np.max(np.abs(exact - direct) / np.abs(direct))), 0.0,
+                         max(cfg.tolerance, 1e-12),
+                         "termwise coefficient product vs direct integral, max relative "
+                         "residual over 5 points; " + _haar_su2_note(exact, doubled, degree)))
+    cid = "convolution/mc-crosscheck"
+    mc, sem = integral(xs, None, qs[0])
+    rows.append(_stat_row(cid, complex(mc), complex(direct[0]), float(sem),
+                          "Monte-Carlo route of integral-oracle at its first point"))
     # symmetric pairing at the identity
     cid = "convolution/pairing-at-identity"
     val = complex(fourier.synthesize(fourier.convolve(a, b), model, np.eye(2)))
@@ -506,20 +555,21 @@ def _suite_plancherel(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) 
                               "pointwise synthesis needs SU2 irreducible matrices"))
         return rows
     cid = "plancherel/l2k-chi-norm"
-    rng = _rng_for(cfg, cid)
-    xs = haar_sample(model, rng, cfg.mc_samples)
-    from .models import su2_character
-
-    vals = np.abs(su2_character(1, xs)) ** 2
-    sem = float(vals.std(ddof=1) / np.sqrt(len(vals)))
-    rows.append(_stat_row(cid, float(vals.mean()), 1.0, sem, "||chi||^2 = 1 by orthogonality"))
+    xs, _ = haar_nodes(model, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
+    mean, sem = haar_mean(np.abs(su2_character(1, xs)) ** 2, None)
+    rows.append(_stat_row(cid, float(mean), 1.0, float(sem), "||chi||^2 = 1 by orthogonality"))
     cid = "plancherel/l2k-bandlimited"
-    rng = _rng_for(cfg, cid)
-    series = _random_series("A1", "L2K", cfg.t, [(0,), (1,), (2,)], rng)
-    xs = haar_sample(model, rng, cfg.mc_samples)
-    vals = np.abs(fourier.synthesize_many(series, model, xs)) ** 2
-    sem = float(vals.std(ddof=1) / np.sqrt(len(vals)))
-    rows.append(_stat_row(cid, float(vals.mean()), fourier.plancherel_norm(series), sem))
+    series = _random_series("A1", "L2K", cfg.t, [(0,), (1,), (2,)], _rng_for(cfg, cid))
+    degree = 2 * _top_band(series)
+
+    def norm2(d):
+        xs, weights = haar_nodes(model, HaarSU2(d))
+        return float(haar_mean(np.abs(fourier.synthesize_many(series, model, xs)) ** 2,
+                               weights)[0])
+
+    exact, doubled = norm2(degree), norm2(2 * degree)
+    rows.append(_det_row(cid, exact, fourier.plancherel_norm(series), max(cfg.tolerance, 1e-12),
+                         _haar_su2_note(exact, doubled, degree)))
     return rows
 
 
@@ -543,7 +593,7 @@ def _suite_bks(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
         integ = hilbert.bks_bracket(
             phi_n, f_n, hilbert.IntegralRoute(max(2000, cfg.mc_samples // 50), _seed_for(cfg, cid))
         )
-        rows.append(_stat_row(cid, abs(integ.value), abs(spec.value), integ.stderr))
+        rows.append(_stat_row(cid, integ.value, spec.value, integ.stderr))
     cid = "bks/spectral-vs-integral-random"
     rng = _rng_for(cfg, cid)
     phi_r = _random_series("A1", "HL2", t, [(0,), (1,), (2,)], rng)
@@ -552,7 +602,7 @@ def _suite_bks(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
     integ = hilbert.bks_bracket(
         phi_r, f_r, hilbert.IntegralRoute(max(2000, cfg.mc_samples // 50), _seed_for(cfg, cid))
     )
-    rows.append(_stat_row(cid, abs(integ.value), abs(spec.value), integ.stderr))
+    rows.append(_stat_row(cid, integ.value, spec.value, integ.stderr))
     # sesquilinearity is exact on the spectral route
     z = 0.3 - 1.2j
     lhs = hilbert.bks_bracket(
@@ -592,11 +642,10 @@ def _suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[Check
     dev = max(float(np.abs(a.terms[k] - b.terms[k]).max()) for k in hl2.terms)
     rows.append(_det_row("heat/commutes-with-dictionary", dev, 0.0, 1e-13))
     cid = "heat/kernel-normalization"
-    rng = _rng_for(cfg, cid)
-    xs = haar_sample(model, rng, cfg.mc_samples // 2)
+    xs, _ = haar_nodes(model, MonteCarlo(cfg.mc_samples // 2, _seed_for(cfg, cid)))
     p_vals, _ = heat.heat_kernel_eval(model, t, xs)
-    sem = float(p_vals.std(ddof=1) / np.sqrt(len(p_vals)))
-    rows.append(_stat_row(cid, float(p_vals.mean()), 1.0, sem,
+    mean, sem = haar_mean(p_vals, None)
+    rows.append(_stat_row(cid, float(mean), 1.0, float(sem),
                           "Haar integral of the kernel is 1"))
     xinv = np.conj(np.swapaxes(xs[:100], 1, 2))
     p_inv, _ = heat.heat_kernel_eval(model, t, xinv)
@@ -606,9 +655,24 @@ def _suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[Check
     v2, _ = heat.heat_kernel_eval(model, t, np.eye(2), cutoff=1e-13)
     rows.append(_det_row("heat/kernel-truncation", v1, v2, max(cfg.tolerance, 1e-10)))
     cid = "heat/convolution"
-    est = heat.heat_convolution_residual(model, series, t, cfg.mc_samples, _seed_for(cfg, cid))
-    rows.append(_stat_row(cid, est.value, 0.0, est.stderr,
-                          "spatial kernel convolution vs diagonal multiplier"))
+    ys = haar_sample(model, _rng_for(cfg, cid), 10)
+    # the truncated kernel is a sum of characters chi_n, each of degree n,
+    # for n below heat_kernel_eval's term count at its default cutoff
+    degree = len(heat._truncation(t, 1e-12)[0]) - 1 + _top_band(series)
+    note = "spatial kernel convolution vs diagonal multiplier, max over 10 points"
+    if HaarSU2(2 * degree).samples > cfg.mc_samples:
+        # small t keeps so many kernel terms that the exact rule would cost
+        # more than the Monte-Carlo route
+        est = heat.heat_convolution_residual(
+            model, series, t, ys, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid + "/samples")))
+        rows.append(_stat_row(cid, est.value, 0.0, est.stderr,
+                              f"{note}; Monte Carlo: the rule exact to degree {degree} "
+                              f"would need {HaarSU2(2 * degree).samples} nodes"))
+    else:
+        exact, doubled = (heat.heat_convolution_residual(model, series, t, ys, HaarSU2(d)).value
+                          for d in (degree, 2 * degree))
+        rows.append(_det_row(cid, exact, 0.0, max(cfg.tolerance, 1e-12),
+                             f"{note}; {_haar_su2_note(exact, doubled, degree, residual=True)}"))
     return rows
 
 

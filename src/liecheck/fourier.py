@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import c_constant
-from .models import GroupModel, MonteCarlo, exp_i, haar_sample, irrep_matrices, rep_matrices
+from .models import GroupModel, exp_i, haar_mean, haar_nodes, irrep_matrices, rep_matrices
 from .rootdata import build_root_system, dimension, weight
 
 __all__ = [
@@ -75,27 +75,24 @@ def character_series(rs_kind: str, dynkin, space: str, t: float) -> FourierSerie
     return FourierSeries(rs_kind, space, t, {lam.dynkin: np.eye(d, dtype=complex) / d})
 
 
-def fourier_coeff(model: GroupModel, f, dynkin, scheme: MonteCarlo):
-    """Monte-Carlo Fourier coefficient: mean of f(x) T_lam(x^{-1}).
+def fourier_coeff(model: GroupModel, f, dynkin, scheme):
+    """Fourier coefficient: the Haar mean of f(x) T_lam(x^{-1}).
 
     f receives a batch (N, 2, 2) of SU(2) elements and returns (N,) complex
-    values.  Returns the coefficient matrix together with an entrywise
-    standard-error matrix.
+    values.  scheme is MonteCarlo or the HaarSU2 rule, which is exact when
+    its degree is at least f's degree plus lam's Dynkin label.  Returns the
+    coefficient matrix together with an entrywise standard-error matrix
+    (zero for the rule).
     """
     if model.kind != "SU2":
         raise ValueError("fourier_coeff needs irreducible matrices (SU2 only)")
     rs = build_root_system(model.rs_kind)
     lam = weight(rs, dynkin)
-    rng = np.random.default_rng(scheme.seed)
-    xs = haar_sample(model, rng, scheme.samples)
+    xs, weights = haar_nodes(model, scheme)
     reps = rep_matrices(irrep_matrices(lam.dynkin[0]), xs)
     inv = np.conj(np.swapaxes(reps, -1, -2))  # T(x^{-1}) = T(x)^dagger
     vals = np.asarray(f(xs), dtype=complex)
-    prod = vals[:, None, None] * inv
-    coeff = prod.mean(axis=0)
-    n = len(xs)
-    sem = np.sqrt(prod.real.var(axis=0, ddof=1) + prod.imag.var(axis=0, ddof=1)) / np.sqrt(n)
-    return coeff, sem
+    return haar_mean(vals[:, None, None] * inv, weights)
 
 
 def synthesize_many(series: FourierSeries, model: GroupModel, xs, Y=None) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import FourierSeries, synthesize, synthesize_many
-from .models import Estimate, GroupModel, haar_sample
+from .models import Estimate, GroupModel, haar_mean, haar_nodes
 from .rootdata import RootSystem, Weight, build_root_system, weight
 
 __all__ = [
@@ -109,33 +109,29 @@ def heat_convolution_residual(
     model: GroupModel,
     f_series: FourierSeries,
     t: float,
-    samples: int,
-    seed: int,
-    n_points: int = 10,
+    ys,
+    scheme,
 ) -> Estimate:
     """Spatial vs spectral heat flow on a band-limited function.
 
-    At n_points Haar-random points y, compares the Monte-Carlo convolution
-    mean of p_t(y x^{-1}) f(x) against the multiplier route evaluated at y.
-    Returns the largest |difference| with the standard error at that point.
+    At each point y of the batch ys, compares the Haar mean of
+    p_t(y x^{-1}) f(x) over the scheme's points x against the multiplier
+    route evaluated at y.  scheme is MonteCarlo or the HaarSU2 rule; the
+    rule is exact when its degree is at least the kept kernel terms minus
+    one plus the series' top Dynkin label.  Returns the largest
+    |difference| with the standard error at that point.
     """
     if model.kind != "SU2":
         raise ValueError("heat_convolution_residual needs SU2")
-    rng = np.random.default_rng(seed)
-    ys = haar_sample(model, rng, n_points)
-    xs = haar_sample(model, rng, samples)
+    xs, weights = haar_nodes(model, scheme)
     f_vals = synthesize_many(f_series, model, xs)
     flowed = heat_multiplier_apply(f_series, t)
     xinv = np.conj(np.swapaxes(xs, -1, -2))
     worst = Estimate(-1.0, 0.0)
     for y in ys:
         p_vals, _ = heat_kernel_eval(model, t, y @ xinv)
-        prods = p_vals * f_vals
-        mc = complex(prods.mean())
-        sem = float(
-            np.sqrt(prods.real.var(ddof=1) + prods.imag.var(ddof=1)) / np.sqrt(samples)
-        )
-        resid = abs(mc - synthesize(flowed, model, y))
+        mean, sem = haar_mean(p_vals * f_vals, weights)
+        resid = abs(complex(mean) - synthesize(flowed, model, y))
         if resid > worst.value:
-            worst = Estimate(resid, sem)
+            worst = Estimate(resid, float(sem))
     return worst

@@ -26,10 +26,12 @@ from . import chars
 from .models import (
     Estimate,
     GroupModel,
+    MonteCarlo,
     build_group_model,
     chamber_coordinates,
     exp_i,
-    haar_sample,
+    haar_mean,
+    haar_nodes,
     irrep_matrices,
     rep_matrices,
 )
@@ -323,14 +325,9 @@ def bks_bracket(phi, f_series, route) -> Estimate:
         model = build_group_model("SU2")
         if phi.rs_kind != "A1":
             raise ValueError("the integral route needs irreducible matrices (SU2 only)")
-        rng = np.random.default_rng(route.seed)
-        xs = haar_sample(model, rng, route.samples)
+        xs, _ = haar_nodes(model, MonteCarlo(route.samples, route.seed))
         f_vals = synthesize_many(f_series, model, xs)
         f_phi = bks_integral_transform(phi, model, xs, route.hermite_order)
-        prods = np.conj(f_phi) * f_vals
-        mean = complex(prods.mean())
-        sem = float(
-            np.sqrt(prods.real.var(ddof=1) + prods.imag.var(ddof=1)) / np.sqrt(len(prods))
-        )
-        return Estimate(mean, sem)
+        mean, sem = haar_mean(np.conj(f_phi) * f_vals, None)
+        return Estimate(complex(mean), float(sem))
     raise ValueError(f"unknown pairing route: {route!r}")

@@ -2,12 +2,15 @@
 
 The orthonormal algebra bases realize <X, Y> = -trace(XY) in the defining
 representation.  Haar samples of both groups orthonormalise Ginibre
-matrices by Gram-Schmidt twice, equal to QR with positive diag(R).  SU(3)
-is modelled at the level of its defining representation (adjoint action,
-Haar sampling); SU(2) additionally carries its irreducible representations
-as exact symmetric powers of the defining one, with the closed-form exp(iY)
-for the holomorphic extension.  These serve as brute-force oracles for
-characters, Fourier coefficients, and the integral transforms.
+matrices by Gram-Schmidt twice, equal to QR with positive diag(R); on
+SU(2) a product rule (HaarSU2) integrates polynomials in the matrix
+entries exactly up to a stated degree, and haar_mean averages over either
+scheme's points.  SU(3) is modelled at the level of its defining
+representation (adjoint action, Haar sampling); SU(2) additionally carries
+its irreducible representations as exact symmetric powers of the defining
+one, with the closed-form exp(iY) for the holomorphic extension.  These
+serve as brute-force oracles for characters, Fourier coefficients, and the
+integral transforms.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Estimate",
     "GroupModel",
+    "HaarSU2",
     "IrrepMatrices",
     "MonteCarlo",
     "algebra_coords",
@@ -31,6 +36,8 @@ __all__ = [
     "chamber_coordinates",
     "exp_i",
     "group_model_for",
+    "haar_mean",
+    "haar_nodes",
     "haar_sample",
     "irrep_matrices",
     "rep_matrices",
@@ -53,6 +60,22 @@ class MonteCarlo:
 
     samples: int
     seed: int
+
+
+@dataclass(frozen=True)
+class HaarSU2:
+    """Haar scheme on SU(2): a product rule exact to polynomial degree `degree`.
+
+    Every polynomial of degree <= degree in the entries of x and their
+    conjugates is integrated exactly (see _haar_su2_rule).  `samples` is
+    the node count, the rule's counterpart of MonteCarlo.samples.
+    """
+
+    degree: int
+
+    @property
+    def samples(self) -> int:
+        return (self.degree + 1) ** 2 * (self.degree // 4 + 1)
 
 
 _PAULI = np.array(
@@ -256,6 +279,68 @@ def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
     q = _orthonormal_columns(z)
     det = _det_of_columns(q)
     return q * np.exp(-1j * np.angle(det) / n)[..., None, None]
+
+
+@lru_cache(maxsize=None)
+def _haar_su2_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (N, 2, 2) and weights (N,) of the HaarSU2 rule of a degree D.
+
+    x = [[a, -conj(b)], [b, conj(a)]] with a = sqrt(1-u) e^{i xi_1} and
+    b = sqrt(u) e^{i xi_2}; normalised Haar measure is
+    du dxi_1 dxi_2 / 4 pi^2 with u uniform on [0, 1].  A monomial
+    a^p conj(a)^q b^r conj(b)^s of degree <= D has frequencies p - q in
+    xi_1 and r - s in xi_2 of modulus <= D, which the (D+1)-point
+    trapezoid rule integrates exactly.  What survives, p = q and r = s, is
+    (1-u)^p u^r of degree <= D/2 in u, exact under (floor(D/4)+1)-point
+    Gauss-Legendre.  N = (D+1)^2 (floor(D/4)+1).  On exact rules over the
+    rotation group see Graf & Potts, Numer. Funct. Anal. Optim. 30 (2009)
+    665.  The arrays are shared by every caller, so they are read-only.
+    """
+    if degree < 0:
+        raise ValueError("HaarSU2 degree must be >= 0")
+    m = degree + 1
+    phase = np.exp(2j * np.pi * np.arange(m) / m)
+    u, wu = leggauss(degree // 4 + 1)
+    u, wu = (u + 1.0) / 2.0, wu / 2.0
+    a = np.sqrt(1.0 - u)[:, None, None] * phase[None, :, None]
+    b = np.sqrt(u)[:, None, None] * phase[None, None, :]
+    a, b = np.broadcast_arrays(a, b)
+    xs = np.stack([np.stack([a, -b.conj()], axis=-1), np.stack([b, a.conj()], axis=-1)], axis=-2)
+    xs = xs.reshape(-1, 2, 2)
+    weights = np.repeat(wu / (m * m), m * m)
+    xs.flags.writeable = False
+    weights.flags.writeable = False
+    return xs, weights
+
+
+def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray, np.ndarray | None]:
+    """Points of a Haar scheme and their weights.
+
+    MonteCarlo: scheme.samples Haar samples drawn from scheme.seed, with
+    weights None (all equal).  HaarSU2: the rule's shared, read-only nodes
+    and weights; SU(2) only.
+    """
+    if isinstance(scheme, MonteCarlo):
+        return haar_sample(model, np.random.default_rng(scheme.seed), scheme.samples), None
+    if isinstance(scheme, HaarSU2):
+        if model.kind != "SU2":
+            raise ValueError("HaarSU2 scheme requires the SU2 model")
+        return _haar_su2_rule(scheme.degree)
+    raise ValueError(f"unknown Haar scheme: {scheme!r}")
+
+
+def haar_mean(vals, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Haar average of per-point values along axis 0, with its standard error.
+
+    weights None (Monte Carlo): the plain mean, and the standard error
+    sqrt(var Re + var Im) / sqrt(N) with ddof 1.  Otherwise the weighted
+    sum of a deterministic rule, with standard error 0.
+    """
+    vals = np.asarray(vals)
+    if weights is None:
+        sem = np.sqrt(vals.real.var(axis=0, ddof=1) + vals.imag.var(axis=0, ddof=1))
+        return vals.mean(axis=0), sem / np.sqrt(len(vals))
+    return np.tensordot(weights, vals, axes=1), np.zeros(vals.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)

@@ -299,7 +299,8 @@ def test_criterion_09_heat_multiplier():
     terms = {(n,): rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
              for n in range(5)}
     series = fourier.FourierSeries("A1", "L2K", 1.0, terms)
-    est = heat.heat_convolution_residual(SU2, series, 1.0, 200_000, 9090)
+    est = heat.heat_convolution_residual(SU2, series, 1.0, haar_sample(SU2, rng, 10),
+                                         MonteCarlo(200_000, 9090))
     conv_ok = est.value <= 3 * est.stderr
     eps = [heat.energy_eigenvalue(A1, lam) for lam in enumerate_dominant(A1, 6)]
     eps += [heat.energy_eigenvalue(A2, lam) for lam in enumerate_dominant(A2, 3)]

@@ -3,7 +3,14 @@ import json
 
 import numpy as np
 
-from liecheck.cli import RunConfig, emit_constants_table, main, run_verification_suite
+from liecheck.cli import (
+    RunConfig,
+    _doubling_note,
+    _stat_row,
+    emit_constants_table,
+    main,
+    run_verification_suite,
+)
 from liecheck.fourier import character_series, load_series, save_series
 
 
@@ -151,3 +158,61 @@ def test_statistical_summary_and_deterministic_second_routes():
         assert c["kind"] == "deterministic" and c["pass"]
         assert c["rel_err"] <= 1e-12
         assert "rel delta" in c["note"]
+
+
+def test_a1_statistical_rows_and_haar_su2_rule_rows():
+    report = run_verification_suite(RunConfig(group="A1"), "all")
+    assert report["summary"]["failed"] == 0
+    checks = {c["check_id"]: c for c in report["checks"]}
+    assert [c["check_id"] for c in report["checks"] if c["kind"] == "statistical"] == [
+        "bks/spectral-vs-integral-0",
+        "bks/spectral-vs-integral-1",
+        "bks/spectral-vs-integral-2",
+        "bks/spectral-vs-integral-random",
+        "convolution/mc-crosscheck",
+        "fourier/coeff-diagonal",
+        "heat/kernel-normalization",
+        "kirillov/mc-crosscheck-a1",
+        "plancherel/l2k-chi-norm",
+        "weylint/mc-crosscheck-a1",
+    ]
+    assert report["summary"]["statistical"]["k"] == 10
+    assert report["summary"]["statistical"]["false_alarm_prob"] == 0.0267
+    rule = ["fourier/coeff-cross", "fourier/roundtrip", "convolution/integral-oracle",
+            "plancherel/l2k-bandlimited", "heat/convolution"]
+    for cid in rule:
+        c = checks[cid]
+        assert c["kind"] == "deterministic" and c["pass"] and c["sigma_distance"] is None
+        assert c["rel_err"] <= 1e-12
+        assert "SU(2) Haar rule exact to degree" in c["note"]
+        assert "rel delta" in c["note"] or "abs delta" in c["note"]
+    # degrees from the series bands and, for heat, the 11 kernel terms kept at t = 1
+    assert "degree 3 (16 nodes)" in checks["fourier/coeff-cross"]["note"]
+    assert "degree 4 (50 nodes)" in checks["fourier/roundtrip"]["note"]
+    assert "degree 12 (676 nodes)" in checks["heat/convolution"]["note"]
+    # below 4375 samples the degree-24 rule costs more than Monte Carlo
+    small = run_verification_suite(RunConfig(group="A1", mc_samples=2000), "heat")
+    conv = next(c for c in small["checks"] if c["check_id"] == "heat/convolution")
+    assert conv["kind"] == "statistical" and "would need 4375 nodes" in conv["note"]
+    # the orbit-method cross-check compares the two signed sides
+    kir = checks["kirillov/mc-crosscheck-a1"]
+    assert kir["lhs"] > 1.0 and kir["rhs"] > 1.0
+    assert abs(kir["abs_err"] - abs(kir["lhs"] - kir["rhs"])) <= 1e-15
+
+
+def test_stat_row_gates_complex_sides_on_their_distance():
+    # equal moduli, phases a quarter turn apart: 1.41 away at stderr 0.1
+    row = _stat_row("phase", 1.0 + 0.0j, 1.0j, 0.1)
+    assert not row.passed and row.lhs == row.rhs == 1.0
+    assert abs(row.sigma_distance - np.sqrt(2.0) / 0.1) <= 1e-12
+    assert _stat_row("close", 1.0 + 0.0j, 1.0 + 0.2j, 0.1).passed
+    real = _stat_row("real", -1.0, -1.25, 0.1)
+    assert real.lhs == -1.0 and real.abs_err == 0.25 and real.sigma_distance == 2.5
+
+
+def test_doubling_note_at_zero_and_for_arrays():
+    assert _doubling_note(0.0, 3e-17, 8) == "order 8 vs 4: abs delta 3.0e-17"
+    assert _doubling_note(2.0, 2.5, 8) == "order 8 vs 4: rel delta 2.5e-01"
+    assert _doubling_note(np.array([1j, 4.0]), np.array([1j, 3.0]), 6) == (
+        "order 6 vs 3: rel delta 2.5e-01")
+    assert _doubling_note(1e-16, 2e-16, 6, residual=True) == "order 6 vs 3: abs delta 1.0e-16"

@@ -12,7 +12,7 @@ from liecheck.fourier import (
     synthesize,
     synthesize_many,
 )
-from liecheck.models import MonteCarlo, exp_i, haar_sample, irrep_matrices, rep_matrices, su2_character
+from liecheck.models import HaarSU2, MonteCarlo, exp_i, haar_sample, irrep_matrices, rep_matrices, su2_character
 from liecheck.rootdata import dimension, weight
 
 
@@ -32,6 +32,10 @@ def test_coeff_cross_character_vanishes(su2):
     coeff, sem = fourier_coeff(su2, lambda xs: su2_character(2, xs).astype(complex),
                                (1,), MonteCarlo(60_000, 3))
     assert np.all(np.abs(coeff) <= 3.5 * sem + 1e-12)
+    # chi_2 against T_1 has degree 3: the rule of that degree is exact
+    coeff, sem = fourier_coeff(su2, lambda xs: su2_character(2, xs).astype(complex),
+                               (1,), HaarSU2(3))
+    assert np.abs(coeff).max() <= 1e-15 and not sem.any()
 
 
 def test_coeff_constant_function(su2):
@@ -105,6 +109,10 @@ def test_roundtrip_band_limited(su2):
     xs = haar_sample(su2, 8, 100)
     dev = np.abs(synthesize_many(series, su2, xs) - synthesize_many(target, su2, xs))
     assert np.all(dev <= 3 * sigma_point)
+    # bands <= 2 against T_lam, lam <= 2: degree 4 recovers every coefficient
+    for dn, want in target.terms.items():
+        est, sem = fourier_coeff(su2, f, dn, HaarSU2(4))
+        assert np.abs(est - want).max() <= 1e-14 * np.abs(want).max() and not sem.any()
 
 
 def test_convolution_of_characters(su2, a1):

@@ -10,7 +10,7 @@ from liecheck.heat import (
     heat_multiplier_apply,
 )
 from liecheck.hilbert import transform_apply
-from liecheck.models import haar_sample, su2_character
+from liecheck.models import HaarSU2, MonteCarlo, haar_sample, su2_character
 from liecheck.rootdata import build_root_system, enumerate_dominant, weight
 
 
@@ -136,7 +136,7 @@ def test_heat_kernel_matches_term_by_term_reference(su2):
 
 def test_heat_convolution_constant(su2):
     one = FourierSeries("A1", "L2K", 1.0, {(0,): np.ones((1, 1))})
-    est = heat_convolution_residual(su2, one, 1.0, 20_000, 8)
+    est = heat_convolution_residual(su2, one, 1.0, haar_sample(su2, 80, 10), MonteCarlo(20_000, 8))
     assert est.value <= 3 * est.stderr + 1e-12
 
 
@@ -145,12 +145,18 @@ def test_heat_convolution_character(su2, a1):
     flowed = heat_multiplier_apply(chi, 1.0)
     # multiplier on the n = 1 term is e^{-3/4}
     assert abs(flowed.terms[(1,)][0, 0] * 2.0 - np.exp(-0.75)) < 1e-14
-    est = heat_convolution_residual(su2, chi, 1.0, 200_000, 9)
+    est = heat_convolution_residual(su2, chi, 1.0, haar_sample(su2, 90, 10), MonteCarlo(200_000, 9))
     assert est.value <= 3 * est.stderr
 
 
 def test_heat_convolution_band_limited(su2):
     rng = np.random.default_rng(10)
     series = random_series([(0,), (1,), (2,), (3,), (4,)], rng)
-    est = heat_convolution_residual(su2, series, 1.0, 200_000, 11)
+    ys = haar_sample(su2, rng, 10)
+    est = heat_convolution_residual(su2, series, 1.0, ys, MonteCarlo(200_000, 11))
     assert est.value <= 3 * est.stderr
+    # the exact rule: kernel terms n <= 10 (11 kept at t = 1) times bands <= 4
+    n_terms = len(_truncation(1.0, 1e-12)[0])
+    assert n_terms == 11
+    exact = heat_convolution_residual(su2, series, 1.0, ys, HaarSU2(n_terms - 1 + 4))
+    assert exact.stderr == 0.0 and exact.value <= 1e-12

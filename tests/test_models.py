@@ -3,10 +3,12 @@ import pytest
 
 from liecheck import chars
 from liecheck.models import (
+    HaarSU2,
     _orthonormal_columns,
     build_group_model,
     chamber_coordinates,
     exp_i,
+    haar_nodes,
     haar_sample,
     irrep_matrices,
     rep_matrices,
@@ -209,6 +211,47 @@ def test_haar_schur_orthogonality(su2, su3):
         vals = np.abs(tr) ** 2
         sem2 = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 1.0) < 3.5 * sem2
+
+
+def test_haar_su2_rule_is_exact_to_its_degree(su2):
+    # Schur orthogonality: the Haar mean of T_n(x)_ij conj(T_m(x)_kl), a
+    # polynomial of degree n + m, is delta_nm delta_ik delta_jl / (n + 1)
+    for degree in (3, 4, 12):
+        xs, weights = haar_nodes(su2, HaarSU2(degree))
+        assert len(xs) == len(weights) == HaarSU2(degree).samples
+        assert not xs.flags.writeable and not weights.flags.writeable
+        assert abs(weights.sum() - 1.0) <= 1e-15
+        assert np.abs(np.conj(np.swapaxes(xs, 1, 2)) @ xs - np.eye(2)).max() <= 1e-15
+        assert np.abs(np.linalg.det(xs) - 1.0).max() <= 1e-15
+        reps = [rep_matrices(irrep_matrices(n), xs) for n in range(degree + 1)]
+        for n in range(degree + 1):
+            for m in range(degree + 1 - n):
+                gram = np.einsum("k,kij,kab->ijab", weights, reps[n], np.conj(reps[m]))
+                ref = np.zeros_like(gram)
+                if n == m:
+                    idx = np.arange(n + 1)
+                    ref[idx[:, None], idx[None, :], idx[:, None], idx[None, :]] = 1.0 / (n + 1)
+                assert np.abs(gram - ref).max() <= 1e-13, (degree, n, m)
+    assert HaarSU2(4).samples == 50 and HaarSU2(12).samples == 676
+    with pytest.raises(ValueError, match="SU2"):
+        haar_nodes(build_group_model("SU3"), HaarSU2(4))
+
+
+def test_haar_su2_rule_degree_bound_is_tight(su2):
+    # degree 4 integrands under the degree-3 rule (4 trapezoid points, one
+    # Gauss-Legendre point u = 1/2): a^4 aliases to frequency 0, so the rule
+    # gives (1 - 1/2)^2 = 1/4 against the Haar mean 0; |a|^4 = (1 - u)^2
+    # gives 1/4 against 1/3, a gap of 1/12.  The degree-4 rule is exact.
+    def means(degree):
+        xs, weights = haar_nodes(su2, HaarSU2(degree))
+        a = xs[:, 0, 0]
+        return weights @ a**4, weights @ np.abs(a) ** 4
+
+    quartic, modulus = means(3)
+    assert abs(quartic - 0.25) <= 1e-15
+    assert abs(modulus - 1.0 / 3.0 + 1.0 / 12.0) <= 1e-15
+    quartic, modulus = means(4)
+    assert abs(quartic) <= 1e-15 and abs(modulus - 1.0 / 3.0) <= 1e-15
 
 
 def test_haar_determinant_and_unitarity(su2, su3):
