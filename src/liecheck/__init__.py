@@ -7,9 +7,9 @@ together, the pairing transforms, and the heat multiplier, with every
 identity backed by an independent oracle.
 """
 
-from .chars import CartanPoint, ClosedFormA1, HurwitzSU3, WallSingularityError
+from .chars import ClosedFormA1, HurwitzSU3, WallSingularityError
 from .fourier import FourierSeries
-from .hilbert import ConstantsRow, IntegralRoute
+from .hilbert import ConstantsRow
 from .models import Estimate, GroupModel, HaarSU2, IrrepMatrices, MonteCarlo, build_group_model
 from .quadrature import ChamberQuadrature, GaussHermite
 from .rootdata import RootSystem, Weight, build_root_system, enumerate_dominant, weight
@@ -17,7 +17,6 @@ from .rootdata import RootSystem, Weight, build_root_system, enumerate_dominant,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanPoint",
     "ChamberQuadrature",
     "ClosedFormA1",
     "ConstantsRow",
@@ -27,7 +26,6 @@ __all__ = [
     "GroupModel",
     "HaarSU2",
     "HurwitzSU3",
-    "IntegralRoute",
     "IrrepMatrices",
     "MonteCarlo",
     "RootSystem",

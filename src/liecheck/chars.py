@@ -1,11 +1,12 @@
 """Half-form densities, Weyl characters, and normalized orbital averages.
 
 The density eta is evaluated in its closed product form over positive
-roots; an independent determinant oracle lives beside it.  Characters come
-in the compact form (oscillatory, on K) and the holomorphically continued
-form (positive on exp(i t)); the orbital average A(mu, Y) is the
-probability-normalized flag-manifold integral of exp(-<mu, Ad_y Y>), which
-makes the character/orbit identity free of volume conventions:
+roots; an independent determinant oracle lives beside it.  Characters are
+evaluated in the holomorphically continued form (positive on exp(i t)),
+and Cartan points are float arrays of shape (..., rank).  The orbital
+average A(mu, Y) is the probability-normalized flag-manifold integral of
+exp(-<mu, Ad_y Y>), which makes the character/orbit identity free of
+volume conventions:
 
     eta(Y)   * char_holo(lam, 2Y) = d_lam * A(2(lam+rho), Y)
     eta(Y/2) * char_holo(lam,  Y) = d_lam * A(lam+rho, Y)
@@ -25,23 +26,21 @@ from .models import (
     algebra_coords,
     cartan_element,
     group_model_for,
-    haar_sample,
+    haar_mean,
+    haar_nodes,
 )
 from .quadrature import _gauss_legendre_01, _leggauss
-from .rootdata import RootSystem, Weight, build_root_system, coords_of, dimension
+from .rootdata import RootSystem, Weight, build_root_system, dimension
 
 __all__ = [
-    "CartanPoint",
     "ClosedFormA1",
     "HurwitzSU3",
     "WallSingularityError",
     "eta",
     "eta_det_oracle",
     "j_half_identity_residual",
-    "kirillov_residual",
     "kirillov_sides",
     "orbital_average",
-    "weyl_char_compact",
     "weyl_char_holo",
 ]
 
@@ -67,31 +66,6 @@ class HurwitzSU3:
     order: int
 
 
-@dataclass(frozen=True, eq=False)
-class CartanPoint:
-    """A point Y of the Cartan subalgebra in orthonormal coordinates.
-
-    |Y|^2 is the Euclidean norm square of coords; for A1 the conventional
-    angle theta satisfies <alpha, Y> = 2*theta, i.e. coords = [sqrt(2)*theta].
-    """
-
-    coords: np.ndarray
-
-    @classmethod
-    def from_a1_theta(cls, theta: float) -> "CartanPoint":
-        return cls(coords=np.array([np.sqrt(2.0) * float(theta)]))
-
-    @property
-    def theta(self) -> float:
-        if self.coords.shape != (1,):
-            raise ValueError("theta is defined for rank-1 points only")
-        return float(self.coords[0]) / np.sqrt(2.0)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
 def _sinhc(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, float)
     small = np.abs(x) < 1e-8
@@ -102,10 +76,10 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
 def eta(rs: RootSystem, Y) -> np.ndarray | float:
     """Half-form density: prod over positive roots of sinh<a,Y>/<a,Y>.
 
-    Accepts a CartanPoint or an array of shape (..., rank); strictly
-    positive, even, and Weyl invariant.  Empty product (tori) gives 1.
+    Y is an array of shape (..., rank); strictly positive, even, and Weyl
+    invariant.  Empty product (tori) gives 1.
     """
-    c = coords_of(Y)
+    c = np.asarray(Y, float)
     scalar = c.ndim == 1
     if rs.is_torus:
         out = np.ones(c.shape[:-1])
@@ -140,7 +114,7 @@ def j_half_identity_residual(rs: RootSystem, Y) -> float:
     eta(Y/2) is the determinant route det(sin(ad)/ad)^(1/2) at the Cartan
     element Y/2 of the SU(2) or SU(3) matrix model.  Tori give 0.
     """
-    c = coords_of(Y)
+    c = np.asarray(Y, float)
     model = group_model_for(rs.kind)
     if model is None:
         return 0.0
@@ -187,23 +161,6 @@ def _char_holo_positive(rs: RootSystem, lam: Weight, pts: np.ndarray) -> np.ndar
     return np.exp(-(a @ weights.T)).sum(axis=-1)
 
 
-def weyl_char_compact(rs: RootSystem, lam: Weight, Y) -> complex:
-    """Weyl character at exp(Y): alternating sums of e^{i<w(lam+rho), Y>}.
-
-    Raises WallSingularityError when the denominator magnitude falls below
-    1e-12; callers perturb or use the dimension at Y = 0.
-    """
-    if not lam.is_dominant:
-        raise ValueError("weyl_char_compact requires a dominant weight")
-    c = coords_of(Y)
-    signs = rs.weyl_signs.astype(float)
-    num = np.sum(signs * np.exp(1j * (_weyl_orbit(rs, lam.coords + rs.rho) @ c)))
-    den = np.sum(signs * np.exp(1j * (_weyl_orbit(rs, rs.rho) @ c)))
-    if abs(den) < 1e-12:
-        raise WallSingularityError(f"Weyl denominator vanished at Y = {c}")
-    return complex(num / den)
-
-
 def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:
     """Holomorphically continued character at exp(iY), batched.
 
@@ -217,7 +174,7 @@ def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:
     """
     if not lam.is_dominant:
         raise ValueError("weyl_char_holo requires a dominant weight")
-    c = coords_of(Y)
+    c = np.asarray(Y, float)
     scalar = c.ndim == 1
     pts = np.atleast_2d(c)
     if rs.is_torus:
@@ -291,13 +248,14 @@ def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
 
     ClosedFormA1 uses the exact sphere average sinh(|mu||Y|)/(|mu||Y|);
     HurwitzSU3 is a deterministic product rule over SU(3) Haar measure;
-    MonteCarlo averages over Haar samples (the integrand is right
-    T-invariant, so Haar on K realizes the normalized K/T measure) and
-    reports a standard error.  The last two see the group element only
-    through the squared moduli of its entries.
+    MonteCarlo averages over the Haar samples of models.haar_nodes (the
+    integrand is right T-invariant, so Haar on K realizes the normalized
+    K/T measure) and reports a standard error.  The last two see the group
+    element only through the squared moduli of its entries, and both
+    average through models.haar_mean.
     """
-    mu_c = coords_of(mu)
-    y_c = coords_of(Y)
+    mu_c = np.asarray(mu, float)
+    y_c = np.asarray(Y, float)
     if isinstance(scheme, ClosedFormA1):
         if model.rs_kind != "A1":
             raise ValueError("ClosedFormA1 scheme requires the SU2 model")
@@ -310,16 +268,14 @@ def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
         if model.kind != "SU3":
             raise ValueError("HurwitzSU3 scheme requires the SU3 model")
         moduli, weights = _hurwitz_su3_moduli(scheme.order)
-        return Estimate(float(weights @ np.exp(-(moduli @ np.outer(m, b).reshape(-1)))), 0.0)
-    if isinstance(scheme, MonteCarlo):
-        rng = np.random.default_rng(scheme.seed)
-        ys = haar_sample(model, rng, scheme.samples)
+        pair = moduli @ np.outer(m, b).reshape(-1)
+    elif isinstance(scheme, MonteCarlo):
+        ys, weights = haar_nodes(model, scheme)
         pair = ((ys.real**2 + ys.imag**2) @ b) @ m
-        vals = np.exp(-pair)
-        mean = float(vals.mean())
-        sem = float(vals.std(ddof=1) / np.sqrt(len(vals)))
-        return Estimate(mean, sem)
-    raise ValueError(f"unknown orbital-average scheme: {scheme!r}")
+    else:
+        raise ValueError(f"unknown orbital-average scheme: {scheme!r}")
+    mean, sem = haar_mean(np.exp(-pair), weights)
+    return Estimate(float(mean), float(sem))
 
 
 def kirillov_sides(
@@ -337,7 +293,7 @@ def kirillov_sides(
     """
     rs = build_root_system(model.rs_kind)
     d = dimension(rs, lam)
-    y_c = coords_of(Y)
+    y_c = np.asarray(Y, float)
     if half_angle:
         lhs = float(eta(rs, y_c / 2.0)) * float(weyl_char_holo(rs, lam, y_c))
         mu = lam.coords + rs.rho
@@ -346,15 +302,3 @@ def kirillov_sides(
         mu = 2.0 * (lam.coords + rs.rho)
     avg = orbital_average(model, mu, y_c, scheme)
     return lhs, Estimate(d * avg.value, d * avg.stderr)
-
-
-def kirillov_residual(
-    model: GroupModel,
-    lam: Weight,
-    Y,
-    scheme,
-    half_angle: bool = False,
-) -> Estimate:
-    """|lhs - rhs| of kirillov_sides, with the right side's standard error."""
-    lhs, rhs = kirillov_sides(model, lam, Y, scheme, half_angle)
-    return Estimate(abs(lhs - rhs.value), rhs.stderr)

@@ -67,6 +67,9 @@ _HERMITE_ORDER = 24  # tensor Gauss-Hermite rule over su(2), 24^3 nodes
 # the one case per suite that keeps its Monte-Carlo route as a cross-check
 _KIRILLOV_MC_CASE = 3  # A2 lam = (1, 1), double angle
 _WEYLINT_MC_CASE = 5   # A1 eta^1 * char(2Y) at lam = (1,), t_g = 0.35 t
+# the finest heat-kernel cutoff of the heat suite (heat/kernel-truncation);
+# a t that needs more than heat's term cap at it makes the suite unavailable
+_HEAT_FINE_CUTOFF = 1e-13
 
 _TRANSFORM_CLI = {
     "h": "H",
@@ -350,13 +353,11 @@ def _suite_kirillov(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) ->
         lams = enumerate_dominant(rs, 6)
         for k in range(100):
             lam = lams[k % len(lams)]
-            Y = chars.CartanPoint(coords=rng.normal(0.0, 0.7, size=1))
-            d = dimension(rs, lam)
+            Y = rng.normal(0.0, 0.7, size=1)
             for half in (False, True):
-                est = chars.kirillov_residual(model, lam, Y, chars.ClosedFormA1(), half_angle=half)
-                mu = (1.0 if half else 2.0) * (lam.coords + rs.rho)
-                scale = d * chars.orbital_average(model, mu, Y.coords, chars.ClosedFormA1()).value
-                worst[half] = max(worst[half], est.value / max(1.0, scale))
+                lhs, rhs = chars.kirillov_sides(model, lam, Y, chars.ClosedFormA1(), half_angle=half)
+                # scaled by the exact side d * A(mu, Y)
+                worst[half] = max(worst[half], abs(lhs - rhs.value) / max(1.0, rhs.value))
         rows.append(_det_row("kirillov/closed-form-a1", worst[False], 0.0,
                              max(cfg.tolerance, 1e-12),
                              "max scaled residual over 100 random (lam, Y)"))
@@ -364,13 +365,13 @@ def _suite_kirillov(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) ->
                              max(cfg.tolerance, 1e-12)))
         cid = "kirillov/mc-crosscheck-a1"
         lam = weight(rs, (2,))
-        Y = chars.CartanPoint.from_a1_theta(0.45)
+        Y = np.array([np.sqrt(2.0) * 0.45])  # <alpha, Y> = 2 * 0.45
         lhs, est = chars.kirillov_sides(model, lam, Y, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
         rows.append(_stat_row(cid, lhs, est.value, est.stderr, f"lam={lam.dynkin}"))
         return rows
     # A2: orbital averages by the SU(3) Haar product rule, signed sides
     lams = [weight(rs, d) for d in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2))]
-    ys = [chars.CartanPoint(coords=rng.normal(0.0, 0.5, size=2)) for _ in lams]
+    ys = [rng.normal(0.0, 0.5, size=2) for _ in lams]
     # the Monte-Carlo cross-check goes first: its samples are freed before
     # the rule's nodes are built, so the two never share the peak memory
     cid = "kirillov/mc-crosscheck-a2"
@@ -591,7 +592,7 @@ def _suite_bks(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
         f_n = fourier.character_series("A1", (n,), "L2K", t)
         spec = hilbert.bks_bracket(phi_n, f_n, "spectral")
         integ = hilbert.bks_bracket(
-            phi_n, f_n, hilbert.IntegralRoute(max(2000, cfg.mc_samples // 50), _seed_for(cfg, cid))
+            phi_n, f_n, MonteCarlo(max(2000, cfg.mc_samples // 50), _seed_for(cfg, cid))
         )
         rows.append(_stat_row(cid, integ.value, spec.value, integ.stderr))
     cid = "bks/spectral-vs-integral-random"
@@ -600,7 +601,7 @@ def _suite_bks(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
     f_r = _random_series("A1", "L2K", t, [(1,), (2,), (3,)], rng)
     spec = hilbert.bks_bracket(phi_r, f_r, "spectral")
     integ = hilbert.bks_bracket(
-        phi_r, f_r, hilbert.IntegralRoute(max(2000, cfg.mc_samples // 50), _seed_for(cfg, cid))
+        phi_r, f_r, MonteCarlo(max(2000, cfg.mc_samples // 50), _seed_for(cfg, cid))
     )
     rows.append(_stat_row(cid, integ.value, spec.value, integ.stderr))
     # sesquilinearity is exact on the spectral route
@@ -652,7 +653,7 @@ def _suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[Check
     rows.append(_det_row("heat/kernel-symmetry", float(np.abs(p_vals[:100] - p_inv).max()),
                          0.0, max(cfg.tolerance, 1e-10)))
     v1, _ = heat.heat_kernel_eval(model, t, np.eye(2), cutoff=1e-12)
-    v2, _ = heat.heat_kernel_eval(model, t, np.eye(2), cutoff=1e-13)
+    v2, _ = heat.heat_kernel_eval(model, t, np.eye(2), cutoff=_HEAT_FINE_CUTOFF)
     rows.append(_det_row("heat/kernel-truncation", v1, v2, max(cfg.tolerance, 1e-10)))
     cid = "heat/convolution"
     ys = haar_sample(model, _rng_for(cfg, cid), 10)
@@ -726,10 +727,15 @@ _SUITE_FUNCS = {
 }
 
 
-def _suite_available(suite: str, rs: RootSystem) -> str | None:
+def _suite_available(suite: str, rs: RootSystem, t: float) -> str | None:
     """None when runnable; otherwise the reason it is not."""
     if suite in _IRREP_ONLY and rs.kind != "A1":
         return f"irrep matrices unavailable for {rs.kind}"
+    if suite == "heat":
+        try:
+            heat._truncation(t, _HEAT_FINE_CUTOFF)
+        except ValueError as exc:
+            return f"heat kernel unavailable at t={t!r}: {exc}"
     return None
 
 
@@ -740,7 +746,7 @@ def run_verification_suite(config: RunConfig, suite: str) -> dict:
     names = SUITE_NAMES if suite == "all" else (suite,)
     checks: list[CheckRow] = []
     for name in names:
-        reason = _suite_available(name, rs)
+        reason = _suite_available(name, rs, config.t)
         if reason is not None:
             if suite == "all":
                 checks.append(_skip_row(f"{name}/unavailable", reason))

@@ -26,7 +26,6 @@ from . import chars
 from .models import (
     Estimate,
     GroupModel,
-    MonteCarlo,
     build_group_model,
     chamber_coordinates,
     exp_i,
@@ -35,12 +34,11 @@ from .models import (
     irrep_matrices,
     rep_matrices,
 )
-from .quadrature import build_chamber_quadrature, integrate_invariant
+from .quadrature import _tensor_rule, build_chamber_quadrature, integrate_invariant
 from .rootdata import RootSystem, Weight, build_root_system, dimension, weight
 
 __all__ = [
     "ConstantsRow",
-    "IntegralRoute",
     "NormCheck",
     "bks_bracket",
     "bks_integral_transform",
@@ -53,6 +51,9 @@ __all__ = [
 ]
 
 TRANSFORM_NAMES = ("H", "Theta", "ThetaStar", "ScaledTheta", "Htilde")
+
+# Gauss-Hermite points per axis of the algebra grid in bks_integral_transform
+_BKS_HERMITE_ORDER = 20
 
 
 def _norm2_shift(rs: RootSystem, lam: Weight) -> float:
@@ -206,7 +207,7 @@ def constants_row(rs: RootSystem, lam: Weight, t: float, order: int) -> Constant
     )
 
 
-def _transform_factor(rs: RootSystem, lam: Weight, t: float, which: str, naive_order: int) -> float:
+def _transform_factor(rs: RootSystem, lam: Weight, t: float, which: str) -> float:
     if which == "H":
         return float(np.sqrt(c_constant(rs, lam, t)))
     if which == "Theta":
@@ -216,17 +217,18 @@ def _transform_factor(rs: RootSystem, lam: Weight, t: float, which: str, naive_o
     if which == "ScaledTheta":
         return float((4.0 * t * np.pi) ** (-rs.dim_k / 4.0) * d_constant(rs, lam, t))
     if which == "Htilde":
-        return float(np.sqrt(naive_constant(rs, lam, t, naive_order).value))
+        return float(np.sqrt(naive_constant(rs, lam, t, 64 if rs.rank == 1 else 96).value))
     raise ValueError(f"unknown transform {which!r}; expected one of {TRANSFORM_NAMES}")
 
 
-def transform_apply(series, which: str, naive_order: int | None = None):
+def transform_apply(series, which: str):
     """Apply one of the diagonal dictionary operators to a series.
 
     H, Theta, ScaledTheta, Htilde map HL2 -> L2K; ThetaStar maps
     L2K -> HL2.  ScaledTheta coincides with H termwise; the scaled adjoint
     (4 t pi)^(-dim/4) ThetaStar inverts H.  Htilde uses the density-free
-    constants, computed by quadrature at naive_order points per dimension.
+    constants, computed by quadrature at 64 points per dimension for rank
+    1 and 96 otherwise.
     """
     rs = build_root_system(series.rs_kind)
     domain = "L2K" if which == "ThetaStar" else "HL2"
@@ -234,46 +236,22 @@ def transform_apply(series, which: str, naive_order: int | None = None):
         raise ValueError(f"unknown transform {which!r}; expected one of {TRANSFORM_NAMES}")
     if series.space != domain:
         raise ValueError(f"transform {which} expects a {domain} series, got {series.space}")
-    if naive_order is None:
-        naive_order = 64 if rs.rank == 1 else 96
     terms = {
-        dynkin: _transform_factor(rs, weight(rs, dynkin), series.t, which, naive_order) * coeff
+        dynkin: _transform_factor(rs, weight(rs, dynkin), series.t, which) * coeff
         for dynkin, coeff in series.terms.items()
     }
     out_space = "HL2" if which == "ThetaStar" else "L2K"
     return replace(series, space=out_space, terms=terms)
 
 
-@dataclass(frozen=True)
-class IntegralRoute:
-    """Direct double-integral route for the pairing: Haar Monte-Carlo over
-    the group crossed with Gauss-Hermite quadrature over the algebra."""
-
-    samples: int
-    seed: int
-    hermite_order: int = 20
-
-
-def _hermite_grid(t: float, order: int):
-    # nodes/weights for integral over su(2) ~ R^3 of e^{-|Y|^2/(2t)} g(Y) dY
-    h, hw = hermgauss(order)
-    scale = np.sqrt(2.0 * t)
-    pts = scale * h
-    w = scale * hw
-    coords = np.stack(np.meshgrid(pts, pts, pts, indexing="ij"), axis=-1).reshape(-1, 3)
-    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
-    return coords, weights
-
-
-def bks_integral_transform(
-    phi, model: GroupModel, xs, hermite_order: int = 20
-) -> np.ndarray:
+def bks_integral_transform(phi, model: GroupModel, xs) -> np.ndarray:
     """The pairing transform of a holomorphic series, evaluated pointwise.
 
     F(x) = integral over the algebra of phi(x exp(iY)) e^{-|Y|^2/2t}
-    eta(Y/2) dY, computed on a Gauss-Hermite grid; for a band-limited
-    series the integrand is entire of exponential type, so the grid
-    converges fast.  Returns F at each element of the batch xs.
+    eta(Y/2) dY, computed on the tensor Gauss-Hermite grid of 20 points
+    per axis scaled to the weight e^{-|Y|^2/2t}; for a band-limited series
+    the integrand is entire of exponential type, so the grid converges
+    fast.  Returns F at each element of the batch xs.
     """
     if model.kind != "SU2":
         raise ValueError("the integral transform needs irreducible matrices (SU2 only)")
@@ -282,7 +260,9 @@ def bks_integral_transform(
     rs = build_root_system(phi.rs_kind)
     xs = np.asarray(xs, complex)
     pts = xs if xs.ndim == 3 else xs[None]
-    coords, gh_w = _hermite_grid(phi.t, hermite_order)
+    h, hw = hermgauss(_BKS_HERMITE_ORDER)
+    s = np.sqrt(2.0 * phi.t)
+    coords, gh_w = _tensor_rule(s * h, s * hw, 3)
     w_eta = gh_w * chars.eta(rs, chamber_coordinates(model, coords) / 2.0)
     polar = exp_i(coords)
     out = np.zeros(len(pts), dtype=complex)
@@ -299,10 +279,12 @@ def bks_bracket(phi, f_series, route) -> Estimate:
     """The pairing bracket <phi, F> between the two pictures.
 
     route="spectral": sum over lam of d * D_{t,lam} * tr(phi_lam^* F_lam),
-    exact on band-limited series.  route=IntegralRoute(...): Haar
-    Monte-Carlo over the group of conj(F_phi(x)) * F(x) with the inner
-    algebra integral on a Gauss-Hermite grid; reports a standard error.
-    Conjugate-linear in phi, linear in F.
+    exact on band-limited series.  Otherwise route is a Haar scheme
+    (MonteCarlo, or HaarSU2 of degree at least the two series' top Dynkin
+    labels summed): the Haar mean of conj(F_phi(x)) * F(x) over the points
+    of models.haar_nodes, through models.haar_mean, with the inner algebra
+    integral of bks_integral_transform; SU(2) only.  A Monte-Carlo route
+    reports a standard error.  Conjugate-linear in phi, linear in F.
     """
     if phi.rs_kind != f_series.rs_kind:
         raise ValueError("pairing requires matching groups")
@@ -319,15 +301,12 @@ def bks_bracket(phi, f_series, route) -> Estimate:
             D = d_constant(rs, lam, phi.t)
             total += d * D * np.trace(np.conj(coeff.T) @ f_series.terms[dynkin])
         return Estimate(complex(total), 0.0)
-    if isinstance(route, IntegralRoute):
-        from .fourier import synthesize_many  # deferred: fourier imports this module
+    from .fourier import synthesize_many  # deferred: fourier imports this module
 
-        model = build_group_model("SU2")
-        if phi.rs_kind != "A1":
-            raise ValueError("the integral route needs irreducible matrices (SU2 only)")
-        xs, _ = haar_nodes(model, MonteCarlo(route.samples, route.seed))
-        f_vals = synthesize_many(f_series, model, xs)
-        f_phi = bks_integral_transform(phi, model, xs, route.hermite_order)
-        mean, sem = haar_mean(np.conj(f_phi) * f_vals, None)
-        return Estimate(complex(mean), float(sem))
-    raise ValueError(f"unknown pairing route: {route!r}")
+    if phi.rs_kind != "A1":
+        raise ValueError("the integral route needs irreducible matrices (SU2 only)")
+    model = build_group_model("SU2")
+    xs, weights = haar_nodes(model, route)
+    f_vals = synthesize_many(f_series, model, xs)
+    mean, sem = haar_mean(np.conj(bks_integral_transform(phi, model, xs)) * f_vals, weights)
+    return Estimate(complex(mean), float(sem))

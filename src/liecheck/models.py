@@ -157,8 +157,7 @@ def algebra_element(model: GroupModel, coords) -> np.ndarray:
 
 def cartan_element(model: GroupModel, coords) -> np.ndarray:
     """Matrix of the Cartan element with the given orthonormal t-coordinates."""
-    c = np.asarray(getattr(coords, "coords", coords), float)
-    return np.einsum("...a,aij->...ij", c, model.cartan_basis)
+    return np.einsum("...a,aij->...ij", np.asarray(coords, float), model.cartan_basis)
 
 
 def algebra_coords(model: GroupModel, X) -> np.ndarray:
@@ -168,7 +167,7 @@ def algebra_coords(model: GroupModel, X) -> np.ndarray:
 
 def cartan_to_algebra(model: GroupModel, coords) -> np.ndarray:
     """Embed t-coordinates into full algebra coordinates."""
-    c = np.asarray(getattr(coords, "coords", coords), float)
+    c = np.asarray(coords, float)
     out = np.zeros(c.shape[:-1] + (model.dim_k,))
     for slot, idx in enumerate(model.cartan_indices):
         out[..., idx] = c[..., slot]
@@ -330,11 +329,15 @@ def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray, np.ndarray | None
 
 
 def haar_mean(vals, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Haar average of per-point values along axis 0, with its standard error.
+    """Average of per-point values along axis 0, with its standard error.
 
-    weights None (Monte Carlo): the plain mean, and the standard error
-    sqrt(var Re + var Im) / sqrt(N) with ddof 1.  Otherwise the weighted
-    sum of a deterministic rule, with standard error 0.
+    The one place where any integration scheme's points become a mean and
+    a standard error: the Haar schemes of haar_nodes, the HurwitzSU3 rule
+    of chars.orbital_average, and the Cartesian schemes of
+    quadrature.cartesian_oracle_integrate.  weights None (Monte Carlo): the
+    plain mean, and the standard error sqrt(var Re + var Im) / sqrt(N)
+    with ddof 1.  Otherwise the weighted sum of a deterministic rule, with
+    standard error 0.
     """
     vals = np.asarray(vals)
     if weights is None:
@@ -409,7 +412,7 @@ def exp_i(Y) -> np.ndarray:
     a positive-definite hermitian matrix.
     """
     model = build_group_model("SU2")
-    c = np.asarray(getattr(Y, "coords", Y), float)
+    c = np.asarray(Y, float)
     if c.shape[-1] == model.rank:
         c = cartan_to_algebra(model, c)
     elif c.shape[-1] != model.dim_k:

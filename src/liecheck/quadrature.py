@@ -20,8 +20,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .models import Estimate, GroupModel, MonteCarlo
-from .rootdata import RootSystem, coords_of
+from .models import Estimate, GroupModel, MonteCarlo, haar_mean
+from .rootdata import RootSystem
 
 __all__ = [
     "ChamberQuadrature",
@@ -211,7 +211,7 @@ def gaussian_linear_moment(rs: RootSystem, mu, t: float) -> float:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    m2 = float(np.sum(coords_of(mu) ** 2))
+    m2 = float(np.sum(np.asarray(mu, float) ** 2))
     return float((t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * m2 / 4.0))
 
 
@@ -225,24 +225,23 @@ def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme) -> Estima
     MonteCarlo: importance sampling with Y ~ Normal(0, t/2 per coordinate),
     so the estimator is (t*pi)^(m/2) * mean f with a reported standard
     error.  GaussHermite: the tensor rule for e^{-|x|^2} on R^3 at
-    Y = sqrt(t) x, so t^(3/2) * sum w f(sqrt(t) x); su(2) only.
+    Y = sqrt(t) x, so t^(3/2) * sum w f(sqrt(t) x); su(2) only.  Both
+    average through models.haar_mean, weights None for Monte Carlo.
     """
     m = model.dim_k
     if isinstance(scheme, MonteCarlo):
         rng = np.random.default_rng(scheme.seed)
         c = rng.normal(0.0, np.sqrt(t / 2.0), size=(scheme.samples, m))
-        vals = np.asarray(f(c), dtype=float)
-        norm = (t * np.pi) ** (m / 2.0)
-        mean = norm * float(vals.mean())
-        sem = norm * float(vals.std(ddof=1) / np.sqrt(len(vals)))
-        return Estimate(mean, sem)
-    if isinstance(scheme, GaussHermite):
+        weights, norm = None, (t * np.pi) ** (m / 2.0)
+    elif isinstance(scheme, GaussHermite):
         if model.kind != "SU2":
             raise ValueError("GaussHermite scheme requires the SU2 model")
         nodes, weights = _tensor_rule(*hermgauss(scheme.order), m)
-        vals = np.asarray(f(np.sqrt(t) * nodes), dtype=float)
-        return Estimate(t ** (m / 2.0) * float(weights @ vals), 0.0)
-    raise ValueError(f"unknown Cartesian integration scheme: {scheme!r}")
+        c, norm = np.sqrt(t) * nodes, t ** (m / 2.0)
+    else:
+        raise ValueError(f"unknown Cartesian integration scheme: {scheme!r}")
+    mean, sem = haar_mean(np.asarray(f(c), dtype=float), weights)
+    return Estimate(norm * float(mean), norm * float(sem))
 
 
 def calibrate_flag_volume(

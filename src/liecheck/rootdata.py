@@ -94,14 +94,6 @@ class Weight:
         return "Weight" + str(self.dynkin)
 
 
-def coords_of(x) -> np.ndarray:
-    """Coordinate vector of a Weight, CartanPoint-like object, or array."""
-    if isinstance(x, Weight):
-        return x.coords
-    c = getattr(x, "coords", x)
-    return np.asarray(c, dtype=float)
-
-
 def _reflection(alpha: np.ndarray) -> np.ndarray:
     return np.eye(len(alpha)) - 2.0 * np.outer(alpha, alpha) / (alpha @ alpha)
 
@@ -203,8 +195,8 @@ def enumerate_dominant(rs: RootSystem, max_level: int) -> list[Weight]:
 
 
 def weight_inner(rs: RootSystem, a, b) -> float:
-    """Invariant inner product of two weights/coordinate vectors."""
-    va, vb = coords_of(a), coords_of(b)
+    """Invariant inner product of two coordinate vectors."""
+    va, vb = np.asarray(a, float), np.asarray(b, float)
     if va.shape != (rs.rank,) or vb.shape != (rs.rank,):
         raise ValueError("rank mismatch in weight_inner")
     return float(va @ vb)

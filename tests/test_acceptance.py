@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from liecheck import chars, fourier, heat, hilbert
+from liecheck.cli import RunConfig, _invariant_test_functions
 from liecheck.models import (
     MonteCarlo,
     algebra_element,
@@ -88,38 +89,26 @@ def test_criterion_03_orbit_character_identity():
     worst = 0.0
     for k in range(100):
         lam = lams[k % len(lams)]
-        Y = chars.CartanPoint(rng.normal(0.0, 0.7, size=1))
+        Y = rng.normal(0.0, 0.7, size=1)
         d = dimension(A1, lam)
         for half in (False, True):
-            est = chars.kirillov_residual(SU2, lam, Y, chars.ClosedFormA1(), half_angle=half)
+            lhs, rhs = chars.kirillov_sides(SU2, lam, Y, chars.ClosedFormA1(), half_angle=half)
             mu = (1.0 if half else 2.0) * (lam.coords + A1.rho)
-            scale = d * chars.orbital_average(SU2, mu, Y.coords, chars.ClosedFormA1()).value
-            worst = max(worst, est.value / max(1.0, scale))
+            scale = d * chars.orbital_average(SU2, mu, Y, chars.ClosedFormA1()).value
+            worst = max(worst, abs(lhs - rhs.value) / max(1.0, scale))
     ok = worst <= 1e-12
     sig_worst = 0.0
     for i, dn in enumerate([(1, 0), (0, 1), (1, 1), (2, 2)]):
         lam = weight(A2, dn)
-        Y = chars.CartanPoint(rng.normal(0.0, 0.5, size=2))
+        Y = rng.normal(0.0, 0.5, size=2)
         for j, half in enumerate((False, True)):
-            est = chars.kirillov_residual(SU3, lam, Y,
-                                          MonteCarlo(100_000, 1000 + 10 * i + j),
-                                          half_angle=half)
-            sig_worst = max(sig_worst, est.value / est.stderr)
+            lhs, rhs = chars.kirillov_sides(SU3, lam, Y,
+                                            MonteCarlo(100_000, 1000 + 10 * i + j),
+                                            half_angle=half)
+            sig_worst = max(sig_worst, abs(lhs - rhs.value) / rhs.stderr)
     ok = ok and sig_worst <= 3.0
     _report(3, "orbit-method character identity", ok,
             f"A1 closed-form scaled residual {worst:.2e}; A2 MC worst {sig_worst:.2f} sigma")
-
-
-def _invariant_cases(rs):
-    lams = enumerate_dominant(rs, 1 if rs.rank > 1 else 3)
-    cases = []
-    for narrow in (0.35, 0.5, 0.75):
-        for p in (0, 1, 2):
-            for lam in lams:
-                mu_eff = float(np.linalg.norm(2.0 * (lam.coords + rs.rho) + 2.0 * p * rs.rho))
-                if mu_eff**2 * narrow <= 28.0:
-                    cases.append((narrow, p, lam, mu_eff))
-    return cases[:20]
 
 
 def test_criterion_04_chamber_reduction_formula():
@@ -127,7 +116,9 @@ def test_criterion_04_chamber_reduction_formula():
     count = 0
     for rs, model in ((A1, SU2), (A2, SU3)):
         order = 64 if rs.rank == 1 else 96
-        for i, (tg, p, lam, mu_eff) in enumerate(_invariant_cases(rs)):
+        # the verify suite's 20 integrands per group; at t = 1 each tg is its
+        # narrowing factor exactly
+        for i, (tg, p, lam, mu_eff) in enumerate(_invariant_test_functions(rs, RunConfig())):
             count += 1
             q = build_chamber_quadrature(rs, tg, order, mu_eff)
 
@@ -270,7 +261,7 @@ def test_criterion_08_unitary_dictionary():
         phi = fourier.character_series("A1", (n,), "HL2", 1.0)
         fs = fourier.character_series("A1", (n,), "L2K", 1.0)
         spec = hilbert.bks_bracket(phi, fs, "spectral")
-        integ = hilbert.bks_bracket(phi, fs, hilbert.IntegralRoute(3000, 8080 + k))
+        integ = hilbert.bks_bracket(phi, fs, MonteCarlo(3000, 8080 + k))
         floor = 1e-12 * abs(spec.value)
         sig_worst = max(sig_worst, abs(integ.value - spec.value) / max(integ.stderr, floor))
     ok = worst_ratio <= 1e-12 and worst_norm <= 1e-12 and worst_inv <= 1e-12 and sig_worst <= 3.0

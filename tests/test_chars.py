@@ -5,7 +5,6 @@ import pytest
 
 from liecheck import chars
 from liecheck.chars import (
-    CartanPoint,
     ClosedFormA1,
     HurwitzSU3,
     WallSingularityError,
@@ -13,10 +12,8 @@ from liecheck.chars import (
     eta,
     eta_det_oracle,
     j_half_identity_residual,
-    kirillov_residual,
     kirillov_sides,
     orbital_average,
-    weyl_char_compact,
     weyl_char_holo,
 )
 from liecheck.models import (
@@ -26,13 +23,34 @@ from liecheck.models import (
     chamber_coordinates,
     haar_sample,
 )
-from liecheck.quadrature import build_chamber_quadrature
+from liecheck.quadrature import build_chamber_quadrature, cartesian_oracle_integrate
 from liecheck.rootdata import build_root_system, dimension, enumerate_dominant, weight
 
 
+def a1_point(theta):
+    """The A1 Cartan point of angle theta: <alpha, Y> = 2 theta."""
+    return np.array([np.sqrt(2.0) * theta])
+
+
+def weyl_char_compact(rs, lam, Y) -> complex:
+    """Weyl character at exp(Y): alternating sums of e^{i<w(lam+rho), Y>}.
+
+    The tests' oracle for the compact character.  Raises
+    WallSingularityError when the denominator magnitude falls below 1e-12.
+    """
+    signs = rs.weyl_signs.astype(float)
+    wl = np.einsum("wij,j->wi", rs.weyl_elements, lam.coords + rs.rho)
+    wr = np.einsum("wij,j->wi", rs.weyl_elements, rs.rho)
+    num = np.sum(signs * np.exp(1j * (wl @ Y)))
+    den = np.sum(signs * np.exp(1j * (wr @ Y)))
+    if abs(den) < 1e-12:
+        raise WallSingularityError(f"Weyl denominator vanished at Y = {Y}")
+    return complex(num / den)
+
+
 def test_eta_values(a1, t2):
-    assert eta(a1, CartanPoint(np.zeros(1))) == 1.0
-    assert abs(eta(a1, CartanPoint.from_a1_theta(1.0)) - np.sinh(2.0) / 2.0) < 1e-14
+    assert eta(a1, np.zeros(1)) == 1.0
+    assert abs(eta(a1, a1_point(1.0)) - np.sinh(2.0) / 2.0) < 1e-14
     rng = np.random.default_rng(1)
     assert np.abs(eta(t2, rng.normal(size=(20, 2))) - 1.0).max() == 0.0
 
@@ -71,8 +89,8 @@ def test_eta_product_vs_det_oracle_random(a1, a2, su2, su3):
 
 
 def test_j_half_identity(a1, a2):
-    assert j_half_identity_residual(a1, CartanPoint.from_a1_theta(0.0)) == 0.0
-    assert j_half_identity_residual(a1, CartanPoint.from_a1_theta(1.3)) < 1e-14
+    assert j_half_identity_residual(a1, a1_point(0.0)) == 0.0
+    assert j_half_identity_residual(a1, a1_point(1.3)) < 1e-14
     rng = np.random.default_rng(5)
     for _ in range(20):
         assert j_half_identity_residual(a2, rng.normal(size=2)) < 1e-13
@@ -81,14 +99,14 @@ def test_j_half_identity(a1, a2):
 def test_weyl_char_compact(a1, su2):
     lam1 = weight(a1, (1,))
     theta = 0.61
-    val = weyl_char_compact(a1, lam1, CartanPoint.from_a1_theta(theta))
+    val = weyl_char_compact(a1, lam1, a1_point(theta))
     # oracle: trace of the defining representation at exp(Y)
     x = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
     assert abs(val - np.trace(x)) < 1e-12
     assert abs(val - 2.0 * np.cos(theta)) < 1e-13
-    assert abs(weyl_char_compact(a1, weight(a1, (0,)), CartanPoint.from_a1_theta(0.3)) - 1.0) < 1e-14
+    assert abs(weyl_char_compact(a1, weight(a1, (0,)), a1_point(0.3)) - 1.0) < 1e-14
     with pytest.raises(WallSingularityError):
-        weyl_char_compact(a1, lam1, CartanPoint(np.zeros(1)))
+        weyl_char_compact(a1, lam1, np.zeros(1))
 
 
 def test_weyl_char_compact_a2_eigenvalue_oracle(a2):
@@ -109,15 +127,15 @@ def test_weyl_char_compact_a2_eigenvalue_oracle(a2):
 def test_weyl_char_holo_closed_form(a1):
     theta = 0.5
     for n in range(5):
-        val = weyl_char_holo(a1, weight(a1, (n,)), CartanPoint.from_a1_theta(theta))
+        val = weyl_char_holo(a1, weight(a1, (n,)), a1_point(theta))
         expected = np.sinh((n + 1) * theta) / np.sinh(theta)
         assert abs(val - expected) < 1e-12 * expected
-    assert weyl_char_holo(a1, weight(a1, (0,)), CartanPoint.from_a1_theta(2.0)) == 1.0
+    assert weyl_char_holo(a1, weight(a1, (0,)), a1_point(2.0)) == 1.0
 
 
 def test_weyl_char_holo_limits_and_bounds(a1, a2):
     for rs in (a1, a2):
-        origin = CartanPoint(np.zeros(rs.rank))
+        origin = np.zeros(rs.rank)
         rng = np.random.default_rng(6)
         for lam in enumerate_dominant(rs, 3):
             d = dimension(rs, lam)
@@ -206,7 +224,7 @@ def test_orbital_average_closed_form_vs_mc(su2, a1):
     # mu = 2(lam+rho) at n = 1, theta = 0.5: |mu||Y| = 2, average sinh(2)/2
     lam = weight(a1, (1,))
     mu = 2.0 * (lam.coords + a1.rho)
-    Y = CartanPoint.from_a1_theta(0.5)
+    Y = a1_point(0.5)
     closed = orbital_average(su2, mu, Y, ClosedFormA1())
     assert abs(closed.value - np.sinh(2.0) / 2.0) < 1e-14
     mc = orbital_average(su2, mu, Y, MonteCarlo(1_000_000, 7))
@@ -309,29 +327,30 @@ def test_orbital_average_a2_seed_consistency(su3, a2):
 
 def test_kirillov_closed_form_a1(su2, a1):
     for theta in (0.2, 0.55, 1.1):
-        Y = CartanPoint.from_a1_theta(theta)
-        assert kirillov_residual(su2, weight(a1, (0,)), Y, ClosedFormA1()).value < 1e-12
+        Y = a1_point(theta)
+        lhs, rhs = kirillov_sides(su2, weight(a1, (0,)), Y, ClosedFormA1())
+        assert abs(lhs - rhs.value) < 1e-12
     rng = np.random.default_rng(9)
     lams = enumerate_dominant(a1, 6)
     for k in range(100):
         lam = lams[k % len(lams)]
-        Y = CartanPoint(rng.normal(0.0, 0.7, size=1))
+        Y = rng.normal(0.0, 0.7, size=1)
         d = dimension(a1, lam)
         for half in (False, True):
-            est = kirillov_residual(su2, lam, Y, ClosedFormA1(), half_angle=half)
+            lhs, rhs = kirillov_sides(su2, lam, Y, ClosedFormA1(), half_angle=half)
             mu = (1.0 if half else 2.0) * (lam.coords + a1.rho)
             scale = d * orbital_average(su2, mu, Y, ClosedFormA1()).value
             # residual tolerance scales with the identity's magnitude
             # (values reach e^20, where absolute 1e-12 is below one ulp)
-            assert est.value < 1e-12 * max(1.0, scale)
+            assert abs(lhs - rhs.value) < 1e-12 * max(1.0, scale)
 
 
 def test_kirillov_closed_form_values(su2, a1):
     # both sides reduce to sinh(2(n+1)theta)/(2 theta)
     n, theta = 2, 0.4
     lam = weight(a1, (n,))
-    Y = CartanPoint.from_a1_theta(theta)
-    lhs = float(eta(a1, Y)) * float(weyl_char_holo(a1, lam, 2.0 * Y.coords))
+    Y = a1_point(theta)
+    lhs = float(eta(a1, Y)) * float(weyl_char_holo(a1, lam, 2.0 * Y))
     assert abs(lhs - np.sinh(2 * (n + 1) * theta) / (2 * theta)) < 1e-12
 
 
@@ -339,11 +358,10 @@ def test_kirillov_monte_carlo_a2(su3, a2):
     rng = np.random.default_rng(10)
     for i, dn in enumerate([(1, 0), (2, 2)]):
         lam = weight(a2, dn)
-        Y = CartanPoint(rng.normal(0.0, 0.5, size=2))
-        est = kirillov_residual(su3, lam, Y, MonteCarlo(100_000, 20 + i))
-        assert est.value <= 3 * est.stderr
-        est = kirillov_residual(su3, lam, Y, MonteCarlo(100_000, 40 + i), half_angle=True)
-        assert est.value <= 3 * est.stderr
+        Y = rng.normal(0.0, 0.5, size=2)
+        for seed, half in ((20 + i, False), (40 + i, True)):
+            lhs, rhs = kirillov_sides(su3, lam, Y, MonteCarlo(100_000, seed), half_angle=half)
+            assert abs(lhs - rhs.value) <= 3 * rhs.stderr
 
 
 def test_scheme_mismatch(su2, su3):
@@ -351,3 +369,8 @@ def test_scheme_mismatch(su2, su3):
         orbital_average(su3, np.array([1.0, 0.0]), np.array([0.5, 0.0]), ClosedFormA1())
     with pytest.raises(ValueError, match="requires the SU3 model"):
         orbital_average(su2, np.array([1.0]), np.array([0.5]), HurwitzSU3(8))
+    # an unknown scheme object is refused before any averaging
+    with pytest.raises(ValueError, match="unknown orbital-average scheme"):
+        orbital_average(su2, np.array([1.0]), np.array([0.5]), object())
+    with pytest.raises(ValueError, match="unknown Cartesian integration scheme"):
+        cartesian_oracle_integrate(su2, lambda c: np.ones(len(c)), 1.0, object())

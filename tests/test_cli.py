@@ -216,3 +216,21 @@ def test_doubling_note_at_zero_and_for_arrays():
     assert _doubling_note(np.array([1j, 4.0]), np.array([1j, 3.0]), 6) == (
         "order 6 vs 3: rel delta 2.5e-01")
     assert _doubling_note(1e-16, 2e-16, 6, residual=True) == "order 6 vs 3: abs delta 1.0e-16"
+
+
+def test_heat_unavailable_where_its_kernel_needs_too_many_terms(tmp_path, capsys):
+    # at t = 1e-6 the truncated heat kernel would need over 10^4 terms
+    assert run(["verify", "--suite", "heat", "--group", "A1", "--t", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: heat kernel unavailable at t=1e-06")
+    assert "Traceback" not in err
+    out = tmp_path / "report.json"
+    code = run(["verify", "--suite", "all", "--group", "A1", "--t", "1e-6", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code in (0, 1)
+    rows = {c["check_id"]: c for c in report["checks"]}
+    assert rows["heat/unavailable"]["kind"] == "skip"
+    assert "over 10000 terms" in rows["heat/unavailable"]["note"]
+    assert not any(cid.startswith("heat/") and cid != "heat/unavailable" for cid in rows)
+    # the suites after heat still run
+    assert any(cid.startswith("unitarity/") for cid in rows)

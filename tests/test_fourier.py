@@ -56,11 +56,11 @@ def test_synthesize_constants(su2):
 def test_synthesize_holomorphic_polar_point(a1, su2):
     # the same coefficients represent the extension: at (e, Y) the character
     # series synthesizes to the continued character
-    from liecheck.chars import CartanPoint, weyl_char_holo
+    from liecheck.chars import weyl_char_holo
     from liecheck.rootdata import weight as mk_weight
 
     theta = 0.35
-    Y = CartanPoint.from_a1_theta(theta)
+    Y = np.array([np.sqrt(2.0) * theta])  # <alpha, Y> = 2 theta
     for n in (1, 3):
         chi = character_series("A1", (n,), "HL2", 1.0)
         val = synthesize(chi, su2, np.eye(2), Y)

@@ -3,7 +3,6 @@ import pytest
 
 from liecheck.fourier import FourierSeries, character_series, plancherel_norm
 from liecheck.hilbert import (
-    IntegralRoute,
     bks_bracket,
     bks_integral_transform,
     c_constant,
@@ -13,7 +12,7 @@ from liecheck.hilbert import (
     transform_apply,
     verify_norm_identity,
 )
-from liecheck.models import haar_sample, su2_character
+from liecheck.models import HaarSU2, MonteCarlo, haar_sample, su2_character
 from liecheck.quadrature import build_chamber_quadrature, integrate_invariant
 from liecheck.rootdata import build_root_system, dimension, enumerate_dominant, weight
 from test_chars import _weyl_char_holo_two_exp
@@ -154,7 +153,7 @@ def test_transform_identities(a1):
 
 def test_transform_htilde(a1):
     s = character_series("A1", (1,), "HL2", 1.0)
-    out = transform_apply(s, "Htilde", naive_order=64)
+    out = transform_apply(s, "Htilde")
     expected = np.sqrt(naive_constant(a1, weight(a1, (1,)), 1.0, 64).value)
     assert abs(out.terms[(1,)][0, 0] * 2.0 - expected) < 1e-12 * expected
 
@@ -197,15 +196,20 @@ def test_bks_spectral_vs_integral(su2):
             phi = character_series("A1", (n,), "HL2", t)
             f = character_series("A1", (n,), "L2K", t)
             spec = bks_bracket(phi, f, "spectral")
-            integ = bks_bracket(phi, f, IntegralRoute(2000, 5 + n))
+            integ = bks_bracket(phi, f, MonteCarlo(2000, 5 + n))
             tol = 3 * integ.stderr + 1e-10 * abs(spec.value)
             assert abs(integ.value - spec.value) <= tol
+            # the integrand has degree 2n in x, so the Haar rule of that
+            # degree leaves only the 20-point Hermite grid's error
+            rule = bks_bracket(phi, f, HaarSU2(2 * n))
+            assert rule.stderr == 0.0
+            assert abs(rule.value - spec.value) <= 1e-9 * abs(spec.value)
 
 
 def test_bks_integral_orthogonality(su2):
     phi = character_series("A1", (0,), "HL2", 1.0)
     f = character_series("A1", (1,), "L2K", 1.0)
-    integ = bks_bracket(phi, f, IntegralRoute(3000, 11))
+    integ = bks_bracket(phi, f, MonteCarlo(3000, 11))
     assert abs(integ.value) <= 3 * integ.stderr
 
 
@@ -230,3 +234,5 @@ def test_bks_route_errors(su2):
         bks_bracket(f, phi, "spectral")
     with pytest.raises(ValueError):
         bks_bracket(phi, f, "quadrature")
+    with pytest.raises(ValueError, match="unknown Haar scheme"):
+        bks_bracket(phi, f, object())

@@ -15,6 +15,7 @@ from liecheck.models import (
     su2_character,
 )
 from liecheck.rootdata import weight
+from test_chars import a1_point, weyl_char_compact
 
 
 def generator_exp(m, coords):
@@ -95,7 +96,7 @@ def test_rep_trace_matches_compact_character(a1, su2):
     theta = 0.37
     tr = np.trace(rep_matrices(irrep_matrices(2), su2_diag(theta)))
     assert abs(tr - np.sin(3 * theta) / np.sin(theta)) < 1e-12
-    assert abs(tr - chars.weyl_char_compact(a1, weight(a1, (2,)), chars.CartanPoint.from_a1_theta(theta))) < 1e-12
+    assert abs(tr - weyl_char_compact(a1, weight(a1, (2,)), a1_point(theta))) < 1e-12
 
 
 def test_unitarity_and_multiplicativity(su2):
@@ -164,7 +165,7 @@ def test_rep_matrix_holo(su2, a1):
     x = haar_sample(su2, rng)
     assert np.abs(rep_matrices(m, x @ exp_i(np.zeros(1))) - rep_matrices(m, x)).max() < 1e-13
     theta = 0.4
-    Y = chars.CartanPoint.from_a1_theta(theta)
+    Y = a1_point(theta)
     hol = rep_matrices(m, exp_i(Y))
     hs2 = np.sum(np.abs(hol) ** 2)
     assert abs(hs2 - np.sinh(4 * theta) / np.sinh(2 * theta)) < 1e-12
@@ -179,10 +180,10 @@ def test_hermitian_continuation_hs_norm(a1, su2):
     for n in range(7):
         m = irrep_matrices(n)
         theta = rng.uniform(0.1, 0.9)
-        Y = chars.CartanPoint.from_a1_theta(theta)
+        Y = a1_point(theta)
         hol = rep_matrices(m, exp_i(Y))
         hs2 = float(np.sum(np.abs(hol) ** 2))
-        expected = chars.weyl_char_holo(a1, weight(a1, (n,)), 2.0 * Y.coords)
+        expected = chars.weyl_char_holo(a1, weight(a1, (n,)), 2.0 * Y)
         assert abs(hs2 - expected) < 1e-10 * max(1.0, expected)
 
 
@@ -190,7 +191,7 @@ def test_restriction_principle_traces(a1, su2):
     rng = np.random.default_rng(13)
     for n in range(7):
         theta = rng.uniform(0.05, 1.0)
-        Y = chars.CartanPoint.from_a1_theta(theta)
+        Y = a1_point(theta)
         tr = np.trace(rep_matrices(irrep_matrices(n), exp_i(Y))).real
         assert abs(tr - chars.weyl_char_holo(a1, weight(a1, (n,)), Y)) < 1e-11 * max(1.0, tr)
 

@@ -96,7 +96,7 @@ def test_dimension_examples(a1, a2):
 def test_dimension_matches_character_limit(a1, a2):
     # extrapolated value of the continued character at Y = 0
     for rs in (a1, a2):
-        origin = chars.CartanPoint(np.zeros(rs.rank))
+        origin = np.zeros(rs.rank)
         for lam in enumerate_dominant(rs, 4):
             d = dimension(rs, lam)
             val = chars.weyl_char_holo(rs, lam, origin)
