@@ -7,7 +7,7 @@ together, the pairing transforms, and the heat multiplier, with every
 identity backed by an independent oracle.
 """
 
-from .chars import ClosedFormA1, HurwitzSU3, WallSingularityError
+from .chars import ClosedFormA1, HurwitzSU3
 from .fourier import FourierSeries
 from .hilbert import ConstantsRow
 from .models import Estimate, GroupModel, HaarSU2, IrrepMatrices, MonteCarlo, build_group_model
@@ -29,7 +29,6 @@ __all__ = [
     "IrrepMatrices",
     "MonteCarlo",
     "RootSystem",
-    "WallSingularityError",
     "Weight",
     "__version__",
     "build_group_model",

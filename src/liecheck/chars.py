@@ -35,7 +35,6 @@ from .rootdata import RootSystem, Weight, build_root_system, dimension
 __all__ = [
     "ClosedFormA1",
     "HurwitzSU3",
-    "WallSingularityError",
     "eta",
     "eta_det_oracle",
     "j_half_identity_residual",
@@ -43,10 +42,6 @@ __all__ = [
     "orbital_average",
     "weyl_char_holo",
 ]
-
-
-class WallSingularityError(ArithmeticError):
-    """The Weyl denominator vanished; evaluate off the wall instead."""
 
 
 @dataclass(frozen=True)
@@ -267,14 +262,21 @@ def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
     if isinstance(scheme, HurwitzSU3):
         if model.kind != "SU3":
             raise ValueError("HurwitzSU3 scheme requires the SU3 model")
-        moduli, weights = _hurwitz_su3_moduli(scheme.order)
-        pair = moduli @ np.outer(m, b).reshape(-1)
+        points, weights = _hurwitz_su3_moduli(scheme.order)
+        mb = np.outer(m, b).reshape(-1)
+
+        def pair(moduli):
+            return moduli @ mb
+
     elif isinstance(scheme, MonteCarlo):
-        ys, weights = haar_nodes(model, scheme)
-        pair = ((ys.real**2 + ys.imag**2) @ b) @ m
+        points, weights = haar_nodes(model, scheme)
+
+        def pair(ys):
+            return ((ys.real**2 + ys.imag**2) @ b) @ m
+
     else:
         raise ValueError(f"unknown orbital-average scheme: {scheme!r}")
-    mean, sem = haar_mean(np.exp(-pair), weights)
+    mean, sem = haar_mean(lambda p: np.exp(-pair(p)), points, weights)
     return Estimate(float(mean), float(sem))
 
 

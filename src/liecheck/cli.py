@@ -511,9 +511,11 @@ def _suite_convolution(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> lis
     direct = fourier.synthesize_many(ab, model, qs)
 
     def integral(nodes, weights, q):
-        a_vals = fourier.synthesize_many(a, model, nodes)
-        b_vals = fourier.synthesize_many(b, model, np.conj(np.swapaxes(nodes, 1, 2)) @ q)
-        return haar_mean(a_vals * b_vals, weights)
+        def integrand(x):
+            return (fourier.synthesize_many(a, model, x)
+                    * fourier.synthesize_many(b, model, np.conj(np.swapaxes(x, 1, 2)) @ q))
+
+        return haar_mean(integrand, nodes, weights)
 
     degree = _top_band(a) + _top_band(b)
     exact, doubled = (
@@ -557,16 +559,15 @@ def _suite_plancherel(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) 
         return rows
     cid = "plancherel/l2k-chi-norm"
     xs, _ = haar_nodes(model, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
-    mean, sem = haar_mean(np.abs(su2_character(1, xs)) ** 2, None)
+    mean, sem = haar_mean(lambda x: np.abs(su2_character(1, x)) ** 2, xs, None)
     rows.append(_stat_row(cid, float(mean), 1.0, float(sem), "||chi||^2 = 1 by orthogonality"))
     cid = "plancherel/l2k-bandlimited"
     series = _random_series("A1", "L2K", cfg.t, [(0,), (1,), (2,)], _rng_for(cfg, cid))
     degree = 2 * _top_band(series)
 
     def norm2(d):
-        xs, weights = haar_nodes(model, HaarSU2(d))
-        return float(haar_mean(np.abs(fourier.synthesize_many(series, model, xs)) ** 2,
-                               weights)[0])
+        return float(haar_mean(lambda x: np.abs(fourier.synthesize_many(series, model, x)) ** 2,
+                               *haar_nodes(model, HaarSU2(d)))[0])
 
     exact, doubled = norm2(degree), norm2(2 * degree)
     rows.append(_det_row(cid, exact, fourier.plancherel_norm(series), max(cfg.tolerance, 1e-12),
@@ -644,13 +645,12 @@ def _suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[Check
     rows.append(_det_row("heat/commutes-with-dictionary", dev, 0.0, 1e-13))
     cid = "heat/kernel-normalization"
     xs, _ = haar_nodes(model, MonteCarlo(cfg.mc_samples // 2, _seed_for(cfg, cid)))
-    p_vals, _ = heat.heat_kernel_eval(model, t, xs)
-    mean, sem = haar_mean(p_vals, None)
+    mean, sem = haar_mean(lambda x: heat.heat_kernel_eval(model, t, x)[0], xs, None)
     rows.append(_stat_row(cid, float(mean), 1.0, float(sem),
                           "Haar integral of the kernel is 1"))
-    xinv = np.conj(np.swapaxes(xs[:100], 1, 2))
-    p_inv, _ = heat.heat_kernel_eval(model, t, xinv)
-    rows.append(_det_row("heat/kernel-symmetry", float(np.abs(p_vals[:100] - p_inv).max()),
+    p_vals, _ = heat.heat_kernel_eval(model, t, xs[:100])
+    p_inv, _ = heat.heat_kernel_eval(model, t, np.conj(np.swapaxes(xs[:100], 1, 2)))
+    rows.append(_det_row("heat/kernel-symmetry", float(np.abs(p_vals - p_inv).max()),
                          0.0, max(cfg.tolerance, 1e-10)))
     v1, _ = heat.heat_kernel_eval(model, t, np.eye(2), cutoff=1e-12)
     v2, _ = heat.heat_kernel_eval(model, t, np.eye(2), cutoff=_HEAT_FINE_CUTOFF)

@@ -78,21 +78,24 @@ def character_series(rs_kind: str, dynkin, space: str, t: float) -> FourierSerie
 def fourier_coeff(model: GroupModel, f, dynkin, scheme):
     """Fourier coefficient: the Haar mean of f(x) T_lam(x^{-1}).
 
-    f receives a batch (N, 2, 2) of SU(2) elements and returns (N,) complex
-    values.  scheme is MonteCarlo or the HaarSU2 rule, which is exact when
-    its degree is at least f's degree plus lam's Dynkin label.  Returns the
-    coefficient matrix together with an entrywise standard-error matrix
-    (zero for the rule).
+    f receives a batch (n, 2, 2) of SU(2) elements, a block of the
+    scheme's points at a time, and returns (n,) complex values, each
+    depending on its own element alone.  scheme is MonteCarlo or the
+    HaarSU2 rule, which is exact when its degree is at least f's degree
+    plus lam's Dynkin label.  Returns the coefficient matrix together with
+    an entrywise standard-error matrix (zero for the rule).
     """
     if model.kind != "SU2":
         raise ValueError("fourier_coeff needs irreducible matrices (SU2 only)")
     rs = build_root_system(model.rs_kind)
-    lam = weight(rs, dynkin)
-    xs, weights = haar_nodes(model, scheme)
-    reps = rep_matrices(irrep_matrices(lam.dynkin[0]), xs)
-    inv = np.conj(np.swapaxes(reps, -1, -2))  # T(x^{-1}) = T(x)^dagger
-    vals = np.asarray(f(xs), dtype=complex)
-    return haar_mean(vals[:, None, None] * inv, weights)
+    irrep = irrep_matrices(weight(rs, dynkin).dynkin[0])
+
+    def integrand(xs):
+        # T(x^{-1}) = T(x)^dagger
+        inv = np.conj(np.swapaxes(rep_matrices(irrep, xs), -1, -2))
+        return np.asarray(f(xs), dtype=complex)[:, None, None] * inv
+
+    return haar_mean(integrand, *haar_nodes(model, scheme))
 
 
 def synthesize_many(series: FourierSeries, model: GroupModel, xs, Y=None) -> np.ndarray:

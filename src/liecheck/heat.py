@@ -10,6 +10,8 @@ by convolution with the heat kernel p_t = sum d_lam e^{-t epsilon/2} chi_lam.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .fourier import FourierSeries, synthesize, synthesize_many
@@ -61,13 +63,15 @@ def heat_multiplier_apply(
     return FourierSeries(series.rs_kind, series.space, series.t, terms)
 
 
+@lru_cache(maxsize=None)
 def _truncation(t: float, cutoff: float) -> tuple[np.ndarray, float]:
     """Multipliers e^{-t epsilon_n/2} of the kept heat-kernel terms, and the
     first omitted bound.
 
     Term n is kept while every earlier bound (m+1)^2 e^{-t epsilon_m/2},
     m <= n, is at least cutoff.  Raises when more than 10^4 terms would be
-    kept.
+    kept.  Built once per (t, cutoff), not once per block of kernel points;
+    the multipliers are shared by every caller, so they are read-only.
     """
     rs = build_root_system("A1")
     ns = np.arange(_TERM_CAP + 1)
@@ -78,7 +82,9 @@ def _truncation(t: float, cutoff: float) -> tuple[np.ndarray, float]:
     if not below.any():
         raise ValueError(f"t too small for cutoff: over {_TERM_CAP} terms needed")
     n_terms = int(np.argmax(below))
-    return decay[:n_terms], float(bounds[n_terms])
+    kept = decay[:n_terms]
+    kept.flags.writeable = False
+    return kept, float(bounds[n_terms])
 
 
 def heat_kernel_eval(model: GroupModel, t: float, x, cutoff: float = 1e-12):
@@ -129,8 +135,8 @@ def heat_convolution_residual(
     xinv = np.conj(np.swapaxes(xs, -1, -2))
     worst = Estimate(-1.0, 0.0)
     for y in ys:
-        p_vals, _ = heat_kernel_eval(model, t, y @ xinv)
-        mean, sem = haar_mean(p_vals * f_vals, weights)
+        mean, sem = haar_mean(lambda xi, fv, y=y: heat_kernel_eval(model, t, y @ xi)[0] * fv,
+                              (xinv, f_vals), weights)
         resid = abs(complex(mean) - synthesize(flowed, model, y))
         if resid > worst.value:
             worst = Estimate(resid, float(sem))

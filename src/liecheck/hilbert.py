@@ -306,7 +306,10 @@ def bks_bracket(phi, f_series, route) -> Estimate:
     if phi.rs_kind != "A1":
         raise ValueError("the integral route needs irreducible matrices (SU2 only)")
     model = build_group_model("SU2")
-    xs, weights = haar_nodes(model, route)
-    f_vals = synthesize_many(f_series, model, xs)
-    mean, sem = haar_mean(np.conj(bks_integral_transform(phi, model, xs)) * f_vals, weights)
+
+    def integrand(xs):
+        return (np.conj(bks_integral_transform(phi, model, xs))
+                * synthesize_many(f_series, model, xs))
+
+    mean, sem = haar_mean(integrand, *haar_nodes(model, route))
     return Estimate(complex(mean), float(sem))

@@ -4,13 +4,13 @@ The orthonormal algebra bases realize <X, Y> = -trace(XY) in the defining
 representation.  Haar samples of both groups orthonormalise Ginibre
 matrices by Gram-Schmidt twice, equal to QR with positive diag(R); on
 SU(2) a product rule (HaarSU2) integrates polynomials in the matrix
-entries exactly up to a stated degree, and haar_mean averages over either
-scheme's points.  SU(3) is modelled at the level of its defining
-representation (adjoint action, Haar sampling); SU(2) additionally carries
-its irreducible representations as exact symmetric powers of the defining
-one, with the closed-form exp(iY) for the holomorphic extension.  These
-serve as brute-force oracles for characters, Fourier coefficients, and the
-integral transforms.
+entries exactly up to a stated degree, and haar_mean averages a pointwise
+integrand over either scheme's points, block by block.  SU(3) is modelled
+at the level of its defining representation (adjoint action, Haar
+sampling); SU(2) additionally carries its irreducible representations as
+exact symmetric powers of the defining one, with the closed-form exp(iY)
+for the holomorphic extension.  These serve as brute-force oracles for
+characters, Fourier coefficients, and the integral transforms.
 """
 
 from __future__ import annotations
@@ -328,22 +328,60 @@ def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray, np.ndarray | None
     raise ValueError(f"unknown Haar scheme: {scheme!r}")
 
 
-def haar_mean(vals, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Average of per-point values along axis 0, with its standard error.
+# Points per block of _evaluate_blocks.  The temporaries of the widest
+# integrands, the (n, |W|) exponential tables of the A2 characters, then
+# stay inside a 2 MB L2 cache; in a sweep of 4096 to 32768 points on a
+# 2-vCPU x86_64 host, 8192 and 16384 were fastest and 32768 spilled
+# (CHANGES.md).
+_BLOCK = 16_384
+
+
+def _evaluate_blocks(f, points) -> np.ndarray:
+    """f at every point, evaluated _BLOCK points at a time into one array.
+
+    points is an array, or a tuple of arrays sliced in step along axis 0;
+    f receives one block of each and must be pointwise: value k of its
+    result depends on point k alone, so the blocks give f(points) bit for
+    bit.  At most _BLOCK + 1 points: f(points) itself.
+    """
+    arrays = points if isinstance(points, tuple) else (points,)
+    n = len(arrays[0])
+    if n <= _BLOCK + 1:
+        return np.asarray(f(*arrays))
+    # a lone last point joins the block before it: numpy multiplies a
+    # one-row matrix by another BLAS routine, whose last digits differ
+    edges = [*range(0, n - 1, _BLOCK), n]
+    vals = None
+    for lo, hi in zip(edges, edges[1:]):
+        block = np.asarray(f(*(a[lo:hi] for a in arrays)))
+        if vals is None:
+            vals = np.empty((n,) + block.shape[1:], block.dtype)
+        vals[lo:hi] = block
+    return vals
+
+
+def haar_mean(f, points, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Average of a pointwise integrand over a scheme's points, with its standard error.
 
     The one place where any integration scheme's points become a mean and
     a standard error: the Haar schemes of haar_nodes, the HurwitzSU3 rule
-    of chars.orbital_average, and the Cartesian schemes of
-    quadrature.cartesian_oracle_integrate.  weights None (Monte Carlo): the
-    plain mean, and the standard error sqrt(var Re + var Im) / sqrt(N)
-    with ddof 1.  Otherwise the weighted sum of a deterministic rule, with
+    of chars.orbital_average, the Cartesian schemes of
+    quadrature.cartesian_oracle_integrate and the chamber rules of
+    quadrature.integrate_invariant.  f is evaluated block by block (see
+    _evaluate_blocks), so points is an array or a tuple of arrays and the
+    values may carry trailing axes.  weights None (Monte Carlo): the plain
+    mean, and the standard error sqrt(var Re + var Im) / sqrt(N) with
+    ddof 1.  Otherwise the weighted sum of a deterministic rule, with
     standard error 0.
     """
-    vals = np.asarray(vals)
+    vals = _evaluate_blocks(f, points)
     if weights is None:
         sem = np.sqrt(vals.real.var(axis=0, ddof=1) + vals.imag.var(axis=0, ddof=1))
         return vals.mean(axis=0), sem / np.sqrt(len(vals))
-    return np.tensordot(weights, vals, axes=1), np.zeros(vals.shape[1:])
+    # numpy's own sum, in one fixed order: a BLAS dot splits the point
+    # axis across its threads, and the last digits would follow their count
+    w = np.reshape(weights, (-1,) + (1,) * (vals.ndim - 1))
+    return (w * vals).sum(axis=0), np.zeros(vals.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)

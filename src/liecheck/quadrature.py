@@ -136,7 +136,8 @@ def _gaussian_chamber_mass(
     )
     # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
     # without numpy's slow reduction over a length-1 or -2 axis
-    return float(raw @ np.exp(-np.einsum("...i,...i->...", nodes, nodes)))
+    mass, _ = haar_mean(lambda Y: np.exp(-np.einsum("...i,...i->...", Y, Y)), nodes, raw)
+    return float(mass)
 
 
 def flag_volume_from_gaussian(
@@ -192,16 +193,21 @@ def build_chamber_quadrature(
 def integrate_invariant(q: ChamberQuadrature, f) -> float:
     """Integrate an Ad-invariant function over the algebra.
 
-    f receives the node array of shape (N, rank) and must return (N,)
-    values; the caller is responsible for Ad-invariance of the integrand it
-    represents.
+    f receives nodes of shape (n, rank), a block of the rule's nodes at a
+    time through models.haar_mean, and must return (n,) values, each
+    depending on its own node alone; the caller is responsible for
+    Ad-invariance of the integrand it represents.
     """
-    vals = np.asarray(f(q.nodes), dtype=float)
-    if vals.shape != (len(q.nodes),):
-        raise ValueError("integrand must return one value per node")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand produced non-finite values at quadrature nodes")
-    return float(q.weights @ vals)
+
+    def checked(Y):
+        vals = np.asarray(f(Y), dtype=float)
+        if vals.shape != (len(Y),):
+            raise ValueError("integrand must return one value per node")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("integrand produced non-finite values at quadrature nodes")
+        return vals
+
+    return float(haar_mean(checked, q.nodes, q.weights)[0])
 
 
 def gaussian_linear_moment(rs: RootSystem, mu, t: float) -> float:
@@ -219,14 +225,15 @@ def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme) -> Estima
     """Brute-force integral of f(Y) e^{-|Y|^2/t} over the full algebra.
 
     No chamber reduction is used.  f receives orthonormal ad-basis
-    coordinates of shape (N, dim_k) and returns the non-Gaussian factor as
-    (N,) values.
+    coordinates of shape (n, dim_k), a block of the points at a time, and
+    returns the non-Gaussian factor at each as (n,) values.
 
     MonteCarlo: importance sampling with Y ~ Normal(0, t/2 per coordinate),
     so the estimator is (t*pi)^(m/2) * mean f with a reported standard
-    error.  GaussHermite: the tensor rule for e^{-|x|^2} on R^3 at
-    Y = sqrt(t) x, so t^(3/2) * sum w f(sqrt(t) x); su(2) only.  Both
-    average through models.haar_mean, weights None for Monte Carlo.
+    error; the draw is one rng.normal call, only f runs block by block.
+    GaussHermite: the tensor rule for e^{-|x|^2} on R^3 at Y = sqrt(t) x,
+    so t^(3/2) * sum w f(sqrt(t) x); su(2) only.  Both average through
+    models.haar_mean, weights None for Monte Carlo.
     """
     m = model.dim_k
     if isinstance(scheme, MonteCarlo):
@@ -240,7 +247,7 @@ def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme) -> Estima
         c, norm = np.sqrt(t) * nodes, t ** (m / 2.0)
     else:
         raise ValueError(f"unknown Cartesian integration scheme: {scheme!r}")
-    mean, sem = haar_mean(np.asarray(f(c), dtype=float), weights)
+    mean, sem = haar_mean(lambda block: np.asarray(f(block), dtype=float), c, weights)
     return Estimate(norm * float(mean), norm * float(sem))
 
 

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import liecheck
 from liecheck.cli import (
     RunConfig,
     _doubling_note,
@@ -234,3 +239,20 @@ def test_heat_unavailable_where_its_kernel_needs_too_many_terms(tmp_path, capsys
     assert not any(cid.startswith("heat/") and cid != "heat/unavailable" for cid in rows)
     # the suites after heat still run
     assert any(cid.startswith("unitarity/") for cid in rows)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # every weighted sum over a rule's points is numpy's own, in one order;
+    # a BLAS dot would split the point axis across its threads
+    src = str(Path(liecheck.__file__).resolve().parents[1])
+    runs = (["verify", "--suite", "lemma33", "--group", "A2"],
+            ["constants", "--group", "T2", "--format", "csv"])
+    for args in runs:
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-m", "liecheck.cli", *args], env=env,
+                                  capture_output=True, check=True, timeout=300)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], args

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liecheck import chars
+from liecheck import chars, models
 from liecheck.models import (
     HaarSU2,
     _orthonormal_columns,
@@ -14,7 +14,7 @@ from liecheck.models import (
     rep_matrices,
     su2_character,
 )
-from liecheck.rootdata import weight
+from liecheck.rootdata import build_root_system, weight
 from test_chars import a1_point, weyl_char_compact
 
 
@@ -326,3 +326,52 @@ def test_model_errors():
         exp_i(np.zeros(2))
     with pytest.raises(ValueError):
         irrep_matrices(-1)
+
+
+def _counted(f, calls):
+    """f, recording the length of every block it is called on."""
+
+    def wrapped(*blocks):
+        calls.append(len(blocks[0]))
+        return f(*blocks)
+
+    return wrapped
+
+
+def test_block_evaluation_equals_whole_array_bit_for_bit(su2, su3):
+    # real values from the A2 characters and eta (matrix products over the
+    # point axis), complex values from the SU(2) irreps, (n, d, d) values
+    # from the irrep matrices themselves, and a pair of arrays sliced in step
+    a2 = build_root_system("A2")
+    lam = weight(a2, (2, 1))
+    rep3 = irrep_matrices(3)
+
+    def real(c):
+        rep = chamber_coordinates(su3, c)
+        return chars.eta(a2, rep) * chars.weyl_char_holo(a2, lam, 2.0 * rep)
+
+    def complex_(xs):
+        return np.einsum("nii->n", rep_matrices(rep3, xs @ exp_i(np.array([0.3, -0.2, 0.5]))))
+
+    def matrices(xs):
+        return rep_matrices(rep3, xs)
+
+    def pair(xs, c):
+        return su2_character(2, xs) * np.exp(-c[:, 0] ** 2)
+
+    B = models._BLOCK
+    rng = np.random.default_rng(909)
+    for n in (1, B - 1, B, B + 1, B + 2, 2 * B + 1, 3 * B + 7):
+        c = rng.normal(0.0, 0.8, size=(n, 8))
+        xs = haar_sample(su2, rng, n)
+        for f, points in ((real, c), (complex_, xs), (matrices, xs), (pair, (xs, c))):
+            whole = f(*points) if isinstance(points, tuple) else f(points)
+            calls = []
+            blocked = models._evaluate_blocks(_counted(f, calls), points)
+            assert blocked.dtype == whole.dtype and blocked.shape == whole.shape
+            assert np.array_equal(blocked, whole), (f.__name__, n)
+            # blocks of B points; a lone last point joins the block before it
+            sizes = [min(B, n - lo) for lo in range(0, n, B)]
+            if len(sizes) > 1 and sizes[-1] == 1:
+                sizes[-2:] = [B + 1]
+            assert calls == sizes, (f.__name__, n)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from liecheck import chars
+from liecheck import chars, models
 from liecheck.models import MonteCarlo, build_group_model, chamber_coordinates
 from liecheck.quadrature import (
     GaussHermite,
@@ -14,6 +16,7 @@ from liecheck.quadrature import (
     integrate_invariant,
 )
 from liecheck.rootdata import build_root_system, dimension, weight
+from test_models import _counted
 
 
 def gauss(t):
@@ -216,3 +219,77 @@ def test_cached_leggauss_rule_is_read_only_and_repeats():
     assert np.array_equal(x2, x) and np.array_equal(w2, w)
     ref_x, ref_w = leggauss(20)
     assert np.array_equal(x2, ref_x) and np.array_equal(w2, ref_w)
+
+
+def _a2_weylint_integrand(a2, su3, tg, ts):
+    # the A2 weylint Monte-Carlo integrand: eta * char(2Y) at lam = (1, 0)
+    # over the algebra, reweighted from the sampling width ts to tg
+    lam = weight(a2, (1, 0))
+
+    def f(c):
+        rep = chamber_coordinates(su3, c)
+        tail = np.exp(-np.sum(c**2, axis=-1) * (1.0 / tg - 1.0 / ts))
+        return chars.eta(a2, rep) * chars.weyl_char_holo(a2, lam, 2.0 * rep) * tail
+
+    return f
+
+
+def test_blocked_rule_and_monte_carlo_equal_whole_array_references(a2, t2, su3):
+    B = models._BLOCK
+    # the T2 constants integrand on the order-192 rule: 384^2 = 9 B nodes
+    lam = weight(t2, (3, 2))
+    mu = 2.0 * np.linalg.norm(lam.coords + t2.rho)
+    q = build_chamber_quadrature(t2, 1.0, 192, mu)
+
+    def f(Y):
+        return chars.weyl_char_holo(t2, lam, 2.0 * Y) * np.exp(-np.einsum("...i,...i->...", Y, Y))
+
+    calls = []
+    val = integrate_invariant(q, _counted(f, calls))
+    assert val == float(np.sum(q.weights * f(q.nodes)))
+    assert calls == [B] * 9
+    # 10^5 SU(3) samples: one draw, the integrand on 6 blocks of B and 1696
+    n, seed, ts = 100_000, 77, 0.7
+    g = _a2_weylint_integrand(a2, su3, 0.35, ts)
+    calls = []
+    est = cartesian_oracle_integrate(su3, _counted(g, calls), ts, MonteCarlo(n, seed))
+    c = np.random.default_rng(seed).normal(0.0, np.sqrt(ts / 2.0), size=(n, 8))
+    vals = g(c)
+    norm = (ts * np.pi) ** (8 / 2.0)
+    assert est.value == norm * float(vals.mean())
+    assert est.stderr == norm * float(np.sqrt(vals.var(ddof=1)) / np.sqrt(n))
+    assert calls == [B] * 6 + [n - 6 * B]
+
+
+def test_non_finite_value_in_the_last_block_raises(t2):
+    q = build_chamber_quadrature(t2, 1.0, 192)
+    last = q.nodes[-1]
+    seen = []
+
+    def f(Y):
+        vals = np.where(np.all(Y == last, axis=-1), np.nan, 1.0)
+        seen.append(bool(np.isnan(vals).any()))
+        return vals
+
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate_invariant(q, f)
+    assert seen == [False] * 8 + [True]
+
+
+def test_monte_carlo_average_peak_allocation_is_bounded_by_the_block(a2, su3):
+    # Bound, from the block size: the one draw (n x 8 float64), the values
+    # and the reduction's temporaries (4 arrays of n float64), and the
+    # integrand's temporaries on one block, allowed 64 float64 per point.
+    # Evaluating the integrand on all n points at once needs its
+    # temporaries n / B times over.
+    n, B = 100_000, models._BLOCK
+    bound = 8 * (n * 8 + 4 * n + 64 * B)
+    g = _a2_weylint_integrand(a2, su3, 0.35, 0.7)
+    cartesian_oracle_integrate(su3, g, 0.7, MonteCarlo(1000, 1))  # warm the caches
+    tracemalloc.start()
+    try:
+        cartesian_oracle_integrate(su3, g, 0.7, MonteCarlo(n, 78))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
