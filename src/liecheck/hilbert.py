@@ -17,7 +17,7 @@ are computed by quadrature with an order-doubling stability estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -34,7 +34,7 @@ from .models import (
     irrep_matrices,
     rep_matrices,
 )
-from .quadrature import _tensor_rule, build_chamber_quadrature, integrate_invariant
+from .quadrature import _tensor_rule, build_chamber_quadrature, default_order, integrate_invariant
 from .rootdata import RootSystem, Weight, build_root_system, dimension, weight
 
 __all__ = [
@@ -46,6 +46,8 @@ __all__ = [
     "constants_row",
     "d_constant",
     "naive_constant",
+    "pairing_scale",
+    "ratio_defect",
     "transform_apply",
     "verify_norm_identity",
 ]
@@ -79,6 +81,22 @@ def d_constant(rs: RootSystem, lam: Weight, t: float) -> float:
     return float(
         (2.0 * t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * _norm2_shift(rs, lam) / 2.0)
     )
+
+
+def pairing_scale(rs: RootSystem, t: float) -> float:
+    """(4 t pi)^(-dim/4): it takes D to sqrt(C), so the scaled pairing
+    transform equals H and the scaled adjoint inverts H."""
+    return float((4.0 * t * np.pi) ** (-rs.dim_k / 4.0))
+
+
+def ratio_defect(rs: RootSystem, lam: Weight, t: float) -> float:
+    """Relative defect of (4 t pi)^(-dim/4) D against sqrt(C).
+
+    Relative, because the absolute scale e^{t|lam+rho|^2/2} grows past any
+    fixed absolute tolerance for large weights.
+    """
+    root_c = float(np.sqrt(c_constant(rs, lam, t)))
+    return float(abs(pairing_scale(rs, t) * d_constant(rs, lam, t) - root_c) / root_c)
 
 
 @dataclass(frozen=True)
@@ -175,24 +193,19 @@ class ConstantsRow:
     C_tilde_err: float
     ratio_check: float
 
-    CSV_COLUMNS = (
-        "group", "t", "dynkin", "d", "norm2_shift",
-        "C", "D", "C_tilde", "C_tilde_err", "ratio_check",
-    )
+
+ConstantsRow.CSV_COLUMNS = tuple(f.name for f in fields(ConstantsRow))
 
 
 def constants_row(rs: RootSystem, lam: Weight, t: float, order: int) -> ConstantsRow:
     """Assemble the constants table row for one dominant weight.
 
-    ratio_check is the relative defect of (4 t pi)^(-dim/4) D against
-    sqrt(C); relative, because the absolute scale e^{t|lam+rho|^2/2} grows
-    past any fixed absolute tolerance for large weights.
+    ratio_check is ratio_defect, the relative defect of (4 t pi)^(-dim/4) D
+    against sqrt(C).
     """
     C = c_constant(rs, lam, t)
     D = d_constant(rs, lam, t)
     naive = naive_constant(rs, lam, t, order)
-    root_c = float(np.sqrt(C))
-    ratio = float(abs((4.0 * t * np.pi) ** (-rs.dim_k / 4.0) * D - root_c) / root_c)
     return ConstantsRow(
         group=rs.kind,
         t=t,
@@ -203,7 +216,7 @@ def constants_row(rs: RootSystem, lam: Weight, t: float, order: int) -> Constant
         D=D,
         C_tilde=naive.value,
         C_tilde_err=naive.stderr,
-        ratio_check=ratio,
+        ratio_check=ratio_defect(rs, lam, t),
     )
 
 
@@ -215,9 +228,9 @@ def _transform_factor(rs: RootSystem, lam: Weight, t: float, which: str) -> floa
     if which == "ThetaStar":
         return d_constant(rs, lam, t) / c_constant(rs, lam, t)
     if which == "ScaledTheta":
-        return float((4.0 * t * np.pi) ** (-rs.dim_k / 4.0) * d_constant(rs, lam, t))
+        return pairing_scale(rs, t) * d_constant(rs, lam, t)
     if which == "Htilde":
-        return float(np.sqrt(naive_constant(rs, lam, t, 64 if rs.rank == 1 else 96).value))
+        return float(np.sqrt(naive_constant(rs, lam, t, default_order(rs.rank)).value))
     raise ValueError(f"unknown transform {which!r}; expected one of {TRANSFORM_NAMES}")
 
 
@@ -227,8 +240,8 @@ def transform_apply(series, which: str):
     H, Theta, ScaledTheta, Htilde map HL2 -> L2K; ThetaStar maps
     L2K -> HL2.  ScaledTheta coincides with H termwise; the scaled adjoint
     (4 t pi)^(-dim/4) ThetaStar inverts H.  Htilde uses the density-free
-    constants, computed by quadrature at 64 points per dimension for rank
-    1 and 96 otherwise.
+    constants, computed by quadrature at quadrature.default_order points per
+    dimension (64 for rank 1, 96 otherwise).
     """
     rs = build_root_system(series.rs_kind)
     domain = "L2K" if which == "ThetaStar" else "HL2"

@@ -29,6 +29,7 @@ __all__ = [
     "build_chamber_quadrature",
     "calibrate_flag_volume",
     "cartesian_oracle_integrate",
+    "default_order",
     "gaussian_linear_moment",
     "integrate_invariant",
 ]
@@ -64,6 +65,11 @@ class ChamberQuadrature:
     order: int
 
 
+def default_order(rank: int) -> int:
+    """Points per dimension of a chamber rule when none is given: 64 at rank 1, 96 otherwise."""
+    return 64 if rank == 1 else 96
+
+
 def truncation_radius(t: float, target_mu_norm: float) -> float:
     """Gaussian tail cut: |Y| range for integrands e^{-|Y|^2/t + |mu||Y|} poly."""
     return float(np.sqrt(t) * (target_mu_norm * np.sqrt(t) / 2.0 + 8.0))
@@ -95,7 +101,6 @@ def _tensor_rule(x: np.ndarray, w: np.ndarray, dim: int):
 
 def _chamber_nodes_raw(
     kind: str,
-    positive_roots: np.ndarray,
     fundamental_weights: np.ndarray,
     t: float,
     order: int,
@@ -127,22 +132,8 @@ def _chamber_nodes_raw(
     raise ValueError(f"unsupported kind for chamber quadrature: {kind!r}")
 
 
-def _gaussian_chamber_mass(
-    kind: str, positive_roots: np.ndarray, fundamental_weights: np.ndarray, order: int
-) -> float:
-    """Chamber integral of the density times e^{-|Y|^2}, without the flag volume."""
-    nodes, raw, _ = _chamber_nodes_raw(
-        kind, positive_roots, fundamental_weights, 1.0, order, 0.0
-    )
-    # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
-    # without numpy's slow reduction over a length-1 or -2 axis
-    mass, _ = haar_mean(lambda Y: np.exp(-np.einsum("...i,...i->...", Y, Y)), nodes, raw)
-    return float(mass)
-
-
 def flag_volume_from_gaussian(
     kind: str,
-    positive_roots: np.ndarray,
     fundamental_weights: np.ndarray,
     dim_k: int,
     order: int = 200,
@@ -154,8 +145,11 @@ def flag_volume_from_gaussian(
     """
     if kind.startswith("T"):
         return 1.0
-    q = _gaussian_chamber_mass(kind, positive_roots, fundamental_weights, order)
-    return float(np.pi ** (dim_k / 2.0) / q)
+    nodes, raw, _ = _chamber_nodes_raw(kind, fundamental_weights, 1.0, order, 0.0)
+    # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
+    # without numpy's slow reduction over a length-1 or -2 axis
+    q, _ = haar_mean(lambda Y: np.exp(-np.einsum("...i,...i->...", Y, Y)), nodes, raw)
+    return float(np.pi ** (dim_k / 2.0) / float(q))
 
 
 def build_chamber_quadrature(
@@ -179,7 +173,7 @@ def build_chamber_quadrature(
     if t <= 0:
         raise ValueError("t must be positive")
     nodes, raw, R = _chamber_nodes_raw(
-        rs.kind, rs.positive_roots, rs.fundamental_weights, t, order, target_mu_norm
+        rs.kind, rs.fundamental_weights, t, order, target_mu_norm
     )
     return ChamberQuadrature(
         rs_kind=rs.kind,
@@ -261,24 +255,25 @@ def calibrate_flag_volume(
 
     The Gaussian integral over the algebra is estimated by the Cartesian
     oracle (sampling width 2 so the estimator has honest variance) and
-    divided by the chamber integral of the density times e^{-|Y|^2}; the
-    refined value pi^(dim/2)/Q from the exact Gaussian moment is returned
-    after checking the Monte-Carlo estimate agrees within 5 sigma.
+    divided by the chamber integral Q of the density times e^{-|Y|^2}; the
+    refined value pi^(dim/2)/Q from the exact Gaussian moment, which is
+    rs.flag_volume, is returned after checking the Monte-Carlo estimate
+    agrees within 5 sigma.
     """
     if rs.is_torus:
         return 1.0
     if model is None:
         raise ValueError("calibration against the Cartesian oracle needs a model")
-    q = _gaussian_chamber_mass(rs.kind, rs.positive_roots, rs.fundamental_weights, 200)
     mc = cartesian_oracle_integrate(
         model,
         lambda c: np.exp(-np.sum(c**2, axis=-1) / 2.0),
         2.0,
         MonteCarlo(samples, seed),
     )
-    refined = float(np.pi ** (rs.dim_k / 2.0) / q)
-    v_mc = mc.value / q
-    sigma_v = mc.stderr / q
+    refined = rs.flag_volume
+    inv_q = refined / np.pi ** (rs.dim_k / 2.0)  # 1/Q
+    v_mc = mc.value * inv_q
+    sigma_v = mc.stderr * inv_q
     if abs(v_mc - refined) > 5.0 * sigma_v:
         raise ArithmeticError(
             f"flag-volume calibration mismatch beyond 5 sigma: "

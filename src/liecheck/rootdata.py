@@ -161,7 +161,7 @@ def build_root_system(kind: str) -> RootSystem:
 
     from .quadrature import flag_volume_from_gaussian  # deferred: avoids import cycle
 
-    flag = flag_volume_from_gaussian(kind, positive, fundamental, dim_k)
+    flag = flag_volume_from_gaussian(kind, fundamental, dim_k)
     return RootSystem(
         kind=kind,
         rank=rank,

@@ -10,22 +10,21 @@ import time
 import numpy as np
 
 from liecheck import chars, fourier, heat, hilbert
-from liecheck.cli import RunConfig, _invariant_test_functions
-from liecheck.models import (
-    MonteCarlo,
-    algebra_element,
-    build_group_model,
-    chamber_coordinates,
-    haar_sample,
-    su2_character,
+from liecheck.checks import (
+    cartesian_monte_carlo,
+    chamber_integral,
+    character_pairing,
+    closed_form_a1_residuals,
+    eta_det_residual,
+    invariant_test_functions,
+    inverse_composition_deviation,
+    j_half_residual,
+    random_series,
+    series_deviation,
 )
-from liecheck.quadrature import (
-    build_chamber_quadrature,
-    calibrate_flag_volume,
-    cartesian_oracle_integrate,
-    integrate_invariant,
-)
-from liecheck.rootdata import build_root_system, dimension, enumerate_dominant, weight
+from liecheck.models import MonteCarlo, build_group_model, haar_mean, haar_sample, su2_character
+from liecheck.quadrature import calibrate_flag_volume, default_order
+from liecheck.rootdata import build_root_system, enumerate_dominant, weight
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -85,17 +84,7 @@ def test_criterion_02_pairing_constants():
 
 def test_criterion_03_orbit_character_identity():
     rng = np.random.default_rng(303)
-    lams = enumerate_dominant(A1, 6)
-    worst = 0.0
-    for k in range(100):
-        lam = lams[k % len(lams)]
-        Y = rng.normal(0.0, 0.7, size=1)
-        d = dimension(A1, lam)
-        for half in (False, True):
-            lhs, rhs = chars.kirillov_sides(SU2, lam, Y, chars.ClosedFormA1(), half_angle=half)
-            mu = (1.0 if half else 2.0) * (lam.coords + A1.rho)
-            scale = d * chars.orbital_average(SU2, mu, Y, chars.ClosedFormA1()).value
-            worst = max(worst, abs(lhs - rhs.value) / max(1.0, scale))
+    worst = max(closed_form_a1_residuals(A1, SU2, rng, 100))
     ok = worst <= 1e-12
     sig_worst = 0.0
     for i, dn in enumerate([(1, 0), (0, 1), (1, 1), (2, 2)]):
@@ -115,28 +104,12 @@ def test_criterion_04_chamber_reduction_formula():
     sig_worst = 0.0
     count = 0
     for rs, model in ((A1, SU2), (A2, SU3)):
-        order = 64 if rs.rank == 1 else 96
         # the verify suite's 20 integrands per group; at t = 1 each tg is its
         # narrowing factor exactly
-        for i, (tg, p, lam, mu_eff) in enumerate(_invariant_test_functions(rs, RunConfig())):
+        for case in invariant_test_functions(rs, 1.0):
             count += 1
-            q = build_chamber_quadrature(rs, tg, order, mu_eff)
-
-            def f_chamber(Y, tg=tg, p=p, lam=lam):
-                return (chars.eta(rs, Y) ** p * chars.weyl_char_holo(rs, lam, 2.0 * Y)
-                        * np.exp(-np.sum(Y**2, axis=-1) / tg))
-
-            ts = 2.0 * tg
-
-            def f_cart(c, tg=tg, ts=ts, p=p, lam=lam):
-                rep = chamber_coordinates(model, c)
-                tail = np.exp(-np.sum(c**2, axis=-1) * (1.0 / tg - 1.0 / ts))
-                return (chars.eta(rs, rep) ** p
-                        * chars.weyl_char_holo(rs, lam, 2.0 * rep) * tail)
-
-            val = integrate_invariant(q, f_chamber)
-            est = cartesian_oracle_integrate(model, f_cart, ts,
-                                             MonteCarlo(1_000_000, 4000 + count))
+            val = chamber_integral(rs, case, default_order(rs.rank))
+            est = cartesian_monte_carlo(rs, model, case, MonteCarlo(1_000_000, 4000 + count))
             sig_worst = max(sig_worst, abs(est.value - val) / est.stderr)
     flag = calibrate_flag_volume(A1, SU2, samples=1_000_000, seed=404)
     flag_dev = abs(flag - 2.0**1.5 * np.pi)
@@ -151,13 +124,8 @@ def test_criterion_05_density_consistency():
     worst_j = 0.0
     for rs, model in ((A1, SU2), (A2, SU3)):
         coords = rng.normal(0.0, 0.8, size=(100, model.dim_k))
-        reps = chamber_coordinates(model, coords)
-        for c, rep in zip(coords, reps):
-            prod = float(chars.eta(rs, rep))
-            det = chars.eta_det_oracle(model, algebra_element(model, c))
-            worst_eta = max(worst_eta, abs(prod - det))
-        for Y in rng.normal(0.0, 0.8, size=(100, rs.rank)):
-            worst_j = max(worst_j, chars.j_half_identity_residual(rs, Y))
+        worst_eta = max(worst_eta, eta_det_residual(rs, model, coords))
+        worst_j = max(worst_j, j_half_residual(rs, rng.normal(0.0, 0.8, size=(100, rs.rank))))
     ok = worst_eta <= 1e-10 and worst_j <= 1e-13
     _report(5, "half-form density consistency", ok,
             f"product-vs-determinant {worst_eta:.2e}; half-argument identity {worst_j:.2e}")
@@ -166,9 +134,7 @@ def test_criterion_05_density_consistency():
 def test_criterion_06_fourier_plancherel():
     rng = np.random.default_rng(606)
     dynkins = [(n,) for n in range(5)]  # spins <= 2
-    terms = {dn: rng.normal(size=(dn[0] + 1, dn[0] + 1))
-             + 1j * rng.normal(size=(dn[0] + 1, dn[0] + 1)) for dn in dynkins}
-    target = fourier.FourierSeries("A1", "L2K", 1.0, terms)
+    target = random_series("A1", "L2K", 1.0, dynkins, rng)
 
     def f(xs):
         return fourier.synthesize_many(target, SU2, xs)
@@ -188,9 +154,8 @@ def test_criterion_06_fourier_plancherel():
     xs = haar_sample(SU2, rng, 200_000)
     norm_ok = True
     for n in (1, 2):
-        vals = np.abs(su2_character(n, xs)) ** 2
-        sem = vals.std(ddof=1) / np.sqrt(len(vals))
-        norm_ok = norm_ok and abs(vals.mean() - 1.0) <= 3 * sem
+        mean, sem = haar_mean(lambda x, n=n: np.abs(su2_character(n, x)) ** 2, xs, None)
+        norm_ok = norm_ok and abs(mean - 1.0) <= 3 * sem
     # holomorphic norms equal the closed-form constants
     hl2_worst = 0.0
     for n in range(5):
@@ -205,31 +170,29 @@ def test_criterion_06_fourier_plancherel():
 
 def test_criterion_07_convolution_homomorphism():
     rng = np.random.default_rng(707)
-    a_terms = {(0,): rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1)),
-               (1,): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))}
-    b_terms = {(1,): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-               (2,): rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))}
-    a = fourier.FourierSeries("A1", "L2K", 1.0, a_terms)
-    b = fourier.FourierSeries("A1", "L2K", 1.0, b_terms)
+    a = random_series("A1", "L2K", 1.0, [(0,), (1,)], rng)
+    b = random_series("A1", "L2K", 1.0, [(1,), (2,)], rng)
     ab = fourier.convolve(a, b)
     xs = haar_sample(SU2, rng, 400_000)
     a_vals = fourier.synthesize_many(a, SU2, xs)
     xinv = np.conj(np.swapaxes(xs, 1, 2))
+
+    def convolution_mean(f_vals, h, q):
+        """Monte-Carlo mean and standard error of f(x) h(x^-1 q), f given by its values at xs."""
+        return haar_mean(
+            lambda xi, fv: fv * fourier.synthesize_many(h, SU2, np.einsum("nij,jk->nik", xi, q)),
+            (xinv, f_vals), None)
+
     sig_worst = 0.0
     for q in haar_sample(SU2, rng, 5):
-        b_vals = fourier.synthesize_many(b, SU2, np.einsum("nij,jk->nik", xinv, q))
-        prods = a_vals * b_vals
-        sem = np.sqrt(prods.real.var(ddof=1) + prods.imag.var(ddof=1)) / np.sqrt(len(xs))
-        sig_worst = max(sig_worst, abs(prods.mean() - fourier.synthesize(ab, SU2, q)) / sem)
+        mean, sem = convolution_mean(a_vals, b, q)
+        sig_worst = max(sig_worst, abs(mean - fourier.synthesize(ab, SU2, q)) / sem)
     # chi * chi = chi / d, via the direct double average
     chi = fourier.character_series("A1", (1,), "L2K", 1.0)
     chi_vals = fourier.synthesize_many(chi, SU2, xs)
     for q in haar_sample(SU2, rng, 3):
-        shifted = fourier.synthesize_many(chi, SU2, np.einsum("nij,jk->nik", xinv, q))
-        prods = chi_vals * shifted
-        sem = np.sqrt(prods.real.var(ddof=1) + prods.imag.var(ddof=1)) / np.sqrt(len(xs))
-        target = su2_character(1, q) / 2.0
-        sig_worst = max(sig_worst, abs(prods.mean() - target) / sem)
+        mean, sem = convolution_mean(chi_vals, chi, q)
+        sig_worst = max(sig_worst, abs(mean - su2_character(1, q) / 2.0) / sem)
     ok = sig_worst <= 3.0
     _report(7, "convolution homomorphism", ok, f"worst deviation {sig_worst:.2f} sigma")
 
@@ -239,29 +202,18 @@ def test_criterion_08_unitary_dictionary():
     for rs in (A1, A2, T1):
         for t in (0.5, 1.0, 2.0):
             for lam in enumerate_dominant(rs, 4 if rs.rank == 1 else 2):
-                lhs = (4 * t * np.pi) ** (-rs.dim_k / 4.0) * hilbert.d_constant(rs, lam, t)
-                rhs = np.sqrt(hilbert.c_constant(rs, lam, t))
-                worst_ratio = max(worst_ratio, abs(lhs - rhs) / rhs)
+                worst_ratio = max(worst_ratio, hilbert.ratio_defect(rs, lam, t))
     rng = np.random.default_rng(808)
     worst_norm = worst_inv = 0.0
     for t in (0.5, 1.0):
-        terms = {(n,): rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
-                 for n in range(4)}
-        s = fourier.FourierSeries("A1", "HL2", t, terms)
+        s = random_series("A1", "HL2", t, [(n,) for n in range(4)], rng)
         h = hilbert.transform_apply(s, "H")
         worst_norm = max(worst_norm, abs(fourier.plancherel_norm(h) - fourier.plancherel_norm(s))
                          / fourier.plancherel_norm(s))
-        back = hilbert.transform_apply(h, "ThetaStar")
-        scale = (4 * t * np.pi) ** (-A1.dim_k / 4.0)
-        for dn in terms:
-            dev = np.abs(scale * back.terms[dn] - s.terms[dn]).max()
-            worst_inv = max(worst_inv, dev / np.abs(s.terms[dn]).max())
+        worst_inv = max(worst_inv, inverse_composition_deviation(s, h))
     sig_worst = 0.0
     for k, n in enumerate((0, 1, 2)):
-        phi = fourier.character_series("A1", (n,), "HL2", 1.0)
-        fs = fourier.character_series("A1", (n,), "L2K", 1.0)
-        spec = hilbert.bks_bracket(phi, fs, "spectral")
-        integ = hilbert.bks_bracket(phi, fs, MonteCarlo(3000, 8080 + k))
+        spec, integ = character_pairing(n, 1.0, MonteCarlo(3000, 8080 + k))
         floor = 1e-12 * abs(spec.value)
         sig_worst = max(sig_worst, abs(integ.value - spec.value) / max(integ.stderr, floor))
     ok = worst_ratio <= 1e-12 and worst_norm <= 1e-12 and worst_inv <= 1e-12 and sig_worst <= 3.0
@@ -273,23 +225,17 @@ def test_criterion_08_unitary_dictionary():
 def test_criterion_09_heat_multiplier():
     rng = np.random.default_rng(909)
     worst_adj = worst_semi = 0.0
+    dynkins = [(n,) for n in range(5)]
     for t in (0.5, 1.0, 2.0):
-        terms = {(n,): rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
-                 for n in range(5)}
-        s = fourier.FourierSeries("A1", "L2K", t, terms)
+        s = random_series("A1", "L2K", t, dynkins, rng)
         mult = heat.heat_multiplier_apply(s, t, include_prefactor=True)
         adj = hilbert.transform_apply(s, "ThetaStar")
-        for dn in terms:
-            worst_adj = max(worst_adj, np.abs(mult.terms[dn] - adj.terms[dn]).max()
-                            / np.abs(adj.terms[dn]).max())
+        worst_adj = max(worst_adj, series_deviation(mult.terms, adj.terms, adj.terms))
         one = heat.heat_multiplier_apply(heat.heat_multiplier_apply(s, 0.3), 0.45)
         two = heat.heat_multiplier_apply(s, 0.75)
-        for dn in terms:
-            worst_semi = max(worst_semi, np.abs(one.terms[dn] - two.terms[dn]).max()
-                             / np.abs(s.terms[dn]).max())
-    terms = {(n,): rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
-             for n in range(5)}
-    series = fourier.FourierSeries("A1", "L2K", 1.0, terms)
+        # relative to the input series, not to either side
+        worst_semi = max(worst_semi, series_deviation(one.terms, two.terms, s.terms))
+    series = random_series("A1", "L2K", 1.0, dynkins, rng)
     est = heat.heat_convolution_residual(SU2, series, 1.0, haar_sample(SU2, rng, 10),
                                          MonteCarlo(200_000, 9090))
     conv_ok = est.value <= 3 * est.stderr

@@ -1,0 +1,35 @@
+import numpy as np
+
+from liecheck.checks import random_series, series_deviation
+
+
+def test_random_series_draws_the_inline_dicts_of_the_criteria():
+    # the acceptance criteria drew their series inline, in this form; the
+    # shared helper must give the same arrays and leave the stream in the
+    # same state, since later draws of a criterion follow on the same rng
+    cases = (([(n,) for n in range(5)], "L2K", 1.0),   # criteria 06 and 09
+             ([(0,), (1,)], "L2K", 1.0),               # criterion 07, a
+             ([(1,), (2,)], "L2K", 1.0),               # criterion 07, b
+             ([(n,) for n in range(4)], "HL2", 0.5))   # criterion 08
+    ref, rng = np.random.default_rng(606), np.random.default_rng(606)
+    for dynkins, space, t in cases:
+        terms = {(n,): ref.normal(size=(n + 1, n + 1)) + 1j * ref.normal(size=(n + 1, n + 1))
+                 for (n,) in dynkins}
+        series = random_series("A1", space, t, dynkins, rng)
+        assert (series.rs_kind, series.space, series.t) == ("A1", space, t)
+        assert list(series.terms) == list(terms)
+        for k, v in terms.items():
+            assert series.terms[k].dtype == v.dtype
+            assert series.terms[k].tobytes() == v.tobytes()
+    assert ref.random() == rng.random()
+
+
+def test_series_deviation_floors_a_zero_scale_coefficient():
+    a = {(0,): np.array([[4.0]]), (1,): np.zeros((2, 2))}
+    b = {(0,): np.array([[3.0]]), (1,): np.full((2, 2), 0.5)}
+    assert series_deviation(a, b) == 1.0
+    with np.errstate(all="raise"):
+        # the zero coefficient of a divides by 1e-300, not by zero
+        assert series_deviation(a, b, a) == 0.5 / 1e-300
+    assert series_deviation(a, b, b) == 1.0
+    assert series_deviation(b, a, b) == 1.0

@@ -8,14 +8,8 @@ from pathlib import Path
 import numpy as np
 
 import liecheck
-from liecheck.cli import (
-    RunConfig,
-    _doubling_note,
-    _stat_row,
-    emit_constants_table,
-    main,
-    run_verification_suite,
-)
+from liecheck.checks import doubling_note, stat_row
+from liecheck.cli import RunConfig, emit_constants_table, main, run_verification_suite
 from liecheck.fourier import character_series, load_series, save_series
 
 
@@ -207,20 +201,20 @@ def test_a1_statistical_rows_and_haar_su2_rule_rows():
 
 def test_stat_row_gates_complex_sides_on_their_distance():
     # equal moduli, phases a quarter turn apart: 1.41 away at stderr 0.1
-    row = _stat_row("phase", 1.0 + 0.0j, 1.0j, 0.1)
+    row = stat_row("phase", 1.0 + 0.0j, 1.0j, 0.1)
     assert not row.passed and row.lhs == row.rhs == 1.0
     assert abs(row.sigma_distance - np.sqrt(2.0) / 0.1) <= 1e-12
-    assert _stat_row("close", 1.0 + 0.0j, 1.0 + 0.2j, 0.1).passed
-    real = _stat_row("real", -1.0, -1.25, 0.1)
+    assert stat_row("close", 1.0 + 0.0j, 1.0 + 0.2j, 0.1).passed
+    real = stat_row("real", -1.0, -1.25, 0.1)
     assert real.lhs == -1.0 and real.abs_err == 0.25 and real.sigma_distance == 2.5
 
 
 def test_doubling_note_at_zero_and_for_arrays():
-    assert _doubling_note(0.0, 3e-17, 8) == "order 8 vs 4: abs delta 3.0e-17"
-    assert _doubling_note(2.0, 2.5, 8) == "order 8 vs 4: rel delta 2.5e-01"
-    assert _doubling_note(np.array([1j, 4.0]), np.array([1j, 3.0]), 6) == (
+    assert doubling_note(0.0, 3e-17, 8) == "order 8 vs 4: abs delta 3.0e-17"
+    assert doubling_note(2.0, 2.5, 8) == "order 8 vs 4: rel delta 2.5e-01"
+    assert doubling_note(np.array([1j, 4.0]), np.array([1j, 3.0]), 6) == (
         "order 6 vs 3: rel delta 2.5e-01")
-    assert _doubling_note(1e-16, 2e-16, 6, residual=True) == "order 6 vs 3: abs delta 1.0e-16"
+    assert doubling_note(1e-16, 2e-16, 6, residual=True) == "order 6 vs 3: abs delta 1.0e-16"
 
 
 def test_heat_unavailable_where_its_kernel_needs_too_many_terms(tmp_path, capsys):

@@ -9,11 +9,12 @@ from liecheck.hilbert import (
     constants_row,
     d_constant,
     naive_constant,
+    ratio_defect,
     transform_apply,
     verify_norm_identity,
 )
 from liecheck.models import HaarSU2, MonteCarlo, haar_sample, su2_character
-from liecheck.quadrature import build_chamber_quadrature, integrate_invariant
+from liecheck.quadrature import build_chamber_quadrature, default_order, integrate_invariant
 from liecheck.rootdata import build_root_system, dimension, enumerate_dominant, weight
 from test_chars import _weyl_char_holo_two_exp
 
@@ -114,11 +115,24 @@ def _naive_constant_reference(rs, lam, t, order):
 
 def test_constants_row_c_tilde_is_bit_identical_to_reference(a1, a2, t2):
     for rs, dynkins in ((a1, [(0,), (5,)]), (a2, [(0, 0), (2, 3)]), (t2, [(0, 0), (3, 4)])):
-        order = 64 if rs.rank == 1 else 96
+        order = default_order(rs.rank)
         for dynkin in dynkins:
             lam = weight(rs, dynkin)
             row = constants_row(rs, lam, 1.0, order)
             assert (row.C_tilde, row.C_tilde_err) == _naive_constant_reference(rs, lam, 1.0, order)
+
+
+def test_ratio_defect_equals_the_constants_row_and_the_direct_expression(a1, a2):
+    # the expression acceptance criterion 08 evaluated inline, bit for bit
+    for rs in (a1, a2, build_root_system("T1")):
+        for t in (0.5, 1.0, 2.0):
+            for lam in enumerate_dominant(rs, 4 if rs.rank == 1 else 2):
+                lhs = (4 * t * np.pi) ** (-rs.dim_k / 4.0) * d_constant(rs, lam, t)
+                rhs = np.sqrt(c_constant(rs, lam, t))
+                ratio = ratio_defect(rs, lam, t)
+                assert type(ratio) is float
+                assert np.float64(ratio).tobytes() == np.float64(abs(lhs - rhs) / rhs).tobytes()
+                assert ratio == constants_row(rs, lam, t, 16).ratio_check
 
 
 def test_constants_row(a1):

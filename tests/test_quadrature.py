@@ -12,6 +12,7 @@ from liecheck.quadrature import (
     build_chamber_quadrature,
     calibrate_flag_volume,
     cartesian_oracle_integrate,
+    default_order,
     gaussian_linear_moment,
     integrate_invariant,
 )
@@ -129,7 +130,7 @@ def test_order_doubling_stability(a1, a2):
     for rs, tol in ((a1, 1e-10), (a2, 1e-7)):
         lam = weight(rs, (1,) * rs.rank)
         mu = 2.0 * np.linalg.norm(lam.coords + rs.rho)
-        order = 64 if rs.rank == 1 else 96
+        order = default_order(rs.rank)
 
         def f(Y):
             return (chars.eta(rs, Y) * chars.weyl_char_holo(rs, lam, 2.0 * Y)
