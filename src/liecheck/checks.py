@@ -36,8 +36,9 @@ from .models import (
 from .quadrature import (
     GaussHermite,
     build_chamber_quadrature,
-    calibrate_flag_volume,
     cartesian_oracle_integrate,
+    flag_volume,
+    flag_volume_from_gaussian,
     gaussian_linear_moment,
     integrate_invariant,
 )
@@ -264,6 +265,21 @@ def character_pairing(n: int, t: float, scheme):
     return hilbert.bks_bracket(phi, f, "spectral"), hilbert.bks_bracket(phi, f, scheme)
 
 
+def hl2_char_norm(rs: RootSystem, lam, t: float, order: int) -> tuple[float, float]:
+    """Squared holomorphic norm of the character of lam by two routes: the
+    Plancherel sum of its series, and the C-constant chamber quadrature of
+    the given order."""
+    series = fourier.character_series(rs.kind, lam.dynkin, "HL2", t)
+    quad = hilbert.verify_norm_identity(rs, lam, t, "C", order).quadrature
+    return fourier.plancherel_norm(series), quad
+
+
+def energy_positivity(eps) -> bool:
+    """Whether an energy spectrum, listed from the trivial weight on, is 0
+    at the trivial weight and positive at every other."""
+    return bool(eps[0] == 0.0 and all(e > 0.0 for e in eps[1:]))
+
+
 def inverse_composition_deviation(series: fourier.FourierSeries, mapped) -> float:
     """Largest relative deviation of (4 t pi)^(-dim/4) ThetaStar(mapped) from
     series, where mapped = H(series): the scaled adjoint undoes H."""
@@ -325,17 +341,13 @@ def suite_weylint(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> l
     q2 = build_chamber_quadrature(rs, cfg.t, 2 * order)
     rows.append(det_row("weylint/order-doubling", integrate_invariant(q2, gauss), v1,
                         cfg.tolerance, "spectral convergence of the chamber rule"))
-    if rs.kind == "A1":
-        rows.append(det_row("weylint/flag-volume-closed-form", rs.flag_volume,
-                            float(2.0 ** 1.5 * np.pi), max(cfg.tolerance, 1e-3)))
     if model is None:
         rows.append(skip_row("weylint/chamber-vs-cartesian",
                              "no Cartesian oracle without a matrix model (torus)"))
         return rows
-    v_cal = calibrate_flag_volume(rs, model, samples=cfg.mc_samples,
-                                  seed=_seed_for(cfg, "weylint/flag-volume"))
-    rows.append(det_row("weylint/flag-volume-calibration", v_cal, rs.flag_volume,
-                        max(cfg.tolerance, 1e-6), "Monte-Carlo guarded, closed-form refined"))
+    rows.append(det_row("weylint/flag-volume-closed-form", flag_volume_from_gaussian(rs),
+                        flag_volume(rs), max(cfg.tolerance, 1e-12),
+                        "order-200 chamber rule of the Gaussian vs Mehta's integral"))
 
     for i, case in enumerate(invariant_test_functions(rs, cfg.t)):
         tg, p, lam, _ = case
@@ -550,10 +562,8 @@ def suite_plancherel(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -
     order = cfg.resolved_order(rs.rank)
     for lam in enumerate_dominant(rs, min(cfg.max_level, 2)):
         tag = "-".join(map(str, lam.dynkin))
-        series = fourier.character_series(rs.kind, lam.dynkin, "HL2", cfg.t)
-        quad = hilbert.verify_norm_identity(rs, lam, cfg.t, "C", order).quadrature
-        rows.append(det_row(f"plancherel/hl2-char-norm-{tag}", fourier.plancherel_norm(series),
-                            quad, max(cfg.tolerance, 1e-6),
+        norm, quad = hl2_char_norm(rs, lam, cfg.t, order)
+        rows.append(det_row(f"plancherel/hl2-char-norm-{tag}", norm, quad, max(cfg.tolerance, 1e-6),
                             "series norm equals the quadrature of |char|^2 against the measure"))
     if rs.kind != "A1":
         rows.append(skip_row("plancherel/l2k-montecarlo",
@@ -628,9 +638,8 @@ def suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
     s2 = heat.heat_multiplier_apply(series, 0.75)
     rows.append(det_row("heat/semigroup", series_deviation(s1.terms, s2.terms), 0.0, 1e-13))
     eps = [heat.energy_eigenvalue(rs, lam) for lam in enumerate_dominant(rs, cfg.max_level)]
-    ok = eps[0] == 0.0 and all(e > 0 for e in eps[1:]) and min(eps) >= 0.0
     rows.append(CheckRow("heat/energy-positivity", "deterministic", float(min(eps)), 0.0,
-                         0.0, None, None, bool(ok),
+                         0.0, None, None, energy_positivity(eps),
                          "eigenvalues nonnegative, zero only at the trivial weight"))
     hl2 = random_series("A1", "HL2", t, [(0,), (1,), (2,)], rng)
     a = heat.heat_multiplier_apply(hilbert.transform_apply(hl2, "H"), t)

@@ -5,9 +5,11 @@ to the dominant chamber against the density prod_alpha <alpha, Y>^2 times a
 constant flag-manifold volume factor.  The chamber is parameterized per
 type: the half-line in the angle theta (<alpha, Y> = 2*theta) for A1, the
 orthant of fundamental-weight coefficients for A2, and a full box for tori.
-The flag volume is calibrated once against the Gaussian closed form and is
-cross-checked here against a Cartesian Monte-Carlo oracle that never uses
-the chamber reduction; on su(2) the Cartesian oracle also has a
+The flag volume is exact: flag_volume takes it from Mehta's integral, the
+k = 1 case of Macdonald's conjecture (Macdonald, SIAM J. Math. Anal. 13
+(1982) 988; Mehta, Random Matrices, 3rd ed., ch. 17), and the Jacobian of
+the chamber parameterization.  A Cartesian oracle that never uses the
+chamber reduction checks the reduction: Monte Carlo, and on su(2) also a
 deterministic tensor Gauss-Hermite rule.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from math import factorial, prod
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -27,14 +30,17 @@ __all__ = [
     "ChamberQuadrature",
     "GaussHermite",
     "build_chamber_quadrature",
-    "calibrate_flag_volume",
     "cartesian_oracle_integrate",
     "default_order",
+    "flag_volume",
+    "flag_volume_from_gaussian",
     "gaussian_linear_moment",
     "integrate_invariant",
 ]
 
 SQRT2 = float(np.sqrt(2.0))
+# degrees of the basic invariants of each Weyl group, for Mehta's integral
+_INVARIANT_DEGREES = {"A1": (2,), "A2": (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class ChamberQuadrature:
     """Nodes and weights realizing the chamber-reduced integral.
 
     weights already contain the density prod <alpha, Y>^2, the chamber
-    parameterization measure, and the flag_volume factor, so that
+    parameterization measure, and the flag_volume(rs) factor, so that
     sum(weights * f(nodes)) approximates the integral of an Ad-invariant f
     over the whole algebra.
     """
@@ -132,24 +138,46 @@ def _chamber_nodes_raw(
     raise ValueError(f"unsupported kind for chamber quadrature: {kind!r}")
 
 
-def flag_volume_from_gaussian(
-    kind: str,
-    fundamental_weights: np.ndarray,
-    dim_k: int,
-    order: int = 200,
-) -> float:
-    """Calibrate the flag-volume factor against the Gaussian closed form.
+@lru_cache(maxsize=None)  # every chamber rule built for rs reads it
+def flag_volume(rs: RootSystem) -> float:
+    """Flag-volume factor V of the chamber rules, in closed form.
 
-    V = pi^(dim_k/2) / integral over the parameterized chamber of the
-    density times e^{-|Y|^2}.  For A1 this reproduces 2^(3/2)*pi.
+    For Ad-invariant f, the integral of f over the whole algebra is V times
+    the integral over the chamber, in the coordinates of _chamber_nodes_raw,
+    of prod_alpha <alpha, Y>^2 f(Y).  Mehta's integral (Macdonald's
+    conjecture at k = 1) gives the Gaussian case exactly:
+
+        integral over t of prod_alpha <alpha, x>^2 e^{-|x|^2} dx
+            = pi^(r/2) prod_i d_i! prod_alpha |alpha|^2 / 4,
+
+    d_i the degrees of the basic Weyl-group invariants.  The chamber is
+    1/|W| of t, and the chamber coordinates have the Jacobian J, sqrt(2)
+    for A1's theta and |det| of the fundamental weights for A2's s, so
+    V = pi^(dim_k/2) |W| J / (Mehta's integral): 2^(3/2) pi on A1,
+    4 pi^3 / sqrt(3) on A2, and 1 on a torus.
     """
-    if kind.startswith("T"):
+    if rs.is_torus:
         return 1.0
-    nodes, raw, _ = _chamber_nodes_raw(kind, fundamental_weights, 1.0, order, 0.0)
+    jacobian = SQRT2 if rs.kind == "A1" else abs(float(np.linalg.det(rs.fundamental_weights)))
+    mehta = (np.pi ** (rs.rank / 2.0)
+             * prod(factorial(d) for d in _INVARIANT_DEGREES[rs.kind])
+             * float(np.prod((rs.positive_roots**2).sum(axis=1) / 4.0)))
+    return float(np.pi ** (rs.dim_k / 2.0) * rs.n_weyl * jacobian / mehta)
+
+
+def flag_volume_from_gaussian(rs: RootSystem, order: int = 200) -> float:
+    """The flag volume by quadrature, the numerical route to flag_volume.
+
+    V = pi^(dim_k/2) / Q, Q the chamber rule of the given order for the
+    density times e^{-|Y|^2}, without any flag-volume factor.
+    """
+    if rs.is_torus:
+        return 1.0
+    nodes, raw, _ = _chamber_nodes_raw(rs.kind, rs.fundamental_weights, 1.0, order, 0.0)
     # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
     # without numpy's slow reduction over a length-1 or -2 axis
     q, _ = haar_mean(lambda Y: np.exp(-np.einsum("...i,...i->...", Y, Y)), nodes, raw)
-    return float(np.pi ** (dim_k / 2.0) / float(q))
+    return float(np.pi ** (rs.dim_k / 2.0) / float(q))
 
 
 def build_chamber_quadrature(
@@ -178,7 +206,7 @@ def build_chamber_quadrature(
     return ChamberQuadrature(
         rs_kind=rs.kind,
         nodes=nodes,
-        weights=rs.flag_volume * raw,
+        weights=flag_volume(rs) * raw,
         radius=R,
         order=order,
     )
@@ -243,40 +271,3 @@ def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme) -> Estima
         raise ValueError(f"unknown Cartesian integration scheme: {scheme!r}")
     mean, sem = haar_mean(lambda block: np.asarray(f(block), dtype=float), c, weights)
     return Estimate(norm * float(mean), norm * float(sem))
-
-
-def calibrate_flag_volume(
-    rs: RootSystem,
-    model: GroupModel | None = None,
-    samples: int = 1_000_000,
-    seed: int = 20107,
-) -> float:
-    """Flag-volume factor, Monte-Carlo checked and refined to closed form.
-
-    The Gaussian integral over the algebra is estimated by the Cartesian
-    oracle (sampling width 2 so the estimator has honest variance) and
-    divided by the chamber integral Q of the density times e^{-|Y|^2}; the
-    refined value pi^(dim/2)/Q from the exact Gaussian moment, which is
-    rs.flag_volume, is returned after checking the Monte-Carlo estimate
-    agrees within 5 sigma.
-    """
-    if rs.is_torus:
-        return 1.0
-    if model is None:
-        raise ValueError("calibration against the Cartesian oracle needs a model")
-    mc = cartesian_oracle_integrate(
-        model,
-        lambda c: np.exp(-np.sum(c**2, axis=-1) / 2.0),
-        2.0,
-        MonteCarlo(samples, seed),
-    )
-    refined = rs.flag_volume
-    inv_q = refined / np.pi ** (rs.dim_k / 2.0)  # 1/Q
-    v_mc = mc.value * inv_q
-    sigma_v = mc.stderr * inv_q
-    if abs(v_mc - refined) > 5.0 * sigma_v:
-        raise ArithmeticError(
-            f"flag-volume calibration mismatch beyond 5 sigma: "
-            f"mc={v_mc!r} refined={refined!r} sigma={sigma_v!r}"
-        )
-    return refined

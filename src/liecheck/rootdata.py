@@ -52,12 +52,6 @@ class RootSystem:
         Determinants of the Weyl elements, +-1.
     fundamental_weights : ndarray, shape (rank, rank)
         Row i is the weight dual to the i-th simple coroot.
-    flag_volume : float
-        Constant V such that, for Ad-invariant f expressed on t,
-        integral of f over the whole algebra equals
-        V * integral over the parameterized dominant chamber of
-        prod_alpha <alpha, Y>^2 * f(Y).  Calibrated against the
-        Gaussian closed form at construction time.
     """
 
     kind: str
@@ -68,7 +62,6 @@ class RootSystem:
     weyl_elements: np.ndarray
     weyl_signs: np.ndarray
     fundamental_weights: np.ndarray
-    flag_volume: float
 
     @property
     def is_torus(self) -> bool:
@@ -119,9 +112,12 @@ def _weyl_closure(generators: list[np.ndarray], rank: int):
 def build_root_system(kind: str) -> RootSystem:
     """Construct the root data for "A1", "A2", or "T<n>".
 
-    The flag_volume field is calibrated at construction by matching the
-    chamber-reduced Gaussian integral against its closed form pi^(dim_k/2);
-    tori carry flag_volume 1.
+    The data are exact and need no numerical set-up.  The flag volume of
+    the chamber reduction is not part of them: it depends on how a chamber
+    rule parameterizes the chamber, so flag_volume in the quadrature
+    module gives it, in closed form from Mehta's integral (Macdonald,
+    SIAM J. Math. Anal. 13 (1982) 988; Mehta, Random Matrices, 3rd ed.,
+    ch. 17).
     """
     if kind == "A1":
         s2 = np.sqrt(2.0)
@@ -150,7 +146,6 @@ def build_root_system(kind: str) -> RootSystem:
             weyl_elements=mats,
             weyl_signs=np.ones(1, dtype=int),
             fundamental_weights=np.eye(n),
-            flag_volume=1.0,
         )
 
     rank = positive.shape[1]
@@ -158,10 +153,6 @@ def build_root_system(kind: str) -> RootSystem:
     simple = positive[:rank]
     weyl, signs = _weyl_closure([_reflection(a) for a in simple], rank)
     dim_k = rank + 2 * len(positive)
-
-    from .quadrature import flag_volume_from_gaussian  # deferred: avoids import cycle
-
-    flag = flag_volume_from_gaussian(kind, fundamental, dim_k)
     return RootSystem(
         kind=kind,
         rank=rank,
@@ -171,7 +162,6 @@ def build_root_system(kind: str) -> RootSystem:
         weyl_elements=weyl,
         weyl_signs=signs,
         fundamental_weights=fundamental,
-        flag_volume=flag,
     )
 
 

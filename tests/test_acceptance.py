@@ -15,15 +15,18 @@ from liecheck.checks import (
     chamber_integral,
     character_pairing,
     closed_form_a1_residuals,
+    energy_positivity,
     eta_det_residual,
+    hl2_char_norm,
     invariant_test_functions,
     inverse_composition_deviation,
     j_half_residual,
     random_series,
     series_deviation,
+    stat_row,
 )
 from liecheck.models import MonteCarlo, build_group_model, haar_mean, haar_sample, su2_character
-from liecheck.quadrature import calibrate_flag_volume, default_order
+from liecheck.quadrature import default_order, flag_volume, flag_volume_from_gaussian
 from liecheck.rootdata import build_root_system, enumerate_dominant, weight
 
 A1 = build_root_system("A1")
@@ -111,11 +114,12 @@ def test_criterion_04_chamber_reduction_formula():
             val = chamber_integral(rs, case, default_order(rs.rank))
             est = cartesian_monte_carlo(rs, model, case, MonteCarlo(1_000_000, 4000 + count))
             sig_worst = max(sig_worst, abs(est.value - val) / est.stderr)
-    flag = calibrate_flag_volume(A1, SU2, samples=1_000_000, seed=404)
-    flag_dev = abs(flag - 2.0**1.5 * np.pi)
-    ok = sig_worst <= 3.0 and count == 40 and flag_dev <= 1e-3
+    # the flag volume by the chamber rule of the Gaussian vs Mehta's integral
+    flag_dev = max(abs(flag_volume_from_gaussian(rs) - flag_volume(rs)) / flag_volume(rs)
+                   for rs in (A1, A2))
+    ok = sig_worst <= 3.0 and count == 40 and flag_dev <= 1e-12
     _report(4, "chamber reduction formula", ok,
-            f"worst of {count} integrands {sig_worst:.2f} sigma; flag volume dev {flag_dev:.1e}")
+            f"worst of {count} integrands {sig_worst:.2f} sigma; flag volume rel {flag_dev:.1e}")
 
 
 def test_criterion_05_density_consistency():
@@ -159,9 +163,8 @@ def test_criterion_06_fourier_plancherel():
     # holomorphic norms equal the closed-form constants
     hl2_worst = 0.0
     for n in range(5):
-        series_n = fourier.character_series("A1", (n,), "HL2", 1.0)
-        quad = hilbert.verify_norm_identity(A1, weight(A1, (n,)), 1.0, "C", 64).quadrature
-        hl2_worst = max(hl2_worst, abs(fourier.plancherel_norm(series_n) - quad) / quad)
+        norm, quad = hl2_char_norm(A1, weight(A1, (n,)), 1.0, 64)
+        hl2_worst = max(hl2_worst, abs(norm - quad) / quad)
     ok = roundtrip_ok and norm_ok and hl2_worst <= 1e-8
     _report(6, "Fourier synthesis and Plancherel", ok,
             f"roundtrip max dev {dev.max():.3f} vs 3sigma {3*np.sqrt(var_point):.3f}; "
@@ -214,8 +217,8 @@ def test_criterion_08_unitary_dictionary():
     sig_worst = 0.0
     for k, n in enumerate((0, 1, 2)):
         spec, integ = character_pairing(n, 1.0, MonteCarlo(3000, 8080 + k))
-        floor = 1e-12 * abs(spec.value)
-        sig_worst = max(sig_worst, abs(integ.value - spec.value) / max(integ.stderr, floor))
+        row = stat_row(f"bks/spectral-vs-integral-{n}", integ.value, spec.value, integ.stderr)
+        sig_worst = max(sig_worst, row.sigma_distance)
     ok = worst_ratio <= 1e-12 and worst_norm <= 1e-12 and worst_inv <= 1e-12 and sig_worst <= 3.0
     _report(8, "unitary dictionary", ok,
             f"ratio {worst_ratio:.1e}; norm {worst_norm:.1e}; inverse {worst_inv:.1e}; "
@@ -239,9 +242,9 @@ def test_criterion_09_heat_multiplier():
     est = heat.heat_convolution_residual(SU2, series, 1.0, haar_sample(SU2, rng, 10),
                                          MonteCarlo(200_000, 9090))
     conv_ok = est.value <= 3 * est.stderr
-    eps = [heat.energy_eigenvalue(A1, lam) for lam in enumerate_dominant(A1, 6)]
-    eps += [heat.energy_eigenvalue(A2, lam) for lam in enumerate_dominant(A2, 3)]
-    pos_ok = eps[0] == 0.0 and min(e for e in eps if e != 0.0) > 0.0 and min(eps) >= 0.0
+    pos_ok = all(
+        energy_positivity([heat.energy_eigenvalue(rs, lam) for lam in enumerate_dominant(rs, level)])
+        for rs, level in ((A1, 6), (A2, 3)))
     ok = worst_adj <= 1e-13 and worst_semi <= 1e-13 and conv_ok and pos_ok
     _report(9, "heat multiplier", ok,
             f"adjoint {worst_adj:.1e}; semigroup {worst_semi:.1e}; "

@@ -1,6 +1,6 @@
 import numpy as np
 
-from liecheck.checks import random_series, series_deviation
+from liecheck.checks import energy_positivity, random_series, series_deviation
 
 
 def test_random_series_draws_the_inline_dicts_of_the_criteria():
@@ -33,3 +33,12 @@ def test_series_deviation_floors_a_zero_scale_coefficient():
         assert series_deviation(a, b, a) == 0.5 / 1e-300
     assert series_deviation(a, b, b) == 1.0
     assert series_deviation(b, a, b) == 1.0
+
+
+def test_energy_positivity_fails_a_zero_at_a_non_trivial_weight():
+    assert not energy_positivity([0.0, 0.0, 2.0])
+    assert energy_positivity([0.0, 0.5, 2.0])
+    # the trivial weight comes first and its energy is exactly 0
+    assert not energy_positivity([0.5, 1.0, 2.0])
+    assert not energy_positivity([0.0, -0.5, 2.0])
+    assert type(energy_positivity(np.array([0.0, 0.5]))) is bool

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from liecheck import chars, models
@@ -10,9 +11,10 @@ from liecheck.quadrature import (
     GaussHermite,
     _leggauss,
     build_chamber_quadrature,
-    calibrate_flag_volume,
     cartesian_oracle_integrate,
     default_order,
+    flag_volume,
+    flag_volume_from_gaussian,
     gaussian_linear_moment,
     integrate_invariant,
 )
@@ -141,19 +143,41 @@ def test_order_doubling_stability(a1, a2):
         assert abs(v1 - v2) / abs(v1) < tol
 
 
-def test_calibrate_flag_volume(a1, a2, t2, su2, su3):
-    v1 = calibrate_flag_volume(a1, su2, samples=200_000, seed=1)
-    assert abs(v1 - 2.0**1.5 * np.pi) < 1e-3
-    v2a = calibrate_flag_volume(a2, su3, samples=100_000, seed=2)
-    v2b = calibrate_flag_volume(a2, su3, samples=1_000_000, seed=3)
-    assert v2a > 0
-    assert abs(v2a - v2b) / v2a < 1e-3
-    assert calibrate_flag_volume(t2) == 1.0
+def test_flag_volume_closed_form_values(a1, a2, t2):
+    for rs, exact in ((a1, 2.0**1.5 * np.pi), (a2, 4.0 * np.pi**3 / np.sqrt(3.0))):
+        assert abs(flag_volume(rs) - exact) <= 4e-16 * exact
+    assert flag_volume(t2) == 1.0
+    assert flag_volume(build_root_system("T1")) == 1.0
 
 
-def test_flag_volume_field_matches_calibration(a1, a2, su2, su3):
-    assert abs(a1.flag_volume - calibrate_flag_volume(a1, su2, samples=50_000, seed=4)) < 1e-12
-    assert abs(a2.flag_volume - calibrate_flag_volume(a2, su3, samples=50_000, seed=5)) < 1e-12
+def _mehta_by_hermite(rs, n=40):
+    """integral over t of prod_alpha <alpha, x>^2 e^{-|x|^2} by the tensor
+    n-point Gauss-Hermite rule, exact for this polynomial times the Gaussian."""
+    x, w = hermgauss(n)
+    nodes = np.stack(np.meshgrid(*([x] * rs.rank), indexing="ij"), axis=-1).reshape(-1, rs.rank)
+    weights = np.prod(np.meshgrid(*([w] * rs.rank), indexing="ij"), axis=0).reshape(-1)
+    return float(weights @ np.prod((nodes @ rs.positive_roots.T) ** 2, axis=1))
+
+
+def test_mehta_integral_and_flag_volume_against_gauss_hermite(a1, a2):
+    # Mehta's integral pi^(r/2) prod d_i! prod |alpha|^2/4 with |alpha|^2 = 2:
+    # A1 (d = 2) sqrt(pi); A2 (d = 2, 3) pi * 2 * 6 / 8.  Then
+    # V = pi^(dim/2) |W| J / Mehta with the chamber Jacobians J = sqrt(2)
+    # (A1's theta) and 1/sqrt(3) (A2's s-coordinates).
+    for rs, mehta, dim, n_weyl, jac in ((a1, np.sqrt(np.pi), 3, 2, np.sqrt(2.0)),
+                                        (a2, 1.5 * np.pi, 8, 6, 1.0 / np.sqrt(3.0))):
+        herm = _mehta_by_hermite(rs)
+        assert abs(herm - mehta) <= 1e-15 * mehta
+        v = np.pi ** (dim / 2.0) * n_weyl * jac / herm
+        assert abs(flag_volume(rs) - v) <= 1e-14 * v
+
+
+def test_flag_volume_from_gaussian_matches_closed_form(a1, a2, t2):
+    for rs in (a1, a2):
+        assert abs(flag_volume_from_gaussian(rs) - flag_volume(rs)) <= 1e-12 * flag_volume(rs)
+    # too coarse a rule shows: the route is numerical, not the closed form again
+    assert abs(flag_volume_from_gaussian(a2, 8) - flag_volume(a2)) > 1e-6 * flag_volume(a2)
+    assert flag_volume_from_gaussian(t2) == 1.0
 
 
 def test_errors(a1, su2):
@@ -196,7 +220,7 @@ def _reference_rule(rs, t, order, mu):
         raw = np.ones(len(nodes))
         for axis in range(rs.rank):
             raw *= np.meshgrid(*([gw] * rs.rank), indexing="ij")[axis].reshape(-1)
-    return nodes, rs.flag_volume * raw
+    return nodes, flag_volume(rs) * raw
 
 
 @pytest.mark.parametrize("t, order, mu", [(1.0, 16, 0.0), (0.5, 24, 3.7)])

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from liecheck import chars
+from liecheck import chars, rootdata
 from liecheck.models import algebra_coords, cartan_element
 from liecheck.rootdata import build_root_system, dimension, enumerate_dominant, weight, weight_inner
 
@@ -54,7 +58,6 @@ def test_torus_data(t2):
     assert len(t2.positive_roots) == 0
     assert np.allclose(t2.rho, 0.0)
     assert t2.n_weyl == 1
-    assert t2.flag_volume == 1.0
 
 
 def test_rho_is_half_sum(a1, a2):
@@ -144,3 +147,19 @@ def test_errors():
         weight(a1, (1, 2))
     with pytest.raises(ValueError):
         weight_inner(a1, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+
+def test_rootdata_imports_no_other_liecheck_module():
+    # the package's __init__ imports every module, so the fresh interpreter
+    # registers a bare package object and imports rootdata alone through it
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('liecheck')\n"
+        "pkg.__path__ = [sys.argv[1]]\n"
+        "sys.modules['liecheck'] = pkg\n"
+        "import liecheck.rootdata\n"
+        "print(sorted(m for m in sys.modules if m.startswith('liecheck')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(Path(rootdata.__file__).parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['liecheck', 'liecheck.rootdata']"
