@@ -34,7 +34,7 @@ from .models import (
     su2_character,
 )
 from .quadrature import (
-    GaussHermite,
+    Tridiagonal,
     build_chamber_quadrature,
     cartesian_oracle_integrate,
     flag_volume,
@@ -53,10 +53,14 @@ _IRREP_ONLY = {"fourier", "convolution", "bks", "heat"}
 # points per axis of the deterministic second routes; each row's note
 # carries the relative change from half the order
 _HURWITZ_ORDER = 20  # SU(3) Haar product rule of chars.HurwitzSU3, 20^4 nodes
-_HERMITE_ORDER = 24  # tensor Gauss-Hermite rule over su(2), 24^3 nodes
+# quadrature.Tridiagonal rule over the algebra: 20^2 nodes on su(2), 16^4 on su(3)
+_TRIDIAGONAL_ORDER = {"SU2": 20, "SU3": 16}
 # the one case per suite that keeps its Monte-Carlo route as a cross-check
 _KIRILLOV_MC_CASE = 3  # A2 lam = (1, 1), double angle
-_WEYLINT_MC_CASE = 5   # A1 eta^1 * char(2Y) at lam = (1,), t_g = 0.35 t
+# eta^1 * char(2Y) at t_g = 0.35 t: lam = (1,) on A1, (0, 1) on A2
+_WEYLINT_MC_CASE = 5
+# largest exponential tilt |mu_eff|^2 t_gauss of a weylint test integrand
+_TILT_CAP = 28.0
 # the finest heat-kernel cutoff of the heat suite (heat/kernel-truncation);
 # a t that needs more than heat's term cap at it makes the suite unavailable
 _HEAT_FINE_CUTOFF = 1e-13
@@ -189,7 +193,7 @@ def invariant_test_functions(rs: RootSystem, t: float):
             for lam in lams:
                 tg = t * narrow
                 mu_eff = float(np.linalg.norm(2.0 * (lam.coords + rs.rho) + 2.0 * p * rs.rho))
-                if mu_eff**2 * tg <= 28.0:
+                if mu_eff**2 * tg <= _TILT_CAP:
                     cases.append((tg, p, lam, mu_eff))
     return cases[:20]
 
@@ -342,34 +346,36 @@ def suite_weylint(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> l
     rows.append(det_row("weylint/order-doubling", integrate_invariant(q2, gauss), v1,
                         cfg.tolerance, "spectral convergence of the chamber rule"))
     if model is None:
-        rows.append(skip_row("weylint/chamber-vs-cartesian",
+        rows.append(skip_row("weylint/chamber-vs-tridiagonal",
                              "no Cartesian oracle without a matrix model (torus)"))
         return rows
     rows.append(det_row("weylint/flag-volume-closed-form", flag_volume_from_gaussian(rs),
                         flag_volume(rs), max(cfg.tolerance, 1e-12),
                         "order-200 chamber rule of the Gaussian vs Mehta's integral"))
 
-    for i, case in enumerate(invariant_test_functions(rs, cfg.t)):
+    cases = invariant_test_functions(rs, cfg.t)
+    if not cases:
+        rows.append(skip_row("weylint/chamber-vs-tridiagonal",
+                             f"no test integrand within the tilt cap |mu_eff|^2 t_gauss <= "
+                             f"{_TILT_CAP:g} at t={cfg.t:g}"))
+        return rows
+    tri = _TRIDIAGONAL_ORDER[model.kind]
+    for i, case in enumerate(cases):
         tg, p, lam, _ = case
         val = chamber_integral(rs, case, order)
         note = f"eta^{p} * char(2Y) * gaussian(t={tg:g}), lam={lam.dynkin}"
-        if rs.kind == "A1":
-            f = _algebra_integrand(rs, model, case)
-            fine, coarse = (
-                cartesian_oracle_integrate(model, f, tg, GaussHermite(n)).value
-                for n in (_HERMITE_ORDER, _HERMITE_ORDER // 2)
-            )
-            rows.append(det_row(f"weylint/chamber-vs-hermite-{i:02d}", fine, val,
-                                max(cfg.tolerance, 1e-12),
-                                f"{note}; {doubling_note(fine, coarse, _HERMITE_ORDER)}"))
-            if i != _WEYLINT_MC_CASE:
-                continue
-            cid = "weylint/mc-crosscheck-a1"
-            note = f"{note}; Monte-Carlo route of chamber-vs-hermite-{i:02d}"
-        else:
-            cid = f"weylint/chamber-vs-cartesian-{i:02d}"
-        est = cartesian_monte_carlo(rs, model, case, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
-        rows.append(stat_row(cid, est.value, val, est.stderr, note))
+        f = _algebra_integrand(rs, model, case)
+        fine, coarse = (cartesian_oracle_integrate(model, f, tg, Tridiagonal(n)).value
+                        for n in (tri, tri // 2))
+        cid = f"weylint/chamber-vs-tridiagonal-{i:02d}"
+        rows.append(det_row(cid, fine, val, max(cfg.tolerance, 1e-12),
+                            f"{note}; {doubling_note(fine, coarse, tri)}"))
+        if i == _WEYLINT_MC_CASE:
+            mc_id = f"weylint/mc-crosscheck-{rs.kind.lower()}"
+            est = cartesian_monte_carlo(rs, model, case,
+                                        MonteCarlo(cfg.mc_samples, _seed_for(cfg, mc_id)))
+            rows.append(stat_row(mc_id, est.value, val, est.stderr,
+                                 f"{note}; Monte-Carlo route of {cid.split('/')[1]}"))
     return rows
 
 

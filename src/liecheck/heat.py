@@ -135,8 +135,11 @@ def heat_convolution_residual(
     xinv = np.conj(np.swapaxes(xs, -1, -2))
     worst = Estimate(-1.0, 0.0)
     for y in ys:
-        mean, sem = haar_mean(lambda xi, fv, y=y: heat_kernel_eval(model, t, y @ xi)[0] * fv,
-                              (xinv, f_vals), weights)
+        # einsum, not y @ xi: matmul hands the batch to BLAS one 2x2
+        # product at a time
+        mean, sem = haar_mean(
+            lambda xi, fv, y=y: heat_kernel_eval(model, t, np.einsum("ab,nbc->nac", y, xi))[0] * fv,
+            (xinv, f_vals), weights)
         resid = abs(complex(mean) - synthesize(flowed, model, y))
         if resid > worst.value:
             worst = Estimate(resid, float(sem))

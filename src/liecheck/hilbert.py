@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from . import chars
 from .models import (
@@ -34,7 +33,13 @@ from .models import (
     irrep_matrices,
     rep_matrices,
 )
-from .quadrature import _tensor_rule, build_chamber_quadrature, default_order, integrate_invariant
+from .quadrature import (
+    _hermgauss,
+    _tensor_rule,
+    build_chamber_quadrature,
+    default_order,
+    integrate_invariant,
+)
 from .rootdata import RootSystem, Weight, build_root_system, dimension, weight
 
 __all__ = [
@@ -273,9 +278,9 @@ def bks_integral_transform(phi, model: GroupModel, xs) -> np.ndarray:
     rs = build_root_system(phi.rs_kind)
     xs = np.asarray(xs, complex)
     pts = xs if xs.ndim == 3 else xs[None]
-    h, hw = hermgauss(_BKS_HERMITE_ORDER)
+    h, hw = _hermgauss(_BKS_HERMITE_ORDER)
     s = np.sqrt(2.0 * phi.t)
-    coords, gh_w = _tensor_rule(s * h, s * hw, 3)
+    coords, gh_w = _tensor_rule(*[(s * h, s * hw)] * 3)
     w_eta = gh_w * chars.eta(rs, chamber_coordinates(model, coords) / 2.0)
     polar = exp_i(coords)
     out = np.zeros(len(pts), dtype=complex)

@@ -9,15 +9,16 @@ The flag volume is exact: flag_volume takes it from Mehta's integral, the
 k = 1 case of Macdonald's conjecture (Macdonald, SIAM J. Math. Anal. 13
 (1982) 988; Mehta, Random Matrices, 3rd ed., ch. 17), and the Jacobian of
 the chamber parameterization.  A Cartesian oracle that never uses the
-chamber reduction checks the reduction: Monte Carlo, and on su(2) also a
-deterministic tensor Gauss-Hermite rule.
+chamber reduction checks the reduction: Monte Carlo, and the deterministic
+Tridiagonal rule, which needs neither the Weyl integration formula nor the
+flag volume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import factorial, prod
+from math import factorial, gamma, prod
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -28,7 +29,7 @@ from .rootdata import RootSystem
 
 __all__ = [
     "ChamberQuadrature",
-    "GaussHermite",
+    "Tridiagonal",
     "build_chamber_quadrature",
     "cartesian_oracle_integrate",
     "default_order",
@@ -44,11 +45,17 @@ _INVARIANT_DEGREES = {"A1": (2,), "A2": (2, 3)}
 
 
 @dataclass(frozen=True)
-class GaussHermite:
-    """Tensor Gauss-Hermite scheme over su(2) = R^3, `order` points per axis.
+class Tridiagonal:
+    """Cartesian scheme over su(2) or su(3) by the tridiagonal reduction,
+    `order` points per axis.
 
-    It uses neither the chamber nor a radial reduction.  On su(3) = R^8 a
-    tensor rule does not converge at any affordable order, so it is refused.
+    Unitary invariance brings H = -iY to real tridiagonal form (Trotter,
+    Adv. Math. 54 (1984) 67; Dumitriu & Edelman, J. Math. Phys. 43 (2002)
+    5830): on su(3) a U(1) x U(2) conjugation sends the off-diagonal part
+    of H's first column to (s, 0) and a diagonal phase makes H_12 real, so
+    polar coordinates on C^2 and C (sphere areas 2 pi^2 and 2 pi) turn the
+    8-D integral into a smooth 4-D one; on su(2) one phase leaves a 2-D
+    one.  It uses no Weyl integration formula and no flag volume.
     """
 
     order: int
@@ -81,16 +88,39 @@ def truncation_radius(t: float, target_mu_norm: float) -> float:
     return float(np.sqrt(t) * (target_mu_norm * np.sqrt(t) / 2.0 + 8.0))
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order.
-
-    The arrays are shared by every caller, so they are read-only.
-    """
-    x, w = leggauss(order)
+def _read_only(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A cached rule's arrays are shared by every caller, so they are read-only."""
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+@lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    return _read_only(*leggauss(order))
+
+
+@lru_cache(maxsize=None)
+def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for e^{-x^2} on R, built once per order."""
+    return _read_only(*hermgauss(order))
+
+
+@lru_cache(maxsize=None)
+def _laggauss(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generalised Gauss-Laguerre rule for u^alpha e^{-u} on [0, inf), built once per order.
+
+    Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues
+    of the Jacobi matrix of the Laguerre recurrence, diagonal 2k + alpha + 1
+    and off-diagonal sqrt(k (k + alpha)), and the weights Gamma(alpha + 1)
+    times the squared first components of its eigenvectors.
+    """
+    k = np.arange(1, order)
+    off = np.sqrt(k * (k + alpha))
+    jacobi = np.diag(2.0 * np.arange(order) + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    x, v = np.linalg.eigh(jacobi)
+    return _read_only(x, gamma(alpha + 1.0) * v[0] ** 2)
 
 
 def _gauss_legendre_01(order: int, upper: float):
@@ -98,11 +128,11 @@ def _gauss_legendre_01(order: int, upper: float):
     return (x + 1.0) * upper / 2.0, w * upper / 2.0
 
 
-def _tensor_rule(x: np.ndarray, w: np.ndarray, dim: int):
-    """Tensor power of a 1-D rule: (n^dim, dim) nodes and (n^dim,) weights."""
-    grids = np.meshgrid(*([x] * dim), indexing="ij", copy=False)
-    nodes = np.stack(grids, axis=-1).reshape(-1, dim)
-    return nodes, reduce(np.multiply.outer, [w] * dim).reshape(-1)
+def _tensor_rule(*rules):
+    """Tensor product of 1-D rules (x, w): (N, len(rules)) nodes and (N,) weights."""
+    grids = np.meshgrid(*(x for x, _ in rules), indexing="ij", copy=False)
+    nodes = np.stack(grids, axis=-1).reshape(-1, len(rules))
+    return nodes, reduce(np.multiply.outer, [w for _, w in rules]).reshape(-1)
 
 
 def _chamber_nodes_raw(
@@ -134,7 +164,7 @@ def _chamber_nodes_raw(
         half, gw_half = _gauss_legendre_01(order, R)
         pts = np.concatenate([-half[::-1], half])
         gw = np.concatenate([gw_half[::-1], gw_half])
-        return (*_tensor_rule(pts, gw, rank), R)
+        return (*_tensor_rule(*[(pts, gw)] * rank), R)
     raise ValueError(f"unsupported kind for chamber quadrature: {kind!r}")
 
 
@@ -243,6 +273,36 @@ def gaussian_linear_moment(rs: RootSystem, mu, t: float) -> float:
     return float((t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * m2 / 4.0))
 
 
+def _tridiagonal_rule(model: GroupModel, t: float, order: int):
+    """Nodes (N, dim_k), weights and norm of the Tridiagonal scheme for e^{-|c|^2/t}.
+
+    su(3): the integral over R^8 is 2 pi^2 * 2 pi times the integral over
+    (c_2, c_7) in R^2, s > 0 and rho > 0 of s^3 rho f(c_0 = s, c_5 = rho,
+    c_2, c_7, other c = 0) e^{-(c_2^2 + c_7^2 + s^2 + rho^2)/t}.  With
+    c_2, c_7 = sqrt(t) x (Gauss-Hermite), s^2 = t u (Gauss-Laguerre,
+    alpha = 1) and rho^2 = t v (alpha = 0) it is pi^3 t^4 sum w f.
+    su(2): the integral over R^3 is 2 pi times that over c_2 in R and
+    rho > 0 of rho f(c_0 = rho, c_2, c_1 = 0) e^{-(c_2^2 + rho^2)/t}, or
+    pi t^(3/2) sum w f.  f = 1 gives (pi t)^(dim_k/2) exactly.
+    """
+    x, wx = _hermgauss(order)
+    v, wv = _laggauss(order, 0.0)
+    diagonal = (np.sqrt(t) * x, wx)
+    rho = (np.sqrt(t * v), wv)
+    if model.kind == "SU2":
+        slots, rules, norm = [0, 2], (rho, diagonal), np.pi * t**1.5
+    elif model.kind == "SU3":
+        u, wu = _laggauss(order, 1.0)
+        slots, rules = [0, 5, 2, 7], ((np.sqrt(t * u), wu), rho, diagonal, diagonal)
+        norm = np.pi**3 * t**4
+    else:
+        raise ValueError(f"Tridiagonal scheme needs the SU2 or SU3 model, not {model.kind!r}")
+    nodes, weights = _tensor_rule(*rules)
+    c = np.zeros((len(nodes), model.dim_k))
+    c[:, slots] = nodes
+    return c, weights, norm
+
+
 def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme) -> Estimate:
     """Brute-force integral of f(Y) e^{-|Y|^2/t} over the full algebra.
 
@@ -253,20 +313,17 @@ def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme) -> Estima
     MonteCarlo: importance sampling with Y ~ Normal(0, t/2 per coordinate),
     so the estimator is (t*pi)^(m/2) * mean f with a reported standard
     error; the draw is one rng.normal call, only f runs block by block.
-    GaussHermite: the tensor rule for e^{-|x|^2} on R^3 at Y = sqrt(t) x,
-    so t^(3/2) * sum w f(sqrt(t) x); su(2) only.  Both average through
-    models.haar_mean, weights None for Monte Carlo.
+    Tridiagonal: the deterministic rule of _tridiagonal_rule, for an
+    Ad-invariant f only.  Both average through models.haar_mean, weights
+    None for Monte Carlo.
     """
-    m = model.dim_k
     if isinstance(scheme, MonteCarlo):
+        m = model.dim_k
         rng = np.random.default_rng(scheme.seed)
         c = rng.normal(0.0, np.sqrt(t / 2.0), size=(scheme.samples, m))
         weights, norm = None, (t * np.pi) ** (m / 2.0)
-    elif isinstance(scheme, GaussHermite):
-        if model.kind != "SU2":
-            raise ValueError("GaussHermite scheme requires the SU2 model")
-        nodes, weights = _tensor_rule(*hermgauss(scheme.order), m)
-        c, norm = np.sqrt(t) * nodes, t ** (m / 2.0)
+    elif isinstance(scheme, Tridiagonal):
+        c, weights, norm = _tridiagonal_rule(model, t, scheme.order)
     else:
         raise ValueError(f"unknown Cartesian integration scheme: {scheme!r}")
     mean, sem = haar_mean(lambda block: np.asarray(f(block), dtype=float), c, weights)

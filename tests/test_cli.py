@@ -141,22 +141,56 @@ def test_statistical_summary_and_deterministic_second_routes():
     t2 = run_verification_suite(RunConfig(group="T2"), "all")["summary"]["statistical"]
     assert t2 == {"k": 0, "beyond_2sigma": 0, "expected_beyond_2sigma": 0.0,
                   "false_alarm_prob": 0.0}
-    a2 = run_verification_suite(RunConfig(group="A2"), "kirillov")
+    a2 = run_verification_suite(RunConfig(group="A2"), "all")
     stat = a2["summary"]["statistical"]
-    assert stat["k"] == 1 and stat["false_alarm_prob"] == 0.0027
+    assert stat["k"] == 2 and stat["false_alarm_prob"] == 0.0054
     assert stat["beyond_2sigma"] == sum(
         1 for c in a2["checks"] if c["kind"] == "statistical" and c["sigma_distance"] > 2.0)
-    rule = [c for c in a2["checks"] if c["check_id"].startswith("kirillov/hurwitz-a2-")]
+    rule = [c for c in a2["checks"] if c["check_id"].startswith(
+        ("kirillov/hurwitz-a2-", "weylint/chamber-vs-tridiagonal-"))]
     assert [c["check_id"] for c in a2["checks"] if c["kind"] == "statistical"] == [
-        "kirillov/mc-crosscheck-a2"]
+        "kirillov/mc-crosscheck-a2", "weylint/mc-crosscheck-a2"]
     a1 = run_verification_suite(RunConfig(group="A1"), "weylint")
     assert a1["summary"]["statistical"]["k"] == 1
-    rule += [c for c in a1["checks"] if c["check_id"].startswith("weylint/chamber-vs-hermite-")]
-    assert len(rule) == 12 + 20
+    rule += [c for c in a1["checks"]
+             if c["check_id"].startswith("weylint/chamber-vs-tridiagonal-")]
+    assert len(rule) == 12 + 20 + 20
     for c in rule:
         assert c["kind"] == "deterministic" and c["pass"]
         assert c["rel_err"] <= 1e-12
         assert "rel delta" in c["note"]
+    # both Monte-Carlo cross-checks take the same case of their group's list
+    for report, group in ((a1, "a1"), (a2, "a2")):
+        mc = next(c for c in report["checks"] if c["check_id"] == f"weylint/mc-crosscheck-{group}")
+        assert mc["note"].endswith("Monte-Carlo route of chamber-vs-tridiagonal-05")
+
+
+def test_weylint_tridiagonal_rows_across_t():
+    for group, order in (("A1", 20), ("A2", 16)):
+        for t in (0.1, 0.5, 1.0, 2.0):
+            report = run_verification_suite(RunConfig(group=group, t=t), "weylint")
+            rows = [c for c in report["checks"]
+                    if c["check_id"].startswith("weylint/chamber-vs-tridiagonal-")]
+            assert rows, (group, t)
+            for c in rows:
+                assert c["kind"] == "deterministic" and c["pass"]
+                assert c["rel_err"] <= 1e-12, (group, t, c)
+                assert f"order {order} vs {order // 2}: rel delta" in c["note"]
+
+
+def test_weylint_reports_a_skip_row_when_no_case_is_within_the_tilt_cap(tmp_path):
+    # at these t every test integrand exceeds the tilt cap; the T1 row is
+    # the torus skip row of the same id
+    for group, t in (("A2", "10"), ("A1", "100"), ("T1", "1")):
+        out = tmp_path / f"{group}.json"
+        assert run(["verify", "--suite", "weylint", "--group", group, "--t", t,
+                    "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        skip = [c for c in checks if c["kind"] == "skip"]
+        assert [c["check_id"] for c in skip] == ["weylint/chamber-vs-tridiagonal"]
+        if group != "T1":
+            assert f"tilt cap |mu_eff|^2 t_gauss <= 28 at t={t}" in skip[0]["note"]
+            assert not any("tridiagonal-" in c["check_id"] for c in checks)
 
 
 def test_a1_statistical_rows_and_haar_su2_rule_rows():

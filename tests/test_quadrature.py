@@ -1,14 +1,18 @@
 import tracemalloc
+from dataclasses import replace
+from math import factorial
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from liecheck import chars, models
-from liecheck.models import MonteCarlo, build_group_model, chamber_coordinates
+from liecheck.models import MonteCarlo, algebra_element, chamber_coordinates
 from liecheck.quadrature import (
-    GaussHermite,
+    Tridiagonal,
+    _laggauss,
     _leggauss,
     build_chamber_quadrature,
     cartesian_oracle_integrate,
@@ -86,7 +90,7 @@ def test_cartesian_oracle_grid_vs_chamber(a1, su2):
         rep = chamber_coordinates(su2, c)
         return np.asarray(chars.eta(a1, rep))
 
-    grid = cartesian_oracle_integrate(su2, f_cart, 1.0, GaussHermite(24))
+    grid = cartesian_oracle_integrate(su2, f_cart, 1.0, Tridiagonal(20))
     assert grid.stderr == 0.0
     q = build_chamber_quadrature(a1, 1.0, 128, 2.0 * np.linalg.norm(a1.rho))
     chamber = integrate_invariant(q, lambda Y: chars.eta(a1, Y) * np.exp(-np.sum(Y**2, axis=-1)))
@@ -95,19 +99,64 @@ def test_cartesian_oracle_grid_vs_chamber(a1, su2):
     assert abs(mc.value - chamber) < 3 * mc.stderr
 
 
-def test_gauss_hermite_exact_on_gaussian_moments(su2):
-    # integral of c_0^2 c_1^4 e^{-|c|^2/t} over R^3, a product of 1-D moments
-    # sqrt(pi t) * {t/2, 3t^2/4, 1}; an n-point rule is exact to degree 2n - 1
-    for t in (0.35, 1.0, 2.5):
-        exact = (np.pi * t) ** 1.5 * (t / 2.0) * (3.0 * t**2 / 4.0)
-        for order in (4, 24):
-            est = cartesian_oracle_integrate(su2, lambda c: c[:, 0] ** 2 * c[:, 1] ** 4, t,
-                                             GaussHermite(order))
-            assert abs(est.value - exact) <= 1e-13 * exact
-        # three points are exact only to degree 5 in each coordinate
-        low = cartesian_oracle_integrate(su2, lambda c: c[:, 0] ** 2 * c[:, 1] ** 6, t,
-                                         GaussHermite(3))
-        assert abs(low.value - (np.pi * t) ** 1.5 * (t / 2.0) * (15.0 * t**3 / 8.0)) > 1e-3
+def _hermitian_moments(model):
+    """tr H^2, tr H^4 and det(H)^2 of H = -iY at the coordinates c, as integrands."""
+    def h(c):
+        return -1j * algebra_element(model, c)
+
+    def tr2(c):
+        return np.einsum("nij,nji->n", h(c), h(c)).real
+
+    def tr4(c):
+        h2 = h(c) @ h(c)
+        return np.einsum("nij,nji->n", h2, h2).real
+
+    def det2(c):
+        return np.abs(np.linalg.det(h(c))) ** 2
+
+    return tr2, tr4, det2
+
+
+def test_tridiagonal_exact_on_gaussian_moments(su2, su3):
+    # means over the density e^{-|c|^2/t} / (pi t)^(dim/2) of the traceless
+    # hermitian H = -iY: on su(3) E tr H^2 = 4t, E tr H^4 = 10t^2 and
+    # E det(H)^2 = 5t^3/9; on su(2) E tr H^2 = 3t/2 and E tr H^4 = 15t^2/8.
+    # In the rule's variables each is a polynomial of degree <= 2 in s^2/t
+    # and rho^2/t and <= 6 in the diagonal, so four points per axis are exact.
+    closed = {"SU2": lambda t: (1.5 * t, 15.0 * t**2 / 8.0),
+              "SU3": lambda t: (4.0 * t, 10.0 * t**2, 5.0 * t**3 / 9.0)}
+    for model in (su2, su3):
+        for t in (0.35, 1.0, 2.5):
+            gauss_mass = (np.pi * t) ** (model.dim_k / 2.0)
+            for order in (4, 16):
+                scheme = Tridiagonal(order)
+                one = cartesian_oracle_integrate(model, lambda c: np.ones(len(c)), t, scheme)
+                assert one.stderr == 0.0
+                assert abs(one.value - gauss_mass) <= 1e-14 * gauss_mass
+                for f, exact in zip(_hermitian_moments(model), closed[model.kind](t)):
+                    mean = cartesian_oracle_integrate(model, f, t, scheme).value / gauss_mass
+                    assert abs(mean - exact) <= 1e-13 * exact, (model.kind, t, order, mean)
+    # one point per axis is exact only to degree 1 in each variable
+    tr4 = _hermitian_moments(su3)[1]
+    low = cartesian_oracle_integrate(su3, tr4, 1.0, Tridiagonal(1)).value / np.pi**4
+    assert abs(low - 10.0) > 1e-2
+
+
+def test_laguerre_rules_cached_read_only_and_exact():
+    x0, w0 = _laggauss(12, 0.0)
+    ref_x, ref_w = laggauss(12)
+    assert np.allclose(x0, ref_x, rtol=1e-13, atol=0.0)
+    assert np.allclose(w0, ref_w, rtol=1e-10, atol=1e-14 * ref_w.max())
+    # alpha = 1: the integral of u^k against u e^{-u} is (k + 1)!, and an
+    # n-point rule is exact up to k = 2n - 1
+    x1, w1 = _laggauss(6, 1.0)
+    for k in range(12):
+        assert abs(w1 @ x1**k - factorial(k + 1)) <= 1e-12 * factorial(k + 1)
+    assert abs(w1 @ x1**12 - factorial(13)) > 1e-6 * factorial(13)
+    assert _laggauss(6, 1.0) is _laggauss(6, 1.0)
+    for a in (x0, w0, x1, w1):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_cartesian_oracle_a2(a2, su3):
@@ -115,9 +164,12 @@ def test_cartesian_oracle_a2(a2, su3):
         rep = chamber_coordinates(su3, c)
         return np.asarray(chars.eta(a2, rep))
 
-    mc = cartesian_oracle_integrate(su3, f_cart, 1.0, MonteCarlo(400_000, 6))
     q = build_chamber_quadrature(a2, 1.0, 128, 2.0 * np.linalg.norm(a2.rho))
     chamber = integrate_invariant(q, lambda Y: chars.eta(a2, Y) * np.exp(-np.sum(Y**2, axis=-1)))
+    grid = cartesian_oracle_integrate(su3, f_cart, 1.0, Tridiagonal(16))
+    assert grid.stderr == 0.0
+    assert abs(grid.value - chamber) < 1e-12 * chamber
+    mc = cartesian_oracle_integrate(su3, f_cart, 1.0, MonteCarlo(400_000, 6))
     assert abs(mc.value - chamber) < 3 * mc.stderr
 
 
@@ -190,9 +242,9 @@ def test_errors(a1, su2):
         integrate_invariant(q, lambda Y: np.full(len(Y), np.nan))
     with pytest.raises(ValueError):
         cartesian_oracle_integrate(su2, lambda c: np.ones(len(c)), 1.0, "nope")
-    su3 = build_group_model("SU3")
-    with pytest.raises(ValueError, match="requires the SU2 model"):
-        cartesian_oracle_integrate(su3, lambda c: np.ones(len(c)), 1.0, GaussHermite(4))
+    with pytest.raises(ValueError, match="needs the SU2 or SU3 model"):
+        cartesian_oracle_integrate(replace(su2, kind="SU4"), lambda c: np.ones(len(c)), 1.0,
+                                   Tridiagonal(4))
 
 
 def _reference_rule(rs, t, order, mu):
