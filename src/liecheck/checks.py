@@ -367,15 +367,15 @@ def suite_weylint(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> l
         f = _algebra_integrand(rs, model, case)
         fine, coarse = (cartesian_oracle_integrate(model, f, tg, Tridiagonal(n)).value
                         for n in (tri, tri // 2))
-        cid = f"weylint/chamber-vs-tridiagonal-{i:02d}"
-        rows.append(det_row(cid, fine, val, max(cfg.tolerance, 1e-12),
+        rule_id = f"chamber-vs-tridiagonal-{i:02d}"
+        rows.append(det_row(f"weylint/{rule_id}", fine, val, max(cfg.tolerance, 1e-12),
                             f"{note}; {doubling_note(fine, coarse, tri)}"))
         if i == _WEYLINT_MC_CASE:
-            mc_id = f"weylint/mc-crosscheck-{rs.kind.lower()}"
+            cid = f"weylint/mc-crosscheck-{rs.kind.lower()}"
             est = cartesian_monte_carlo(rs, model, case,
-                                        MonteCarlo(cfg.mc_samples, _seed_for(cfg, mc_id)))
-            rows.append(stat_row(mc_id, est.value, val, est.stderr,
-                                 f"{note}; Monte-Carlo route of {cid.split('/')[1]}"))
+                                        MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
+            rows.append(stat_row(cid, est.value, val, est.stderr,
+                                 f"{note}; Monte-Carlo route of {rule_id}"))
     return rows
 
 
