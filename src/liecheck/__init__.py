@@ -11,7 +11,7 @@ from .chars import ClosedFormA1, HurwitzSU3
 from .fourier import FourierSeries
 from .hilbert import ConstantsRow
 from .models import Estimate, GroupModel, HaarSU2, IrrepMatrices, MonteCarlo, build_group_model
-from .quadrature import ChamberQuadrature, Tridiagonal
+from .quadrature import ChamberQuadrature
 from .rootdata import RootSystem, Weight, build_root_system, enumerate_dominant, weight
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "IrrepMatrices",
     "MonteCarlo",
     "RootSystem",
-    "Tridiagonal",
     "Weight",
     "__version__",
     "build_group_model",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import asdict, dataclass, fields
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,6 +27,7 @@ from .models import (
     GroupModel,
     HaarSU2,
     MonteCarlo,
+    _evaluate_blocks,
     algebra_element,
     chamber_coordinates,
     haar_mean,
@@ -34,13 +36,13 @@ from .models import (
     su2_character,
 )
 from .quadrature import (
-    Tridiagonal,
     build_chamber_quadrature,
     cartesian_oracle_integrate,
     flag_volume,
     flag_volume_from_gaussian,
     gaussian_linear_moment,
     integrate_invariant,
+    tridiagonal_rule,
 )
 from .rootdata import RootSystem, build_root_system, dimension, enumerate_dominant, weight
 
@@ -53,11 +55,13 @@ _IRREP_ONLY = {"fourier", "convolution", "bks", "heat"}
 # points per axis of the deterministic second routes; each row's note
 # carries the relative change from half the order
 _HURWITZ_ORDER = 20  # SU(3) Haar product rule of chars.HurwitzSU3, 20^4 nodes
-# quadrature.Tridiagonal rule over the algebra: 20^2 nodes on su(2), 16^4 on su(3)
+# quadrature.tridiagonal_rule over the algebra: 20^2 nodes on su(2), 16^4 on
+# su(3); one rule and its chamber images serve every case of one width
 _TRIDIAGONAL_ORDER = {"SU2": 20, "SU3": 16}
 # the one case per suite that keeps its Monte-Carlo route as a cross-check
 _KIRILLOV_MC_CASE = 3  # A2 lam = (1, 1), double angle
-# eta^1 * char(2Y) at t_g = 0.35 t: lam = (1,) on A1, (0, 1) on A2
+# eta^1 * char(2Y) at t_g = 0.35 t: lam = (1,) on A1, (0, 1) on A2; the
+# last case where the tilt cap keeps fewer
 _WEYLINT_MC_CASE = 5
 # largest exponential tilt |mu_eff|^2 t_gauss of a weylint test integrand
 _TILT_CAP = 28.0
@@ -212,15 +216,23 @@ def chamber_integral(rs: RootSystem, case, order: int) -> float:
     return integrate_invariant(build_chamber_quadrature(rs, tg, order, mu_eff), f)
 
 
-def _algebra_integrand(rs: RootSystem, model: GroupModel, case):
-    """The case's integrand over the algebra without its Gaussian factor."""
-    _, p, lam, _ = case
+def tridiagonal_integrals(rs: RootSystem, model: GroupModel, cases, order: int) -> list[float]:
+    """invariant_test_functions cases of one Gaussian width by the tridiagonal rule.
 
-    def f(c):
-        rep = chamber_coordinates(model, c)
-        return chars.eta(rs, rep) ** p * chars.weyl_char_holo(rs, lam, 2.0 * rep)
-
-    return f
+    One rule and its chamber images serve every case: one eta array and one
+    character per weight, each evaluated in the blocks of models.haar_mean,
+    so each value has the bits of its case integrated alone over the rule.
+    """
+    rep, weights, norm = tridiagonal_rule(model, cases[0][0], order)
+    eta = _evaluate_blocks(lambda r: chars.eta(rs, r), rep)
+    chis = {}
+    for _, _, lam, _ in cases:
+        if lam.dynkin not in chis:
+            chis[lam.dynkin] = _evaluate_blocks(
+                lambda r: chars.weyl_char_holo(rs, lam, 2.0 * r), rep)
+    return [norm * float(haar_mean(lambda e, chi: e**p * chi, (eta, chis[lam.dynkin]),
+                                   weights)[0])
+            for _, p, lam, _ in cases]
 
 
 def cartesian_monte_carlo(rs: RootSystem, model: GroupModel, case, scheme: MonteCarlo):
@@ -230,12 +242,15 @@ def cartesian_monte_carlo(rs: RootSystem, model: GroupModel, case, scheme: Monte
     the integrand: the reweighted integrand keeps Gaussian decay, so its
     variance estimator (and hence a 3-sigma gate) stays trustworthy.
     """
-    tg = case[0]
+    tg, p, lam, _ = case
     ts = 2.0 * tg
-    f = _algebra_integrand(rs, model, case)
-    return cartesian_oracle_integrate(
-        model, lambda c: f(c) * np.exp(-np.sum(c**2, axis=-1) * (1.0 / tg - 1.0 / ts)), ts, scheme
-    )
+
+    def f(c):
+        rep = chamber_coordinates(model, c)
+        return (chars.eta(rs, rep) ** p * chars.weyl_char_holo(rs, lam, 2.0 * rep)
+                * np.exp(-np.sum(c**2, axis=-1) * (1.0 / tg - 1.0 / ts)))
+
+    return cartesian_oracle_integrate(model, f, ts, scheme)
 
 
 def random_series(rs_kind: str, space: str, t: float, dynkins, rng) -> fourier.FourierSeries:
@@ -360,17 +375,21 @@ def suite_weylint(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> l
                              f"{_TILT_CAP:g} at t={cfg.t:g}"))
         return rows
     tri = _TRIDIAGONAL_ORDER[model.kind]
-    for i, case in enumerate(cases):
+    # the cases of one width are contiguous, so each (width, order) rule is built once
+    fines, coarses = [], []
+    for _, same_width in groupby(cases, key=lambda case: case[0]):
+        same_width = list(same_width)
+        fines += tridiagonal_integrals(rs, model, same_width, tri)
+        coarses += tridiagonal_integrals(rs, model, same_width, tri // 2)
+    mc_case = min(_WEYLINT_MC_CASE, len(cases) - 1)
+    for i, (case, fine, coarse) in enumerate(zip(cases, fines, coarses)):
         tg, p, lam, _ = case
         val = chamber_integral(rs, case, order)
         note = f"eta^{p} * char(2Y) * gaussian(t={tg:g}), lam={lam.dynkin}"
-        f = _algebra_integrand(rs, model, case)
-        fine, coarse = (cartesian_oracle_integrate(model, f, tg, Tridiagonal(n)).value
-                        for n in (tri, tri // 2))
         rule_id = f"chamber-vs-tridiagonal-{i:02d}"
         rows.append(det_row(f"weylint/{rule_id}", fine, val, max(cfg.tolerance, 1e-12),
                             f"{note}; {doubling_note(fine, coarse, tri)}"))
-        if i == _WEYLINT_MC_CASE:
+        if i == mc_case:
             cid = f"weylint/mc-crosscheck-{rs.kind.lower()}"
             est = cartesian_monte_carlo(rs, model, case,
                                         MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))

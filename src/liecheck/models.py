@@ -365,8 +365,10 @@ def haar_mean(f, points, weights) -> tuple[np.ndarray, np.ndarray]:
 
     The one place where any integration scheme's points become a mean and
     a standard error: the Haar schemes of haar_nodes, the HurwitzSU3 rule
-    of chars.orbital_average, the Cartesian schemes of
-    quadrature.cartesian_oracle_integrate and the chamber rules of
+    of chars.orbital_average, the Monte-Carlo oracle
+    quadrature.cartesian_oracle_integrate, the tridiagonal rule of
+    quadrature.tridiagonal_rule, whose chamber images serve every
+    integrand of one Gaussian width, and the chamber rules of
     quadrature.integrate_invariant.  f is evaluated block by block (see
     _evaluate_blocks), so points is an array or a tuple of arrays and the
     values may carry trailing axes.  weights None (Monte Carlo): the plain

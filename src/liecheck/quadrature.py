@@ -8,10 +8,12 @@ orthant of fundamental-weight coefficients for A2, and a full box for tori.
 The flag volume is exact: flag_volume takes it from Mehta's integral, the
 k = 1 case of Macdonald's conjecture (Macdonald, SIAM J. Math. Anal. 13
 (1982) 988; Mehta, Random Matrices, 3rd ed., ch. 17), and the Jacobian of
-the chamber parameterization.  A Cartesian oracle that never uses the
-chamber reduction checks the reduction: Monte Carlo, and the deterministic
-Tridiagonal rule, which needs neither the Weyl integration formula nor the
-flag volume.
+the chamber parameterization.  Two Cartesian routes that never use the
+chamber reduction check it: the Monte-Carlo oracle, and the deterministic
+tridiagonal rule, which needs neither the Weyl integration formula nor the
+flag volume.  The tridiagonal rule hands back its nodes already mapped to
+the chamber, so one rule and its chamber images serve every integrand of
+one Gaussian width.
 """
 
 from __future__ import annotations
@@ -24,12 +26,18 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .models import Estimate, GroupModel, MonteCarlo, haar_mean
+from .models import (
+    Estimate,
+    GroupModel,
+    MonteCarlo,
+    _evaluate_blocks,
+    chamber_coordinates,
+    haar_mean,
+)
 from .rootdata import RootSystem
 
 __all__ = [
     "ChamberQuadrature",
-    "Tridiagonal",
     "build_chamber_quadrature",
     "cartesian_oracle_integrate",
     "default_order",
@@ -37,28 +45,12 @@ __all__ = [
     "flag_volume_from_gaussian",
     "gaussian_linear_moment",
     "integrate_invariant",
+    "tridiagonal_rule",
 ]
 
 SQRT2 = float(np.sqrt(2.0))
 # degrees of the basic invariants of each Weyl group, for Mehta's integral
 _INVARIANT_DEGREES = {"A1": (2,), "A2": (2, 3)}
-
-
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Cartesian scheme over su(2) or su(3) by the tridiagonal reduction,
-    `order` points per axis.
-
-    Unitary invariance brings H = -iY to real tridiagonal form (Trotter,
-    Adv. Math. 54 (1984) 67; Dumitriu & Edelman, J. Math. Phys. 43 (2002)
-    5830): on su(3) a U(1) x U(2) conjugation sends the off-diagonal part
-    of H's first column to (s, 0) and a diagonal phase makes H_12 real, so
-    polar coordinates on C^2 and C (sphere areas 2 pi^2 and 2 pi) turn the
-    8-D integral into a smooth 4-D one; on su(2) one phase leaves a 2-D
-    one.  It uses no Weyl integration formula and no flag volume.
-    """
-
-    order: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,17 +265,33 @@ def gaussian_linear_moment(rs: RootSystem, mu, t: float) -> float:
     return float((t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * m2 / 4.0))
 
 
-def _tridiagonal_rule(model: GroupModel, t: float, order: int):
-    """Nodes (N, dim_k), weights and norm of the Tridiagonal scheme for e^{-|c|^2/t}.
+def tridiagonal_rule(model: GroupModel, t: float, order: int):
+    """Chamber images (N, rank), weights (N,) and norm of the tridiagonal rule
+    for e^{-|c|^2/t} over su(2) or su(3), `order` points per axis.
 
-    su(3): the integral over R^8 is 2 pi^2 * 2 pi times the integral over
-    (c_2, c_7) in R^2, s > 0 and rho > 0 of s^3 rho f(c_0 = s, c_5 = rho,
-    c_2, c_7, other c = 0) e^{-(c_2^2 + c_7^2 + s^2 + rho^2)/t}.  With
-    c_2, c_7 = sqrt(t) x (Gauss-Hermite), s^2 = t u (Gauss-Laguerre,
-    alpha = 1) and rho^2 = t v (alpha = 0) it is pi^3 t^4 sum w f.
-    su(2): the integral over R^3 is 2 pi times that over c_2 in R and
-    rho > 0 of rho f(c_0 = rho, c_2, c_1 = 0) e^{-(c_2^2 + rho^2)/t}, or
-    pi t^(3/2) sum w f.  f = 1 gives (pi t)^(dim_k/2) exactly.
+    Unitary invariance brings H = -iY to real tridiagonal form (Trotter,
+    Adv. Math. 54 (1984) 67; Dumitriu & Edelman, J. Math. Phys. 43 (2002)
+    5830), so for an Ad-invariant f the integral of f(Y) e^{-|Y|^2/t} over
+    the algebra is norm * haar_mean(f, nodes, weights), f taking chamber
+    coordinates.  It uses no Weyl integration formula and no flag volume.
+
+    su(3): a U(1) x U(2) conjugation sends the off-diagonal part of H's
+    first column to (s, 0) and a diagonal phase makes H_12 real, so polar
+    coordinates on C^2 and C (sphere areas 2 pi^2 and 2 pi) make the
+    integral over R^8 2 pi^2 * 2 pi times that over (c_2, c_7) in R^2,
+    s > 0 and rho > 0 of s^3 rho f(c_0 = s, c_5 = rho, c_2, c_7, other
+    c = 0) e^{-(c_2^2 + c_7^2 + s^2 + rho^2)/t}.  With c_2, c_7 = sqrt(t) x
+    (Gauss-Hermite), s^2 = t u (Gauss-Laguerre, alpha = 1) and rho^2 = t v
+    (alpha = 0) it is pi^3 t^4 sum w f.  su(2): one phase leaves 2 pi times
+    the integral over c_2 in R and rho > 0 of rho f(c_0 = rho, c_2, c_1 = 0)
+    e^{-(c_2^2 + rho^2)/t}, or pi t^(3/2) sum w f.  f = 1 gives
+    (pi t)^(dim_k/2) exactly.
+
+    The Cartesian nodes are mapped to the chamber once, block by block
+    through models._evaluate_blocks, so an integrand evaluated over the
+    returned nodes in the same blocks sees the bits that it would see
+    composed with models.chamber_coordinates; one rule and its chamber
+    images serve every integrand of one width.
     """
     x, wx = _hermgauss(order)
     v, wv = _laggauss(order, 0.0)
@@ -296,35 +304,30 @@ def _tridiagonal_rule(model: GroupModel, t: float, order: int):
         slots, rules = [0, 5, 2, 7], ((np.sqrt(t * u), wu), rho, diagonal, diagonal)
         norm = np.pi**3 * t**4
     else:
-        raise ValueError(f"Tridiagonal scheme needs the SU2 or SU3 model, not {model.kind!r}")
+        raise ValueError(f"the tridiagonal rule needs the SU2 or SU3 model, not {model.kind!r}")
     nodes, weights = _tensor_rule(*rules)
     c = np.zeros((len(nodes), model.dim_k))
     c[:, slots] = nodes
-    return c, weights, norm
+    return _evaluate_blocks(lambda block: chamber_coordinates(model, block), c), weights, norm
 
 
-def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme) -> Estimate:
-    """Brute-force integral of f(Y) e^{-|Y|^2/t} over the full algebra.
+def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme: MonteCarlo) -> Estimate:
+    """Monte-Carlo integral of f(Y) e^{-|Y|^2/t} over the full algebra.
 
     No chamber reduction is used.  f receives orthonormal ad-basis
     coordinates of shape (n, dim_k), a block of the points at a time, and
-    returns the non-Gaussian factor at each as (n,) values.
-
-    MonteCarlo: importance sampling with Y ~ Normal(0, t/2 per coordinate),
-    so the estimator is (t*pi)^(m/2) * mean f with a reported standard
-    error; the draw is one rng.normal call, only f runs block by block.
-    Tridiagonal: the deterministic rule of _tridiagonal_rule, for an
-    Ad-invariant f only.  Both average through models.haar_mean, weights
-    None for Monte Carlo.
+    returns the non-Gaussian factor at each as (n,) values.  Importance
+    sampling with Y ~ Normal(0, t/2 per coordinate): the estimator is
+    (t*pi)^(m/2) * mean f with a reported standard error, averaged through
+    models.haar_mean with weights None.  The draw is one rng.normal call,
+    only f runs block by block.  The deterministic Cartesian route is
+    tridiagonal_rule.
     """
-    if isinstance(scheme, MonteCarlo):
-        m = model.dim_k
-        rng = np.random.default_rng(scheme.seed)
-        c = rng.normal(0.0, np.sqrt(t / 2.0), size=(scheme.samples, m))
-        weights, norm = None, (t * np.pi) ** (m / 2.0)
-    elif isinstance(scheme, Tridiagonal):
-        c, weights, norm = _tridiagonal_rule(model, t, scheme.order)
-    else:
+    if not isinstance(scheme, MonteCarlo):
         raise ValueError(f"unknown Cartesian integration scheme: {scheme!r}")
-    mean, sem = haar_mean(lambda block: np.asarray(f(block), dtype=float), c, weights)
+    m = model.dim_k
+    rng = np.random.default_rng(scheme.seed)
+    c = rng.normal(0.0, np.sqrt(t / 2.0), size=(scheme.samples, m))
+    mean, sem = haar_mean(lambda block: np.asarray(f(block), dtype=float), c, None)
+    norm = (t * np.pi) ** (m / 2.0)
     return Estimate(norm * float(mean), norm * float(sem))

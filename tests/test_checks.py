@@ -1,6 +1,15 @@
 import numpy as np
 
-from liecheck.checks import energy_positivity, random_series, series_deviation
+from liecheck import chars, checks, models, quadrature
+from liecheck.checks import (
+    energy_positivity,
+    invariant_test_functions,
+    random_series,
+    series_deviation,
+    tridiagonal_integrals,
+)
+from liecheck.cli import RunConfig, run_verification_suite
+from liecheck.quadrature import tridiagonal_rule
 
 
 def test_random_series_draws_the_inline_dicts_of_the_criteria():
@@ -42,3 +51,42 @@ def test_energy_positivity_fails_a_zero_at_a_non_trivial_weight():
     assert not energy_positivity([0.5, 1.0, 2.0])
     assert not energy_positivity([0.0, -0.5, 2.0])
     assert type(energy_positivity(np.array([0.0, 0.5]))) is bool
+
+
+def test_weylint_maps_each_width_and_order_to_the_chamber_once(monkeypatch, a2):
+    # A2 at t = 1: 20 cases at 3 Gaussian widths, each width's rules of
+    # orders 16 and 8 mapped to the chamber in one block pass, and the
+    # Monte-Carlo row's samples once; one pass per case would map
+    # 20 * (16^4 + 8^4) nodes
+    points = []
+
+    def counted(model, coords):
+        points.append(len(coords))
+        return models.chamber_coordinates(model, coords)
+
+    monkeypatch.setattr(checks, "chamber_coordinates", counted)
+    monkeypatch.setattr(quadrature, "chamber_coordinates", counted)
+    cfg = RunConfig(group="A2", t=1.0)
+    report = run_verification_suite(cfg, "weylint")
+    cases = invariant_test_functions(a2, 1.0)
+    widths = {case[0] for case in cases}
+    assert len(cases) == 20 and len(widths) == 3
+    assert report["summary"]["failed"] == 0
+    assert sum(points) == len(widths) * (16**4 + 8**4) + cfg.mc_samples
+
+    def blocks(n):
+        return -(-n // models._BLOCK)
+
+    assert len(points) == len(widths) * (blocks(16**4) + blocks(8**4)) + blocks(cfg.mc_samples)
+
+
+def test_shared_tridiagonal_values_equal_the_rule_case_by_case(a2, su3):
+    cases = invariant_test_functions(a2, 1.0)
+    width = [case for case in cases if case[0] == cases[1][0]][:5]
+    shared = tridiagonal_integrals(a2, su3, width, 16)
+    nodes, weights, norm = tridiagonal_rule(su3, width[0][0], 16)
+    for (_, p, lam, _), value in zip(width, shared):
+        def f(Y):
+            return chars.eta(a2, Y) ** p * chars.weyl_char_holo(a2, lam, 2.0 * Y)
+
+        assert value == norm * float(models.haar_mean(f, nodes, weights)[0])

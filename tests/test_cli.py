@@ -178,6 +178,20 @@ def test_weylint_tridiagonal_rows_across_t():
                 assert f"order {order} vs {order // 2}: rel delta" in c["note"]
 
 
+def test_weylint_cross_checks_the_last_case_when_the_tilt_cap_keeps_few(tmp_path):
+    # at A1 t = 10 the tilt cap keeps 4 of the 20 test integrands, so the
+    # Monte-Carlo cross-check takes the last of them, case 03
+    out = tmp_path / "a1-weylint-t10.json"
+    assert run(["verify", "--suite", "weylint", "--group", "A1", "--t", "10",
+                "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    mc = [c for c in checks if c["check_id"] == "weylint/mc-crosscheck-a1"]
+    assert len(mc) == 1 and mc[0]["kind"] == "statistical"
+    assert mc[0]["note"].endswith("Monte-Carlo route of chamber-vs-tridiagonal-03")
+    assert [c["check_id"] for c in checks if c["check_id"].startswith(
+        "weylint/chamber-vs-tridiagonal-")][-1] == "weylint/chamber-vs-tridiagonal-03"
+
+
 def test_weylint_reports_a_skip_row_when_no_case_is_within_the_tilt_cap(tmp_path):
     # at these t every test integrand exceeds the tilt cap; the T1 row is
     # the torus skip row of the same id

@@ -9,9 +9,8 @@ from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from liecheck import chars, models
-from liecheck.models import MonteCarlo, algebra_element, chamber_coordinates
+from liecheck.models import MonteCarlo, cartan_element, chamber_coordinates
 from liecheck.quadrature import (
-    Tridiagonal,
     _laggauss,
     _leggauss,
     build_chamber_quadrature,
@@ -21,6 +20,7 @@ from liecheck.quadrature import (
     flag_volume_from_gaussian,
     gaussian_linear_moment,
     integrate_invariant,
+    tridiagonal_rule,
 )
 from liecheck.rootdata import build_root_system, dimension, weight
 from test_models import _counted
@@ -28,6 +28,14 @@ from test_models import _counted
 
 def gauss(t):
     return lambda Y: np.exp(-np.sum(Y**2, axis=-1) / t)
+
+
+def _tridiagonal(model, f, t, order):
+    """The integral of f(Y) e^{-|Y|^2/t} over the algebra by the tridiagonal
+    rule, f taking the chamber coordinates of the rule's nodes."""
+    nodes, weights, norm = tridiagonal_rule(model, t, order)
+    assert nodes.shape == (len(weights), model.rank)
+    return norm * float(models.haar_mean(f, nodes, weights)[0])
 
 
 def test_gaussian_reproduction_a1(a1):
@@ -90,19 +98,18 @@ def test_cartesian_oracle_grid_vs_chamber(a1, su2):
         rep = chamber_coordinates(su2, c)
         return np.asarray(chars.eta(a1, rep))
 
-    grid = cartesian_oracle_integrate(su2, f_cart, 1.0, Tridiagonal(20))
-    assert grid.stderr == 0.0
+    grid = _tridiagonal(su2, lambda Y: chars.eta(a1, Y), 1.0, 20)
     q = build_chamber_quadrature(a1, 1.0, 128, 2.0 * np.linalg.norm(a1.rho))
     chamber = integrate_invariant(q, lambda Y: chars.eta(a1, Y) * np.exp(-np.sum(Y**2, axis=-1)))
-    assert abs(grid.value - chamber) < 1e-12 * chamber
+    assert abs(grid - chamber) < 1e-12 * chamber
     mc = cartesian_oracle_integrate(su2, f_cart, 1.0, MonteCarlo(400_000, 5))
     assert abs(mc.value - chamber) < 3 * mc.stderr
 
 
 def _hermitian_moments(model):
-    """tr H^2, tr H^4 and det(H)^2 of H = -iY at the coordinates c, as integrands."""
+    """tr H^2, tr H^4 and det(H)^2 of H = -iY at the chamber coordinates c, as integrands."""
     def h(c):
-        return -1j * algebra_element(model, c)
+        return -1j * cartan_element(model, c)
 
     def tr2(c):
         return np.einsum("nij,nji->n", h(c), h(c)).real
@@ -129,16 +136,14 @@ def test_tridiagonal_exact_on_gaussian_moments(su2, su3):
         for t in (0.35, 1.0, 2.5):
             gauss_mass = (np.pi * t) ** (model.dim_k / 2.0)
             for order in (4, 16):
-                scheme = Tridiagonal(order)
-                one = cartesian_oracle_integrate(model, lambda c: np.ones(len(c)), t, scheme)
-                assert one.stderr == 0.0
-                assert abs(one.value - gauss_mass) <= 1e-14 * gauss_mass
+                one = _tridiagonal(model, lambda c: np.ones(len(c)), t, order)
+                assert abs(one - gauss_mass) <= 1e-14 * gauss_mass
                 for f, exact in zip(_hermitian_moments(model), closed[model.kind](t)):
-                    mean = cartesian_oracle_integrate(model, f, t, scheme).value / gauss_mass
+                    mean = _tridiagonal(model, f, t, order) / gauss_mass
                     assert abs(mean - exact) <= 1e-13 * exact, (model.kind, t, order, mean)
     # one point per axis is exact only to degree 1 in each variable
     tr4 = _hermitian_moments(su3)[1]
-    low = cartesian_oracle_integrate(su3, tr4, 1.0, Tridiagonal(1)).value / np.pi**4
+    low = _tridiagonal(su3, tr4, 1.0, 1) / np.pi**4
     assert abs(low - 10.0) > 1e-2
 
 
@@ -166,9 +171,8 @@ def test_cartesian_oracle_a2(a2, su3):
 
     q = build_chamber_quadrature(a2, 1.0, 128, 2.0 * np.linalg.norm(a2.rho))
     chamber = integrate_invariant(q, lambda Y: chars.eta(a2, Y) * np.exp(-np.sum(Y**2, axis=-1)))
-    grid = cartesian_oracle_integrate(su3, f_cart, 1.0, Tridiagonal(16))
-    assert grid.stderr == 0.0
-    assert abs(grid.value - chamber) < 1e-12 * chamber
+    grid = _tridiagonal(su3, lambda Y: chars.eta(a2, Y), 1.0, 16)
+    assert abs(grid - chamber) < 1e-12 * chamber
     mc = cartesian_oracle_integrate(su3, f_cart, 1.0, MonteCarlo(400_000, 6))
     assert abs(mc.value - chamber) < 3 * mc.stderr
 
@@ -243,8 +247,7 @@ def test_errors(a1, su2):
     with pytest.raises(ValueError):
         cartesian_oracle_integrate(su2, lambda c: np.ones(len(c)), 1.0, "nope")
     with pytest.raises(ValueError, match="needs the SU2 or SU3 model"):
-        cartesian_oracle_integrate(replace(su2, kind="SU4"), lambda c: np.ones(len(c)), 1.0,
-                                   Tridiagonal(4))
+        tridiagonal_rule(replace(su2, kind="SU4"), 1.0, 4)
 
 
 def _reference_rule(rs, t, order, mu):
