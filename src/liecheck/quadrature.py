@@ -287,11 +287,11 @@ def tridiagonal_rule(model: GroupModel, t: float, order: int):
     e^{-(c_2^2 + rho^2)/t}, or pi t^(3/2) sum w f.  f = 1 gives
     (pi t)^(dim_k/2) exactly.
 
-    The Cartesian nodes are mapped to the chamber once, block by block
-    through models._evaluate_blocks, so an integrand evaluated over the
-    returned nodes in the same blocks sees the bits that it would see
-    composed with models.chamber_coordinates; one rule and its chamber
-    images serve every integrand of one width.
+    The Cartesian nodes go through models.chamber_coordinates once, in the
+    blocks of models._evaluate_blocks, so an integrand evaluated on the
+    returned nodes in those blocks has the bits it would have composed with
+    chamber_coordinates; one rule and its chamber images serve every
+    integrand of one width.
     """
     x, wx = _hermgauss(order)
     v, wv = _laggauss(order, 0.0)
