@@ -13,11 +13,18 @@ unitary dictionary multiplies the lam coefficient by sqrt(C); the pairing
 transform multiplies by D; its adjoint multiplies by D/C.  The analogous
 constants for the density-free Gaussian measure carry no closed form and
 are computed by quadrature with an order-doubling stability estimate.
+
+On a torus eta = 1, rho = 0 and the characters e^{-<lam, Y>} and the
+Gaussian are products over the axes, so the holomorphic norm on (C^*)^r
+is a product of one-variable norms (the abelian end of Hall's transform,
+J. Funct. Anal. 122 (1994) 103): each norm integral is summed as the
+product of r one-axis sums, and the density-free constant is C itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from math import prod
 
 import numpy as np
 
@@ -34,11 +41,13 @@ from .models import (
     rep_matrices,
 )
 from .quadrature import (
+    NON_FINITE_VALUES,
     _hermgauss,
     _tensor_rule,
     build_chamber_quadrature,
     default_order,
     integrate_invariant,
+    torus_axis_rule,
 )
 from .rootdata import RootSystem, Weight, build_root_system, dimension, weight
 
@@ -120,6 +129,42 @@ class NormCheck:
         return abs(self.quadrature - self.closed_form) / abs(self.closed_form)
 
 
+def _character_integral(
+    rs: RootSystem, lam: Weight, scale: float, s: float, order: int, with_eta: bool
+) -> float:
+    """(1/d) integral of char_holo(lam, scale Y) eta(scale Y / 2) e^{-|Y|^2/s}.
+
+    Without eta when with_eta is False.  The rule is the chamber rule of
+    width s sized for |mu| = scale |lam + rho|.  On a torus d = 1, eta = 1
+    and the character is e^{-<mu, Y>}, mu = scale lam, so the integrand is a
+    product over the axes, and by Fubini over a finite sum its sum over the
+    tensor rule is the product of rank sums over quadrature.torus_axis_rule,
+    each through models.haar_mean.  An axis factor is the one exponential
+    e^{-mu_i x - x^2/s}, so it overflows only where the integral does.
+    Non-finite values raise the ValueError of integrate_invariant.
+    """
+    mu = scale * np.linalg.norm(lam.coords + rs.rho)
+    if rs.is_torus:
+        x, w = torus_axis_rule(s, order, mu)
+        # an infinite axis factor makes its sum, and so the product, non-finite
+        total = prod(float(haar_mean(lambda y: np.exp(-mu_i * y - y**2 / s), x, w)[0])
+                     for mu_i in scale * lam.coords)
+        if not np.isfinite(total):
+            raise ValueError(NON_FINITE_VALUES)
+        return total
+
+    # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
+    # without numpy's slow reduction over a length-1 or -2 axis
+    def f(Y):
+        Z = scale * Y
+        v = chars.weyl_char_holo(rs, lam, Z)
+        if with_eta:
+            v = v * chars.eta(rs, Z / 2.0)
+        return v * np.exp(-np.einsum("...i,...i->...", Y, Y) / s)
+
+    return integrate_invariant(build_chamber_quadrature(rs, s, order, mu), f) / dimension(rs, lam)
+
+
 def verify_norm_identity(
     rs: RootSystem, lam: Weight, t: float, which: str, order: int
 ) -> NormCheck:
@@ -127,37 +172,17 @@ def verify_norm_identity(
 
     which="C": (1/d) integral of char_holo(lam, 2Y) eta(Y) e^{-|Y|^2/t}.
     which="D": (1/d) integral of char_holo(lam, Y) eta(Y/2) e^{-|Y|^2/2t}.
+    On a torus eta = 1 and either integral is a product of one-axis sums
+    (_character_integral).
     """
-    d = dimension(rs, lam)
     if which == "C":
         closed = c_constant(rs, lam, t)
-        mu = 2.0 * np.linalg.norm(lam.coords + rs.rho)
-        q = build_chamber_quadrature(rs, t, order, mu)
-
-        # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
-        # without numpy's slow reduction over a length-1 or -2 axis
-        def f(Y):
-            return (
-                chars.weyl_char_holo(rs, lam, 2.0 * Y)
-                * chars.eta(rs, Y)
-                * np.exp(-np.einsum("...i,...i->...", Y, Y) / t)
-            )
-
+        val = _character_integral(rs, lam, 2.0, t, order, with_eta=True)
     elif which == "D":
         closed = d_constant(rs, lam, t)
-        mu = float(np.linalg.norm(lam.coords + rs.rho))
-        q = build_chamber_quadrature(rs, 2.0 * t, order, mu)
-
-        def f(Y):
-            return (
-                chars.weyl_char_holo(rs, lam, Y)
-                * chars.eta(rs, Y / 2.0)
-                * np.exp(-np.einsum("...i,...i->...", Y, Y) / (2.0 * t))
-            )
-
+        val = _character_integral(rs, lam, 1.0, 2.0 * t, order, with_eta=True)
     else:
         raise ValueError("which must be 'C' or 'D'")
-    val = integrate_invariant(q, f) / d
     return NormCheck(which, lam.dynkin, t, order, val, closed)
 
 
@@ -166,21 +191,13 @@ def naive_constant(rs: RootSystem, lam: Weight, t: float, order: int) -> Estimat
 
     (1/d) integral of char_holo(lam, 2Y) e^{-|Y|^2/t}; no closed form is
     asserted.  The reported stderr slot carries |value(order) -
-    value(2*order)| as an order-doubling stability estimate.
+    value(2*order)| as an order-doubling stability estimate.  On a torus
+    eta = 1, so the integral is that of C, summed as a product of one-axis
+    sums (_character_integral).
     """
-    d = dimension(rs, lam)
-    mu = 2.0 * np.linalg.norm(lam.coords + rs.rho)
-
-    def f(Y):
-        return chars.weyl_char_holo(rs, lam, 2.0 * Y) * np.exp(
-            -np.einsum("...i,...i->...", Y, Y) / t
-        )
-
-    vals = []
-    for o in (order, 2 * order):
-        q = build_chamber_quadrature(rs, t, o, mu)
-        vals.append(integrate_invariant(q, f) / d)
-    return Estimate(vals[0], abs(vals[0] - vals[1]))
+    v0, v1 = (_character_integral(rs, lam, 2.0, t, o, with_eta=False)
+              for o in (order, 2 * order))
+    return Estimate(v0, abs(v0 - v1))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ For Ad-invariant integrands the integral over the whole algebra collapses
 to the dominant chamber against the density prod_alpha <alpha, Y>^2 times a
 constant flag-manifold volume factor.  The chamber is parameterized per
 type: the half-line in the angle theta (<alpha, Y> = 2*theta) for A1, the
-orthant of fundamental-weight coefficients for A2, and a full box for tori.
+orthant of fundamental-weight coefficients for A2, and a full box for tori,
+the tensor product of one mirrored axis rule (torus_axis_rule).
 The flag volume is exact: flag_volume takes it from Mehta's integral, the
 k = 1 case of Macdonald's conjecture (Macdonald, SIAM J. Math. Anal. 13
 (1982) 988; Mehta, Random Matrices, 3rd ed., ch. 17), and the Jacobian of
@@ -45,10 +46,13 @@ __all__ = [
     "flag_volume_from_gaussian",
     "gaussian_linear_moment",
     "integrate_invariant",
+    "torus_axis_rule",
     "tridiagonal_rule",
 ]
 
 SQRT2 = float(np.sqrt(2.0))
+# the ValueError of every chamber-rule sum whose integrand overflows
+NON_FINITE_VALUES = "integrand produced non-finite values at quadrature nodes"
 # degrees of the basic invariants of each Weyl group, for Mehta's integral
 _INVARIANT_DEGREES = {"A1": (2,), "A2": (2, 3)}
 
@@ -78,6 +82,13 @@ def default_order(rank: int) -> int:
 def truncation_radius(t: float, target_mu_norm: float) -> float:
     """Gaussian tail cut: |Y| range for integrands e^{-|Y|^2/t + |mu||Y|} poly."""
     return float(np.sqrt(t) * (target_mu_norm * np.sqrt(t) / 2.0 + 8.0))
+
+
+def _check_rule_parameters(t: float, order: int) -> None:
+    if order < 8:
+        raise ValueError("quadrature order must be >= 8")
+    if t <= 0:
+        raise ValueError("t must be positive")
 
 
 def _read_only(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,14 +161,24 @@ def _chamber_nodes_raw(
         dens = (s1 * s2 * (s1 + s2)) ** 2
         return nodes.reshape(-1, 2), (dens * gw2).reshape(-1), R
     if kind.startswith("T"):
-        # mirrored half-line panels: `order` points per half-axis, matching
-        # the resolution of the A1 half-line rule
         rank = fundamental_weights.shape[0]
-        half, gw_half = _gauss_legendre_01(order, R)
-        pts = np.concatenate([-half[::-1], half])
-        gw = np.concatenate([gw_half[::-1], gw_half])
-        return (*_tensor_rule(*[(pts, gw)] * rank), R)
+        return (*_tensor_rule(*[torus_axis_rule(t, order, target_mu_norm)] * rank), R)
     raise ValueError(f"unsupported kind for chamber quadrature: {kind!r}")
+
+
+def torus_axis_rule(t: float, order: int, target_mu_norm: float = 0.0):
+    """Nodes (2 order,) and weights of one axis of the torus chamber rule.
+
+    Gauss-Legendre on [0, R] mirrored onto [-R, 0], R =
+    truncation_radius(t, target_mu_norm): `order` points per half-axis,
+    matching the resolution of the A1 half-line rule.  The torus rule of
+    build_chamber_quadrature is its rank-fold tensor product, so an
+    integrand that is a product over the axes sums, by Fubini over a finite
+    sum, as the product of rank sums over this rule.
+    """
+    _check_rule_parameters(t, order)
+    half, gw_half = _gauss_legendre_01(order, truncation_radius(t, target_mu_norm))
+    return np.concatenate([-half[::-1], half]), np.concatenate([gw_half[::-1], gw_half])
 
 
 @lru_cache(maxsize=None)  # every chamber rule built for rs reads it
@@ -218,10 +239,7 @@ def build_chamber_quadrature(
         Norm of the largest exponential-growth vector mu expected; sets the
         truncation radius sqrt(t) * (|mu| sqrt(t)/2 + 8).
     """
-    if order < 8:
-        raise ValueError("quadrature order must be >= 8")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_rule_parameters(t, order)
     nodes, raw, R = _chamber_nodes_raw(
         rs.kind, rs.fundamental_weights, t, order, target_mu_norm
     )
@@ -248,7 +266,7 @@ def integrate_invariant(q: ChamberQuadrature, f) -> float:
         if vals.shape != (len(Y),):
             raise ValueError("integrand must return one value per node")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand produced non-finite values at quadrature nodes")
+            raise ValueError(NON_FINITE_VALUES)
         return vals
 
     return float(haar_mean(checked, q.nodes, q.weights)[0])

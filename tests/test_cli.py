@@ -95,6 +95,18 @@ def test_constants_table_torus_degenerate(tmp_path):
         assert abs(row["C_tilde"] - row["C"]) <= 1e-12 * row["C"]
 
 
+def test_torus_constants_at_t2_end_without_overflow(tmp_path):
+    # each axis factor e^{-mu_i x - x^2/t} is one exponential, so a torus
+    # row overflows only where C itself does (t |lam|^2 > 709; here <= 576)
+    out = tmp_path / "constants.json"
+    assert run(["constants", "--group", "T2", "--t", "2", "--max-level", "12",
+                "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert len(rows) == 13**2
+    for row in rows:
+        assert abs(row["C_tilde"] - row["C"]) <= 1e-12 * row["C"]
+
+
 def test_constants_json_roundtrip():
     cfg = RunConfig(group="A1", max_level=1)
     rows = emit_constants_table(cfg)

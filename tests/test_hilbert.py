@@ -1,6 +1,10 @@
+from math import prod
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from liecheck import chars, hilbert, quadrature
 from liecheck.fourier import FourierSeries, character_series, plancherel_norm
 from liecheck.hilbert import (
     bks_bracket,
@@ -91,7 +95,7 @@ def test_naive_constant_torus_degenerate(t2):
         est = naive_constant(t1, lam, 1.0, 64)
         C = c_constant(t1, lam, 1.0)
         assert abs(est.value - C) <= 1e-12 * C
-    # the rank-2 tensor grid of the constants sweep, at its order
+    # the rank-2 product of one-axis sums of the constants sweep, at its order
     for t in (0.5, 1.0, 2.0):
         for lam in enumerate_dominant(t2, 3):
             est = naive_constant(t2, lam, t, 96)
@@ -113,13 +117,81 @@ def _naive_constant_reference(rs, lam, t, order):
     return v0, abs(v0 - v1)
 
 
+def _torus_c_tilde_reference(rs, lam, t, order):
+    """C~ and its order-doubling delta on a torus, written out: the product
+    over the axes of sum w e^{-mu_i x - x^2/t}, mu = 2 lam, on Gauss-Legendre
+    over [0, R] mirrored onto [-R, 0], R = sqrt(t) (|mu| sqrt(t)/2 + 8)."""
+    mu = 2.0 * lam.coords
+    R = float(np.sqrt(t) * (2.0 * np.linalg.norm(lam.coords) * np.sqrt(t) / 2.0 + 8.0))
+    vals = []
+    for o in (order, 2 * order):
+        x, w = leggauss(o)
+        half, hw = (x + 1.0) * R / 2.0, w * R / 2.0
+        x, w = np.concatenate([-half[::-1], half]), np.concatenate([hw[::-1], hw])
+        vals.append(prod(float(np.sum(w * np.exp(-m * x - x**2 / t))) for m in mu))
+    return vals[0], abs(vals[0] - vals[1])
+
+
 def test_constants_row_c_tilde_is_bit_identical_to_reference(a1, a2, t2):
-    for rs, dynkins in ((a1, [(0,), (5,)]), (a2, [(0, 0), (2, 3)]), (t2, [(0, 0), (3, 4)])):
+    for rs, dynkins, reference in ((a1, [(0,), (5,)], _naive_constant_reference),
+                                   (a2, [(0, 0), (2, 3)], _naive_constant_reference),
+                                   (t2, [(0, 0), (3, 4)], _torus_c_tilde_reference)):
         order = default_order(rs.rank)
         for dynkin in dynkins:
             lam = weight(rs, dynkin)
             row = constants_row(rs, lam, 1.0, order)
-            assert (row.C_tilde, row.C_tilde_err) == _naive_constant_reference(rs, lam, 1.0, order)
+            assert (row.C_tilde, row.C_tilde_err) == reference(rs, lam, 1.0, order)
+
+
+@pytest.mark.parametrize("group, order", [("T1", 64), ("T2", 96), ("T3", 16)])
+def test_torus_product_route_equals_the_tensor_grid_sum(group, order):
+    rs = build_root_system(group)
+    for t in (0.5, 1.0, 2.0):
+        for lam in enumerate_dominant(rs, 3):
+            # (product-route value, character scale, Gaussian width, with eta)
+            routes = ((verify_norm_identity(rs, lam, t, "C", order).quadrature, 2.0, t, True),
+                      (verify_norm_identity(rs, lam, t, "D", order).quadrature, 1.0, 2.0 * t, True),
+                      (naive_constant(rs, lam, t, order).value, 2.0, t, False))
+            for value, scale, s, with_eta in routes:
+
+                def f(Y):
+                    v = chars.weyl_char_holo(rs, lam, scale * Y)
+                    if with_eta:
+                        v = v * chars.eta(rs, scale * Y / 2.0)
+                    return v * np.exp(-np.sum(Y**2, axis=-1) / s)
+
+                mu = scale * np.linalg.norm(lam.coords)
+                grid = integrate_invariant(build_chamber_quadrature(rs, s, order, mu), f)
+                assert abs(value - grid) <= 1e-13 * grid, (lam.dynkin, t, scale, with_eta)
+
+
+def test_torus_rows_never_build_the_tensor_grid(t2, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a torus row built the tensor grid")
+
+    for module, name in ((hilbert, "build_chamber_quadrature"),
+                         (quadrature, "build_chamber_quadrature"),
+                         (quadrature, "_chamber_nodes_raw")):
+        monkeypatch.setattr(module, name, no_grid)
+    lam = weight(t2, (3, 4))
+    row = constants_row(t2, lam, 1.0, 96)
+    assert abs(row.C_tilde - row.C) <= 1e-12 * row.C
+    for which in ("C", "D"):
+        assert verify_norm_identity(t2, lam, 1.0, which, 96).rel_err <= 1e-12
+
+
+def test_torus_rows_overflow_only_where_c_does(t2):
+    t1 = build_root_system("T1")
+    # at t = 2 each axis factor peaks at e^{t lam_i^2}: finite up to label 18
+    for n in range(11, 15):
+        row = constants_row(t1, weight(t1, (n,)), 2.0, 64)
+        assert np.isfinite(row.C_tilde) and np.isfinite(row.C_tilde_err)
+        assert abs(row.C_tilde - row.C) <= 1e-10 * row.C
+    # one axis past e^709, and two finite axes whose product is past it
+    for rs, dynkin, order in ((t1, (19,), 64), (t2, (14, 14), 96)):
+        assert not np.isfinite(c_constant(rs, weight(rs, dynkin), 2.0))
+        with pytest.raises(ValueError, match="integrand produced non-finite values at quadrature nodes"):
+            naive_constant(rs, weight(rs, dynkin), 2.0, order)
 
 
 def test_ratio_defect_equals_the_constants_row_and_the_direct_expression(a1, a2):

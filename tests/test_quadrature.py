@@ -20,7 +20,9 @@ from liecheck.quadrature import (
     flag_volume_from_gaussian,
     gaussian_linear_moment,
     integrate_invariant,
+    torus_axis_rule,
     tridiagonal_rule,
+    truncation_radius,
 )
 from liecheck.rootdata import build_root_system, dimension, weight
 from test_models import _counted
@@ -46,6 +48,19 @@ def test_gaussian_reproduction_a1(a1):
 def test_gaussian_reproduction_torus(t2):
     q = build_chamber_quadrature(t2, 1.0, 32)
     assert abs(integrate_invariant(q, gauss(1.0)) - np.pi) < 1e-12
+
+
+def test_torus_rule_is_the_tensor_power_of_its_axis_rule(t2):
+    x, w = torus_axis_rule(2.0, 24, 3.0)
+    assert len(x) == 48 and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0) and abs(x[-1]) < truncation_radius(2.0, 3.0)
+    q = build_chamber_quadrature(t2, 2.0, 24, 3.0)
+    assert np.array_equal(q.nodes, np.stack(np.meshgrid(x, x, indexing="ij"), -1).reshape(-1, 2))
+    assert np.array_equal(q.weights, np.outer(w, w).reshape(-1))
+    with pytest.raises(ValueError, match="order"):
+        torus_axis_rule(1.0, 4)
+    with pytest.raises(ValueError, match="t must be positive"):
+        torus_axis_rule(0.0, 16)
 
 
 def test_gaussian_reproduction_a2(a2):
@@ -316,7 +331,7 @@ def _a2_weylint_integrand(a2, su3, tg, ts):
 
 def test_blocked_rule_and_monte_carlo_equal_whole_array_references(a2, t2, su3):
     B = models._BLOCK
-    # the T2 constants integrand on the order-192 rule: 384^2 = 9 B nodes
+    # a T2 character times a Gaussian on the order-192 rule: 384^2 = 9 B nodes
     lam = weight(t2, (3, 2))
     mu = 2.0 * np.linalg.norm(lam.coords + t2.rho)
     q = build_chamber_quadrature(t2, 1.0, 192, mu)
