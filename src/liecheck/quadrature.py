@@ -166,7 +166,7 @@ def _chamber_nodes_raw(
     raise ValueError(f"unsupported kind for chamber quadrature: {kind!r}")
 
 
-def torus_axis_rule(t: float, order: int, target_mu_norm: float = 0.0):
+def torus_axis_rule(t: float, order: int, target_mu_norm: float):
     """Nodes (2 order,) and weights of one axis of the torus chamber rule.
 
     Gauss-Legendre on [0, R] mirrored onto [-R, 0], R =

@@ -58,9 +58,9 @@ def test_torus_rule_is_the_tensor_power_of_its_axis_rule(t2):
     assert np.array_equal(q.nodes, np.stack(np.meshgrid(x, x, indexing="ij"), -1).reshape(-1, 2))
     assert np.array_equal(q.weights, np.outer(w, w).reshape(-1))
     with pytest.raises(ValueError, match="order"):
-        torus_axis_rule(1.0, 4)
+        torus_axis_rule(1.0, 4, 0.0)
     with pytest.raises(ValueError, match="t must be positive"):
-        torus_axis_rule(0.0, 16)
+        torus_axis_rule(0.0, 16, 0.0)
 
 
 def test_gaussian_reproduction_a2(a2):
