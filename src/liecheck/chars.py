@@ -20,16 +20,20 @@ from functools import lru_cache
 import numpy as np
 
 from .models import (
+    CARTAN_EIGEN_EMBED,
     Estimate,
     GroupModel,
     MonteCarlo,
+    _gauss_legendre_01,
+    _leggauss,
+    _read_only,
+    _sinhc,
     algebra_coords,
     cartan_element,
     group_model_for,
     haar_mean,
     haar_nodes,
 )
-from .quadrature import _gauss_legendre_01, _leggauss
 from .rootdata import RootSystem, Weight, build_root_system, dimension
 
 __all__ = [
@@ -59,13 +63,6 @@ class HurwitzSU3:
     """
 
     order: int
-
-
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, float)
-    small = np.abs(x) < 1e-8
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
 
 
 def eta(rs: RootSystem, Y) -> np.ndarray | float:
@@ -105,16 +102,16 @@ def eta_det_oracle(model: GroupModel, Y) -> float:
 def j_half_identity_residual(rs: RootSystem, Y) -> float:
     """|j(iY) - eta(Y/2)|, the two sides by independent routes.
 
-    j(iY) is the product over positive roots of sinh(<a,Y>/2)/(<a,Y>/2);
-    eta(Y/2) is the determinant route det(sin(ad)/ad)^(1/2) at the Cartan
-    element Y/2 of the SU(2) or SU(3) matrix model.  Tori give 0.
+    j(iY) is the product over positive roots of sinh(<a,Y>/2)/(<a,Y>/2),
+    the product form eta(rs, Y/2); eta(Y/2) is the determinant route
+    det(sin(ad)/ad)^(1/2) at the Cartan element Y/2 of the SU(2) or SU(3)
+    matrix model.  Tori give 0.
     """
-    c = np.asarray(Y, float)
+    half = np.asarray(Y, float) / 2.0
     model = group_model_for(rs.kind)
     if model is None:
         return 0.0
-    j_at_i = float(np.prod(_sinhc(c @ rs.positive_roots.T / 2.0), axis=-1))
-    return abs(j_at_i - eta_det_oracle(model, cartan_element(model, c / 2.0)))
+    return abs(float(eta(rs, half)) - eta_det_oracle(model, cartan_element(model, half)))
 
 
 def _weyl_orbit(rs: RootSystem, v: np.ndarray) -> np.ndarray:
@@ -138,11 +135,6 @@ def _gt_weight_vectors(kind: str, dynkin: tuple) -> tuple:
     return tuple(out)
 
 
-# eigenvalue coordinates of the Cartan embedding, rows = orthonormal basis of t
-_A1_EMBED = np.array([[1.0, -1.0]]) / np.sqrt(2.0)
-_A2_EMBED = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]) / np.sqrt([2.0, 6.0])[:, None]
-
-
 def _char_holo_positive(rs: RootSystem, lam: Weight, pts: np.ndarray) -> np.ndarray:
     """Continued character as a sum of positive monomials e^{-<weight, a>}.
 
@@ -150,8 +142,7 @@ def _char_holo_positive(rs: RootSystem, lam: Weight, pts: np.ndarray) -> np.ndar
     where the alternating quotient degenerates.  The monomial exponents are
     the diagonal entries a of Y = i diag(a) at exp(iY) = diag(e^{-a}).
     """
-    embed = _A1_EMBED if rs.kind == "A1" else _A2_EMBED
-    a = pts @ embed
+    a = pts @ CARTAN_EIGEN_EMBED[rs.kind]
     weights = np.asarray(_gt_weight_vectors(rs.kind, lam.dynkin), dtype=float)
     return np.exp(-(a @ weights.T)).sum(axis=-1)
 
@@ -232,10 +223,7 @@ def _hurwitz_su3_moduli(order: int) -> tuple[np.ndarray, np.ndarray]:
     moduli[..., 1] = v
     moduli[..., 2] = 1.0 - p[:, None, :] - v
     moduli = moduli.reshape(-1, 9)
-    weights = np.outer(w_simplex, w_sphere).reshape(-1)
-    moduli.flags.writeable = False
-    weights.flags.writeable = False
-    return moduli, weights
+    return _read_only(moduli, np.outer(w_simplex, w_sphere).reshape(-1))
 
 
 def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:

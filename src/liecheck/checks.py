@@ -73,7 +73,7 @@ _HEAT_FINE_CUTOFF = 1e-13
 @dataclass
 class CheckRow:
     check_id: str
-    kind: str  # deterministic | statistical | skip
+    kind: str  # deterministic | statistical | skip | error
     lhs: float = 0.0
     rhs: float = 0.0
     abs_err: float = 0.0
@@ -91,8 +91,15 @@ class CheckRow:
 ROW_COLUMNS = tuple("pass" if f.name == "passed" else f.name for f in fields(CheckRow))
 
 
+def _require_finite(check_id: str, *values) -> None:
+    """A row's sides are numbers: inf or NaN raises, and the run reports an error row."""
+    if not np.all(np.isfinite(np.asarray(values, complex))):
+        raise ArithmeticError(f"{check_id}: non-finite value among {values!r}")
+
+
 def det_row(check_id: str, lhs: float, rhs: float, tol: float, note: str = "") -> CheckRow:
     lhs, rhs = float(lhs), float(rhs)
+    _require_finite(check_id, lhs, rhs)
     abs_err = abs(lhs - rhs)
     rel = abs_err / abs(rhs) if rhs != 0.0 else abs_err
     return CheckRow(check_id, "deterministic", lhs, rhs, abs_err, rel, None, rel <= tol, note)
@@ -101,6 +108,7 @@ def det_row(check_id: str, lhs: float, rhs: float, tol: float, note: str = "") -
 def stat_row(check_id: str, lhs, rhs, stderr: float, note: str = "") -> CheckRow:
     """A 3-sigma row on |lhs - rhs|; complex sides are reported by modulus
     but gated on their complex distance, so a phase error fails."""
+    _require_finite(check_id, lhs, rhs, stderr)
     abs_err = abs(complex(lhs) - complex(rhs))
     lhs, rhs = (float(abs(v) if isinstance(v, complex) else v) for v in (lhs, rhs))
     # exactness floor: zero-variance estimators (constant integrands) are
@@ -136,6 +144,11 @@ def skip_row(check_id: str, note: str) -> CheckRow:
     return CheckRow(check_id, "skip", note=note)
 
 
+def error_row(check_id: str, note: str) -> CheckRow:
+    """A failed row for a suite that raised instead of returning its rows."""
+    return CheckRow(check_id, "error", passed=False, note=note)
+
+
 def _seed_for(cfg: RunConfig, check_id: str) -> int:
     return (cfg.seed * 1_000_003 + zlib.crc32(check_id.encode())) % (2**63)
 
@@ -148,6 +161,16 @@ def _rng_for(cfg: RunConfig, check_id: str) -> np.random.Generator:
 # checks shared by the suites and the acceptance criteria
 
 
+def worst(values) -> float:
+    """The largest of the values, NaN if any is NaN.
+
+    Every worst-case reduction of a check goes through here: Python's max
+    keeps its running value when the next is NaN, so a NaN residual would
+    vanish from the row.
+    """
+    return float(np.max(np.fromiter(values, float)))
+
+
 def closed_form_a1_residuals(rs: RootSystem, model: GroupModel, rng, draws: int):
     """Worst scaled residuals of the A1 orbit-method identity, (double, half) angle.
 
@@ -155,30 +178,28 @@ def closed_form_a1_residuals(rs: RootSystem, model: GroupModel, rng, draws: int)
     Y ~ N(0, 0.7^2) from rng; the residual |eta chi - d A| is scaled by
     max(1, d A), d A the closed-form sphere-average side.
     """
-    worst = {False: 0.0, True: 0.0}
+    residuals = {False: [], True: []}
     lams = enumerate_dominant(rs, 6)
     for k in range(draws):
         lam = lams[k % len(lams)]
         Y = rng.normal(0.0, 0.7, size=1)
         for half in (False, True):
             lhs, rhs = chars.kirillov_sides(model, lam, Y, chars.ClosedFormA1(), half_angle=half)
-            worst[half] = max(worst[half], abs(lhs - rhs.value) / max(1.0, rhs.value))
-    return worst[False], worst[True]
+            residuals[half].append(abs(lhs - rhs.value) / max(1.0, rhs.value))
+    return worst(residuals[False]), worst(residuals[True])
 
 
 def eta_det_residual(rs: RootSystem, model: GroupModel, coords) -> float:
     """max |eta by the product form - eta by the determinant oracle| over
     the algebra points with orthonormal coordinates coords (n, dim_k)."""
-    worst = 0.0
-    for c, rep in zip(coords, chamber_coordinates(model, coords)):
-        det = chars.eta_det_oracle(model, algebra_element(model, c))
-        worst = max(worst, abs(float(chars.eta(rs, rep)) - det))
-    return worst
+    return worst(abs(float(chars.eta(rs, rep))
+                     - chars.eta_det_oracle(model, algebra_element(model, c)))
+                 for c, rep in zip(coords, chamber_coordinates(model, coords)))
 
 
 def j_half_residual(rs: RootSystem, points) -> float:
     """max |j(iY) - eta(Y/2)| over the Cartan points (n, rank)."""
-    return max(chars.j_half_identity_residual(rs, p) for p in points)
+    return worst(chars.j_half_identity_residual(rs, p) for p in points)
 
 
 def invariant_test_functions(rs: RootSystem, t: float):
@@ -205,15 +226,7 @@ def invariant_test_functions(rs: RootSystem, t: float):
 def chamber_integral(rs: RootSystem, case, order: int) -> float:
     """One invariant_test_functions case by the chamber rule of the given order."""
     tg, p, lam, mu_eff = case
-
-    # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
-    # without numpy's slow reduction over a length-1 or -2 axis
-    def f(Y):
-        return (chars.eta(rs, Y) ** p
-                * chars.weyl_char_holo(rs, lam, 2.0 * Y)
-                * np.exp(-np.einsum("...i,...i->...", Y, Y) / tg))
-
-    return integrate_invariant(build_chamber_quadrature(rs, tg, order, mu_eff), f)
+    return hilbert._character_integral(rs, lam, 2.0, tg, order, p, mu_eff)
 
 
 def tridiagonal_integrals(rs: RootSystem, model: GroupModel, cases, order: int) -> list[float]:
@@ -271,9 +284,9 @@ def series_deviation(a: dict, b: dict, scale: dict | None = None) -> float:
     at 1e-300 so a zero coefficient does not divide by zero.
     """
     if scale is None:
-        return max(float(np.abs(a[k] - b[k]).max()) for k in a)
-    return max(float(np.abs(a[k] - b[k]).max() / max(np.abs(scale[k]).max(), 1e-300))
-               for k in a)
+        return worst(float(np.abs(a[k] - b[k]).max()) for k in a)
+    return worst(float(np.abs(a[k] - b[k]).max() / max(np.abs(scale[k]).max(), 1e-300))
+                 for k in a)
 
 
 def character_pairing(n: int, t: float, scheme):
@@ -282,6 +295,20 @@ def character_pairing(n: int, t: float, scheme):
     phi = fourier.character_series("A1", (n,), "HL2", t)
     f = fourier.character_series("A1", (n,), "L2K", t)
     return hilbert.bks_bracket(phi, f, "spectral"), hilbert.bks_bracket(phi, f, scheme)
+
+
+def pointwise_transform_deviation(rs: RootSystem, model: GroupModel, t: float, xs) -> float:
+    """Largest relative deviation, over n = 0, 1, 2 and the SU(2) points xs, of
+    the pairing transform of the A1 character of label n from D_{t,n} times
+    that character, taken from su2_character's Chebyshev recurrence, a route
+    independent of the irreducible matrices behind bks_integral_transform."""
+    deviations = []
+    for n in (0, 1, 2):
+        phi = fourier.character_series("A1", (n,), "HL2", t)
+        vals = hilbert.bks_integral_transform(phi, model, xs)
+        target = hilbert.d_constant(rs, weight(rs, (n,)), t) * su2_character(n, xs)
+        deviations.append(float((np.abs(vals - target) / np.abs(target)).max()))
+    return worst(deviations)
 
 
 def hl2_char_norm(rs: RootSystem, lam, t: float, order: int) -> tuple[float, float]:
@@ -322,8 +349,8 @@ def suite_eta(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> list[
     rng = _rng_for(cfg, "eta/points")
     pts = rng.normal(0.0, 0.8, size=(100, rs.rank))
     if model is not None:
-        worst = eta_det_residual(rs, model, rng.normal(0.0, 0.8, size=(100, model.dim_k)))
-        rows.append(det_row("eta/det-oracle", worst, 0.0, max(cfg.tolerance, 1e-10),
+        residual = eta_det_residual(rs, model, rng.normal(0.0, 0.8, size=(100, model.dim_k)))
+        rows.append(det_row("eta/det-oracle", residual, 0.0, max(cfg.tolerance, 1e-10),
                             "max |product form - determinant oracle| over 100 random points"))
     else:
         vals = chars.eta(rs, pts)
@@ -334,9 +361,8 @@ def suite_eta(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> list[
                         "max |j(iY) - eta(Y/2)| over 100 random Cartan points"))
     vals = np.asarray(chars.eta(rs, pts))
     sym = float(np.abs(vals - np.asarray(chars.eta(rs, -pts))).max())
-    weyl_dev = 0.0
-    for w in rs.weyl_elements:
-        weyl_dev = max(weyl_dev, float(np.abs(np.asarray(chars.eta(rs, pts @ w.T)) - vals).max()))
+    weyl_dev = worst(float(np.abs(np.asarray(chars.eta(rs, pts @ w.T)) - vals).max())
+                     for w in rs.weyl_elements)
     rows.append(det_row("eta/evenness", sym, 0.0, cfg.tolerance))
     rows.append(det_row("eta/weyl-invariance", weyl_dev, 0.0, max(cfg.tolerance, 1e-12)))
     rows.append(CheckRow("eta/positivity", "deterministic", float(vals.min()), 0.0,
@@ -402,13 +428,13 @@ def suite_kirillov(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> 
     rows = []
     rng = _rng_for(cfg, "kirillov/points")
     if rs.is_torus:
-        worst = 0.0
+        residuals = []
         for lam in enumerate_dominant(rs, cfg.max_level):
             for Y in rng.normal(0.0, 0.8, size=(5, rs.rank)):
                 lhs = float(chars.eta(rs, Y)) * float(chars.weyl_char_holo(rs, lam, 2.0 * Y))
                 rhs = float(np.exp(-2.0 * (lam.coords + rs.rho) @ Y))
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        rows.append(det_row("kirillov/torus-exact", worst, 0.0, cfg.tolerance,
+                residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+        rows.append(det_row("kirillov/torus-exact", worst(residuals), 0.0, cfg.tolerance,
                             "adjoint action is trivial; orbital average is exact"))
         return rows
     if rs.kind == "A1":
@@ -466,20 +492,12 @@ def suite_lemma64(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> l
         rows.append(skip_row("lemma64/pointwise-transform",
                              "pointwise transform oracle needs SU2 irreducible matrices"))
         return rows
-    rng = _rng_for(cfg, "lemma64/pointwise-transform")
-    xs = haar_sample(model, rng, 20)
-    worst = 0.0
-    for n in (0, 1, 2):
-        lam = weight(rs, (n,))
-        phi = fourier.character_series("A1", (n,), "HL2", cfg.t)
-        f_vals = hilbert.bks_integral_transform(phi, model, xs)
-        target = hilbert.d_constant(rs, lam, cfg.t) * fourier.synthesize_many(
-            fourier.character_series("A1", (n,), "L2K", cfg.t), model, xs
-        )
-        scale = hilbert.d_constant(rs, lam, cfg.t) * dimension(rs, lam)
-        worst = max(worst, float(np.abs(f_vals - target).max() / scale))
-    rows.append(det_row("lemma64/pointwise-transform", worst, 0.0, max(cfg.tolerance, 1e-6),
-                        "max scaled deviation of the integral transform from D * character"))
+    xs = haar_sample(model, _rng_for(cfg, "lemma64/pointwise-transform"), 20)
+    rows.append(det_row("lemma64/pointwise-transform",
+                        pointwise_transform_deviation(rs, model, cfg.t, xs), 0.0,
+                        max(cfg.tolerance, 1e-6),
+                        "max relative deviation of the integral transform from D * character "
+                        "over 20 Haar points"))
     return rows
 
 
@@ -516,9 +534,9 @@ def suite_fourier(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[Che
             for dn in target.terms]
 
     exact, doubled = recovered(degree), recovered(2 * degree)
-    worst = max(float(np.abs(est - want).max() / np.abs(want).max())
-                for est, want in zip(exact, target.terms.values()))
-    rows.append(det_row(cid, worst, 0.0, tol,
+    deviation = worst(float(np.abs(est - want).max() / np.abs(want).max())
+                      for est, want in zip(exact, target.terms.values()))
+    rows.append(det_row(cid, deviation, 0.0, tol,
                         "max relative deviation of recovered coefficients; "
                         + haar_su2_note(np.concatenate([c.ravel() for c in exact]),
                                         np.concatenate([c.ravel() for c in doubled]), degree)))
@@ -708,8 +726,9 @@ def suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
 def suite_unitarity(cfg: RunConfig, rs: RootSystem, model) -> list[CheckRow]:
     rows = []
     t = cfg.t
-    worst = max(hilbert.ratio_defect(rs, lam, t) for lam in enumerate_dominant(rs, cfg.max_level))
-    rows.append(det_row("unitarity/ratio-identity", worst, 0.0, max(cfg.tolerance, 1e-12),
+    defect = worst(hilbert.ratio_defect(rs, lam, t)
+                   for lam in enumerate_dominant(rs, cfg.max_level))
+    rows.append(det_row("unitarity/ratio-identity", defect, 0.0, max(cfg.tolerance, 1e-12),
                         "(4 t pi)^(-dim/4) D = sqrt(C), relative"))
     rng = _rng_for(cfg, "unitarity/series")
     dynkins = [lam.dynkin for lam in enumerate_dominant(rs, min(cfg.max_level, 2))]

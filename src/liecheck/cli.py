@@ -3,7 +3,10 @@
 The checks themselves live in liecheck.checks.  A report sorts the rows of
 the chosen suites by check id and summarises them; its `statistical`
 block counts the sigma rows and gives the chance that an honest run fails
-one of them.  Exit codes: 0 all pass, 1 any check failed, 2 invalid
+one of them.  A suite that raises ValueError or ArithmeticError (an
+integrand that overflows, a non-finite side) becomes one failed
+`<suite>/error` row carrying the message, and the rest of the report is
+still written.  Exit codes: 0 all pass, 1 any check failed, 2 invalid
 configuration or usage.
 """
 
@@ -83,7 +86,10 @@ def run_verification_suite(config: RunConfig, suite: str) -> dict:
                 rows.append(checks.skip_row(f"{name}/unavailable", reason))
                 continue
             raise UsageError(reason)
-        rows.extend(checks.SUITES[name](config, rs, model))
+        try:
+            rows.extend(checks.SUITES[name](config, rs, model))
+        except (ValueError, ArithmeticError) as exc:
+            rows.append(checks.error_row(f"{name}/error", str(exc)))
     rows.sort(key=lambda r: r.check_id)
     failed = sum(1 for c in rows if not c.passed)
     skipped = sum(1 for c in rows if c.kind == "skip")
@@ -237,7 +243,8 @@ def main(argv=None) -> int:
             cfg = _config_from_args(args)
             report = run_verification_suite(cfg, args.suite)
             if cfg.format == "json":
-                _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+                _write_out(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                           args.out)
             else:
                 _write_out(_report_to_csv(report), args.out)
             return 0 if report["summary"]["failed"] == 0 else 1

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fourier import FourierSeries, synthesize, synthesize_many
-from .models import Estimate, GroupModel, haar_mean, haar_nodes
+from .models import Estimate, GroupModel, _read_only, haar_mean, haar_nodes
 from .rootdata import RootSystem, Weight, build_root_system, weight
 
 __all__ = [
@@ -82,9 +82,7 @@ def _truncation(t: float, cutoff: float) -> tuple[np.ndarray, float]:
     if not below.any():
         raise ValueError(f"t too small for cutoff: over {_TERM_CAP} terms needed")
     n_terms = int(np.argmax(below))
-    kept = decay[:n_terms]
-    kept.flags.writeable = False
-    return kept, float(bounds[n_terms])
+    return *_read_only(decay[:n_terms]), float(bounds[n_terms])
 
 
 def heat_kernel_eval(model: GroupModel, t: float, x, cutoff: float = 1e-12):

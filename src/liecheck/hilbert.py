@@ -46,6 +46,7 @@ from .quadrature import (
     _tensor_rule,
     build_chamber_quadrature,
     default_order,
+    gaussian_linear_moment,
     integrate_invariant,
     torus_axis_rule,
 )
@@ -78,23 +79,21 @@ def _norm2_shift(rs: RootSystem, lam: Weight) -> float:
 
 
 def c_constant(rs: RootSystem, lam: Weight, t: float) -> float:
-    """(t*pi)^(dim/2) * exp(t |lam+rho|^2)."""
+    """(t*pi)^(dim/2) * exp(t |lam+rho|^2), the Gaussian moment of 2(lam+rho) at width t."""
     if t <= 0:
         raise ValueError("t must be positive")
     if not lam.is_dominant:
         raise ValueError("c_constant requires a dominant weight")
-    return float((t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * _norm2_shift(rs, lam)))
+    return gaussian_linear_moment(rs, 2.0 * (lam.coords + rs.rho), t)
 
 
 def d_constant(rs: RootSystem, lam: Weight, t: float) -> float:
-    """(2*t*pi)^(dim/2) * exp(t |lam+rho|^2 / 2)."""
+    """(2*t*pi)^(dim/2) * exp(t |lam+rho|^2 / 2), the Gaussian moment of lam+rho at width 2t."""
     if t <= 0:
         raise ValueError("t must be positive")
     if not lam.is_dominant:
         raise ValueError("d_constant requires a dominant weight")
-    return float(
-        (2.0 * t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * _norm2_shift(rs, lam) / 2.0)
-    )
+    return gaussian_linear_moment(rs, lam.coords + rs.rho, 2.0 * t)
 
 
 def pairing_scale(rs: RootSystem, t: float) -> float:
@@ -130,22 +129,21 @@ class NormCheck:
 
 
 def _character_integral(
-    rs: RootSystem, lam: Weight, scale: float, s: float, order: int, with_eta: bool
+    rs: RootSystem, lam: Weight, scale: float, s: float, order: int, p: int, mu_norm: float
 ) -> float:
-    """(1/d) integral of char_holo(lam, scale Y) eta(scale Y / 2) e^{-|Y|^2/s}.
+    """Integral of eta(scale Y / 2)^p char_holo(lam, scale Y) e^{-|Y|^2/s}.
 
-    Without eta when with_eta is False.  The rule is the chamber rule of
-    width s sized for |mu| = scale |lam + rho|.  On a torus d = 1, eta = 1
-    and the character is e^{-<mu, Y>}, mu = scale lam, so the integrand is a
-    product over the axes, and by Fubini over a finite sum its sum over the
-    tensor rule is the product of rank sums over quadrature.torus_axis_rule,
-    each through models.haar_mean.  An axis factor is the one exponential
+    The rule is the chamber rule of width s sized for |mu| = mu_norm; eta
+    is skipped at p = 0.  On a torus eta = 1 and the character is
+    e^{-<mu, Y>}, mu = scale lam, so the integrand is a product over the
+    axes, and by Fubini over a finite sum its sum over the tensor rule is
+    the product of rank sums over quadrature.torus_axis_rule, each through
+    models.haar_mean.  An axis factor is the one exponential
     e^{-mu_i x - x^2/s}, so it overflows only where the integral does.
     Non-finite values raise the ValueError of integrate_invariant.
     """
-    mu = scale * np.linalg.norm(lam.coords + rs.rho)
     if rs.is_torus:
-        x, w = torus_axis_rule(s, order, mu)
+        x, w = torus_axis_rule(s, order, mu_norm)
         # an infinite axis factor makes its sum, and so the product, non-finite
         total = prod(float(haar_mean(lambda y: np.exp(-mu_i * y - y**2 / s), x, w)[0])
                      for mu_i in scale * lam.coords)
@@ -158,11 +156,11 @@ def _character_integral(
     def f(Y):
         Z = scale * Y
         v = chars.weyl_char_holo(rs, lam, Z)
-        if with_eta:
-            v = v * chars.eta(rs, Z / 2.0)
+        if p:
+            v = v * chars.eta(rs, Z / 2.0) ** p
         return v * np.exp(-np.einsum("...i,...i->...", Y, Y) / s)
 
-    return integrate_invariant(build_chamber_quadrature(rs, s, order, mu), f) / dimension(rs, lam)
+    return integrate_invariant(build_chamber_quadrature(rs, s, order, mu_norm), f)
 
 
 def verify_norm_identity(
@@ -175,15 +173,16 @@ def verify_norm_identity(
     On a torus eta = 1 and either integral is a product of one-axis sums
     (_character_integral).
     """
+    r = np.linalg.norm(lam.coords + rs.rho)
     if which == "C":
         closed = c_constant(rs, lam, t)
-        val = _character_integral(rs, lam, 2.0, t, order, with_eta=True)
+        val = _character_integral(rs, lam, 2.0, t, order, 1, 2.0 * r)
     elif which == "D":
         closed = d_constant(rs, lam, t)
-        val = _character_integral(rs, lam, 1.0, 2.0 * t, order, with_eta=True)
+        val = _character_integral(rs, lam, 1.0, 2.0 * t, order, 1, r)
     else:
         raise ValueError("which must be 'C' or 'D'")
-    return NormCheck(which, lam.dynkin, t, order, val, closed)
+    return NormCheck(which, lam.dynkin, t, order, val / dimension(rs, lam), closed)
 
 
 def naive_constant(rs: RootSystem, lam: Weight, t: float, order: int) -> Estimate:
@@ -195,7 +194,8 @@ def naive_constant(rs: RootSystem, lam: Weight, t: float, order: int) -> Estimat
     eta = 1, so the integral is that of C, summed as a product of one-axis
     sums (_character_integral).
     """
-    v0, v1 = (_character_integral(rs, lam, 2.0, t, o, with_eta=False)
+    d, r = dimension(rs, lam), np.linalg.norm(lam.coords + rs.rho)
+    v0, v1 = (_character_integral(rs, lam, 2.0, t, o, 0, 2.0 * r) / d
               for o in (order, 2 * order))
     return Estimate(v0, abs(v0 - v1))
 

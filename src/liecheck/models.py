@@ -10,7 +10,9 @@ at the level of its defining representation (adjoint action, Haar
 sampling); SU(2) additionally carries its irreducible representations as
 exact symmetric powers of the defining one, with the closed-form exp(iY)
 for the holomorphic extension.  These serve as brute-force oracles for
-characters, Fourier coefficients, and the integral transforms.
+characters, Fourier coefficients, and the integral transforms.  The
+numerical pieces the layers above share (the Gauss-Legendre rule,
+_read_only, sinh(x)/x, the Cartan eigenvalue embedding) live here once.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ __all__ = [
 ]
 
 SQRT2 = float(np.sqrt(2.0))
+# eigenvalue coordinates of the Cartan embedding, rows = orthonormal basis
+# of t: the Cartan element with t-coordinates y is i diag(y @ embed)
+CARTAN_EIGEN_EMBED = {
+    "A1": np.array([[1.0, -1.0]]) / np.sqrt(2.0),
+    "A2": np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]) / np.sqrt([2.0, 6.0])[:, None],
+}
 
 
 class Estimate(NamedTuple):
@@ -76,6 +84,33 @@ class HaarSU2:
     @property
     def samples(self) -> int:
         return (self.degree + 1) ** 2 * (self.degree // 4 + 1)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, read-only: a cache shares them with every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    return _read_only(*leggauss(order))
+
+
+def _gauss_legendre_01(order: int, upper: float):
+    """Gauss-Legendre nodes and weights mapped to [0, upper]."""
+    x, w = _leggauss(order)
+    return (x + 1.0) * upper / 2.0, w * upper / 2.0
+
+
+def _sinhc(x: np.ndarray) -> np.ndarray:
+    """sinh(x)/x, elementwise; 1 + x^2/6 where |x| < 1e-8, which rounds to 1."""
+    x = np.asarray(x, float)
+    small = np.abs(x) < 1e-8
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
 
 
 _PAULI = np.array(
@@ -224,9 +259,7 @@ def chamber_coordinates(model: GroupModel, coords) -> np.ndarray:
     if model.kind == "SU2":
         return np.linalg.norm(c, axis=-1)[..., None]
     a = _eigs_desc_from_invariants(*_su3_invariants_from_coords(c))
-    u1 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    u2 = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-    return np.stack([a @ u1, a @ u2], axis=-1)
+    return np.stack([a @ u for u in CARTAN_EIGEN_EMBED["A2"]], axis=-1)
 
 
 def _orthonormal_columns(z: np.ndarray) -> np.ndarray:
@@ -299,17 +332,13 @@ def _haar_su2_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("HaarSU2 degree must be >= 0")
     m = degree + 1
     phase = np.exp(2j * np.pi * np.arange(m) / m)
-    u, wu = leggauss(degree // 4 + 1)
-    u, wu = (u + 1.0) / 2.0, wu / 2.0
+    u, wu = _gauss_legendre_01(degree // 4 + 1, 1.0)
     a = np.sqrt(1.0 - u)[:, None, None] * phase[None, :, None]
     b = np.sqrt(u)[:, None, None] * phase[None, None, :]
     a, b = np.broadcast_arrays(a, b)
     xs = np.stack([np.stack([a, -b.conj()], axis=-1), np.stack([b, a.conj()], axis=-1)], axis=-2)
     xs = xs.reshape(-1, 2, 2)
-    weights = np.repeat(wu / (m * m), m * m)
-    xs.flags.writeable = False
-    weights.flags.writeable = False
-    return xs, weights
+    return _read_only(xs, np.repeat(wu / (m * m), m * m))
 
 
 def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray, np.ndarray | None]:
@@ -458,9 +487,8 @@ def exp_i(Y) -> np.ndarray:
     elif c.shape[-1] != model.dim_k:
         raise ValueError("Y must have rank or dim_k coordinates")
     r = np.linalg.norm(c, axis=-1) / SQRT2
-    sinhc = np.where(r > 0, np.sinh(r) / np.where(r > 0, r, 1.0), 1.0)
     iy = 1j * algebra_element(model, c)
-    return np.cosh(r)[..., None, None] * np.eye(2) + sinhc[..., None, None] * iy
+    return np.cosh(r)[..., None, None] * np.eye(2) + _sinhc(r)[..., None, None] * iy
 
 
 def su2_character(n: int, xs) -> np.ndarray:

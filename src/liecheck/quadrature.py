@@ -25,13 +25,14 @@ from math import factorial, gamma, prod
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from .models import (
     Estimate,
     GroupModel,
     MonteCarlo,
     _evaluate_blocks,
+    _gauss_legendre_01,
+    _read_only,
     chamber_coordinates,
     haar_mean,
 )
@@ -91,19 +92,6 @@ def _check_rule_parameters(t: float, order: int) -> None:
         raise ValueError("t must be positive")
 
 
-def _read_only(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A cached rule's arrays are shared by every caller, so they are read-only."""
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-@lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
-    return _read_only(*leggauss(order))
-
-
 @lru_cache(maxsize=None)
 def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights for e^{-x^2} on R, built once per order."""
@@ -124,11 +112,6 @@ def _laggauss(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     jacobi = np.diag(2.0 * np.arange(order) + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
     x, v = np.linalg.eigh(jacobi)
     return _read_only(x, gamma(alpha + 1.0) * v[0] ** 2)
-
-
-def _gauss_legendre_01(order: int, upper: float):
-    x, w = _leggauss(order)
-    return (x + 1.0) * upper / 2.0, w * upper / 2.0
 
 
 def _tensor_rule(*rules):
@@ -279,8 +262,8 @@ def gaussian_linear_moment(rs: RootSystem, mu, t: float) -> float:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    m2 = float(np.sum(np.asarray(mu, float) ** 2))
-    return float((t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * m2 / 4.0))
+    mu = np.asarray(mu, float)
+    return float((t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * float(mu @ mu) / 4.0))
 
 
 def tridiagonal_rule(model: GroupModel, t: float, order: int):

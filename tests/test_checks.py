@@ -1,12 +1,17 @@
 import numpy as np
+import pytest
 
 from liecheck import chars, checks, models, quadrature
 from liecheck.checks import (
+    chamber_integral,
+    det_row,
     energy_positivity,
     invariant_test_functions,
     random_series,
     series_deviation,
+    stat_row,
     tridiagonal_integrals,
+    worst,
 )
 from liecheck.cli import RunConfig, run_verification_suite
 from liecheck.quadrature import tridiagonal_rule
@@ -42,6 +47,57 @@ def test_series_deviation_floors_a_zero_scale_coefficient():
         assert series_deviation(a, b, a) == 0.5 / 1e-300
     assert series_deviation(a, b, b) == 1.0
     assert series_deviation(b, a, b) == 1.0
+
+
+def test_worst_case_reductions_keep_a_nan():
+    nan = float("nan")
+    assert worst([0.5, 2.0, 1.0]) == 2.0
+    # Python's max([0.0, nan, 1.0]) is 1.0
+    assert np.isnan(worst([0.0, nan, 1.0]))
+    assert np.isnan(worst(iter([1.0, nan])))
+    a = {(0,): np.array([[1.0]]), (1,): np.array([[nan]])}
+    b = {(0,): np.array([[0.0]]), (1,): np.array([[0.0]])}
+    assert np.isnan(series_deviation(a, b))
+    assert np.isnan(series_deviation(a, b, b))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_rows_refuse_a_non_finite_side(bad):
+    for lhs, rhs in ((bad, 0.0), (1.0, bad)):
+        with pytest.raises(ArithmeticError, match="x/y"):
+            det_row("x/y", lhs, rhs, 1e-8)
+        with pytest.raises(ArithmeticError, match="x/y"):
+            stat_row("x/y", lhs, rhs, 1.0)
+    with pytest.raises(ArithmeticError):
+        stat_row("x/y", complex(1.0, bad), 1.0, 1.0)
+    with pytest.raises(ArithmeticError):
+        stat_row("x/y", 1.0, 1.0, bad)
+
+
+def test_unitarity_ratio_row_fails_on_a_nan_defect_at_any_label(monkeypatch, a1):
+    # a NaN defect behind a finite one used to vanish in Python's max
+    def defect(rs, lam, t):
+        return float("nan") if lam.dynkin == (2,) else 1e-16
+
+    monkeypatch.setattr(checks.hilbert, "ratio_defect", defect)
+    with pytest.raises(ArithmeticError, match="unitarity/ratio-identity"):
+        checks.suite_unitarity(RunConfig(group="A1", max_level=3), a1, None)
+
+
+def test_chamber_integral_is_the_written_out_integrand_bit_for_bit(a1, a2):
+    # chamber_integral now calls hilbert._character_integral; its value is
+    # that of the integrand eta(Y)^p char(2Y) e^{-|Y|^2/t_g} summed alone
+    for rs in (a1, a2):
+        order = quadrature.default_order(rs.rank)
+        for case in invariant_test_functions(rs, 1.0):
+            tg, p, lam, mu_eff = case
+
+            def f(Y):
+                return (chars.eta(rs, Y) ** p * chars.weyl_char_holo(rs, lam, 2.0 * Y)
+                        * np.exp(-np.sum(Y**2, axis=-1) / tg))
+
+            q = quadrature.build_chamber_quadrature(rs, tg, order, mu_eff)
+            assert chamber_integral(rs, case, order) == quadrature.integrate_invariant(q, f)
 
 
 def test_energy_positivity_fails_a_zero_at_a_non_trivial_weight():

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import liecheck
 from liecheck.checks import doubling_note, stat_row
@@ -147,6 +148,34 @@ def test_exit_code_one_on_failure(tmp_path):
     assert code == 1
     report = json.loads(out.read_text())
     assert report["summary"]["failed"] >= 1
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and the infinities."""
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in the report")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("args, error_id, min_rows", [
+    # C overflows at t = 2.5: the lemma33 integrand is inf * 0 at far nodes
+    (["--suite", "all", "--group", "A2", "--t", "2.5"], "lemma33/error", 50),
+    (["--suite", "lemma33", "--group", "A2", "--max-level", "8"], "lemma33/error", 1),
+    # C is inf from label 18 on, so its ratio defect is NaN there
+    (["--suite", "unitarity", "--group", "A1", "--t", "4", "--max-level", "20"],
+     "unitarity/error", 1),
+])
+def test_a_suite_that_raises_ends_in_a_failed_error_row(tmp_path, args, error_id, min_rows):
+    out = tmp_path / "r.json"
+    assert run(["verify", *args, "--out", str(out)]) == 1
+    report = _strict_json(out.read_text())
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert report["summary"]["failed"] == len(failed) >= 1
+    assert report["summary"]["total"] == len(report["checks"]) >= min_rows
+    errors = [c for c in report["checks"] if c["kind"] == "error"]
+    assert [c["check_id"] for c in errors] == [error_id]
+    assert errors[0] in failed and errors[0]["note"]
 
 
 def test_statistical_summary_and_deterministic_second_routes():

@@ -39,6 +39,30 @@ def test_c_constant_values(a1):
         assert abs(ratio - t**1.5 * np.exp((t - 1.0) * 0.5)) < 1e-12 * ratio
 
 
+def test_c_and_d_are_gaussian_moments_bit_for_bit(a1, a2, t2):
+    # the closed forms as they were written out before they became
+    # quadrature.gaussian_linear_moment calls
+    for rs in (a1, a2, t2):
+        for lam in enumerate_dominant(rs, 6):
+            n2 = float((lam.coords + rs.rho) @ (lam.coords + rs.rho))
+            for t in (0.3, 0.5, 1.0, 1.5, 2.0, 2.5):
+                assert c_constant(rs, lam, t) == float(
+                    (t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * n2))
+                assert d_constant(rs, lam, t) == float(
+                    (2.0 * t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * n2 / 2.0))
+
+
+def test_density_free_constant_never_evaluates_eta(a1, a2, monkeypatch):
+    def no_eta(*args, **kwargs):
+        raise AssertionError("eta evaluated at p = 0")
+
+    monkeypatch.setattr(chars, "eta", no_eta)
+    for rs in (a1, a2):
+        naive_constant(rs, weight(rs, (1,) * rs.rank), 1.0, 16)
+        with pytest.raises(AssertionError, match="p = 0"):
+            verify_norm_identity(rs, weight(rs, (1,) * rs.rank), 1.0, "C", 16)
+
+
 def test_d_constant_values(a1):
     assert abs(d_constant(a1, weight(a1, (0,)), 1.0) - (2 * np.pi) ** 1.5 * np.exp(0.25)) < 1e-12
 

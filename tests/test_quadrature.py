@@ -9,10 +9,9 @@ from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from liecheck import chars, models
-from liecheck.models import MonteCarlo, cartan_element, chamber_coordinates
+from liecheck.models import MonteCarlo, _leggauss, cartan_element, chamber_coordinates
 from liecheck.quadrature import (
     _laggauss,
-    _leggauss,
     build_chamber_quadrature,
     cartesian_oracle_integrate,
     default_order,
