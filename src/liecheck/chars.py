@@ -25,7 +25,7 @@ from .models import (
     GroupModel,
     MonteCarlo,
     _gauss_legendre_01,
-    _leggauss,
+    _gauss_rule,
     _read_only,
     _sinhc,
     algebra_coords,
@@ -211,7 +211,7 @@ def _hurwitz_su3_moduli(order: int) -> tuple[np.ndarray, np.ndarray]:
     e[np.arange(len(u)), k] += 1.0
     e /= np.sqrt(np.einsum("ni,ni->n", e, e))[:, None]
     f = np.cross(u, e)
-    z, wz = _leggauss(order)
+    z, wz = _gauss_rule("legendre", order)
     z, phi = np.meshgrid(z, 2.0 * np.pi * np.arange(order) / order, indexing="ij")
     along_e = ((1.0 + z) / 2.0).reshape(-1, 1)
     mixed = (np.sqrt(1.0 - z * z) * np.cos(phi)).reshape(-1, 1)

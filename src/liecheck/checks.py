@@ -145,7 +145,8 @@ def skip_row(check_id: str, note: str) -> CheckRow:
 
 
 def error_row(check_id: str, note: str) -> CheckRow:
-    """A failed row for a suite that raised instead of returning its rows."""
+    """A failed row for a suite, or one weight of it, that raised instead of
+    returning its rows."""
     return CheckRow(check_id, "error", passed=False, note=note)
 
 
@@ -472,13 +473,17 @@ def suite_kirillov(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> 
 
 
 def _norm_identity_rows(cfg: RunConfig, rs: RootSystem, suite: str, which: str) -> list[CheckRow]:
-    """The C or D norm constant of each dominant weight, chamber quadrature vs closed form."""
+    """The C or D norm constant of each dominant weight, chamber quadrature vs
+    closed form; a weight whose integral raises gets its own failed error row."""
     order = cfg.resolved_order(rs.rank)
     rows = []
     for lam in enumerate_dominant(rs, cfg.max_level):
-        chk = hilbert.verify_norm_identity(rs, lam, cfg.t, which, order)
-        rows.append(det_row(f"{suite}/{which}-{'-'.join(map(str, lam.dynkin))}",
-                            chk.quadrature, chk.closed_form, cfg.tolerance))
+        cid = f"{suite}/{which}-{'-'.join(map(str, lam.dynkin))}"
+        try:
+            chk = hilbert.verify_norm_identity(rs, lam, cfg.t, which, order)
+            rows.append(det_row(cid, chk.quadrature, chk.closed_form, cfg.tolerance))
+        except (ValueError, ArithmeticError) as exc:
+            rows.append(error_row(cid, str(exc)))
     return rows
 
 
@@ -687,8 +692,8 @@ def suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
     hl2 = random_series("A1", "HL2", t, [(0,), (1,), (2,)], rng)
     a = heat.heat_multiplier_apply(hilbert.transform_apply(hl2, "H"), t)
     b = hilbert.transform_apply(heat.heat_multiplier_apply(hl2, t), "H")
-    rows.append(det_row("heat/commutes-with-dictionary", series_deviation(a.terms, b.terms),
-                        0.0, 1e-13))
+    rows.append(det_row("heat/commutes-with-dictionary",
+                        series_deviation(a.terms, b.terms, a.terms), 0.0, 1e-13))
     cid = "heat/kernel-normalization"
     xs, _ = haar_nodes(model, MonteCarlo(cfg.mc_samples // 2, _seed_for(cfg, cid)))
     mean, sem = haar_mean(lambda x: heat.heat_kernel_eval(model, t, x)[0], xs, None)

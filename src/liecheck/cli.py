@@ -6,7 +6,9 @@ block counts the sigma rows and gives the chance that an honest run fails
 one of them.  A suite that raises ValueError or ArithmeticError (an
 integrand that overflows, a non-finite side) becomes one failed
 `<suite>/error` row carrying the message, and the rest of the report is
-still written.  Exit codes: 0 all pass, 1 any check failed, 2 invalid
+still written; lemma33 and lemma64 give such a weight its own error row.  A `constants` row that raises or holds a non-finite number
+ends the command in a usage error naming its weight and t, and no table
+is written.  Exit codes: 0 all pass, 1 any check failed, 2 invalid
 configuration or usage.
 """
 
@@ -136,13 +138,25 @@ def _statistical_summary(sigmas: list[float]) -> dict:
 
 
 def emit_constants_table(config: RunConfig) -> list[hilbert.ConstantsRow]:
-    """One constants row per dominant weight up to max_level."""
+    """One constants row per dominant weight up to max_level.
+
+    A row that raises ValueError or ArithmeticError, or that holds a
+    non-finite number, ends the table in a UsageError naming its weight and t.
+    """
     rs = build_root_system(config.group)
     order = config.resolved_order(rs.rank)
-    return [
-        hilbert.constants_row(rs, lam, config.t, order)
-        for lam in enumerate_dominant(rs, config.max_level)
-    ]
+    rows = []
+    for lam in enumerate_dominant(rs, config.max_level):
+        where = f"constants at weight {lam.dynkin}, t = {config.t}"
+        try:
+            row = hilbert.constants_row(rs, lam, config.t, order)
+        except (ValueError, ArithmeticError) as exc:
+            raise UsageError(f"{where}: {exc}") from exc
+        values = [v for v in asdict(row).values() if isinstance(v, float)]
+        if not all(map(math.isfinite, values)):
+            raise UsageError(f"{where}: non-finite value among {values!r}")
+        rows.append(row)
+    return rows
 
 
 class UsageError(Exception):
@@ -179,7 +193,8 @@ def _constants_to_csv(rows: list[hilbert.ConstantsRow]) -> str:
 
 
 def _constants_to_json(rows: list[hilbert.ConstantsRow]) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True) + "\n"
+    text = json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def _write_out(text: str, out: str | None) -> None:

@@ -32,6 +32,7 @@ from . import chars
 from .models import (
     Estimate,
     GroupModel,
+    _gauss_rule,
     build_group_model,
     chamber_coordinates,
     exp_i,
@@ -42,7 +43,6 @@ from .models import (
 )
 from .quadrature import (
     NON_FINITE_VALUES,
-    _hermgauss,
     _tensor_rule,
     build_chamber_quadrature,
     default_order,
@@ -295,7 +295,7 @@ def bks_integral_transform(phi, model: GroupModel, xs) -> np.ndarray:
     rs = build_root_system(phi.rs_kind)
     xs = np.asarray(xs, complex)
     pts = xs if xs.ndim == 3 else xs[None]
-    h, hw = _hermgauss(_BKS_HERMITE_ORDER)
+    h, hw = _gauss_rule("hermite", _BKS_HERMITE_ORDER)
     s = np.sqrt(2.0 * phi.t)
     coords, gh_w = _tensor_rule(*[(s * h, s * hw)] * 3)
     w_eta = gh_w * chars.eta(rs, chamber_coordinates(model, coords) / 2.0)

@@ -11,7 +11,7 @@ sampling); SU(2) additionally carries its irreducible representations as
 exact symmetric powers of the defining one, with the closed-form exp(iY)
 for the holomorphic extension.  These serve as brute-force oracles for
 characters, Fourier coefficients, and the integral transforms.  The
-numerical pieces the layers above share (the Gauss-Legendre rule,
+numerical pieces the layers above share (the Gauss rules of _gauss_rule,
 _read_only, sinh(x)/x, the Cartan eigenvalue embedding) live here once.
 """
 
@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, gamma, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Estimate",
@@ -93,15 +92,39 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+# (a_k, b_k, mu_0) of the recurrence p_{k+1} = (x - a_k) p_k - b_k p_{k-1} of
+# the monic orthogonal polynomials for 1 on [-1, 1], e^{-x^2} on R and
+# u^alpha e^{-u} on [0, inf)
+_RECURRENCES = {
+    "legendre": lambda k, alpha: (0.0 * k, k * k / (4.0 * k * k - 1.0), 2.0),
+    "hermite": lambda k, alpha: (0.0 * k, k / 2.0, sqrt(pi)),
+    "laguerre": lambda k, alpha: (2.0 * k + alpha + 1.0, k * (k + alpha), gamma(alpha + 1.0)),
+}
+
+
 @lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
-    return _read_only(*leggauss(order))
+def _gauss_rule(family: str, order: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes (ascending) and weights of a _RECURRENCES family, built once.
+
+    Golub-Welsch (Math. Comp. 23 (1969) 221): nodes are the eigenvalues of
+    the Jacobi matrix, diagonal a_k and off-diagonal sqrt(b_k); weights are
+    the Christoffel numbers 1 / sum_{k<order} p_k(x)^2 of the orthonormal
+    p_k, run by the same recurrence.  The arrays are shared, so read-only.
+    """
+    a, b, mass = _RECURRENCES[family](np.arange(order, dtype=float), alpha)
+    root = np.sqrt(b)
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(root[1:], 1) + np.diag(root[1:], -1))
+    p_prev, p = np.zeros(order), np.full(order, 1.0 / sqrt(mass))
+    total = p * p
+    for k in range(order - 1):
+        p_prev, p = p, ((x - a[k]) * p - root[k] * p_prev) / root[k + 1]
+        total += p * p
+    return _read_only(x, 1.0 / total)
 
 
 def _gauss_legendre_01(order: int, upper: float):
     """Gauss-Legendre nodes and weights mapped to [0, upper]."""
-    x, w = _leggauss(order)
+    x, w = _gauss_rule("legendre", order)
     return (x + 1.0) * upper / 2.0, w * upper / 2.0
 
 

@@ -14,17 +14,16 @@ chamber reduction check it: the Monte-Carlo oracle, and the deterministic
 tridiagonal rule, which needs neither the Weyl integration formula nor the
 flag volume.  The tridiagonal rule hands back its nodes already mapped to
 the chamber, so one rule and its chamber images serve every integrand of
-one Gaussian width.
+one Gaussian width.  All their 1-D Gauss rules come from models._gauss_rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import factorial, gamma, prod
+from math import factorial, prod
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .models import (
     Estimate,
@@ -32,7 +31,7 @@ from .models import (
     MonteCarlo,
     _evaluate_blocks,
     _gauss_legendre_01,
-    _read_only,
+    _gauss_rule,
     chamber_coordinates,
     haar_mean,
 )
@@ -90,28 +89,6 @@ def _check_rule_parameters(t: float, order: int) -> None:
         raise ValueError("quadrature order must be >= 8")
     if t <= 0:
         raise ValueError("t must be positive")
-
-
-@lru_cache(maxsize=None)
-def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights for e^{-x^2} on R, built once per order."""
-    return _read_only(*hermgauss(order))
-
-
-@lru_cache(maxsize=None)
-def _laggauss(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generalised Gauss-Laguerre rule for u^alpha e^{-u} on [0, inf), built once per order.
-
-    Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues
-    of the Jacobi matrix of the Laguerre recurrence, diagonal 2k + alpha + 1
-    and off-diagonal sqrt(k (k + alpha)), and the weights Gamma(alpha + 1)
-    times the squared first components of its eigenvectors.
-    """
-    k = np.arange(1, order)
-    off = np.sqrt(k * (k + alpha))
-    jacobi = np.diag(2.0 * np.arange(order) + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-    x, v = np.linalg.eigh(jacobi)
-    return _read_only(x, gamma(alpha + 1.0) * v[0] ** 2)
 
 
 def _tensor_rule(*rules):
@@ -294,14 +271,14 @@ def tridiagonal_rule(model: GroupModel, t: float, order: int):
     chamber_coordinates; one rule and its chamber images serve every
     integrand of one width.
     """
-    x, wx = _hermgauss(order)
-    v, wv = _laggauss(order, 0.0)
+    x, wx = _gauss_rule("hermite", order)
+    v, wv = _gauss_rule("laguerre", order)
     diagonal = (np.sqrt(t) * x, wx)
     rho = (np.sqrt(t * v), wv)
     if model.kind == "SU2":
         slots, rules, norm = [0, 2], (rho, diagonal), np.pi * t**1.5
     elif model.kind == "SU3":
-        u, wu = _laggauss(order, 1.0)
+        u, wu = _gauss_rule("laguerre", order, 1.0)
         slots, rules = [0, 5, 2, 7], ((np.sqrt(t * u), wu), rho, diagonal, diagonal)
         norm = np.pi**3 * t**4
     else:

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import liecheck
+from liecheck import hilbert
 from liecheck.checks import doubling_note, stat_row
 from liecheck.cli import RunConfig, emit_constants_table, main, run_verification_suite
 from liecheck.fourier import character_series, load_series, save_series
@@ -159,9 +161,11 @@ def _strict_json(text: str):
 
 
 @pytest.mark.parametrize("args, error_id, min_rows", [
-    # C overflows at t = 2.5: the lemma33 integrand is inf * 0 at far nodes
-    (["--suite", "all", "--group", "A2", "--t", "2.5"], "lemma33/error", 50),
-    (["--suite", "lemma33", "--group", "A2", "--max-level", "8"], "lemma33/error", 1),
+    # C overflows at t = 2.5: the lemma33 integrand is inf * 0 at far nodes,
+    # of the weights up to level 4 only at (4, 4), which gets its own row
+    (["--suite", "all", "--group", "A2", "--t", "2.5"], "lemma33/C-4-4", 50),
+    # at t = 1 the first weight to overflow is (7, 7); the other 63 rows pass
+    (["--suite", "lemma33", "--group", "A2", "--max-level", "7"], "lemma33/C-7-7", 64),
     # C is inf from label 18 on, so its ratio defect is NaN there
     (["--suite", "unitarity", "--group", "A1", "--t", "4", "--max-level", "20"],
      "unitarity/error", 1),
@@ -176,6 +180,55 @@ def test_a_suite_that_raises_ends_in_a_failed_error_row(tmp_path, args, error_id
     errors = [c for c in report["checks"] if c["kind"] == "error"]
     assert [c["check_id"] for c in errors] == [error_id]
     assert errors[0] in failed and errors[0]["note"]
+
+
+def test_lemma33_gives_each_overflowing_weight_its_own_error_row(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", "lemma33", "--group", "A2", "--max-level", "8",
+                "--out", str(out)]) == 1
+    report = _strict_json(out.read_text())
+    assert report["summary"]["total"] == len(report["checks"]) == 81
+    assert report["summary"]["failed"] == 6
+    errors = [c for c in report["checks"] if c["kind"] == "error"]
+    assert [c["check_id"] for c in errors] == [
+        "lemma33/C-6-8", "lemma33/C-7-7", "lemma33/C-7-8",
+        "lemma33/C-8-6", "lemma33/C-8-7", "lemma33/C-8-8"]
+    assert all(not c["pass"] and c["note"] for c in errors)
+    assert sum(c["pass"] for c in report["checks"]) == 75
+
+
+@pytest.mark.parametrize("args, dynkin", [
+    (["--group", "A1", "--t", "4", "--max-level", "12"], "(10,)"),
+    (["--group", "A2", "--max-level", "10"], "(4, 10)"),
+], ids=["A1-t4-level12", "A2-level10"])
+def test_constants_that_overflow_end_in_a_usage_error(tmp_path, capsys, args, dynkin):
+    out = tmp_path / "constants.json"
+    assert run(["constants", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"weight {dynkin}, t = " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_constants_row_with_a_non_finite_field_is_a_usage_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    real = hilbert.constants_row
+
+    def inf_c(rs, lam, t, order):
+        return replace(real(rs, lam, t, order), C=float("inf"))
+
+    monkeypatch.setattr(hilbert, "constants_row", inf_c)
+    out = tmp_path / "constants.json"
+    assert run(["constants", "--group", "A1", "--max-level", "1", "--out", str(out)]) == 2
+    assert "weight (0,), t = 1.0: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_heat_commutes_with_dictionary_is_relative_at_large_t():
+    # the coefficients reach 7.7e3 at t = 20, where the absolute deviation
+    # read 9.1e-13 against the gate 1e-13
+    report = run_verification_suite(RunConfig(group="A1", t=20.0), "heat")
+    row = next(c for c in report["checks"] if c["check_id"] == "heat/commutes-with-dictionary")
+    assert row["pass"] and row["lhs"] <= 1e-15
 
 
 def test_statistical_summary_and_deterministic_second_routes():

@@ -1,5 +1,12 @@
+from math import gamma
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import leggauss
 
 from liecheck import chars, models
 from liecheck.models import (
@@ -375,3 +382,70 @@ def test_block_evaluation_equals_whole_array_bit_for_bit(su2, su3):
             if len(sizes) > 1 and sizes[-1] == 1:
                 sizes[-2:] = [B + 1]
             assert calls == sizes, (f.__name__, n)
+
+
+# closed-form moments m_k of each family's weight, and the scale of their
+# error: 1 on [-1, 1] (Legendre), e^{-x^2} on R (Hermite), u^alpha e^{-u}
+# on [0, inf) (Laguerre); odd moments of the symmetric weights vanish
+_MOMENTS = {
+    "legendre": lambda k, alpha: (2.0 / (k + 1) * (k % 2 == 0), 1.0),
+    "hermite": lambda k, alpha: (gamma((k + 1) / 2) * (k % 2 == 0), gamma((k + 1) / 2)),
+    "laguerre": lambda k, alpha: (gamma(k + alpha + 1), gamma(k + alpha + 1)),
+}
+_MOMENT_TOL = {"legendre": 1e-14, "hermite": 3e-14, "laguerre": 2e-14}
+
+
+def _moment_errors(family, order, alpha=0.0):
+    """|sum w x^k - m_k| / scale_k for k = 0 .. 2 order, from a fresh rule."""
+    x, w = models._gauss_rule.__wrapped__(family, order, alpha)
+    out = []
+    for k in range(2 * order + 1):
+        exact, scale = _MOMENTS[family](k, alpha)
+        out.append(abs(np.sum(w * x**k) - exact) / scale)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("legendre", 0.0), ("hermite", 0.0), ("laguerre", 0.0), ("laguerre", 1.0)])
+def test_gauss_rules_are_exact_to_degree_2n_minus_1_and_no_further(family, alpha):
+    for order in (1, 2, 6, 17):
+        err = _moment_errors(family, order, alpha)
+        assert err[:-1].max() <= _MOMENT_TOL[family], (order, err)
+        # x^(2n) misses by the squared norm of the monic p_n, far above rounding
+        assert err[-1] > 100 * _MOMENT_TOL[family], order
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(
+    st.tuples(st.just("legendre"), st.integers(1, 400), st.just(0.0)),
+    st.tuples(st.just("hermite"), st.integers(1, 40), st.just(0.0)),
+    st.tuples(st.just("laguerre"), st.integers(1, 40), st.sampled_from([0.0, 1.0])),
+))
+def test_every_gauss_rule_integrates_its_moments_below_degree_2n(case):
+    family, order, alpha = case
+    assert _moment_errors(family, order, alpha)[:-1].max() <= _MOMENT_TOL[family]
+
+
+def test_gauss_rules_match_numpy_reference_rules():
+    # numpy's rules, as test-only oracles: nodes to rounding; numpy's
+    # weights carry errors of their own that grow with the order
+    for family, ref, orders, w_tol in (
+        ("legendre", leggauss, (5, 20, 96), 1e-11),
+        ("hermite", hermgauss, (5, 20, 40), 1e-12),
+        ("laguerre", laggauss, (5, 12, 40), 5e-12),
+    ):
+        for order in orders:
+            x, w = models._gauss_rule(family, order)
+            ref_x, ref_w = ref(order)
+            assert np.all(np.abs(x - ref_x) <= 1e-14 * np.maximum(1.0, np.abs(ref_x)))
+            assert np.all(np.abs(w - ref_w) <= w_tol * ref_w), (family, order)
+
+
+def test_gauss_rules_are_cached_read_only_and_ascending():
+    for args in (("legendre", 12), ("hermite", 12), ("laguerre", 12, 1.0)):
+        x, w = models._gauss_rule(*args)
+        assert models._gauss_rule(*args)[0] is x
+        for a in (x, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)

@@ -9,9 +9,8 @@ from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from liecheck import chars, models
-from liecheck.models import MonteCarlo, _leggauss, cartan_element, chamber_coordinates
+from liecheck.models import MonteCarlo, _gauss_rule, cartan_element, chamber_coordinates
 from liecheck.quadrature import (
-    _laggauss,
     build_chamber_quadrature,
     cartesian_oracle_integrate,
     default_order,
@@ -162,17 +161,17 @@ def test_tridiagonal_exact_on_gaussian_moments(su2, su3):
 
 
 def test_laguerre_rules_cached_read_only_and_exact():
-    x0, w0 = _laggauss(12, 0.0)
+    x0, w0 = _gauss_rule("laguerre", 12)
     ref_x, ref_w = laggauss(12)
     assert np.allclose(x0, ref_x, rtol=1e-13, atol=0.0)
     assert np.allclose(w0, ref_w, rtol=1e-10, atol=1e-14 * ref_w.max())
     # alpha = 1: the integral of u^k against u e^{-u} is (k + 1)!, and an
     # n-point rule is exact up to k = 2n - 1
-    x1, w1 = _laggauss(6, 1.0)
+    x1, w1 = _gauss_rule("laguerre", 6, 1.0)
     for k in range(12):
         assert abs(w1 @ x1**k - factorial(k + 1)) <= 1e-12 * factorial(k + 1)
     assert abs(w1 @ x1**12 - factorial(13)) > 1e-6 * factorial(13)
-    assert _laggauss(6, 1.0) is _laggauss(6, 1.0)
+    assert _gauss_rule("laguerre", 6, 1.0) is _gauss_rule("laguerre", 6, 1.0)
     for a in (x0, w0, x1, w1):
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -265,9 +264,10 @@ def test_errors(a1, su2):
 
 
 def _reference_rule(rs, t, order, mu):
-    """Chamber rule rebuilt from a fresh leggauss call and per-axis meshgrids."""
+    """Chamber rule rebuilt from a fresh Gauss-Legendre rule, not the cached
+    one, and per-axis meshgrids."""
     R = np.sqrt(t) * (mu * np.sqrt(t) / 2.0 + 8.0)
-    x, w = leggauss(order)
+    x, w = _gauss_rule.__wrapped__("legendre", order)
 
     def rule01(upper):
         return (x + 1.0) * upper / 2.0, w * upper / 2.0
@@ -302,16 +302,16 @@ def test_chamber_rules_match_fresh_leggauss_reference(a1, a2, t2, t, order, mu):
 
 
 def test_cached_leggauss_rule_is_read_only_and_repeats():
-    x, w = _leggauss(20)
+    x, w = _gauss_rule("legendre", 20)
     for arr in (x, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert _leggauss(20)[0] is x
-    _leggauss.cache_clear()
-    x2, w2 = _leggauss(20)
+    assert _gauss_rule("legendre", 20)[0] is x
+    _gauss_rule.cache_clear()
+    x2, w2 = _gauss_rule("legendre", 20)
     assert x2 is not x
     assert np.array_equal(x2, x) and np.array_equal(w2, w)
-    ref_x, ref_w = leggauss(20)
+    ref_x, ref_w = _gauss_rule.__wrapped__("legendre", 20)
     assert np.array_equal(x2, ref_x) and np.array_equal(w2, ref_w)
 
 
