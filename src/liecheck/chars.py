@@ -1,12 +1,12 @@
 """Half-form densities, Weyl characters, and normalized orbital averages.
 
-The density eta is evaluated in its closed product form over positive
-roots; an independent determinant oracle lives beside it.  Characters are
-evaluated in the holomorphically continued form (positive on exp(i t)),
-and Cartan points are float arrays of shape (..., rank).  The orbital
-average A(mu, Y) is the probability-normalized flag-manifold integral of
-exp(-<mu, Ad_y Y>), which makes the character/orbit identity free of
-volume conventions:
+The density eta is exp(log_eta), log_eta a sum of log(sinh x / x) over
+positive roots; an independent determinant oracle lives beside it.  The
+continued characters (positive on exp(i t)) come from one evaluator, in
+log-scale and mantissa; Cartan points are arrays of shape (..., rank).
+The orbital average A(mu, Y) is the probability-normalized flag-manifold
+integral of exp(-<mu, Ad_y Y>), which makes the character/orbit identity
+free of volume conventions:
 
     eta(Y)   * char_holo(lam, 2Y) = d_lam * A(2(lam+rho), Y)
     eta(Y/2) * char_holo(lam,  Y) = d_lam * A(lam+rho, Y)
@@ -15,7 +15,8 @@ volume conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,20 +66,31 @@ class HurwitzSU3:
     order: int
 
 
-def eta(rs: RootSystem, Y) -> np.ndarray | float:
-    """Half-form density: prod over positive roots of sinh<a,Y>/<a,Y>.
+def _log_sinhc(x: np.ndarray) -> np.ndarray:
+    """log(sinh(x)/x) without overflow: |x| + log((1 - e^{-2|x|}) / (2|x|)),
+    and log(1 + x^2/6) where |x| < 1e-8, the small-x branch of models._sinhc."""
+    ax = np.abs(x)
+    safe = np.maximum(ax, 1e-8)
+    return np.where(ax < 1e-8, np.log1p(ax * ax / 6.0),
+                    safe + np.log(-np.expm1(-2.0 * safe) / (2.0 * safe)))
 
-    Y is an array of shape (..., rank); strictly positive, even, and Weyl
-    invariant.  Empty product (tori) gives 1.
-    """
+
+def _pairings(c: np.ndarray, matrix: np.ndarray) -> list[np.ndarray]:
+    """The columns of c @ matrix, elementwise: no BLAS routine that depends on the batch."""
+    return [sum(c[..., i] * col[i] for i in range(len(col))) for col in matrix.T]
+
+
+def log_eta(rs: RootSystem, Y) -> np.ndarray:
+    """log eta(Y), the sum over positive roots of log(sinh<a,Y>/<a,Y>): finite
+    wherever Y is, and 0 on a torus.  Y is an array of shape (..., rank)."""
     c = np.asarray(Y, float)
-    scalar = c.ndim == 1
-    if rs.is_torus:
-        out = np.ones(c.shape[:-1])
-        return float(out) if scalar else out
-    pair = c @ rs.positive_roots.T
-    out = np.prod(_sinhc(pair), axis=-1)
-    return float(out) if scalar else out
+    return sum(map(_log_sinhc, _pairings(c, rs.positive_roots.T)), np.zeros(c.shape[:-1]))
+
+
+def eta(rs: RootSystem, Y) -> np.ndarray | float:
+    """Half-form density: prod over positive roots of sinh<a,Y>/<a,Y>, as
+    exp(log_eta); strictly positive, even, Weyl invariant, and 1 on a torus."""
+    return np.exp(log_eta(rs, Y))
 
 
 def eta_det_oracle(model: GroupModel, Y) -> float:
@@ -114,71 +126,54 @@ def j_half_identity_residual(rs: RootSystem, Y) -> float:
     return abs(float(eta(rs, half)) - eta_det_oracle(model, cartan_element(model, half)))
 
 
-def _weyl_orbit(rs: RootSystem, v: np.ndarray) -> np.ndarray:
-    return np.einsum("wij,j->wi", rs.weyl_elements, v)
+def _char_holo_parts(rs: RootSystem, lam: Weight, Y) -> tuple[np.ndarray, np.ndarray]:
+    """The continued character at exp(iY) as (log_scale, T), chi = T e^{log_scale}.
 
-
-@lru_cache(maxsize=None)
-def _gt_weight_vectors(kind: str, dynkin: tuple) -> tuple:
-    """Monomial exponents of the character as a positive sum, one per basis
-    state (Gelfand-Tsetlin pattern); A1 and A2 only."""
-    if kind == "A1":
-        n = dynkin[0]
-        return tuple((k, n - k) for k in range(n + 1))
-    p, q = dynkin
-    k1, k2, k3 = p + q, q, 0
-    out = []
-    for m1 in range(k2, k1 + 1):
-        for m2 in range(k3, k2 + 1):
-            for b in range(m2, m1 + 1):
-                out.append((b, m1 + m2 - b, k1 + k2 + k3 - m1 - m2))
-    return tuple(out)
-
-
-def _char_holo_positive(rs: RootSystem, lam: Weight, pts: np.ndarray) -> np.ndarray:
-    """Continued character as a sum of positive monomials e^{-<weight, a>}.
-
-    Cancellation-free, so it stays exact on and near Weyl-chamber walls
-    where the alternating quotient degenerates.  The monomial exponents are
-    the diagonal entries a of Y = i diag(a) at exp(iY) = diag(e^{-a}).
+    exp(iY) has eigenvalues e^{-a}, a = Y @ CARTAN_EIGEN_EMBED, and chi is a
+    Schur polynomial in them, which the branching rule sums in positive
+    terms, the largest monomial factored out, so 1 <= T <= dim lam (Demmel
+    & Koev, Math. Comp. 75 (2006) 223).  Elementwise, with two exponentials
+    per point; H_m(r) = sum_{j<=m} r^j and P_n(z) = sum_{j<n} z^j:
+      A1, lam = (n): chi = e^{n|a_1|} H_n(e^{-2|a_1|}).
+      A2, lam = (p, q), a_lo <= a_mid = -a_lo - a_hi <= a_hi, y = e^{a_lo -
+        a_mid} and r = e^{a_mid - a_hi} in (0, 1]: chi = e^{q a_hi - p a_lo}
+        sum_m H_m(r) y^{|m-q|} r^{max(0,q-m)} P_{n_m}(y^2 r), m = 0 .. p+q,
+        n_m = min(q, p+q-m) - max(0, q-m) + 1.
+      Torus: log_scale = -<lam, Y> and T = 1.  Y has shape (..., n, rank).
     """
-    a = pts @ CARTAN_EIGEN_EMBED[rs.kind]
-    weights = np.asarray(_gt_weight_vectors(rs.kind, lam.dynkin), dtype=float)
-    return np.exp(-(a @ weights.T)).sum(axis=-1)
+    if not lam.is_dominant:
+        raise ValueError("the continued character requires a dominant weight")
+    c = np.asarray(Y, float)
+    if rs.is_torus:
+        return -(c @ lam.coords), np.ones(c.shape[:-1])
+    a = _pairings(c, CARTAN_EIGEN_EMBED[rs.kind])
+    if rs.kind == "A1":
+        (n,), x = lam.dynkin, np.abs(a[0])
+        return n * x, reduce(lambda h, r: 1.0 + r * h, [np.exp(-2.0 * x)] * n, np.ones_like(x))
+    p, q = lam.dynkin
+    lo, hi = reduce(np.minimum, a), reduce(np.maximum, a)
+    # y = e^{a_lo - a_mid} and r = e^{a_mid - a_hi}, in place of the spent a
+    y = np.exp(np.add(2.0 * lo, hi, out=a[0]), out=a[0])
+    r = np.exp(np.subtract(-lo, 2.0 * hi, out=a[1]), out=a[1])
+    geometric = [*accumulate([y * y * r] * min(p, q), lambda v, z: 1.0 + z * v, initial=1.0)]
+    h, total, above, yr = 0.0, 0.0, 1.0, y * r  # above = y^{m-q} from m = q on
+    for m in range(q):  # the terms below m = q, by Horner's rule in y r
+        h = 1.0 + r * h  # H_m(r), by Horner's rule
+        total = (total + h * geometric[min(m, p)]) * yr
+    for m in range(q, p + q + 1):
+        h = 1.0 + r * h
+        total = total + h * above * geometric[min(q, p + q - m)]
+        above = above * y
+    return q * hi - p * lo, total
 
 
 def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:
-    """Holomorphically continued character at exp(iY), batched.
-
-    chi^C(exp iY) = sum_w det(w) e^{-<w(lam+rho), Y>} over the analogous rho
-    sum; real and >= 1 on the closed dominant chamber.  Where the
-    alternating quotient degenerates (Weyl-denominator zeros on chamber
-    walls, including Y = 0) the value is recomputed from the
-    cancellation-free positive-monomial form, which stays exact there.
-    On a torus W = {1} and rho = 0, so the character is the single
-    monomial e^{-<lam, Y>}.
-    """
-    if not lam.is_dominant:
-        raise ValueError("weyl_char_holo requires a dominant weight")
-    c = np.asarray(Y, float)
-    scalar = c.ndim == 1
-    pts = np.atleast_2d(c)
-    if rs.is_torus:
-        out = np.exp(-(pts @ lam.coords))
-        return float(out[0]) if scalar else out
-    signs = rs.weyl_signs.astype(float)
-    wl = _weyl_orbit(rs, lam.coords + rs.rho)
-    wr = _weyl_orbit(rs, rs.rho)
-    num = np.exp(-(pts @ wl.T)) @ signs
-    den_terms = np.exp(-(pts @ wr.T))
-    den, den_scale = den_terms @ signs, den_terms @ np.abs(signs)
-    del den_terms  # (N, |W|): free it before the wall test's temporaries
-    # wall detection: absolute underflow or heavy cancellation in the sum
-    bad = (np.abs(den) < 1e-12) | (np.abs(den) < 1e-7 * den_scale)
-    out = np.divide(num, np.where(bad, 1.0, den))
-    if np.any(bad):
-        out[bad] = _char_holo_positive(rs, lam, pts[bad])
-    return float(out[0]) if scalar else out
+    """Holomorphically continued character at exp(iY), batched: T e^{log_scale}
+    of _char_holo_parts.  chi^C(exp iY) = sum over the weights mu of lam of
+    e^{-<mu, Y>}: real, >= 1 on the closed dominant chamber and dim lam at 0."""
+    log_scale, mantissa = _char_holo_parts(rs, lam, np.atleast_2d(np.asarray(Y, float)))
+    out = mantissa * np.exp(log_scale)
+    return float(out[0]) if np.ndim(Y) == 1 else out
 
 
 @lru_cache(maxsize=None)

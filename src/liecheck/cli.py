@@ -1,15 +1,16 @@
 """The `liecheck` command: argument parsing, the report and its formatting.
 
-The checks themselves live in liecheck.checks.  A report sorts the rows of
-the chosen suites by check id and summarises them; its `statistical`
-block counts the sigma rows and gives the chance that an honest run fails
-one of them.  A suite that raises ValueError or ArithmeticError (an
-integrand that overflows, a non-finite side) becomes one failed
-`<suite>/error` row carrying the message, and the rest of the report is
-still written; lemma33 and lemma64 give such a weight its own error row.  A `constants` row that raises or holds a non-finite number
-ends the command in a usage error naming its weight and t, and no table
-is written.  Exit codes: 0 all pass, 1 any check failed, 2 invalid
-configuration or usage.
+The checks live in liecheck.checks.  A report sorts the rows of the chosen
+suites by check id and summarises them; its `statistical` block counts the
+sigma rows and gives the chance that an honest run fails one of them.  A
+suite that raises ValueError or ArithmeticError (a closed form above the
+largest float, a non-finite side) becomes a failed `<suite>/error` row with
+the message, and the rest of the report is still written; lemma33 and
+lemma64 give such a weight its own error row.  A `constants` row that
+raises or holds a non-finite number, and a `transform` whose constant
+exceeds the largest float, end in a usage error that writes no output;
+the constants one names its weight and t.  Exit codes: 0 all pass, 1 any
+check failed, 2 invalid configuration or usage.
 """
 
 from __future__ import annotations
@@ -273,9 +274,9 @@ def main(argv=None) -> int:
             try:
                 series = fourier.load_series(args.infile)
                 out = hilbert.transform_apply(series, _TRANSFORM_CLI[args.which])
-            except (OSError, ValueError, KeyError) as exc:
+                fourier.save_series(args.outfile, out)
+            except (OSError, ValueError, KeyError, ArithmeticError) as exc:
                 raise UsageError(str(exc)) from exc
-            fourier.save_series(args.outfile, out)
             return 0
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:

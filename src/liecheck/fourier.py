@@ -189,9 +189,9 @@ def series_from_json(data: dict) -> FourierSeries:
 
 
 def save_series(path, series: FourierSeries) -> None:
+    text = json.dumps(series_to_json(series), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(series_to_json(series), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_series(path) -> FourierSeries:

@@ -133,14 +133,15 @@ def _character_integral(
 ) -> float:
     """Integral of eta(scale Y / 2)^p char_holo(lam, scale Y) e^{-|Y|^2/s}.
 
-    The rule is the chamber rule of width s sized for |mu| = mu_norm; eta
-    is skipped at p = 0.  On a torus eta = 1 and the character is
-    e^{-<mu, Y>}, mu = scale lam, so the integrand is a product over the
-    axes, and by Fubini over a finite sum its sum over the tensor rule is
-    the product of rank sums over quadrature.torus_axis_rule, each through
-    models.haar_mean.  An axis factor is the one exponential
-    e^{-mu_i x - x^2/s}, so it overflows only where the integral does.
-    Non-finite values raise the ValueError of integrate_invariant.
+    The rule is the chamber rule of width s sized for |mu| = mu_norm; eta is
+    skipped at p = 0.  The integrand is T e^{log_scale + p log eta - |Y|^2/s},
+    so no inf * 0 forms where it is finite.  On a torus eta = 1 and the
+    character is e^{-<mu, Y>}, mu = scale lam, so the integrand is a product
+    over the axes, and by Fubini over a finite sum its sum over the tensor
+    rule is the product of rank sums over quadrature.torus_axis_rule, each
+    through models.haar_mean.  An axis factor is the one exponential
+    e^{-mu_i x - x^2/s}, so it overflows only where the integral does; a
+    non-finite value raises the ValueError of integrate_invariant.
     """
     if rs.is_torus:
         x, w = torus_axis_rule(s, order, mu_norm)
@@ -154,11 +155,11 @@ def _character_integral(
     # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
     # without numpy's slow reduction over a length-1 or -2 axis
     def f(Y):
-        Z = scale * Y
-        v = chars.weyl_char_holo(rs, lam, Z)
+        log_scale, mantissa = chars._char_holo_parts(rs, lam, scale * Y)
+        exponent = log_scale - np.einsum("...i,...i->...", Y, Y) / s
         if p:
-            v = v * chars.eta(rs, Z / 2.0) ** p
-        return v * np.exp(-np.einsum("...i,...i->...", Y, Y) / s)
+            exponent += p * chars.log_eta(rs, scale * Y / 2.0)
+        return mantissa * np.exp(exponent, out=exponent)
 
     return integrate_invariant(build_chamber_quadrature(rs, s, order, mu_norm), f)
 

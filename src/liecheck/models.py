@@ -381,10 +381,9 @@ def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray, np.ndarray | None
 
 
 # Points per block of _evaluate_blocks.  The temporaries of the widest
-# integrands, the (n, |W|) exponential tables of the A2 characters, then
-# stay inside a 2 MB L2 cache; in a sweep of 4096 to 32768 points on a
-# 2-vCPU x86_64 host, 8192 and 16384 were fastest and 32768 spilled
-# (CHANGES.md).
+# integrands, the term arrays of the A2 characters, then stay near a 2 MB
+# L2 cache: on a 2-vCPU x86_64 host, 8192 and 16384 points were fastest
+# and 32768 spilled, with the former and the present evaluator (CHANGES.md).
 _BLOCK = 16_384
 
 

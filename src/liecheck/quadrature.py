@@ -235,11 +235,15 @@ def integrate_invariant(q: ChamberQuadrature, f) -> float:
 def gaussian_linear_moment(rs: RootSystem, mu, t: float) -> float:
     """Closed form of the Gaussian-exponential moment over the algebra.
 
-    integral of e^{-<mu, Y> - |Y|^2/t} dY = (t*pi)^(dim_k/2) * e^{t|mu|^2/4}.
+    integral of e^{-<mu, Y> - |Y|^2/t} dY = (t*pi)^(dim_k/2) * e^{t|mu|^2/4};
+    ArithmeticError, naming its log, where it exceeds the largest float.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     mu = np.asarray(mu, float)
+    log_value = rs.dim_k / 2.0 * np.log(t * np.pi) + t * float(mu @ mu) / 4.0
+    if log_value > np.log(np.finfo(float).max):
+        raise ArithmeticError(f"the closed form e^{log_value:.6g} exceeds the largest float")
     return float((t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * float(mu @ mu) / 4.0))
 
 

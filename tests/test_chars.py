@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecheck import chars
 from liecheck.chars import (
@@ -16,6 +18,7 @@ from liecheck.chars import (
     weyl_char_holo,
 )
 from liecheck.models import (
+    CARTAN_EIGEN_EMBED,
     MonteCarlo,
     algebra_element,
     cartan_element,
@@ -155,6 +158,32 @@ def test_weyl_char_holo_torus(t2):
     assert abs(weyl_char_holo(t2, lam, y) - np.exp(-lam.coords @ y)) < 1e-14
 
 
+def _gt_weight_vectors(kind, dynkin):
+    """Monomial exponents of the character as a positive sum, one per basis
+    state (Gelfand-Tsetlin pattern); A1 and A2 only."""
+    if kind == "A1":
+        n = dynkin[0]
+        return [(k, n - k) for k in range(n + 1)]
+    p, q = dynkin
+    k1, k2, k3 = p + q, q, 0
+    out = []
+    for m1 in range(k2, k1 + 1):
+        for m2 in range(k3, k2 + 1):
+            for b in range(m2, m1 + 1):
+                out.append((b, m1 + m2 - b, k1 + k2 + k3 - m1 - m2))
+    return out
+
+
+def _log_char_holo_positive(rs, lam, pts):
+    """The tests' oracle for log chi^C: log-sum-exp over the dim lam
+    monomials e^{-<weight, a>} of the Gelfand-Tsetlin basis, with the
+    diagonal entries a of Y = i diag(a), exp(iY) = diag(e^{-a})."""
+    a = pts @ CARTAN_EIGEN_EMBED[rs.kind]
+    exponents = -(a @ np.asarray(_gt_weight_vectors(rs.kind, lam.dynkin), float).T)
+    top = exponents.max(axis=-1)
+    return top + np.log(np.exp(exponents - top[:, None]).sum(axis=-1))
+
+
 def _weyl_char_holo_two_exp(rs, lam, pts):
     """The continued character with the denominator exponentiated twice;
     returns the values and the points sent to the positive-monomial form."""
@@ -167,29 +196,70 @@ def _weyl_char_holo_two_exp(rs, lam, pts):
     bad = (np.abs(den) < 1e-12) | (np.abs(den) < 1e-7 * den_scale)
     out = np.divide(num, np.where(bad, 1.0, den))
     if bad.any():
-        out[bad] = chars._char_holo_positive(rs, lam, pts[bad])
+        out[bad] = np.exp(_log_char_holo_positive(rs, lam, pts[bad]))
     return out, bad
 
 
-def test_weyl_char_holo_matches_two_exponential_reference(a1, a2):
+def _wall_and_interior_points(rs, rng, n):
+    """The origin, n points at 1e-9 to 1e-2 from each chamber wall, n points
+    of scale 1e-2 to 30 in random directions, and the negatives of all of
+    them, which lie outside the dominant chamber."""
+    fw = rs.fundamental_weights
+    near = 10.0 ** rng.uniform(-9.0, -2.0, size=(n, 1))
+    along = 10.0 ** rng.uniform(-2.0, np.log10(30.0), size=(n, 1))
+    if rs.rank == 1:
+        walls = near * fw[0]
+    else:
+        walls = np.vstack([along * fw[0] + near * fw[1], near * fw[0] + along * fw[1]])
+    direction = rng.normal(size=(n, rs.rank))
+    interior = (10.0 ** rng.uniform(-2.0, np.log10(30.0), size=(n, 1))
+                * direction / np.linalg.norm(direction, axis=1)[:, None])
+    pts = np.vstack([walls, interior])
+    return np.vstack([np.zeros((1, rs.rank)), pts, -pts])
+
+
+def _assert_matches_oracle(rs, lam, pts):
+    log_scale, mantissa = chars._char_holo_parts(rs, lam, pts)
+    assert np.all((mantissa >= 1.0) & (mantissa <= dimension(rs, lam)))
+    want = _log_char_holo_positive(rs, lam, pts)
+    err = np.abs(log_scale + np.log(mantissa) - want)
+    assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want))), (lam.dynkin, err.max())
+
+
+def test_char_holo_matches_the_positive_sum_oracle_at_walls_and_inside(a1, a2):
+    # the alternating quotient missed this by about 2e-10 near the walls
     rng = np.random.default_rng(11)
     for rs in (a1, a2):
-        fw = rs.fundamental_weights
-        interior = np.abs(rng.normal(size=(30, rs.rank))) @ fw
-        s = np.abs(rng.normal(size=(30, 1)))
-        near = rng.uniform(-1e-9, 1e-9, size=(30, 1))
-        if rs.rank == 1:
-            wall = np.zeros((1, 1))
-            near_wall = near * fw[0]
-        else:
-            wall = np.vstack([s * fw[0], s * fw[1]])
-            near_wall = np.vstack([s * fw[0] + near * fw[1], near * fw[0] + s * fw[1]])
-        pts = np.vstack([interior, wall, np.zeros((1, rs.rank)), near_wall, -interior])
-        for lam in enumerate_dominant(rs, 3):
-            ref, bad = _weyl_char_holo_two_exp(rs, lam, pts)
-            # walls, the origin and points within 1e-9 of a wall take the fallback
-            assert bad[len(interior):len(pts) - len(interior)].all()
-            assert np.array_equal(weyl_char_holo(rs, lam, pts), ref)
+        pts = _wall_and_interior_points(rs, rng, 200)
+        for lam in enumerate_dominant(rs, 8):
+            _assert_matches_oracle(rs, lam, pts)
+            # chi(0) is dim lam exactly: every term is 1
+            assert weyl_char_holo(rs, lam, np.zeros(rs.rank)) == dimension(rs, lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["A1", "A2"]),
+       labels=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+       along=st.floats(0.0, 30.0),
+       off=st.one_of(st.floats(1e-9, 1e-2), st.floats(0.0, 30.0)),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_char_holo_matches_the_positive_sum_oracle_property(kind, labels, along, off, sign):
+    rs = build_root_system(kind)
+    fw = rs.fundamental_weights
+    Y = off * fw[0] if rs.rank == 1 else along * fw[0] + off * fw[1]
+    _assert_matches_oracle(rs, weight(rs, labels[:rs.rank]), sign * Y[None, :])
+
+
+def test_char_holo_of_a_point_alone_equals_it_inside_a_batch(a1, a2):
+    # elementwise arithmetic only: no BLAS routine that depends on the batch
+    rng = np.random.default_rng(13)
+    for rs, dynkins in ((a1, [(1,), (8,)]), (a2, [(1, 0), (3, 2), (8, 8)])):
+        pts = rng.normal(0.0, 3.0, size=(5000, rs.rank))
+        for dynkin in dynkins:
+            lam = weight(rs, dynkin)
+            batch = weyl_char_holo(rs, lam, pts)
+            alone = np.array([weyl_char_holo(rs, lam, y) for y in pts])
+            assert np.array_equal(batch, alone), (dynkin, np.count_nonzero(batch != alone))
 
 
 def test_weyl_char_holo_torus_matches_two_exponential_reference(t2):

@@ -85,16 +85,20 @@ def test_unitarity_ratio_row_fails_on_a_nan_defect_at_any_label(monkeypatch, a1)
 
 
 def test_chamber_integral_is_the_written_out_integrand_bit_for_bit(a1, a2):
-    # chamber_integral now calls hilbert._character_integral; its value is
-    # that of the integrand eta(Y)^p char(2Y) e^{-|Y|^2/t_g} summed alone
+    # chamber_integral calls hilbert._character_integral; its value is that
+    # of the integrand eta(Y)^p char(2Y) e^{-|Y|^2/t_g} summed alone, written
+    # as the character's mantissa times one exponential of the summed logs
     for rs in (a1, a2):
         order = quadrature.default_order(rs.rank)
         for case in invariant_test_functions(rs, 1.0):
             tg, p, lam, mu_eff = case
 
             def f(Y):
-                return (chars.eta(rs, Y) ** p * chars.weyl_char_holo(rs, lam, 2.0 * Y)
-                        * np.exp(-np.sum(Y**2, axis=-1) / tg))
+                log_scale, mantissa = chars._char_holo_parts(rs, lam, 2.0 * Y)
+                exponent = log_scale - np.sum(Y**2, axis=-1) / tg
+                if p:
+                    exponent = exponent + p * chars.log_eta(rs, Y)
+                return mantissa * np.exp(exponent)
 
             q = quadrature.build_chamber_quadrature(rs, tg, order, mu_eff)
             assert chamber_integral(rs, case, order) == quadrature.integrate_invariant(q, f)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -161,11 +162,13 @@ def _strict_json(text: str):
 
 
 @pytest.mark.parametrize("args, error_id, min_rows", [
-    # C overflows at t = 2.5: the lemma33 integrand is inf * 0 at far nodes,
-    # of the weights up to level 4 only at (4, 4), which gets its own row
-    (["--suite", "all", "--group", "A2", "--t", "2.5"], "lemma33/C-4-4", 50),
-    # at t = 1 the first weight to overflow is (7, 7); the other 63 rows pass
-    (["--suite", "lemma33", "--group", "A2", "--max-level", "7"], "lemma33/C-7-7", 64),
+    # at t = 2.5 the closed form C exceeds the largest float, of the A2
+    # weights up to level 11, only at (11, 11), which gets its own row
+    (["--suite", "lemma33", "--group", "A2", "--t", "2.5", "--max-level", "11"],
+     "lemma33/C-11-11", 78),
+    # at t = 4 the first A1 weight whose C exceeds it is (18,)
+    (["--suite", "lemma33", "--group", "A1", "--t", "4", "--max-level", "18"],
+     "lemma33/C-18", 19),
     # C is inf from label 18 on, so its ratio defect is NaN there
     (["--suite", "unitarity", "--group", "A1", "--t", "4", "--max-level", "20"],
      "unitarity/error", 1),
@@ -183,29 +186,66 @@ def test_a_suite_that_raises_ends_in_a_failed_error_row(tmp_path, args, error_id
 
 
 def test_lemma33_gives_each_overflowing_weight_its_own_error_row(tmp_path):
+    # C exceeds the largest float from (18,) on at t = 4
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", "lemma33", "--group", "A1", "--t", "4",
+                "--max-level", "20", "--out", str(out)]) == 1
+    report = _strict_json(out.read_text())
+    assert report["summary"]["total"] == len(report["checks"]) == 21
+    assert report["summary"]["failed"] == 3
+    errors = [c for c in report["checks"] if c["kind"] == "error"]
+    assert [c["check_id"] for c in errors] == ["lemma33/C-18", "lemma33/C-19", "lemma33/C-20"]
+    assert all(not c["pass"] and "exceeds the largest float" in c["note"] for c in errors)
+    assert sum(c["pass"] for c in report["checks"]) == 18
+
+
+def test_former_overflow_runs_pass_in_full(tmp_path):
+    # the chamber integrands of these runs once formed inf * 0 at far nodes
+    # although C is finite: six lemma33 weights failed, and constants
+    # stopped at (4, 10) and (10,)
     out = tmp_path / "r.json"
     assert run(["verify", "--suite", "lemma33", "--group", "A2", "--max-level", "8",
-                "--out", str(out)]) == 1
+                "--out", str(out)]) == 0
     report = _strict_json(out.read_text())
-    assert report["summary"]["total"] == len(report["checks"]) == 81
-    assert report["summary"]["failed"] == 6
-    errors = [c for c in report["checks"] if c["kind"] == "error"]
-    assert [c["check_id"] for c in errors] == [
-        "lemma33/C-6-8", "lemma33/C-7-7", "lemma33/C-7-8",
-        "lemma33/C-8-6", "lemma33/C-8-7", "lemma33/C-8-8"]
-    assert all(not c["pass"] and c["note"] for c in errors)
-    assert sum(c["pass"] for c in report["checks"]) == 75
+    assert report["summary"]["total"] == sum(c["pass"] for c in report["checks"]) == 81
+    for args, rows in ((["--group", "A2", "--max-level", "10"], 121),
+                       (["--group", "A1", "--t", "4", "--max-level", "12"], 13)):
+        out = tmp_path / "constants.json"
+        assert run(["constants", *args, "--out", str(out)]) == 0
+        assert len(_strict_json(out.read_text())) == rows
 
 
 @pytest.mark.parametrize("args, dynkin", [
-    (["--group", "A1", "--t", "4", "--max-level", "12"], "(10,)"),
-    (["--group", "A2", "--max-level", "10"], "(4, 10)"),
-], ids=["A1-t4-level12", "A2-level10"])
+    (["--group", "A1", "--t", "4", "--max-level", "20"], "(18,)"),
+    (["--group", "A2", "--t", "2.5", "--max-level", "11"], "(11, 11)"),
+], ids=["A1-t4-level20", "A2-t2.5-level11"])
 def test_constants_that_overflow_end_in_a_usage_error(tmp_path, capsys, args, dynkin):
     out = tmp_path / "constants.json"
     assert run(["constants", *args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"weight {dynkin}, t = " in err and "Traceback" not in err
+    assert f"weight {dynkin}, t = " in err and "exceeds the largest float" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_closed_form_overflow_raises_no_runtime_warning(tmp_path):
+    # the overflow ends in a usage error or error rows, not in numpy's
+    # RuntimeWarnings on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["constants", "--group", "A1", "--t", "4", "--max-level", "20",
+                    "--out", str(tmp_path / "c.json")]) == 2
+        assert run(["verify", "--suite", "lemma33", "--group", "A1", "--t", "4",
+                    "--max-level", "20", "--out", str(tmp_path / "r.json")]) == 1
+
+
+def test_transform_whose_constant_overflows_is_a_usage_error(tmp_path, capsys):
+    # C at label 30 and t = 4 is e^1926: once a file of NaN with exit 0
+    src = tmp_path / "series.json"
+    save_series(src, character_series("A1", (30,), "HL2", 4.0))
+    out = tmp_path / "h.json"
+    assert run(["transform", "--which", "h", "--in", str(src), "--out", str(out)]) == 2
+    assert "exceeds the largest float" in capsys.readouterr().err
     assert not out.exists()
 
 
