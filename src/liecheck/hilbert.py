@@ -42,6 +42,7 @@ from .models import (
     rep_matrices,
 )
 from .quadrature import (
+    LOG_FLOAT_MAX,
     NON_FINITE_VALUES,
     _tensor_rule,
     build_chamber_quadrature,
@@ -140,17 +141,22 @@ def _character_integral(
     over the axes, and by Fubini over a finite sum its sum over the tensor
     rule is the product of rank sums over quadrature.torus_axis_rule, each
     through models.haar_mean.  An axis factor is the one exponential
-    e^{-mu_i x - x^2/s}, so it overflows only where the integral does; a
-    non-finite value raises the ValueError of integrate_invariant.
+    e^{-mu_i x - x^2/s}.  Where a node, an axis sum or a partial product
+    would pass the largest float, integrate_invariant's ValueError names
+    the log of the integral, raised before any exponential overflows; on
+    A1 and A2 it names the largest exponent of the integrand.
     """
     if rs.is_torus:
         x, w = torus_axis_rule(s, order, mu_norm)
-        # an infinite axis factor makes its sum, and so the product, non-finite
-        total = prod(float(haar_mean(lambda y: np.exp(-mu_i * y - y**2 / s), x, w)[0])
-                     for mu_i in scale * lam.coords)
-        if not np.isfinite(total):
-            raise ValueError(NON_FINITE_VALUES)
-        return total
+        exponents = [-mu_i * x - x**2 / s for mu_i in scale * lam.coords]
+        peaks = [e.max() for e in exponents]
+        # the log of each partial product, each axis sum taken from its
+        # largest term, so that no exponential overflows on the way
+        logs = np.cumsum([m + np.log(np.sum(w * np.exp(e - m))) for e, m in zip(exponents, peaks)])
+        if max(*logs, *peaks) > LOG_FLOAT_MAX:
+            raise ValueError(f"{NON_FINITE_VALUES}: the axis sums of the integral "
+                             f"e^{logs[-1]:.6g} pass the largest float")
+        return prod(float(haar_mean(np.exp, e, w)[0]) for e in exponents)
 
     # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
     # without numpy's slow reduction over a length-1 or -2 axis
@@ -159,6 +165,9 @@ def _character_integral(
         exponent = log_scale - np.einsum("...i,...i->...", Y, Y) / s
         if p:
             exponent += p * chars.log_eta(rs, scale * Y / 2.0)
+        if exponent.max() > LOG_FLOAT_MAX:
+            raise ValueError(f"{NON_FINITE_VALUES}: the integrand reaches "
+                             f"e^{exponent.max():.6g}, past the largest float")
         return mantissa * np.exp(exponent, out=exponent)
 
     return integrate_invariant(build_chamber_quadrature(rs, s, order, mu_norm), f)
@@ -272,10 +281,13 @@ def transform_apply(series, which: str):
         raise ValueError(f"unknown transform {which!r}; expected one of {TRANSFORM_NAMES}")
     if series.space != domain:
         raise ValueError(f"transform {which} expects a {domain} series, got {series.space}")
-    terms = {
-        dynkin: _transform_factor(rs, weight(rs, dynkin), series.t, which) * coeff
-        for dynkin, coeff in series.terms.items()
-    }
+    terms = {}
+    for dynkin, coeff in series.terms.items():
+        try:
+            factor = _transform_factor(rs, weight(rs, dynkin), series.t, which)
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"{which} at weight {dynkin}, t = {series.t}: {exc}") from exc
+        terms[dynkin] = factor * coeff
     out_space = "HL2" if which == "ThetaStar" else "L2K"
     return replace(series, space=out_space, terms=terms)
 

@@ -380,38 +380,56 @@ def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray, np.ndarray | None
     raise ValueError(f"unknown Haar scheme: {scheme!r}")
 
 
-# Points per block of _evaluate_blocks.  The temporaries of the widest
-# integrands, the term arrays of the A2 characters, then stay near a 2 MB
-# L2 cache: on a 2-vCPU x86_64 host, 8192 and 16384 points were fastest
-# and 32768 spilled, with the former and the present evaluator (CHANGES.md).
+# Points per block of _evaluate_blocks for points held in arrays.  The
+# temporaries of the widest integrands, the term arrays of the A2
+# characters, then stay near a 2 MB L2 cache: on a 2-vCPU x86_64 host,
+# 8192 and 16384 points were fastest and 32768 spilled (CHANGES.md).  The
+# chamber rules hand over slabs of about 4096 points instead
+# (quadrature._SLAB).  4096 here, for every integrand, took the benchmark's
+# constants-sweep from 0.91 to 0.82 s but its a2-verify from 0.41 to
+# 0.44 s (medians of 3 pairs of 10 s runs on the same host).
 _BLOCK = 16_384
 
 
-def _evaluate_blocks(f, points) -> np.ndarray:
-    """f at every point, evaluated _BLOCK points at a time into one array.
+def _evaluate_blocks(f, points, weights=None) -> np.ndarray:
+    """f at every point, times its weight if there are weights, written
+    block by block into one array.
 
-    points is an array, or a tuple of arrays sliced in step along axis 0;
-    f receives one block of each and must be pointwise: value k of its
-    result depends on point k alone, so the blocks give f(points) bit for
-    bit.  At most _BLOCK + 1 points: f(points) itself.
+    points is an array, or a tuple of arrays sliced in step along axis 0,
+    taken _BLOCK points at a time; or a rule that hands over its points and
+    weights itself, len(points) in all, as the (nodes, weights) slabs of
+    points.slabs() (quadrature.ChamberQuadrature).  f receives one block of
+    each array and must be pointwise: value k of its result depends on
+    point k alone, so the blocks give f(points) bit for bit, and w * f
+    (weights along axis 0) has the bits of weights * f(points).  One block
+    needs no second array: it is f's result, or w * f.
     """
-    arrays = points if isinstance(points, tuple) else (points,)
-    n = len(arrays[0])
-    if n <= _BLOCK + 1:
-        return np.asarray(f(*arrays))
-    # a lone last point joins the block before it: numpy multiplies a
-    # one-row matrix by another BLAS routine, whose last digits differ
-    edges = [*range(0, n - 1, _BLOCK), n]
-    vals = None
-    for lo, hi in zip(edges, edges[1:]):
-        block = np.asarray(f(*(a[lo:hi] for a in arrays)))
+    if hasattr(points, "slabs"):
+        n = len(points)
+        blocks = (((nodes,), w) for nodes, w in points.slabs())
+    else:
+        arrays = points if isinstance(points, tuple) else (points,)
+        n = len(arrays[0])
+        # a lone last point joins the block before it: numpy multiplies a
+        # one-row matrix by another BLAS routine, whose last digits differ
+        edges = [0, n] if n <= _BLOCK + 1 else [*range(0, n - 1, _BLOCK), n]
+        blocks = ((tuple(a[lo:hi] for a in arrays), None if weights is None else weights[lo:hi])
+                  for lo, hi in zip(edges, edges[1:]))
+    vals, lo = None, 0
+    for args, w in blocks:
+        block = np.asarray(f(*args))
+        if w is not None:
+            block = np.reshape(w, (-1,) + (1,) * (block.ndim - 1)) * block
+        if len(block) == n:
+            return block
         if vals is None:
             vals = np.empty((n,) + block.shape[1:], block.dtype)
-        vals[lo:hi] = block
+        vals[lo:lo + len(block)] = block
+        lo += len(block)
     return vals
 
 
-def haar_mean(f, points, weights) -> tuple[np.ndarray, np.ndarray]:
+def haar_mean(f, points, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Average of a pointwise integrand over a scheme's points, with its standard error.
 
     The one place where any integration scheme's points become a mean and
@@ -420,21 +438,21 @@ def haar_mean(f, points, weights) -> tuple[np.ndarray, np.ndarray]:
     quadrature.cartesian_oracle_integrate, the tridiagonal rule of
     quadrature.tridiagonal_rule, whose chamber images serve every
     integrand of one Gaussian width, and the chamber rules of
-    quadrature.integrate_invariant.  f is evaluated block by block (see
-    _evaluate_blocks), so points is an array or a tuple of arrays and the
-    values may carry trailing axes.  weights None (Monte Carlo): the plain
-    mean, and the standard error sqrt(var Re + var Im) / sqrt(N) with
-    ddof 1.  Otherwise the weighted sum of a deterministic rule, with
-    standard error 0.
+    quadrature.integrate_invariant, which come in slabs.  f is evaluated
+    block by block (see _evaluate_blocks), so points is an array, a tuple
+    of arrays or a rule with slabs(), and the values may carry trailing
+    axes.  No weights (Monte Carlo): the plain mean, and the standard error
+    sqrt(var Re + var Im) / sqrt(N) with ddof 1.  Otherwise the weighted
+    sum of a deterministic rule, with standard error 0: the products w * f
+    fill one array, block by block, which numpy sums once.
     """
-    vals = _evaluate_blocks(f, points)
-    if weights is None:
+    vals = _evaluate_blocks(f, points, weights)
+    if weights is None and not hasattr(points, "slabs"):
         sem = np.sqrt(vals.real.var(axis=0, ddof=1) + vals.imag.var(axis=0, ddof=1))
         return vals.mean(axis=0), sem / np.sqrt(len(vals))
     # numpy's own sum, in one fixed order: a BLAS dot splits the point
     # axis across its threads, and the last digits would follow their count
-    w = np.reshape(weights, (-1,) + (1,) * (vals.ndim - 1))
-    return (w * vals).sum(axis=0), np.zeros(vals.shape[1:])
+    return vals.sum(axis=0), np.zeros(vals.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ to the dominant chamber against the density prod_alpha <alpha, Y>^2 times a
 constant flag-manifold volume factor.  The chamber is parameterized per
 type: the half-line in the angle theta (<alpha, Y> = 2*theta) for A1, the
 orthant of fundamental-weight coefficients for A2, and a full box for tori,
-the tensor product of one mirrored axis rule (torus_axis_rule).
+the tensor product of one mirrored axis rule (torus_axis_rule).  A rule
+keeps its 1-D factor and forms its nodes and weights a slab of whole grid
+rows at a time, where they are summed (ChamberQuadrature.slabs).
 The flag volume is exact: flag_volume takes it from Mehta's integral, the
 k = 1 case of Macdonald's conjecture (Macdonald, SIAM J. Math. Anal. 13
 (1982) 988; Mehta, Random Matrices, 3rd ed., ch. 17), and the Jacobian of
@@ -19,7 +21,7 @@ one Gaussian width.  All their 1-D Gauss rules come from models._gauss_rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from math import factorial, prod
 
@@ -53,25 +55,73 @@ __all__ = [
 SQRT2 = float(np.sqrt(2.0))
 # the ValueError of every chamber-rule sum whose integrand overflows
 NON_FINITE_VALUES = "integrand produced non-finite values at quadrature nodes"
+# the log of the largest float: a value whose log is past it overflows
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 # degrees of the basic invariants of each Weyl group, for Mehta's integral
 _INVARIANT_DEGREES = {"A1": (2,), "A2": (2, 3)}
 
 
+# Points per slab of a chamber rule, to whole grid rows: the integrand's
+# temporaries on a slab stay in the heap the allocator reuses (see
+# models._BLOCK for the blocks of every other integrand)
+_SLAB = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class ChamberQuadrature:
-    """Nodes and weights realizing the chamber-reduced integral.
+    """A chamber rule, kept as its 1-D factor and handed over in slabs.
 
-    weights already contain the density prod <alpha, Y>^2, the chamber
-    parameterization measure, and the flag_volume(rs) factor, so that
-    sum(weights * f(nodes)) approximates the integral of an Ad-invariant f
-    over the whole algebra.
+    The rule is the rank-fold tensor grid of one 1-D rule (axis,
+    axis_weights): Gauss-Legendre mapped to [0, R / sqrt 2] in A1's theta
+    or to [0, S] in A2's s, or torus_axis_rule.  slabs() yields its nodes
+    (n, rank), strictly dominant, and weights (n,), positive, a slab of
+    whole grid rows at a time, in the C order of the grid; nodes and
+    weights are the whole rule, built on demand.  The weights contain the
+    density prod <alpha, Y>^2, the chamber parameterization measure, and
+    the factor volume (flag_volume(rs)), so that sum(weights * f(nodes))
+    approximates the integral of an Ad-invariant f over the whole algebra.
     """
 
-    rs_kind: str
-    nodes: np.ndarray    # (N, rank), strictly dominant
-    weights: np.ndarray  # (N,), positive
+    rs: RootSystem
+    axis: np.ndarray          # (m,) nodes of every grid axis
+    axis_weights: np.ndarray  # (m,)
+    volume: float
     radius: float
     order: int
+
+    @property
+    def rs_kind(self) -> str:
+        return self.rs.kind
+
+    def __len__(self) -> int:
+        return len(self.axis) ** self.rs.rank
+
+    @property
+    def rows(self) -> int:
+        """Grid rows: each holds the m points that share their first rank - 1 axis indices."""
+        return len(self.axis) ** (self.rs.rank - 1)
+
+    def slabs(self):
+        """(nodes, weights) of consecutive slabs of about _SLAB points.
+
+        The rows are split as evenly as whole rows allow into round(n /
+        _SLAB) slabs, at least one and at most one per row, so no slab is a
+        small remainder (each call of an integrand has a fixed cost), none
+        is a single point (m >= 8), and a rank-1 rule is one slab.
+        """
+        count = min(self.rows, max(1, round(len(self) / _SLAB)))
+        for k in range(count):
+            lo, hi = self.rows * k // count, self.rows * (k + 1) // count
+            nodes, raw = _chamber_nodes_raw(self, lo, hi)
+            yield nodes, self.volume * raw
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return _chamber_nodes_raw(self, 0, self.rows)[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.volume * _chamber_nodes_raw(self, 0, self.rows)[1]
 
 
 def default_order(rank: int) -> int:
@@ -98,32 +148,29 @@ def _tensor_rule(*rules):
     return nodes, reduce(np.multiply.outer, [w for _, w in rules]).reshape(-1)
 
 
-def _chamber_nodes_raw(
-    kind: str,
-    fundamental_weights: np.ndarray,
-    t: float,
-    order: int,
-    target_mu_norm: float,
-):
-    """Nodes plus weights without the flag_volume factor; radius last."""
-    R = truncation_radius(t, target_mu_norm)
-    if kind == "A1":
-        theta, gw = _gauss_legendre_01(order, R / SQRT2)
-        nodes = (SQRT2 * theta)[:, None]
-        weights = (2.0 * theta) ** 2 * gw
-        return nodes, weights, R
-    if kind == "A2":
-        S = float(np.sqrt(1.5) * R)  # s-box covering chamber ∩ ball(R)
-        s, gw = _gauss_legendre_01(order, S)
-        s1, s2 = np.meshgrid(s, s, indexing="ij", sparse=True)
-        gw2 = np.outer(gw, gw)
-        nodes = s1[..., None] * fundamental_weights[0] + s2[..., None] * fundamental_weights[1]
-        dens = (s1 * s2 * (s1 + s2)) ** 2
-        return nodes.reshape(-1, 2), (dens * gw2).reshape(-1), R
-    if kind.startswith("T"):
-        rank = fundamental_weights.shape[0]
-        return (*_tensor_rule(*[torus_axis_rule(t, order, target_mu_norm)] * rank), R)
-    raise ValueError(f"unsupported kind for chamber quadrature: {kind!r}")
+def _chamber_nodes_raw(q: ChamberQuadrature, lo: int, hi: int):
+    """Nodes and weights, without the volume factor, of grid rows lo to hi - 1 of q.
+
+    Each is the same elementwise expression of the 1-D factors at every
+    point, so a slab has the bits of its points in the whole grid.
+    """
+    x, w = q.axis, q.axis_weights
+    if q.rs.kind == "A1":
+        return (SQRT2 * x)[:, None], (2.0 * x) ** 2 * w
+    if q.rs.kind == "A2":
+        s1, s2 = x[lo:hi, None], x[None, :]
+        fw = q.rs.fundamental_weights
+        nodes = s1[..., None] * fw[0] + s2[..., None] * fw[1]
+        raw = (s1 * s2 * (s1 + s2)) ** 2 * (w[lo:hi, None] * w[None, :])
+        return nodes.reshape(-1, 2), raw.reshape(-1)
+    if q.rs.rank == 1:
+        return x[:, None].copy(), w
+    # a torus: row k holds the points whose first rank - 1 axis indices
+    # unravel from k; the weights multiply axis by axis, as _tensor_rule's
+    lead = np.unravel_index(np.arange(lo, hi), (len(x),) * (q.rs.rank - 1))
+    nodes = np.stack([*(np.repeat(x[i], len(x)) for i in lead), np.tile(x, hi - lo)], axis=-1)
+    raw = np.multiply.outer(reduce(np.multiply, [w[i] for i in lead]), w)
+    return nodes, raw.reshape(-1)
 
 
 def torus_axis_rule(t: float, order: int, target_mu_norm: float):
@@ -172,21 +219,25 @@ def flag_volume_from_gaussian(rs: RootSystem, order: int = 200) -> float:
     """The flag volume by quadrature, the numerical route to flag_volume.
 
     V = pi^(dim_k/2) / Q, Q the chamber rule of the given order for the
-    density times e^{-|Y|^2}, without any flag-volume factor.
+    density times e^{-|Y|^2}, without any flag-volume factor (volume 1).
     """
     if rs.is_torus:
         return 1.0
-    nodes, raw, _ = _chamber_nodes_raw(rs.kind, rs.fundamental_weights, 1.0, order, 0.0)
+    q = replace(build_chamber_quadrature(rs, 1.0, order), volume=1.0)
     # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
     # without numpy's slow reduction over a length-1 or -2 axis
-    q, _ = haar_mean(lambda Y: np.exp(-np.einsum("...i,...i->...", Y, Y)), nodes, raw)
-    return float(np.pi ** (rs.dim_k / 2.0) / float(q))
+    gauss = integrate_invariant(q, lambda Y: np.exp(-np.einsum("...i,...i->...", Y, Y)))
+    return float(np.pi ** (rs.dim_k / 2.0) / gauss)
 
 
 def build_chamber_quadrature(
     rs: RootSystem, t: float, order: int, target_mu_norm: float = 0.0
 ) -> ChamberQuadrature:
     """Gauss-Legendre chamber rule sized for integrands e^{-|Y|^2/t + |mu||Y|}.
+
+    Only the 1-D factor of the grid is built here; the rule's nodes and
+    weights are formed a slab at a time where they are summed
+    (ChamberQuadrature.slabs).
 
     Parameters
     ----------
@@ -197,28 +248,31 @@ def build_chamber_quadrature(
         Points per dimension, at least 8.
     target_mu_norm : float
         Norm of the largest exponential-growth vector mu expected; sets the
-        truncation radius sqrt(t) * (|mu| sqrt(t)/2 + 8).
+        truncation radius R = sqrt(t) * (|mu| sqrt(t)/2 + 8).
     """
     _check_rule_parameters(t, order)
-    nodes, raw, R = _chamber_nodes_raw(
-        rs.kind, rs.fundamental_weights, t, order, target_mu_norm
-    )
-    return ChamberQuadrature(
-        rs_kind=rs.kind,
-        nodes=nodes,
-        weights=flag_volume(rs) * raw,
-        radius=R,
-        order=order,
-    )
+    R = truncation_radius(t, target_mu_norm)
+    if rs.kind == "A1":
+        axis = _gauss_legendre_01(order, R / SQRT2)
+    elif rs.kind == "A2":
+        axis = _gauss_legendre_01(order, float(np.sqrt(1.5) * R))  # covers chamber ∩ ball(R)
+    elif rs.is_torus:
+        axis = torus_axis_rule(t, order, target_mu_norm)
+    else:
+        raise ValueError(f"unsupported kind for chamber quadrature: {rs.kind!r}")
+    return ChamberQuadrature(rs, *axis, volume=flag_volume(rs), radius=R, order=order)
 
 
 def integrate_invariant(q: ChamberQuadrature, f) -> float:
     """Integrate an Ad-invariant function over the algebra.
 
-    f receives nodes of shape (n, rank), a block of the rule's nodes at a
-    time through models.haar_mean, and must return (n,) values, each
-    depending on its own node alone; the caller is responsible for
-    Ad-invariance of the integrand it represents.
+    f receives nodes of shape (n, rank), one slab of the rule at a time
+    (ChamberQuadrature.slabs), and must return (n,) values, each depending
+    on its own node alone; the caller is responsible for Ad-invariance of
+    the integrand it represents.  models.haar_mean writes the products
+    w * f of every slab into one array and sums it once, so the value has
+    the bits of sum(q.weights * f(q.nodes)).  A non-finite value raises
+    ValueError at the slab where it appears.
     """
 
     def checked(Y):
@@ -229,7 +283,7 @@ def integrate_invariant(q: ChamberQuadrature, f) -> float:
             raise ValueError(NON_FINITE_VALUES)
         return vals
 
-    return float(haar_mean(checked, q.nodes, q.weights)[0])
+    return float(haar_mean(checked, q)[0])
 
 
 def gaussian_linear_moment(rs: RootSystem, mu, t: float) -> float:
@@ -242,7 +296,7 @@ def gaussian_linear_moment(rs: RootSystem, mu, t: float) -> float:
         raise ValueError("t must be positive")
     mu = np.asarray(mu, float)
     log_value = rs.dim_k / 2.0 * np.log(t * np.pi) + t * float(mu @ mu) / 4.0
-    if log_value > np.log(np.finfo(float).max):
+    if log_value > LOG_FLOAT_MAX:
         raise ArithmeticError(f"the closed form e^{log_value:.6g} exceeds the largest float")
     return float((t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * float(mu @ mu) / 4.0))
 

@@ -249,6 +249,28 @@ def test_transform_whose_constant_overflows_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("group, dynkin, t, tail", [
+    ("T1", (19,), 2.0, "the axis sums of the integral e^722.919 pass the largest float"),
+    ("A1", (30,), 4.0, "the integrand reaches e^1799.9, past the largest float"),
+], ids=["T1", "A1"])
+def test_htilde_overflow_names_weight_t_and_log_without_a_warning(tmp_path, group, dynkin,
+                                                                   t, tail):
+    # on T1 the density-free constant is e^722.9 (C, as on every torus);
+    # numpy's exp once overflowed there with a RuntimeWarning on stderr
+    src = tmp_path / "series.json"
+    save_series(src, character_series(group, dynkin, "HL2", t))
+    out = tmp_path / "htilde.json"
+    pkg = str(Path(liecheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([pkg, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "liecheck.cli",
+                           "transform", "--which", "htilde", "--in", str(src), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: Htilde at weight {dynkin}, t = {t}: integrand produced "
+                           f"non-finite values at quadrature nodes: {tail}\n")
+    assert not out.exists()
+
+
 def test_a_constants_row_with_a_non_finite_field_is_a_usage_error(tmp_path, capsys,
                                                                    monkeypatch):
     real = hilbert.constants_row
