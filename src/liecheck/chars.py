@@ -1,9 +1,13 @@
 """Half-form densities, Weyl characters, and normalized orbital averages.
 
-The density eta is exp(log_eta), log_eta a sum of log(sinh x / x) over
-positive roots; an independent determinant oracle lives beside it.  The
-continued characters (positive on exp(i t)) come from one evaluator, in
-log-scale and mantissa; Cartan points are arrays of shape (..., rank).
+The density eta is exp(log_eta), log_eta a sum of log(sinh x / x) at the
+positive-root pairings, arrays that broadcast; an independent determinant
+oracle lives beside it.  The continued characters (positive on exp(i t))
+come from one evaluator, in log-scale and mantissa, in two steps:
+coordinates give the log-scale and (y, r), and one branching-rule
+mantissa of (y, r) broadcasts.  Scattered Cartan points, arrays of shape
+(..., rank), take the first step from their sorted eigen-coordinates; the
+A2 chamber rules from their simple-root coordinates, one axis at a time.
 The orbital average A(mu, Y) is the probability-normalized flag-manifold
 integral of exp(-<mu, Ad_y Y>), which makes the character/orbit identity
 free of volume conventions:
@@ -80,17 +84,26 @@ def _pairings(c: np.ndarray, matrix: np.ndarray) -> list[np.ndarray]:
     return [sum(c[..., i] * col[i] for i in range(len(col))) for col in matrix.T]
 
 
-def log_eta(rs: RootSystem, Y) -> np.ndarray:
-    """log eta(Y), the sum over positive roots of log(sinh<a,Y>/<a,Y>): finite
-    wherever Y is, and 0 on a torus.  Y is an array of shape (..., rank)."""
-    c = np.asarray(Y, float)
-    return sum(map(_log_sinhc, _pairings(c, rs.positive_roots.T)), np.zeros(c.shape[:-1]))
+def root_pairings(rs: RootSystem, Y) -> list[np.ndarray]:
+    """<alpha, Y> for each positive root alpha, Y of shape (..., rank)."""
+    return _pairings(np.asarray(Y, float), rs.positive_roots.T)
+
+
+def log_eta(pairings) -> np.ndarray | float:
+    """log eta, the sum over positive roots of log(sinh x / x) at their
+    pairings x = <alpha, Y>: arrays that broadcast, as root_pairings gives
+    for Cartan points or the chamber rules for their slabs; finite wherever
+    they are, and 0 without roots (a torus)."""
+    return sum(map(_log_sinhc, pairings), 0.0)
 
 
 def eta(rs: RootSystem, Y) -> np.ndarray | float:
     """Half-form density: prod over positive roots of sinh<a,Y>/<a,Y>, as
     exp(log_eta); strictly positive, even, Weyl invariant, and 1 on a torus."""
-    return np.exp(log_eta(rs, Y))
+    c = np.asarray(Y, float)
+    if rs.is_torus:
+        return np.exp(np.zeros(c.shape[:-1]))
+    return np.exp(log_eta(root_pairings(rs, c)))
 
 
 def eta_det_oracle(model: GroupModel, Y) -> float:
@@ -126,20 +139,44 @@ def j_half_identity_residual(rs: RootSystem, Y) -> float:
     return abs(float(eta(rs, half)) - eta_det_oracle(model, cartan_element(model, half)))
 
 
+def _branching_mantissa(p: int, q: int, y, r) -> np.ndarray:
+    """The mantissa T of the continued character of (p, q), 1 <= T <= dim,
+    at y = e^{a_lo - a_mid} and r = e^{a_mid - a_hi} in (0, 1].
+
+    The branching rule of the Schur polynomial in the eigenvalues e^{-a},
+    in positive terms with the largest monomial factored out (Demmel &
+    Koev, Math. Comp. 75 (2006) 223), its inner geometric sum collapsed:
+      T = sum_m H_m(r) y^{|m-q|} r^{max(0,q-m)} P_{n_m}(y^2 r), m = 0 .. p+q,
+    n_m = min(q, p+q-m) - max(0, q-m) + 1, H_m(r) = sum_{j<=m} r^j and
+    P_n(z) = sum_{j<n} z^j; H by Horner's rule, the terms below m = q by
+    Horner's rule in y r.  Elementwise, so y and r may be any arrays that
+    broadcast (on the A2 chamber grid y a row and r a column, H_m(r) and
+    the powers of y then one value per axis point).
+    """
+    geometric = [*accumulate([y * y * r] * min(p, q), lambda v, z: 1.0 + z * v, initial=1.0)]
+    h, total, above, yr = 0.0, 0.0, 1.0, y * r  # above = y^{m-q} from m = q on
+    for m in range(q):  # the terms below m = q, by Horner's rule in y r
+        h = 1.0 + r * h  # H_m(r), by Horner's rule
+        total = (total + h * geometric[min(m, p)]) * yr
+    for m in range(q, p + q + 1):
+        h = 1.0 + r * h
+        total = total + h * above * geometric[min(q, p + q - m)]
+        above = above * y
+    return total
+
+
 def _char_holo_parts(rs: RootSystem, lam: Weight, Y) -> tuple[np.ndarray, np.ndarray]:
     """The continued character at exp(iY) as (log_scale, T), chi = T e^{log_scale}.
 
     exp(iY) has eigenvalues e^{-a}, a = Y @ CARTAN_EIGEN_EMBED, and chi is a
-    Schur polynomial in them, which the branching rule sums in positive
-    terms, the largest monomial factored out, so 1 <= T <= dim lam (Demmel
-    & Koev, Math. Comp. 75 (2006) 223).  Elementwise, with two exponentials
-    per point; H_m(r) = sum_{j<=m} r^j and P_n(z) = sum_{j<n} z^j:
-      A1, lam = (n): chi = e^{n|a_1|} H_n(e^{-2|a_1|}).
+    Schur polynomial in them.  Two steps: the sorted eigen-coordinates give
+    the log-scale and (y, r), with two exponentials per point, and
+    _branching_mantissa gives T from (y, r):
+      A1, lam = (n): chi = e^{n|a_1|} H_n(e^{-2|a_1|}), H_n by Horner's rule.
       A2, lam = (p, q), a_lo <= a_mid = -a_lo - a_hi <= a_hi, y = e^{a_lo -
-        a_mid} and r = e^{a_mid - a_hi} in (0, 1]: chi = e^{q a_hi - p a_lo}
-        sum_m H_m(r) y^{|m-q|} r^{max(0,q-m)} P_{n_m}(y^2 r), m = 0 .. p+q,
-        n_m = min(q, p+q-m) - max(0, q-m) + 1.
+        a_mid} and r = e^{a_mid - a_hi}: chi = e^{q a_hi - p a_lo} T.
       Torus: log_scale = -<lam, Y> and T = 1.  Y has shape (..., n, rank).
+    _chamber_char_parts takes the same two steps from A2 chamber coordinates.
     """
     if not lam.is_dominant:
         raise ValueError("the continued character requires a dominant weight")
@@ -155,16 +192,25 @@ def _char_holo_parts(rs: RootSystem, lam: Weight, Y) -> tuple[np.ndarray, np.nda
     # y = e^{a_lo - a_mid} and r = e^{a_mid - a_hi}, in place of the spent a
     y = np.exp(np.add(2.0 * lo, hi, out=a[0]), out=a[0])
     r = np.exp(np.subtract(-lo, 2.0 * hi, out=a[1]), out=a[1])
-    geometric = [*accumulate([y * y * r] * min(p, q), lambda v, z: 1.0 + z * v, initial=1.0)]
-    h, total, above, yr = 0.0, 0.0, 1.0, y * r  # above = y^{m-q} from m = q on
-    for m in range(q):  # the terms below m = q, by Horner's rule in y r
-        h = 1.0 + r * h  # H_m(r), by Horner's rule
-        total = (total + h * geometric[min(m, p)]) * yr
-    for m in range(q, p + q + 1):
-        h = 1.0 + r * h
-        total = total + h * above * geometric[min(q, p + q - m)]
-        above = above * y
-    return q * hi - p * lo, total
+    return q * hi - p * lo, _branching_mantissa(p, q, y, r)
+
+
+def _chamber_char_parts(lam: Weight, s1, s2):
+    """The A2 continued character at exp(iY), Y = s1 w1 + s2 w2 in the
+    closed chamber (s_i = <alpha_i, Y> >= 0), as (u1, u2, T): chi = T
+    e^{u1 + u2}, with u_i depending on s_i alone.
+
+    With a = Y @ CARTAN_EIGEN_EMBED sorted, a_hi - a_mid = s1 and a_mid -
+    a_lo = s2, so r = e^{-s1}, y = e^{-s2}, and the log-scale q a_hi - p
+    a_lo is ((2q + p) s1 + (q + 2p) s2) / 3.  s1 and s2 broadcast: on the
+    chamber grid a column and a row, whose exponentials are one per axis
+    point; T is _branching_mantissa, as at scattered points.
+    """
+    if not lam.is_dominant:
+        raise ValueError("the continued character requires a dominant weight")
+    p, q = lam.dynkin
+    u1, u2 = (2 * q + p) / 3.0 * s1, (q + 2 * p) / 3.0 * s2
+    return u1, u2, _branching_mantissa(p, q, np.exp(-s2), np.exp(-s1))
 
 
 def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:

@@ -48,7 +48,6 @@ from .quadrature import (
     build_chamber_quadrature,
     default_order,
     gaussian_linear_moment,
-    integrate_invariant,
     torus_axis_rule,
 )
 from .rootdata import RootSystem, Weight, build_root_system, dimension, weight
@@ -129,48 +128,110 @@ class NormCheck:
         return abs(self.quadrature - self.closed_form) / abs(self.closed_form)
 
 
+def _log_sum(logs) -> float:
+    """log sum e^logs, from the largest term."""
+    logs = np.asarray(logs)
+    peak = logs.max()
+    return float(peak + np.log(np.sum(np.exp(logs - peak))))
+
+
+def _chamber_parts(q, lam: Weight, scale: float, s: float, p: int):
+    """The integrand of _character_integral on the chamber rule q: a map
+    from a slab's chamber coordinates to (exponent, mantissa), the value
+    being mantissa * e^exponent; eta is skipped at p = 0.
+
+    A2 works in the chamber's own coordinates, s1 a column and s2 a row
+    (Y = s1 w1 + s2 w2): chars._chamber_char_parts at scale Y, |Y|^2 =
+    (2/3)(s1^2 + s1 s2 + s2^2), the sum of the squared eigen-coordinates,
+    and the positive roots pairing scale Y / 2 at scale/2 times s1, s2 and
+    s1 + s2.  What depends on one s_i is formed once per axis point; per
+    node come only the mantissa's geometric sums and products, the s1 s2
+    cross term, log sinhc(s1 + s2) and one exponential.  A1 evaluates its
+    Cartan nodes.
+    """
+    rs = q.rs
+    if rs.kind == "A2":
+        g = 2.0 / (3.0 * s)
+
+        def parts(coords):
+            s1, s2 = coords
+            u1, u2, mantissa = chars._chamber_char_parts(lam, scale * s1, scale * s2)
+            exponent = (u1 - g * s1 * s1) + (u2 - g * s2 * s2)
+            exponent -= s1 * (g * s2)
+            if p:
+                half1, half2 = scale / 2.0 * s1, scale / 2.0 * s2
+                exponent += p * chars.log_eta([half1, half2, half1 + half2])
+            return exponent, mantissa
+
+        return parts
+
+    def parts(coords):
+        Y = q.cartan(coords)
+        log_scale, mantissa = chars._char_holo_parts(rs, lam, scale * Y)
+        # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
+        # without numpy's slow reduction over a length-1 or -2 axis
+        exponent = log_scale - np.einsum("...i,...i->...", Y, Y) / s
+        if p:
+            exponent += p * chars.log_eta(chars.root_pairings(rs, scale * Y / 2.0))
+        return exponent, mantissa
+
+    return parts
+
+
 def _character_integral(
     rs: RootSystem, lam: Weight, scale: float, s: float, order: int, p: int, mu_norm: float
 ) -> float:
     """Integral of eta(scale Y / 2)^p char_holo(lam, scale Y) e^{-|Y|^2/s}.
 
-    The rule is the chamber rule of width s sized for |mu| = mu_norm; eta is
-    skipped at p = 0.  The integrand is T e^{log_scale + p log eta - |Y|^2/s},
-    so no inf * 0 forms where it is finite.  On a torus eta = 1 and the
-    character is e^{-<mu, Y>}, mu = scale lam, so the integrand is a product
-    over the axes, and by Fubini over a finite sum its sum over the tensor
-    rule is the product of rank sums over quadrature.torus_axis_rule, each
-    through models.haar_mean.  An axis factor is the one exponential
-    e^{-mu_i x - x^2/s}.  Where a node, an axis sum or a partial product
-    would pass the largest float, integrate_invariant's ValueError names
-    the log of the integral, raised before any exponential overflows; on
-    A1 and A2 it names the largest exponent of the integrand.
+    The rule is the chamber rule of width s sized for |mu| = mu_norm, summed
+    through models.haar_mean a slab at a time; the integrand is T
+    e^{log_scale + p log eta - |Y|^2/s} (_chamber_parts), so no inf * 0
+    forms where it is finite.  On a torus eta = 1 and the character is
+    e^{-<mu, Y>}, mu = scale lam, so the integrand is a product over the
+    axes, and by Fubini over a finite sum its sum over the tensor rule is
+    the product of rank sums over quadrature.torus_axis_rule, each through
+    models.haar_mean.  An axis factor is the one exponential e^{-mu_i x -
+    x^2/s}.  Where a value would pass the largest float, a ValueError
+    (quadrature.NON_FINITE_VALUES) names its log, raised before any
+    exponential overflows: on a torus the log of the integral; on A1 and
+    A2 the largest exponent of the integrand, or, where every node is
+    finite, the log of the weighted sum, taken again from the logs of its
+    terms.  No RuntimeWarning is printed.
     """
     if rs.is_torus:
         x, w = torus_axis_rule(s, order, mu_norm)
         exponents = [-mu_i * x - x**2 / s for mu_i in scale * lam.coords]
         peaks = [e.max() for e in exponents]
-        # the log of each partial product, each axis sum taken from its
-        # largest term, so that no exponential overflows on the way
-        logs = np.cumsum([m + np.log(np.sum(w * np.exp(e - m))) for e, m in zip(exponents, peaks)])
+        # the log of each partial product, so that no exponential overflows on the way
+        logs = np.cumsum([_log_sum(np.log(w) + e) for e in exponents])
         if max(*logs, *peaks) > LOG_FLOAT_MAX:
             raise ValueError(f"{NON_FINITE_VALUES}: the axis sums of the integral "
                              f"e^{logs[-1]:.6g} pass the largest float")
         return prod(float(haar_mean(np.exp, e, w)[0]) for e in exponents)
 
-    # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
-    # without numpy's slow reduction over a length-1 or -2 axis
-    def f(Y):
-        log_scale, mantissa = chars._char_holo_parts(rs, lam, scale * Y)
-        exponent = log_scale - np.einsum("...i,...i->...", Y, Y) / s
-        if p:
-            exponent += p * chars.log_eta(rs, scale * Y / 2.0)
-        if exponent.max() > LOG_FLOAT_MAX:
-            raise ValueError(f"{NON_FINITE_VALUES}: the integrand reaches "
-                             f"e^{exponent.max():.6g}, past the largest float")
-        return mantissa * np.exp(exponent, out=exponent)
+    q = build_chamber_quadrature(rs, s, order, mu_norm)
+    parts = _chamber_parts(q, lam, scale, s, p)
 
-    return integrate_invariant(build_chamber_quadrature(rs, s, order, mu_norm), f)
+    def f(coords):
+        exponent, mantissa = parts(coords)
+        peak = exponent.max()
+        if peak > LOG_FLOAT_MAX:
+            raise ValueError(f"{NON_FINITE_VALUES}: the integrand reaches "
+                             f"e^{peak:.6g}, past the largest float")
+        return np.multiply(mantissa, np.exp(exponent, out=exponent), out=exponent).reshape(-1)
+
+    # w * f and the sum may pass the largest float where every node is
+    # finite: that ends in the ValueError below, not in numpy's warnings
+    with np.errstate(over="ignore"):
+        value = float(haar_mean(f, q)[0])
+    if not np.isfinite(value):
+        slab_logs = []
+        for coords, w in q.slabs():
+            exponent, mantissa = parts(coords)
+            slab_logs.append(_log_sum(np.log(w) + (np.log(mantissa) + exponent).reshape(-1)))
+        raise ValueError(f"{NON_FINITE_VALUES}: the weighted sum e^{_log_sum(slab_logs):.6g} "
+                         f"passes the largest float")
+    return value
 
 
 def verify_norm_identity(

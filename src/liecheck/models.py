@@ -397,8 +397,9 @@ def _evaluate_blocks(f, points, weights=None) -> np.ndarray:
 
     points is an array, or a tuple of arrays sliced in step along axis 0,
     taken _BLOCK points at a time; or a rule that hands over its points and
-    weights itself, len(points) in all, as the (nodes, weights) slabs of
-    points.slabs() (quadrature.ChamberQuadrature).  f receives one block of
+    weights itself, len(points) in all, as the (coordinates, weights) slabs
+    of points.slabs() (quadrature.ChamberQuadrature), f receiving a slab's
+    coordinates and returning its (n,) values.  f receives one block of
     each array and must be pointwise: value k of its result depends on
     point k alone, so the blocks give f(points) bit for bit, and w * f
     (weights along axis 0) has the bits of weights * f(points).  One block
@@ -406,7 +407,7 @@ def _evaluate_blocks(f, points, weights=None) -> np.ndarray:
     """
     if hasattr(points, "slabs"):
         n = len(points)
-        blocks = (((nodes,), w) for nodes, w in points.slabs())
+        blocks = (((coords,), w) for coords, w in points.slabs())
     else:
         arrays = points if isinstance(points, tuple) else (points,)
         n = len(arrays[0])

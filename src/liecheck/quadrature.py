@@ -4,10 +4,12 @@ For Ad-invariant integrands the integral over the whole algebra collapses
 to the dominant chamber against the density prod_alpha <alpha, Y>^2 times a
 constant flag-manifold volume factor.  The chamber is parameterized per
 type: the half-line in the angle theta (<alpha, Y> = 2*theta) for A1, the
-orthant of fundamental-weight coefficients for A2, and a full box for tori,
-the tensor product of one mirrored axis rule (torus_axis_rule).  A rule
-keeps its 1-D factor and forms its nodes and weights a slab of whole grid
-rows at a time, where they are summed (ChamberQuadrature.slabs).
+orthant of fundamental-weight coefficients for A2 (the simple-root
+pairings s_i = <alpha_i, Y>), and a full box for tori, the tensor product
+of one mirrored axis rule (torus_axis_rule).  A rule keeps its 1-D factor
+and forms its nodes, in these chamber coordinates, and its weights a slab
+of whole grid rows at a time, where they are summed
+(ChamberQuadrature.slabs).
 The flag volume is exact: flag_volume takes it from Mehta's integral, the
 k = 1 case of Macdonald's conjecture (Macdonald, SIAM J. Math. Anal. 13
 (1982) 988; Mehta, Random Matrices, 3rd ed., ch. 17), and the Jacobian of
@@ -73,13 +75,16 @@ class ChamberQuadrature:
 
     The rule is the rank-fold tensor grid of one 1-D rule (axis,
     axis_weights): Gauss-Legendre mapped to [0, R / sqrt 2] in A1's theta
-    or to [0, S] in A2's s, or torus_axis_rule.  slabs() yields its nodes
-    (n, rank), strictly dominant, and weights (n,), positive, a slab of
-    whole grid rows at a time, in the C order of the grid; nodes and
-    weights are the whole rule, built on demand.  The weights contain the
-    density prod <alpha, Y>^2, the chamber parameterization measure, and
-    the factor volume (flag_volume(rs)), so that sum(weights * f(nodes))
-    approximates the integral of an Ad-invariant f over the whole algebra.
+    or to [0, S] in A2's simple-root coordinates s_i = <alpha_i, Y>, or
+    torus_axis_rule.  slabs() yields a slab of whole grid rows at a time,
+    in the C order of the grid: its nodes in those chamber coordinates, one
+    array per axis that broadcast to the slab (on A2 s_1 a column, s_2 a
+    row), and its weights (n,), positive.  cartan() maps such coordinates
+    to Cartan nodes (n, rank), strictly dominant; nodes and weights are the
+    whole rule, built on demand.  The weights contain the density prod
+    <alpha, Y>^2, the chamber parameterization measure, and the factor
+    volume (flag_volume(rs)), so that sum(weights * f(nodes)) approximates
+    the integral of an Ad-invariant f over the whole algebra.
     """
 
     rs: RootSystem
@@ -102,7 +107,7 @@ class ChamberQuadrature:
         return len(self.axis) ** (self.rs.rank - 1)
 
     def slabs(self):
-        """(nodes, weights) of consecutive slabs of about _SLAB points.
+        """(coordinates, weights) of consecutive slabs of about _SLAB points.
 
         The rows are split as evenly as whole rows allow into round(n /
         _SLAB) slabs, at least one and at most one per row, so no slab is a
@@ -112,12 +117,26 @@ class ChamberQuadrature:
         count = min(self.rows, max(1, round(len(self) / _SLAB)))
         for k in range(count):
             lo, hi = self.rows * k // count, self.rows * (k + 1) // count
-            nodes, raw = _chamber_nodes_raw(self, lo, hi)
-            yield nodes, self.volume * raw
+            coords, raw = _chamber_nodes_raw(self, lo, hi)
+            yield coords, self.volume * raw
+
+    def cartan(self, coords) -> np.ndarray:
+        """The Cartan nodes (n, rank) of a slab's chamber coordinates.
+
+        Each is the same elementwise expression of the 1-D factor at every
+        point, so a slab's nodes have the bits of its points in the whole grid.
+        """
+        if self.rs.kind == "A1":
+            return (SQRT2 * coords[0])[:, None]
+        if self.rs.kind == "A2":
+            s1, s2 = coords
+            fw = self.rs.fundamental_weights
+            return (s1[..., None] * fw[0] + s2[..., None] * fw[1]).reshape(-1, 2)
+        return np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, self.rs.rank)
 
     @property
     def nodes(self) -> np.ndarray:
-        return _chamber_nodes_raw(self, 0, self.rows)[0]
+        return self.cartan(_chamber_nodes_raw(self, 0, self.rows)[0])
 
     @property
     def weights(self) -> np.ndarray:
@@ -149,28 +168,29 @@ def _tensor_rule(*rules):
 
 
 def _chamber_nodes_raw(q: ChamberQuadrature, lo: int, hi: int):
-    """Nodes and weights, without the volume factor, of grid rows lo to hi - 1 of q.
+    """Chamber coordinates and weights, without the volume factor, of grid
+    rows lo to hi - 1 of q.
 
-    Each is the same elementwise expression of the 1-D factors at every
-    point, so a slab has the bits of its points in the whole grid.
+    The coordinates are one array per axis, broadcasting to the slab: the
+    axis itself at rank 1, and for rank >= 2 a column per leading axis
+    beside the last axis as a row.  The weights are the same elementwise
+    expression of the 1-D factors at every point, so a slab has the bits
+    of its points in the whole grid.
     """
     x, w = q.axis, q.axis_weights
     if q.rs.kind == "A1":
-        return (SQRT2 * x)[:, None], (2.0 * x) ** 2 * w
+        return (x,), (2.0 * x) ** 2 * w
     if q.rs.kind == "A2":
         s1, s2 = x[lo:hi, None], x[None, :]
-        fw = q.rs.fundamental_weights
-        nodes = s1[..., None] * fw[0] + s2[..., None] * fw[1]
         raw = (s1 * s2 * (s1 + s2)) ** 2 * (w[lo:hi, None] * w[None, :])
-        return nodes.reshape(-1, 2), raw.reshape(-1)
+        return (s1, s2), raw.reshape(-1)
     if q.rs.rank == 1:
-        return x[:, None].copy(), w
+        return (x,), w
     # a torus: row k holds the points whose first rank - 1 axis indices
     # unravel from k; the weights multiply axis by axis, as _tensor_rule's
     lead = np.unravel_index(np.arange(lo, hi), (len(x),) * (q.rs.rank - 1))
-    nodes = np.stack([*(np.repeat(x[i], len(x)) for i in lead), np.tile(x, hi - lo)], axis=-1)
     raw = np.multiply.outer(reduce(np.multiply, [w[i] for i in lead]), w)
-    return nodes, raw.reshape(-1)
+    return (*(x[i][:, None] for i in lead), x[None, :]), raw.reshape(-1)
 
 
 def torus_axis_rule(t: float, order: int, target_mu_norm: float):
@@ -266,16 +286,18 @@ def build_chamber_quadrature(
 def integrate_invariant(q: ChamberQuadrature, f) -> float:
     """Integrate an Ad-invariant function over the algebra.
 
-    f receives nodes of shape (n, rank), one slab of the rule at a time
-    (ChamberQuadrature.slabs), and must return (n,) values, each depending
-    on its own node alone; the caller is responsible for Ad-invariance of
-    the integrand it represents.  models.haar_mean writes the products
-    w * f of every slab into one array and sums it once, so the value has
-    the bits of sum(q.weights * f(q.nodes)).  A non-finite value raises
-    ValueError at the slab where it appears.
+    f receives Cartan nodes of shape (n, rank), one slab of the rule at a
+    time (ChamberQuadrature.slabs, mapped by ChamberQuadrature.cartan), and
+    must return (n,) values, each depending on its own node alone; the
+    caller is responsible for Ad-invariance of the integrand it represents.
+    models.haar_mean writes the products w * f of every slab into one array
+    and sums it once, so the value has the bits of sum(q.weights *
+    f(q.nodes)).  A non-finite value raises ValueError at the slab where it
+    appears.
     """
 
-    def checked(Y):
+    def checked(coords):
+        Y = q.cartan(coords)
         vals = np.asarray(f(Y), dtype=float)
         if vals.shape != (len(Y),):
             raise ValueError("integrand must return one value per node")

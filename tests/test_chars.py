@@ -262,6 +262,38 @@ def test_char_holo_of_a_point_alone_equals_it_inside_a_batch(a1, a2):
             assert np.array_equal(batch, alone), (dynkin, np.count_nonzero(batch != alone))
 
 
+def test_branching_mantissa_broadcasts_bit_for_bit(a2):
+    # the chamber rules call the mantissa with y a row and r a column, the
+    # scattered points with 1-D y and r: one evaluator, the same bits
+    rng = np.random.default_rng(17)
+    y = np.concatenate([[1.0, 1e-300], rng.uniform(1e-9, 1.0, 35)])
+    r = np.concatenate([[1.0, 1e-300], rng.uniform(1e-9, 1.0, 21)])
+    flat_y, flat_r = (a.ravel() for a in np.broadcast_arrays(y[None, :], r[:, None]))
+    for lam in enumerate_dominant(a2, 8):
+        p, q = lam.dynkin
+        # at (0, 0) the mantissa is 1 of r's shape, which broadcasts
+        grid = np.broadcast_to(chars._branching_mantissa(p, q, y[None, :], r[:, None]),
+                               (len(r), len(y)))
+        assert np.array_equal(grid.ravel(), chars._branching_mantissa(p, q, flat_y, flat_r))
+
+
+def test_chamber_char_parts_match_the_oracle_next_to_the_walls(a2):
+    # the A2 chamber rules evaluate the character from the simple-root
+    # coordinates s_i = <alpha_i, Y>; at the grid nodes next to either wall
+    # (the first two axis points of s1 or of s2, at the character scales 1
+    # and 2) it agrees with the Gelfand-Tsetlin sum
+    q = build_chamber_quadrature(a2, 1.0, 192, 12.0)
+    x = q.axis
+    for lam in enumerate_dominant(a2, 8):
+        for s1, s2 in ((x[:2, None], x[None, :]), (x[:, None], x[None, :2])):
+            for scale in (1.0, 2.0):
+                u1, u2, mantissa = chars._chamber_char_parts(lam, scale * s1, scale * s2)
+                assert np.all((mantissa >= 1.0) & (mantissa <= dimension(a2, lam)))
+                want = _log_char_holo_positive(a2, lam, scale * q.cartan((s1, s2)))
+                err = np.abs((u1 + u2 + np.log(mantissa)).ravel() - want)
+                assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want))), (lam.dynkin, err.max())
+
+
 def test_weyl_char_holo_torus_matches_two_exponential_reference(t2):
     # W = {1} and rho = 0: the quotient's denominator is exactly 1, so the
     # single monomial must reproduce the alternating quotient bit for bit

@@ -84,11 +84,14 @@ def test_unitarity_ratio_row_fails_on_a_nan_defect_at_any_label(monkeypatch, a1)
         checks.suite_unitarity(RunConfig(group="A1", max_level=3), a1, None)
 
 
-def test_chamber_integral_is_the_written_out_integrand_bit_for_bit(a1, a2):
+def test_chamber_integral_is_the_written_out_integrand(a1, a2):
     # chamber_integral calls hilbert._character_integral; its value is that
-    # of the integrand eta(Y)^p char(2Y) e^{-|Y|^2/t_g} summed alone, written
-    # as the character's mantissa times one exponential of the summed logs
-    for rs in (a1, a2):
+    # of the integrand eta(Y)^p char(2Y) e^{-|Y|^2/t_g} summed alone over the
+    # Cartan nodes, written as the character's mantissa times one exponential
+    # of the summed logs: bit for bit on A1, whose route evaluates those
+    # nodes, and within 1e-13 on A2, whose route sums in the chamber's own
+    # coordinates (the largest move here is 9.0e-16)
+    for rs, bound in ((a1, 0.0), (a2, 1e-13)):
         order = quadrature.default_order(rs.rank)
         for case in invariant_test_functions(rs, 1.0):
             tg, p, lam, mu_eff = case
@@ -97,11 +100,12 @@ def test_chamber_integral_is_the_written_out_integrand_bit_for_bit(a1, a2):
                 log_scale, mantissa = chars._char_holo_parts(rs, lam, 2.0 * Y)
                 exponent = log_scale - np.sum(Y**2, axis=-1) / tg
                 if p:
-                    exponent = exponent + p * chars.log_eta(rs, Y)
+                    exponent = exponent + p * chars.log_eta(chars.root_pairings(rs, Y))
                 return mantissa * np.exp(exponent)
 
             q = quadrature.build_chamber_quadrature(rs, tg, order, mu_eff)
-            assert chamber_integral(rs, case, order) == quadrature.integrate_invariant(q, f)
+            want = quadrature.integrate_invariant(q, f)
+            assert abs(chamber_integral(rs, case, order) - want) <= bound * want, case
 
 
 def test_energy_positivity_fails_a_zero_at_a_non_trivial_weight():

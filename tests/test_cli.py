@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import liecheck
+from input_sweep import REDUCED_GRID, run_point
 from liecheck import hilbert
 from liecheck.checks import doubling_note, stat_row
 from liecheck.cli import RunConfig, emit_constants_table, main, run_verification_suite
@@ -269,6 +271,46 @@ def test_htilde_overflow_names_weight_t_and_log_without_a_warning(tmp_path, grou
     assert proc.stderr == (f"error: Htilde at weight {dynkin}, t = {t}: integrand produced "
                            f"non-finite values at quadrature nodes: {tail}\n")
     assert not out.exists()
+
+
+_CHAMBER_SUM = "integrand produced non-finite values at quadrature nodes: the weighted sum "
+
+
+@pytest.mark.parametrize("args, notes", [
+    (["--group", "A1", "--t", "8.32664", "--max-level", "12"],
+     {"lemma33/C-12": _CHAMBER_SUM + "e^711.062 passes the largest float"}),
+    (["--group", "A2", "--t", "146.72092", "--max-level", "1"],
+     {"lemma33/C-0-1": _CHAMBER_SUM + "e^710.329 passes the largest float",
+      "lemma33/C-1-0": _CHAMBER_SUM + "e^710.329 passes the largest float",
+      "lemma33/C-1-1": "the closed form e^1198.3 exceeds the largest float"}),
+], ids=["A1", "A2"])
+def test_chamber_sum_past_the_largest_float_names_its_log_without_a_warning(tmp_path, args,
+                                                                            notes):
+    # C is finite at these weights but d C is not: the weighted chamber sum
+    # once overflowed in numpy's multiply and sum, with RuntimeWarnings on
+    # stderr, and the row read "non-finite value among (inf, 4.97e+307)"
+    out = tmp_path / "r.json"
+    pkg = str(Path(liecheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([pkg, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "liecheck.cli",
+                           "verify", "--suite", "lemma33", *args, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = _strict_json(out.read_text())
+    failed = {c["check_id"]: c["note"] for c in report["checks"] if not c["pass"]}
+    assert failed == notes
+    assert report["summary"]["failed"] == len(notes)
+    assert all(c["kind"] == "error" for c in report["checks"] if not c["pass"])
+
+
+@pytest.mark.parametrize("group", REDUCED_GRID[0])
+def test_reduced_input_sweep_ends_in_a_value_a_failed_row_or_a_usage_error(tmp_path, group):
+    # verify --suite all and constants over t and max-level (input_sweep
+    # states what each point must end in; CI runs the full grid)
+    _, ts, levels = REDUCED_GRID
+    problems = [problem for t, level in itertools.product(ts, levels)
+                for problem in run_point(group, t, level, tmp_path)]
+    assert problems == []
 
 
 def test_a_constants_row_with_a_non_finite_field_is_a_usage_error(tmp_path, capsys,
