@@ -3,11 +3,11 @@
 The density eta is exp(log_eta), log_eta a sum of log(sinh x / x) at the
 positive-root pairings, arrays that broadcast; an independent determinant
 oracle lives beside it.  The continued characters (positive on exp(i t))
-come from one evaluator, in log-scale and mantissa, in two steps:
-coordinates give the log-scale and (y, r), and one branching-rule
-mantissa of (y, r) broadcasts.  Scattered Cartan points, arrays of shape
-(..., rank), take the first step from their sorted eigen-coordinates; the
-A2 chamber rules from their simple-root coordinates, one axis at a time.
+come from one evaluator, _chamber_char_parts, in the simple-root
+coordinates s_i = <alpha_i, Y> of a dominant Y = sum_i s_i w_i: one
+log-scale term per axis and a mantissa, arrays that broadcast, so on a
+chamber grid every term of one s_i is formed once per axis point.
+Scattered Cartan points first map to the s of their dominant representative.
 The orbital average A(mu, Y) is the probability-normalized flag-manifold
 integral of exp(-<mu, Ad_y Y>), which makes the character/orbit identity
 free of volume conventions:
@@ -165,52 +165,52 @@ def _branching_mantissa(p: int, q: int, y, r) -> np.ndarray:
     return total
 
 
-def _char_holo_parts(rs: RootSystem, lam: Weight, Y) -> tuple[np.ndarray, np.ndarray]:
-    """The continued character at exp(iY) as (log_scale, T), chi = T e^{log_scale}.
+@lru_cache(maxsize=None)
+def _log_scale_coefficients(rs: RootSystem, dynkin: tuple[int, ...]) -> list[float]:
+    """<lam*, w_i>, lam* = -w_0 lam: an integer sum over cartan_det, rounded once."""
+    return (rs.cartan_adjugate @ (rs.dual_labels @ np.asarray(dynkin, float)) / rs.cartan_det).tolist()
 
-    exp(iY) has eigenvalues e^{-a}, a = Y @ CARTAN_EIGEN_EMBED, and chi is a
-    Schur polynomial in them.  Two steps: the sorted eigen-coordinates give
-    the log-scale and (y, r), with two exponentials per point, and
-    _branching_mantissa gives T from (y, r):
-      A1, lam = (n): chi = e^{n|a_1|} H_n(e^{-2|a_1|}), H_n by Horner's rule.
-      A2, lam = (p, q), a_lo <= a_mid = -a_lo - a_hi <= a_hi, y = e^{a_lo -
-        a_mid} and r = e^{a_mid - a_hi}: chi = e^{q a_hi - p a_lo} T.
-      Torus: log_scale = -<lam, Y> and T = 1.  Y has shape (..., n, rank).
-    _chamber_char_parts takes the same two steps from A2 chamber coordinates.
-    """
+
+def _chamber_char_parts(rs: RootSystem, lam: Weight, s) -> tuple[list, np.ndarray]:
+    """The continued character at exp(iY), Y = sum_i s_i w_i dominant (on a
+    torus any s = Y), s one array per axis, arrays that broadcast: (log_scales,
+    T), chi = T e^{sum_i log_scales[i]}, log_scales[i] = <lam*, w_i> s_i.  T in
+    [1, dim lam] is the sum of positive terms over the largest: 1 on a torus;
+    H_n(e^{-s_1}) = sum_{j<=n} e^{-j s_1}, by Horner's rule, on A1 at lam =
+    (n); _branching_mantissa(p, q, e^{-s_2}, e^{-s_1}) on A2 at lam = (p, q),
+    Y's sorted eigen-coordinates having the gaps s_1 and s_2."""
     if not lam.is_dominant:
         raise ValueError("the continued character requires a dominant weight")
-    c = np.asarray(Y, float)
-    if rs.is_torus:
-        return -(c @ lam.coords), np.ones(c.shape[:-1])
-    a = _pairings(c, CARTAN_EIGEN_EMBED[rs.kind])
+    log_scales = [k * x for k, x in zip(_log_scale_coefficients(rs, lam.dynkin), s)]
     if rs.kind == "A1":
-        (n,), x = lam.dynkin, np.abs(a[0])
-        return n * x, reduce(lambda h, r: 1.0 + r * h, [np.exp(-2.0 * x)] * n, np.ones_like(x))
-    p, q = lam.dynkin
-    lo, hi = reduce(np.minimum, a), reduce(np.maximum, a)
-    # y = e^{a_lo - a_mid} and r = e^{a_mid - a_hi}, in place of the spent a
-    y = np.exp(np.add(2.0 * lo, hi, out=a[0]), out=a[0])
-    r = np.exp(np.subtract(-lo, 2.0 * hi, out=a[1]), out=a[1])
-    return q * hi - p * lo, _branching_mantissa(p, q, y, r)
+        (n,), r = lam.dynkin, np.exp(-s[0])
+        return log_scales, reduce(lambda h, _: 1.0 + r * h, range(n), np.ones_like(r))
+    if rs.kind == "A2":
+        p, q = lam.dynkin
+        return log_scales, _branching_mantissa(p, q, np.exp(-s[1]), np.exp(-s[0]))
+    return log_scales, np.ones(np.broadcast_shapes(*(np.shape(x) for x in s)))
 
 
-def _chamber_char_parts(lam: Weight, s1, s2):
-    """The A2 continued character at exp(iY), Y = s1 w1 + s2 w2 in the
-    closed chamber (s_i = <alpha_i, Y> >= 0), as (u1, u2, T): chi = T
-    e^{u1 + u2}, with u_i depending on s_i alone.
+def _dominant_coordinates(rs: RootSystem, c: np.ndarray) -> list[np.ndarray]:
+    """The simple-root coordinates s, one array per axis, of the dominant
+    representative of each Cartan point c (..., rank): c itself on a torus,
+    else the gaps of the sorted eigen-coordinates a = c @ CARTAN_EIGEN_EMBED
+    (summing to 0): a_hi - a_lo on A1; on A2 a_hi - a_mid and a_mid - a_lo."""
+    if rs.is_torus:
+        return [c[..., i] for i in range(rs.rank)]
+    a = _pairings(c, CARTAN_EIGEN_EMBED[rs.kind])
+    hi, lo = reduce(np.maximum, a), reduce(np.minimum, a)
+    return [hi - lo] if len(a) == 2 else [2.0 * hi + lo, -(hi + 2.0 * lo)]
 
-    With a = Y @ CARTAN_EIGEN_EMBED sorted, a_hi - a_mid = s1 and a_mid -
-    a_lo = s2, so r = e^{-s1}, y = e^{-s2}, and the log-scale q a_hi - p
-    a_lo is ((2q + p) s1 + (q + 2p) s2) / 3.  s1 and s2 broadcast: on the
-    chamber grid a column and a row, whose exponentials are one per axis
-    point; T is _branching_mantissa, as at scattered points.
-    """
-    if not lam.is_dominant:
-        raise ValueError("the continued character requires a dominant weight")
-    p, q = lam.dynkin
-    u1, u2 = (2 * q + p) / 3.0 * s1, (q + 2 * p) / 3.0 * s2
-    return u1, u2, _branching_mantissa(p, q, np.exp(-s2), np.exp(-s1))
+
+def _char_holo_parts(rs: RootSystem, lam: Weight, Y) -> tuple[np.ndarray, np.ndarray]:
+    """The continued character at exp(iY), Y (..., n, rank), as (log_scale, T),
+    chi = T e^{log_scale}: _chamber_char_parts at the s of Y's dominant
+    representative.  On a torus the log-scale -<lam, Y> is one product, as
+    the alternating sum's one term has it."""
+    c = np.asarray(Y, float)
+    log_scales, mantissa = _chamber_char_parts(rs, lam, _dominant_coordinates(rs, c))
+    return (-(c @ lam.coords) if rs.is_torus else reduce(np.add, log_scales)), mantissa
 
 
 def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:

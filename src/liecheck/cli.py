@@ -213,7 +213,8 @@ def _write_out(text: str, out: str | None) -> None:
 _OPTION_HELP = {
     "group": "A1, A2, or T<n>",
     "t": "measure parameter, > 0",
-    "quad_order": "points per dimension (default 64 for rank 1, 96 otherwise)",
+    "quad_order": f"points per dimension (default {hilbert.default_order(1)} for rank 1, "
+                  f"{hilbert.default_order(2)} otherwise)",
 }
 
 

@@ -14,16 +14,20 @@ transform multiplies by D; its adjoint multiplies by D/C.  The analogous
 constants for the density-free Gaussian measure carry no closed form and
 are computed by quadrature with an order-doubling stability estimate.
 
-On a torus eta = 1, rho = 0 and the characters e^{-<lam, Y>} and the
-Gaussian are products over the axes, so the holomorphic norm on (C^*)^r
-is a product of one-variable norms (the abelian end of Hall's transform,
-J. Funct. Anal. 122 (1994) 103): each norm integral is summed as the
-product of r one-axis sums, and the density-free constant is C itself.
+Each norm integral is summed on the chamber rule, in the simple-root
+coordinates s_i = <alpha_i, Y>, by one rank-generic integrand.  On a torus
+eta = 1, rho = 0 and the characters e^{-<lam, Y>} and the Gaussian are
+products over the axes, so the holomorphic norm on (C^*)^r is a product
+of one-variable norms (the abelian end of Hall's transform, J. Funct.
+Anal. 122 (1994) 103): each norm integral is summed as the product of r
+one-axis sums, and the density-free constant is C itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import reduce
+from itertools import combinations
 from math import prod
 
 import numpy as np
@@ -50,7 +54,7 @@ from .quadrature import (
     gaussian_linear_moment,
     torus_axis_rule,
 )
-from .rootdata import RootSystem, Weight, build_root_system, dimension, weight
+from .rootdata import RootSystem, Weight, build_root_system, dimension, simple_root_pairings, weight
 
 __all__ = [
     "ConstantsRow",
@@ -135,63 +139,48 @@ def _log_sum(logs) -> float:
     return float(peak + np.log(np.sum(np.exp(logs - peak))))
 
 
-def _chamber_parts(q, lam: Weight, scale: float, s: float, p: int):
+def _chamber_parts(q, lam: Weight, scale: float, width: float, p: int):
     """The integrand of _character_integral on the chamber rule q: a map
-    from a slab's chamber coordinates to (exponent, mantissa), the value
-    being mantissa * e^exponent; eta is skipped at p = 0.
+    from a slab's simple-root coordinates s to (exponent, mantissa), the
+    value being mantissa * e^exponent; eta is skipped at p = 0.
 
-    A2 works in the chamber's own coordinates, s1 a column and s2 a row
-    (Y = s1 w1 + s2 w2): chars._chamber_char_parts at scale Y, |Y|^2 =
-    (2/3)(s1^2 + s1 s2 + s2^2), the sum of the squared eigen-coordinates,
-    and the positive roots pairing scale Y / 2 at scale/2 times s1, s2 and
-    s1 + s2.  What depends on one s_i is formed once per axis point; per
-    node come only the mantissa's geometric sums and products, the s1 s2
-    cross term, log sinhc(s1 + s2) and one exponential.  A1 evaluates its
-    Cartan nodes.
+    The character is chars._chamber_char_parts at scale s, -|Y|^2/width is
+    -s^T G s / width (G = <w_i, w_j>), and eta's roots pair with scale Y / 2
+    at scale/2 times sum_i c_i s_i.  What depends on one s_i is formed once
+    per axis point; per node come only the mantissa's sums, the cross terms
+    s_i s_j, log sinhc of the non-simple roots and one exponential.
     """
     rs = q.rs
-    if rs.kind == "A2":
-        g = 2.0 / (3.0 * s)
-
-        def parts(coords):
-            s1, s2 = coords
-            u1, u2, mantissa = chars._chamber_char_parts(lam, scale * s1, scale * s2)
-            exponent = (u1 - g * s1 * s1) + (u2 - g * s2 * s2)
-            exponent -= s1 * (g * s2)
-            if p:
-                half1, half2 = scale / 2.0 * s1, scale / 2.0 * s2
-                exponent += p * chars.log_eta([half1, half2, half1 + half2])
-            return exponent, mantissa
-
-        return parts
+    g = (rs.cartan_adjugate / (rs.cartan_det * width)).tolist()
+    cross = [(i, j, 2.0 * g[i][j]) for i, j in combinations(range(rs.rank), 2)]
 
     def parts(coords):
-        Y = q.cartan(coords)
-        log_scale, mantissa = chars._char_holo_parts(rs, lam, scale * Y)
-        # |Y|^2 by einsum: the same bits as np.sum(Y**2, -1) at rank <= 2,
-        # without numpy's slow reduction over a length-1 or -2 axis
-        exponent = log_scale - np.einsum("...i,...i->...", Y, Y) / s
+        log_scales, mantissa = chars._chamber_char_parts(rs, lam, [scale * s for s in coords])
+        exponent = reduce(np.add, [u - g[i][i] * s * s
+                                   for i, (u, s) in enumerate(zip(log_scales, coords))])
+        for i, j, gij in cross:
+            exponent -= coords[i] * (gij * coords[j])
         if p:
-            exponent += p * chars.log_eta(chars.root_pairings(rs, scale * Y / 2.0))
+            exponent += p * chars.log_eta(simple_root_pairings(rs, [scale / 2.0 * s for s in coords]))
         return exponent, mantissa
 
     return parts
 
 
 def _character_integral(
-    rs: RootSystem, lam: Weight, scale: float, s: float, order: int, p: int, mu_norm: float
+    rs: RootSystem, lam: Weight, scale: float, width: float, order: int, p: int, mu_norm: float
 ) -> float:
-    """Integral of eta(scale Y / 2)^p char_holo(lam, scale Y) e^{-|Y|^2/s}.
+    """Integral of eta(scale Y / 2)^p char_holo(lam, scale Y) e^{-|Y|^2/width}.
 
-    The rule is the chamber rule of width s sized for |mu| = mu_norm, summed
-    through models.haar_mean a slab at a time; the integrand is T
-    e^{log_scale + p log eta - |Y|^2/s} (_chamber_parts), so no inf * 0
+    The rule is the chamber rule of that width sized for |mu| = mu_norm,
+    summed through models.haar_mean a slab at a time; the integrand is T
+    e^{log_scale + p log eta - |Y|^2/width} (_chamber_parts), so no inf * 0
     forms where it is finite.  On a torus eta = 1 and the character is
     e^{-<mu, Y>}, mu = scale lam, so the integrand is a product over the
     axes, and by Fubini over a finite sum its sum over the tensor rule is
     the product of rank sums over quadrature.torus_axis_rule, each through
     models.haar_mean.  An axis factor is the one exponential e^{-mu_i x -
-    x^2/s}.  Where a value would pass the largest float, a ValueError
+    x^2/width}.  Where a value would pass the largest float, a ValueError
     (quadrature.NON_FINITE_VALUES) names its log, raised before any
     exponential overflows: on a torus the log of the integral; on A1 and
     A2 the largest exponent of the integrand, or, where every node is
@@ -199,8 +188,8 @@ def _character_integral(
     terms.  No RuntimeWarning is printed.
     """
     if rs.is_torus:
-        x, w = torus_axis_rule(s, order, mu_norm)
-        exponents = [-mu_i * x - x**2 / s for mu_i in scale * lam.coords]
+        x, w = torus_axis_rule(width, order, mu_norm)
+        exponents = [-mu_i * x - x**2 / width for mu_i in scale * lam.coords]
         peaks = [e.max() for e in exponents]
         # the log of each partial product, so that no exponential overflows on the way
         logs = np.cumsum([_log_sum(np.log(w) + e) for e in exponents])
@@ -209,8 +198,8 @@ def _character_integral(
                              f"e^{logs[-1]:.6g} pass the largest float")
         return prod(float(haar_mean(np.exp, e, w)[0]) for e in exponents)
 
-    q = build_chamber_quadrature(rs, s, order, mu_norm)
-    parts = _chamber_parts(q, lam, scale, s, p)
+    q = build_chamber_quadrature(rs, width, order, mu_norm)
+    parts = _chamber_parts(q, lam, scale, width, p)
 
     def f(coords):
         exponent, mantissa = parts(coords)
@@ -334,7 +323,7 @@ def transform_apply(series, which: str):
     L2K -> HL2.  ScaledTheta coincides with H termwise; the scaled adjoint
     (4 t pi)^(-dim/4) ThetaStar inverts H.  Htilde uses the density-free
     constants, computed by quadrature at quadrature.default_order points per
-    dimension (64 for rank 1, 96 otherwise).
+    dimension.
     """
     rs = build_root_system(series.rs_kind)
     domain = "L2K" if which == "ThetaStar" else "HL2"

@@ -2,30 +2,28 @@
 
 For Ad-invariant integrands the integral over the whole algebra collapses
 to the dominant chamber against the density prod_alpha <alpha, Y>^2 times a
-constant flag-manifold volume factor.  The chamber is parameterized per
-type: the half-line in the angle theta (<alpha, Y> = 2*theta) for A1, the
-orthant of fundamental-weight coefficients for A2 (the simple-root
-pairings s_i = <alpha_i, Y>), and a full box for tori, the tensor product
-of one mirrored axis rule (torus_axis_rule).  A rule keeps its 1-D factor
-and forms its nodes, in these chamber coordinates, and its weights a slab
-of whole grid rows at a time, where they are summed
-(ChamberQuadrature.slabs).
-The flag volume is exact: flag_volume takes it from Mehta's integral, the
-k = 1 case of Macdonald's conjecture (Macdonald, SIAM J. Math. Anal. 13
-(1982) 988; Mehta, Random Matrices, 3rd ed., ch. 17), and the Jacobian of
-the chamber parameterization.  Two Cartesian routes that never use the
-chamber reduction check it: the Monte-Carlo oracle, and the deterministic
-tridiagonal rule, which needs neither the Weyl integration formula nor the
-flag volume.  The tridiagonal rule hands back its nodes already mapped to
-the chamber, so one rule and its chamber images serve every integrand of
-one Gaussian width.  All their 1-D Gauss rules come from models._gauss_rule.
+constant flag-manifold volume factor.  Every chamber rule works in the
+simple-root coordinates s_i = <alpha_i, Y> of Y = sum_i s_i w_i (w the
+fundamental weights), where the chamber is the orthant s >= 0; on a torus
+w = I, s = Y, and the rule covers a full box, the tensor power of one
+mirrored axis rule (torus_axis_rule).  A rule keeps its 1-D factor and
+forms its nodes and weights a slab of whole grid rows at a time, where
+they are summed (ChamberQuadrature.slabs).  The flag volume is exact:
+flag_volume takes it from Mehta's integral, the k = 1 case of Macdonald's
+conjecture (Macdonald, SIAM J. Math. Anal. 13 (1982) 988; Mehta, Random
+Matrices, 3rd ed., ch. 17), and the Jacobian |det w|.  Two Cartesian
+routes that never use the chamber reduction check it: the Monte-Carlo
+oracle, and the deterministic tridiagonal rule, which needs neither the
+Weyl integration formula nor the flag volume and hands back its nodes
+mapped to the chamber, so one rule serves every integrand of one Gaussian
+width.  All their 1-D Gauss rules come from models._gauss_rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from math import factorial, prod
+from math import factorial, hypot, prod
 
 import numpy as np
 
@@ -39,7 +37,7 @@ from .models import (
     chamber_coordinates,
     haar_mean,
 )
-from .rootdata import RootSystem
+from .rootdata import RootSystem, simple_root_pairings
 
 __all__ = [
     "ChamberQuadrature",
@@ -54,7 +52,6 @@ __all__ = [
     "tridiagonal_rule",
 ]
 
-SQRT2 = float(np.sqrt(2.0))
 # the ValueError of every chamber-rule sum whose integrand overflows
 NON_FINITE_VALUES = "integrand produced non-finite values at quadrature nodes"
 # the log of the largest float: a value whose log is past it overflows
@@ -73,25 +70,23 @@ _SLAB = 4096
 class ChamberQuadrature:
     """A chamber rule, kept as its 1-D factor and handed over in slabs.
 
-    The rule is the rank-fold tensor grid of one 1-D rule (axis,
-    axis_weights): Gauss-Legendre mapped to [0, R / sqrt 2] in A1's theta
-    or to [0, S] in A2's simple-root coordinates s_i = <alpha_i, Y>, or
-    torus_axis_rule.  slabs() yields a slab of whole grid rows at a time,
-    in the C order of the grid: its nodes in those chamber coordinates, one
-    array per axis that broadcast to the slab (on A2 s_1 a column, s_2 a
-    row), and its weights (n,), positive.  cartan() maps such coordinates
-    to Cartan nodes (n, rank), strictly dominant; nodes and weights are the
-    whole rule, built on demand.  The weights contain the density prod
-    <alpha, Y>^2, the chamber parameterization measure, and the factor
-    volume (flag_volume(rs)), so that sum(weights * f(nodes)) approximates
-    the integral of an Ad-invariant f over the whole algebra.
+    The rule is the rank-fold tensor grid of one 1-D rule in the simple-root
+    coordinates s_i = <alpha_i, Y>: Gauss-Legendre on [0, R / |w_1|], its
+    weights times s^2 (the simple roots' share of the density), or
+    torus_axis_rule.  slabs() yields a slab of whole grid rows at a time, in
+    the C order of the grid: its coordinates, one array per axis that
+    broadcast to the slab, and its weights (n,), positive.  cartan() maps
+    coordinates to Cartan nodes (n, rank), strictly dominant; nodes and
+    weights are the whole rule, built on demand.  The weights contain the
+    density prod <alpha, Y>^2, the Jacobian of the coordinates and the
+    factor volume (flag_volume(rs)), so that sum(weights * f(nodes))
+    approximates the integral of an Ad-invariant f over the whole algebra.
     """
 
     rs: RootSystem
     axis: np.ndarray          # (m,) nodes of every grid axis
-    axis_weights: np.ndarray  # (m,)
+    axis_weights: np.ndarray  # (m,) the 1-D factor of the weights
     volume: float
-    radius: float
     order: int
 
     @property
@@ -121,18 +116,12 @@ class ChamberQuadrature:
             yield coords, self.volume * raw
 
     def cartan(self, coords) -> np.ndarray:
-        """The Cartan nodes (n, rank) of a slab's chamber coordinates.
-
-        Each is the same elementwise expression of the 1-D factor at every
-        point, so a slab's nodes have the bits of its points in the whole grid.
-        """
-        if self.rs.kind == "A1":
-            return (SQRT2 * coords[0])[:, None]
-        if self.rs.kind == "A2":
-            s1, s2 = coords
-            fw = self.rs.fundamental_weights
-            return (s1[..., None] * fw[0] + s2[..., None] * fw[1]).reshape(-1, 2)
-        return np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, self.rs.rank)
+        """The Cartan nodes (n, rank), sum_i s_i w_i, of a slab's coordinates:
+        the same elementwise expression at every point, so a slab's nodes
+        have the bits of its points in the whole grid."""
+        fw = self.rs.fundamental_weights
+        Y = reduce(np.add, [s[..., None] * w for s, w in zip(coords, fw)])
+        return Y.reshape(-1, self.rs.rank)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -144,7 +133,7 @@ class ChamberQuadrature:
 
 
 def default_order(rank: int) -> int:
-    """Points per dimension of a chamber rule when none is given: 64 at rank 1, 96 otherwise."""
+    """Points per dimension of a chamber rule when none is given."""
     return 64 if rank == 1 else 96
 
 
@@ -168,29 +157,23 @@ def _tensor_rule(*rules):
 
 
 def _chamber_nodes_raw(q: ChamberQuadrature, lo: int, hi: int):
-    """Chamber coordinates and weights, without the volume factor, of grid
-    rows lo to hi - 1 of q.
+    """Simple-root coordinates and weights, without the volume factor, of
+    grid rows lo to hi - 1 of q.
 
-    The coordinates are one array per axis, broadcasting to the slab: the
-    axis itself at rank 1, and for rank >= 2 a column per leading axis
-    beside the last axis as a row.  The weights are the same elementwise
-    expression of the 1-D factors at every point, so a slab has the bits
-    of its points in the whole grid.
+    The coordinates are one array per axis, broadcasting to the slab: a
+    column per leading axis (unravelled from the row index), the last axis
+    a row.  The weights are the outer product of the axis weights, times
+    (sum_i c_i s_i)^2 for each non-simple positive root: the same
+    elementwise expression at every point, so a slab has the bits of its
+    points in the whole grid.
     """
-    x, w = q.axis, q.axis_weights
-    if q.rs.kind == "A1":
-        return (x,), (2.0 * x) ** 2 * w
-    if q.rs.kind == "A2":
-        s1, s2 = x[lo:hi, None], x[None, :]
-        raw = (s1 * s2 * (s1 + s2)) ** 2 * (w[lo:hi, None] * w[None, :])
-        return (s1, s2), raw.reshape(-1)
-    if q.rs.rank == 1:
-        return (x,), w
-    # a torus: row k holds the points whose first rank - 1 axis indices
-    # unravel from k; the weights multiply axis by axis, as _tensor_rule's
-    lead = np.unravel_index(np.arange(lo, hi), (len(x),) * (q.rs.rank - 1))
-    raw = np.multiply.outer(reduce(np.multiply, [w[i] for i in lead]), w)
-    return (*(x[i][:, None] for i in lead), x[None, :]), raw.reshape(-1)
+    x, w, rank = q.axis, q.axis_weights, q.rs.rank
+    lead = np.unravel_index(np.arange(lo, hi), (len(x),) * (rank - 1)) if rank > 1 else ()
+    coords = (*(x[i][:, None] for i in lead), x[None, :])
+    raw = np.multiply.outer(reduce(np.multiply, [w[i] for i in lead], np.ones(hi - lo)), w)
+    for pairing in simple_root_pairings(q.rs, coords)[rank:]:
+        raw *= pairing * pairing
+    return coords, raw.reshape(-1)
 
 
 def torus_axis_rule(t: float, order: int, target_mu_norm: float):
@@ -213,24 +196,21 @@ def flag_volume(rs: RootSystem) -> float:
     """Flag-volume factor V of the chamber rules, in closed form.
 
     For Ad-invariant f, the integral of f over the whole algebra is V times
-    the integral over the chamber, in the coordinates of _chamber_nodes_raw,
-    of prod_alpha <alpha, Y>^2 f(Y).  Mehta's integral (Macdonald's
-    conjecture at k = 1) gives the Gaussian case exactly:
+    the integral over the chamber, in the simple-root coordinates s of
+    _chamber_nodes_raw, of prod_alpha <alpha, Y>^2 f(Y).  Mehta's integral
+    (Macdonald's conjecture at k = 1) gives the Gaussian case exactly:
 
         integral over t of prod_alpha <alpha, x>^2 e^{-|x|^2} dx
             = pi^(r/2) prod_i d_i! prod_alpha |alpha|^2 / 4,
 
     d_i the degrees of the basic Weyl-group invariants.  The chamber is
-    1/|W| of t, and the chamber coordinates have the Jacobian J, sqrt(2)
-    for A1's theta and |det| of the fundamental weights for A2's s, so
-    V = pi^(dim_k/2) |W| J / (Mehta's integral): 2^(3/2) pi on A1,
+    1/|W| of t, and Y = sum_i s_i w_i has the Jacobian J = |det w|, so
+    V = pi^(dim_k/2) |W| J / (Mehta's integral): 2^(1/2) pi on A1,
     4 pi^3 / sqrt(3) on A2, and 1 on a torus.
     """
-    if rs.is_torus:
-        return 1.0
-    jacobian = SQRT2 if rs.kind == "A1" else abs(float(np.linalg.det(rs.fundamental_weights)))
+    jacobian = abs(float(np.linalg.det(rs.fundamental_weights)))
     mehta = (np.pi ** (rs.rank / 2.0)
-             * prod(factorial(d) for d in _INVARIANT_DEGREES[rs.kind])
+             * prod(factorial(d) for d in _INVARIANT_DEGREES.get(rs.kind, ()))
              * float(np.prod((rs.positive_roots**2).sum(axis=1) / 4.0)))
     return float(np.pi ** (rs.dim_k / 2.0) * rs.n_weyl * jacobian / mehta)
 
@@ -271,16 +251,14 @@ def build_chamber_quadrature(
         truncation radius R = sqrt(t) * (|mu| sqrt(t)/2 + 8).
     """
     _check_rule_parameters(t, order)
-    R = truncation_radius(t, target_mu_norm)
-    if rs.kind == "A1":
-        axis = _gauss_legendre_01(order, R / SQRT2)
-    elif rs.kind == "A2":
-        axis = _gauss_legendre_01(order, float(np.sqrt(1.5) * R))  # covers chamber ∩ ball(R)
-    elif rs.is_torus:
-        axis = torus_axis_rule(t, order, target_mu_norm)
+    if rs.is_torus:
+        axis, weights = torus_axis_rule(t, order, target_mu_norm)
     else:
-        raise ValueError(f"unsupported kind for chamber quadrature: {rs.kind!r}")
-    return ChamberQuadrature(rs, *axis, volume=flag_volume(rs), radius=R, order=order)
+        # in the chamber |Y| >= s_i |w_i| (<w_i, w_j> >= 0): s_i <= R / min |w_i|
+        w_min = min(hypot(*w) for w in rs.fundamental_weights.tolist())
+        axis, weights = _gauss_legendre_01(order, truncation_radius(t, target_mu_norm) / w_min)
+        weights = weights * (axis * axis)
+    return ChamberQuadrature(rs, axis, weights, volume=flag_volume(rs), order=order)
 
 
 def integrate_invariant(q: ChamberQuadrature, f) -> float:

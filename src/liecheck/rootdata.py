@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "build_root_system",
     "dimension",
     "enumerate_dominant",
+    "simple_root_pairings",
     "weight",
     "weight_inner",
 ]
@@ -51,7 +52,15 @@ class RootSystem:
     weyl_signs : ndarray, shape (n_w,)
         Determinants of the Weyl elements, +-1.
     fundamental_weights : ndarray, shape (rank, rank)
-        Row i is the weight dual to the i-th simple coroot.
+        Row i is the weight w_i dual to the i-th simple coroot; Y = sum_i
+        s_i w_i in the simple-root coordinates s_i = <alpha_i, Y> (w = I on a torus).
+    root_coefficients : ndarray, shape (n_pos, rank)
+        The integers c_i = <alpha, w_i> of alpha = sum_i c_i alpha_i, simple roots first.
+    cartan_adjugate, cartan_det : ndarray (rank, rank), int
+        Integers whose quotient G = <w_i, w_j> is the inverse Cartan matrix,
+        so |Y|^2 = s^T G s (the identity and 1 on a torus).
+    dual_labels : ndarray, shape (rank, rank)
+        Takes the Dynkin labels of lam to those of lam* = -w_0 lam (-1 on a torus).
     """
 
     kind: str
@@ -62,6 +71,10 @@ class RootSystem:
     weyl_elements: np.ndarray
     weyl_signs: np.ndarray
     fundamental_weights: np.ndarray
+    root_coefficients: np.ndarray
+    cartan_adjugate: np.ndarray
+    cartan_det: int
+    dual_labels: np.ndarray
 
     @property
     def is_torus(self) -> bool:
@@ -112,12 +125,10 @@ def _weyl_closure(generators: list[np.ndarray], rank: int):
 def build_root_system(kind: str) -> RootSystem:
     """Construct the root data for "A1", "A2", or "T<n>".
 
-    The data are exact and need no numerical set-up.  The flag volume of
-    the chamber reduction is not part of them: it depends on how a chamber
-    rule parameterizes the chamber, so flag_volume in the quadrature
-    module gives it, in closed form from Mehta's integral (Macdonald,
-    SIAM J. Math. Anal. 13 (1982) 988; Mehta, Random Matrices, 3rd ed.,
-    ch. 17).
+    The roots and fundamental weights are written out; the constants of the
+    simple-root coordinates follow, each rounded to its exact value.  The
+    flag volume is not part of the data: quadrature.flag_volume gives it
+    from Mehta's integral and the Jacobian |det w|.
     """
     if kind == "A1":
         s2 = np.sqrt(2.0)
@@ -146,6 +157,10 @@ def build_root_system(kind: str) -> RootSystem:
             weyl_elements=mats,
             weyl_signs=np.ones(1, dtype=int),
             fundamental_weights=np.eye(n),
+            root_coefficients=np.zeros((0, n)),
+            cartan_adjugate=np.eye(n),
+            cartan_det=1,
+            dual_labels=-np.eye(n),
         )
 
     rank = positive.shape[1]
@@ -153,6 +168,10 @@ def build_root_system(kind: str) -> RootSystem:
     simple = positive[:rank]
     weyl, signs = _weyl_closure([_reflection(a) for a in simple], rank)
     dim_k = rank + 2 * len(positive)
+    cartan = np.rint(simple @ simple.T)
+    det = round(float(np.linalg.det(cartan)))
+    # w_0 sends rho to -rho; a label of lam* is <-w_0 lam, alpha_i> (coroot = root)
+    w0 = weyl[np.argmin(np.linalg.norm(weyl @ rho + rho, axis=-1))]
     return RootSystem(
         kind=kind,
         rank=rank,
@@ -162,7 +181,19 @@ def build_root_system(kind: str) -> RootSystem:
         weyl_elements=weyl,
         weyl_signs=signs,
         fundamental_weights=fundamental,
+        root_coefficients=np.rint(positive @ fundamental.T),
+        cartan_adjugate=np.rint(det * np.linalg.inv(cartan)),
+        cartan_det=det,
+        dual_labels=np.rint(simple @ -w0 @ fundamental.T),
     )
+
+
+def simple_root_pairings(rs: RootSystem, s) -> list[np.ndarray]:
+    """<alpha, Y> = sum_i c_i s_i for each positive root, Y = sum_i s_i w_i,
+    over the nonzero c_i: the s_i arrays broadcast (one per chamber-grid
+    axis), so a simple root's pairing is its s_i itself."""
+    return [reduce(np.add, [x if c == 1 else c * x for c, x in zip(row, s) if c])
+            for row in rs.root_coefficients.tolist()]
 
 
 def weight(rs: RootSystem, dynkin) -> Weight:

@@ -177,7 +177,10 @@ def _gt_weight_vectors(kind, dynkin):
 def _log_char_holo_positive(rs, lam, pts):
     """The tests' oracle for log chi^C: log-sum-exp over the dim lam
     monomials e^{-<weight, a>} of the Gelfand-Tsetlin basis, with the
-    diagonal entries a of Y = i diag(a), exp(iY) = diag(e^{-a})."""
+    diagonal entries a of Y = i diag(a), exp(iY) = diag(e^{-a}); on a
+    torus the one monomial e^{-<lam, Y>}."""
+    if rs.is_torus:
+        return -(pts @ lam.coords)
     a = pts @ CARTAN_EIGEN_EMBED[rs.kind]
     exponents = -(a @ np.asarray(_gt_weight_vectors(rs.kind, lam.dynkin), float).T)
     top = exponents.max(axis=-1)
@@ -242,12 +245,29 @@ def test_char_holo_matches_the_positive_sum_oracle_at_walls_and_inside(a1, a2):
        labels=st.tuples(st.integers(0, 8), st.integers(0, 8)),
        along=st.floats(0.0, 30.0),
        off=st.one_of(st.floats(1e-9, 1e-2), st.floats(0.0, 30.0)),
-       sign=st.sampled_from([1.0, -1.0]))
-def test_char_holo_matches_the_positive_sum_oracle_property(kind, labels, along, off, sign):
+       sign=st.sampled_from([1.0, -1.0]),
+       conjugate=st.integers(0, 5))
+def test_char_holo_matches_the_positive_sum_oracle_property(kind, labels, along, off, sign,
+                                                            conjugate):
     rs = build_root_system(kind)
     fw = rs.fundamental_weights
-    Y = off * fw[0] if rs.rank == 1 else along * fw[0] + off * fw[1]
-    _assert_matches_oracle(rs, weight(rs, labels[:rs.rank]), sign * Y[None, :])
+    lam = weight(rs, labels[:rs.rank])
+    Y = sign * (off * fw[0] if rs.rank == 1 else along * fw[0] + off * fw[1])
+    _assert_matches_oracle(rs, lam, Y[None, :])
+    # the s-coordinate evaluator at the point's dominant representative,
+    # its s written down (-w_0 permutes the w_i, so -Y has the s of
+    # dual_labels @ s), and at a Weyl conjugate of the point, mapped to s
+    # as scattered points are
+    want = _log_char_holo_positive(rs, lam, Y[None, :])
+    s = np.array([off] if rs.rank == 1 else [along, off])
+    dominant = s if sign > 0 else rs.dual_labels @ s
+    w = rs.weyl_elements[conjugate % rs.n_weyl]
+    for coords in ([np.array([x]) for x in dominant],
+                   chars._dominant_coordinates(rs, (w @ Y)[None, :])):
+        log_scales, mantissa = chars._chamber_char_parts(rs, lam, coords)
+        assert np.all((mantissa >= 1.0) & (mantissa <= dimension(rs, lam)))
+        err = np.abs(sum(log_scales) + np.log(mantissa) - want)
+        assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want))), (lam.dynkin, err.max())
 
 
 def test_char_holo_of_a_point_alone_equals_it_inside_a_batch(a1, a2):
@@ -277,21 +297,26 @@ def test_branching_mantissa_broadcasts_bit_for_bit(a2):
         assert np.array_equal(grid.ravel(), chars._branching_mantissa(p, q, flat_y, flat_r))
 
 
-def test_chamber_char_parts_match_the_oracle_next_to_the_walls(a2):
-    # the A2 chamber rules evaluate the character from the simple-root
-    # coordinates s_i = <alpha_i, Y>; at the grid nodes next to either wall
-    # (the first two axis points of s1 or of s2, at the character scales 1
-    # and 2) it agrees with the Gelfand-Tsetlin sum
-    q = build_chamber_quadrature(a2, 1.0, 192, 12.0)
-    x = q.axis
-    for lam in enumerate_dominant(a2, 8):
-        for s1, s2 in ((x[:2, None], x[None, :]), (x[:, None], x[None, :2])):
-            for scale in (1.0, 2.0):
-                u1, u2, mantissa = chars._chamber_char_parts(lam, scale * s1, scale * s2)
-                assert np.all((mantissa >= 1.0) & (mantissa <= dimension(a2, lam)))
-                want = _log_char_holo_positive(a2, lam, scale * q.cartan((s1, s2)))
-                err = np.abs((u1 + u2 + np.log(mantissa)).ravel() - want)
-                assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want))), (lam.dynkin, err.max())
+def test_chamber_char_parts_match_the_oracle_next_to_the_walls(a1, a2, t2):
+    # the chamber rules evaluate the character from the simple-root
+    # coordinates s_i = <alpha_i, Y>; at the grid nodes next to each wall
+    # (the first two axis points of one s_i beside the whole of the other
+    # axis, at the character scales 1 and 2) it agrees with the
+    # Gelfand-Tsetlin sum.  The torus rule has no walls: its first two axis
+    # points are the far ends of the box, where the one monomial is largest
+    for rs in (a1, a2, t2):
+        q = build_chamber_quadrature(rs, 1.0, 192, 12.0)
+        x = q.axis
+        for lam in enumerate_dominant(rs, 8):
+            for wall in range(rs.rank):
+                s = np.ix_(*[x[:2] if i == wall else x for i in range(rs.rank)])
+                for scale in (1.0, 2.0):
+                    log_scales, mantissa = chars._chamber_char_parts(rs, lam, [scale * c for c in s])
+                    assert np.all((mantissa >= 1.0) & (mantissa <= dimension(rs, lam)))
+                    want = _log_char_holo_positive(rs, lam, scale * q.cartan(s))
+                    err = np.abs((sum(log_scales) + np.log(mantissa)).ravel() - want)
+                    assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want))), \
+                        (rs.kind, lam.dynkin, err.max())
 
 
 def test_weyl_char_holo_torus_matches_two_exponential_reference(t2):

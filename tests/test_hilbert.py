@@ -158,10 +158,10 @@ def _torus_c_tilde_reference(rs, lam, t, order):
 
 
 def test_constants_row_c_tilde_matches_the_reference(a1, a2, t2):
-    # bit for bit on A1 and T2, whose routes evaluate the reference's nodes
-    # and axis sums; A2 sums in the chamber's own coordinates, within 1e-13
-    # of the reference, its order-doubling delta within 1e-13 C~ (the
-    # largest moves here are 8.8e-16 and 2.4e-16)
+    # bit for bit on T2, whose route evaluates the reference's axis sums;
+    # A1 and A2 sum in the chamber's simple-root coordinates, within 1e-13
+    # of the reference at the rule's Cartan nodes, the order-doubling delta
+    # within 1e-13 C~ (the largest moves here are 1.0e-15 and 5.8e-16)
     for rs, dynkins, reference in ((a1, [(0,), (5,)], _naive_constant_reference),
                                    (a2, [(0, 0), (2, 3)], _naive_constant_reference),
                                    (t2, [(0, 0), (3, 4)], _torus_c_tilde_reference)):
@@ -170,7 +170,7 @@ def test_constants_row_c_tilde_matches_the_reference(a1, a2, t2):
             lam = weight(rs, dynkin)
             row = constants_row(rs, lam, 1.0, order)
             value, delta = reference(rs, lam, 1.0, order)
-            if rs.kind == "A2":
+            if not rs.is_torus:
                 assert abs(row.C_tilde - value) <= 1e-13 * value
                 assert abs(row.C_tilde_err - delta) <= 1e-13 * value
             else:
@@ -192,21 +192,23 @@ def _pointwise_integrals(rs, lam, scale, s, order, mu, powers):
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
-def test_a2_chamber_route_matches_the_pointwise_integrand(a2, t):
-    # C, D and C~ of every A2 weight up to level 8 at orders 96 and 192.
-    # The two routes round differently: the largest move is 9.2e-14, at
-    # t = 4, where the exponents reach 650 and a long-double sum of the
-    # same rule puts the chamber route within 6.5e-14 and the pointwise
-    # integrand within 1.05e-13
-    for lam in enumerate_dominant(a2, 8):
-        r = np.linalg.norm(lam.coords + a2.rho)
-        for order in (96, 192):
-            # (character scale, Gaussian width, rule's |mu|, eta powers): C and C~, then D
-            for scale, s, mu, powers in ((2.0, t, 2.0 * r, (1, 0)), (1.0, 2.0 * t, r, (1,))):
-                wants = _pointwise_integrals(a2, lam, scale, s, order, mu, powers)
-                for p, want in zip(powers, wants):
-                    got = hilbert._character_integral(a2, lam, scale, s, order, p, mu)
-                    assert abs(got - want) <= 1e-13 * want, (lam.dynkin, order, scale, p)
+def test_a2_chamber_route_matches_the_pointwise_integrand(a1, a2, t):
+    # C, D and C~ of every A1 and A2 weight up to level 8 at the default
+    # order and twice it.  The two routes round differently: the largest
+    # move is 9.9e-14 on A2 and 3.1e-14 on A1, at t = 4, where the A2
+    # exponents reach 650; there (C~ of (7, 8) at order 96) a long-double
+    # sum of the same rule puts the chamber route within 6.9e-14 and the
+    # pointwise integrand within 3.1e-14, on either side
+    for rs in (a1, a2):
+        for lam in enumerate_dominant(rs, 8):
+            r = np.linalg.norm(lam.coords + rs.rho)
+            for order in (default_order(rs.rank), 2 * default_order(rs.rank)):
+                # (character scale, Gaussian width, rule's |mu|, eta powers): C and C~, then D
+                for scale, s, mu, powers in ((2.0, t, 2.0 * r, (1, 0)), (1.0, 2.0 * t, r, (1,))):
+                    wants = _pointwise_integrals(rs, lam, scale, s, order, mu, powers)
+                    for p, want in zip(powers, wants):
+                        got = hilbert._character_integral(rs, lam, scale, s, order, p, mu)
+                        assert abs(got - want) <= 1e-13 * want, (rs.kind, lam.dynkin, order, scale, p)
 
 
 @pytest.mark.parametrize("group, order", [("T1", 64), ("T2", 96), ("T3", 16)])

@@ -1,6 +1,6 @@
 import tracemalloc
 from dataclasses import replace
-from math import factorial
+from math import factorial, hypot
 
 import numpy as np
 import pytest
@@ -213,7 +213,7 @@ def test_order_doubling_stability(a1, a2):
 
 
 def test_flag_volume_closed_form_values(a1, a2, t2):
-    for rs, exact in ((a1, 2.0**1.5 * np.pi), (a2, 4.0 * np.pi**3 / np.sqrt(3.0))):
+    for rs, exact in ((a1, 2.0**0.5 * np.pi), (a2, 4.0 * np.pi**3 / np.sqrt(3.0))):
         assert abs(flag_volume(rs) - exact) <= 4e-16 * exact
     assert flag_volume(t2) == 1.0
     assert flag_volume(build_root_system("T1")) == 1.0
@@ -231,9 +231,9 @@ def _mehta_by_hermite(rs, n=40):
 def test_mehta_integral_and_flag_volume_against_gauss_hermite(a1, a2):
     # Mehta's integral pi^(r/2) prod d_i! prod |alpha|^2/4 with |alpha|^2 = 2:
     # A1 (d = 2) sqrt(pi); A2 (d = 2, 3) pi * 2 * 6 / 8.  Then
-    # V = pi^(dim/2) |W| J / Mehta with the chamber Jacobians J = sqrt(2)
-    # (A1's theta) and 1/sqrt(3) (A2's s-coordinates).
-    for rs, mehta, dim, n_weyl, jac in ((a1, np.sqrt(np.pi), 3, 2, np.sqrt(2.0)),
+    # V = pi^(dim/2) |W| J / Mehta with the Jacobians J = |det w| of the
+    # simple-root coordinates: 1/sqrt(2) on A1 and 1/sqrt(3) on A2.
+    for rs, mehta, dim, n_weyl, jac in ((a1, np.sqrt(np.pi), 3, 2, 1.0 / np.sqrt(2.0)),
                                         (a2, 1.5 * np.pi, 8, 6, 1.0 / np.sqrt(3.0))):
         herm = _mehta_by_hermite(rs)
         assert abs(herm - mehta) <= 1e-15 * mehta
@@ -265,22 +265,26 @@ def test_errors(a1, su2):
 
 def _reference_rule(rs, t, order, mu):
     """Chamber rule rebuilt from a fresh Gauss-Legendre rule, not the cached
-    one, and per-axis meshgrids."""
+    one, and per-axis meshgrids, in the simple-root coordinates s_i =
+    <alpha_i, Y>: the axis on [0, R / |w_1|] (sqrt(2) R on A1, sqrt(1.5) R
+    on A2), the nodes sum_i s_i w_i, the weights prod_i s_i^2 w_i times
+    (s_1 + s_2)^2 for A2's third root."""
     R = np.sqrt(t) * (mu * np.sqrt(t) / 2.0 + 8.0)
     x, w = _gauss_rule.__wrapped__("legendre", order)
+    fw = rs.fundamental_weights
 
     def rule01(upper):
         return (x + 1.0) * upper / 2.0, w * upper / 2.0
 
     if rs.kind == "A1":
-        theta, gw = rule01(R / np.sqrt(2.0))
-        nodes, raw = (np.sqrt(2.0) * theta)[:, None], (2.0 * theta) ** 2 * gw
+        s, gw = rule01(R / abs(fw[0, 0]))
+        nodes, raw = s[:, None] * fw[0], gw * (s * s)
     elif rs.kind == "A2":
-        s, gw = rule01(float(np.sqrt(1.5) * R))
+        s, gw = rule01(R / hypot(*fw[0]))
         s1, s2 = np.meshgrid(s, s, indexing="ij")
-        fw = rs.fundamental_weights
         nodes = (s1[..., None] * fw[0] + s2[..., None] * fw[1]).reshape(-1, 2)
-        raw = ((s1 * s2 * (s1 + s2)) ** 2 * np.outer(gw, gw)).reshape(-1)
+        f = gw * (s * s)
+        raw = (np.outer(f, f) * (s1 + s2) ** 2).reshape(-1)
     else:
         half, gw_half = rule01(R)
         pts = np.concatenate([-half[::-1], half])
