@@ -206,11 +206,14 @@ def _dominant_coordinates(rs: RootSystem, c: np.ndarray) -> list[np.ndarray]:
 def _char_holo_parts(rs: RootSystem, lam: Weight, Y) -> tuple[np.ndarray, np.ndarray]:
     """The continued character at exp(iY), Y (..., n, rank), as (log_scale, T),
     chi = T e^{log_scale}: _chamber_char_parts at the s of Y's dominant
-    representative.  On a torus the log-scale -<lam, Y> is one product, as
-    the alternating sum's one term has it."""
+    representative.  On a torus the log-scale is -<lam, Y>, summed over the
+    axes in one fixed order by _pairings, as the alternating sum's one term
+    has it."""
     c = np.asarray(Y, float)
     log_scales, mantissa = _chamber_char_parts(rs, lam, _dominant_coordinates(rs, c))
-    return (-(c @ lam.coords) if rs.is_torus else reduce(np.add, log_scales)), mantissa
+    if rs.is_torus:
+        return -_pairings(c, lam.coords[:, None])[0], mantissa
+    return reduce(np.add, log_scales), mantissa
 
 
 def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:

@@ -33,6 +33,7 @@ from .models import (
     haar_mean,
     haar_nodes,
     haar_sample,
+    mul2x2,
     su2_character,
 )
 from .quadrature import (
@@ -433,7 +434,8 @@ def suite_kirillov(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> 
         for lam in enumerate_dominant(rs, cfg.max_level):
             for Y in rng.normal(0.0, 0.8, size=(5, rs.rank)):
                 lhs = float(chars.eta(rs, Y)) * float(chars.weyl_char_holo(rs, lam, 2.0 * Y))
-                rhs = float(np.exp(-2.0 * (lam.coords + rs.rho) @ Y))
+                # summed over the axes in order, as the character sums -<lam, Y>
+                rhs = float(np.exp(-np.sum(2.0 * (lam.coords + rs.rho) * Y)))
                 residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
         rows.append(det_row("kirillov/torus-exact", worst(residuals), 0.0, cfg.tolerance,
                             "adjoint action is trivial; orbital average is exact"))
@@ -575,7 +577,7 @@ def suite_convolution(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list
     def integral(nodes, weights, q):
         def integrand(x):
             return (fourier.synthesize_many(a, model, x)
-                    * fourier.synthesize_many(b, model, np.conj(np.swapaxes(x, 1, 2)) @ q))
+                    * fourier.synthesize_many(b, model, mul2x2(np.conj(np.swapaxes(x, 1, 2)), q)))
 
         return haar_mean(integrand, nodes, weights)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import c_constant
-from .models import GroupModel, exp_i, haar_mean, haar_nodes, irrep_matrices, rep_matrices
+from .models import GroupModel, exp_i, haar_mean, haar_nodes, irrep_matrices, mul2x2, rep_matrices
 from .rootdata import build_root_system, dimension, weight
 
 __all__ = [
@@ -110,7 +110,7 @@ def synthesize_many(series: FourierSeries, model: GroupModel, xs, Y=None) -> np.
     batch = xs.ndim == 3
     pts = xs if batch else xs[None]
     if Y is not None:
-        pts = pts @ exp_i(Y)
+        pts = mul2x2(pts, exp_i(Y))
     rs = build_root_system(series.rs_kind)
     out = np.zeros(len(pts), dtype=complex)
     for dynkin, coeff in series.terms.items():

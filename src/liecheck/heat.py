@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fourier import FourierSeries, synthesize, synthesize_many
-from .models import Estimate, GroupModel, _read_only, haar_mean, haar_nodes
+from .models import Estimate, GroupModel, _read_only, haar_mean, haar_nodes, mul2x2
 from .rootdata import RootSystem, Weight, build_root_system, weight
 
 __all__ = [
@@ -133,10 +133,8 @@ def heat_convolution_residual(
     xinv = np.conj(np.swapaxes(xs, -1, -2))
     worst = Estimate(-1.0, 0.0)
     for y in ys:
-        # einsum, not y @ xi: matmul hands the batch to BLAS one 2x2
-        # product at a time
         mean, sem = haar_mean(
-            lambda xi, fv, y=y: heat_kernel_eval(model, t, np.einsum("ab,nbc->nac", y, xi))[0] * fv,
+            lambda xi, fv, y=y: heat_kernel_eval(model, t, mul2x2(y, xi))[0] * fv,
             (xinv, f_vals), weights)
         resid = abs(complex(mean) - synthesize(flowed, model, y))
         if resid > worst.value:

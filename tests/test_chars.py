@@ -189,13 +189,16 @@ def _log_char_holo_positive(rs, lam, pts):
 
 def _weyl_char_holo_two_exp(rs, lam, pts):
     """The continued character with the denominator exponentiated twice;
-    returns the values and the points sent to the positive-monomial form."""
+    returns the values and the points sent to the positive-monomial form.
+    The exponents <w mu, Y> are summed over the axes elementwise
+    (chars._pairings): a BLAS product's last bits depend on the batch."""
     signs = rs.weyl_signs.astype(float)
     wl = np.einsum("wij,j->wi", rs.weyl_elements, lam.coords + rs.rho)
     wr = np.einsum("wij,j->wi", rs.weyl_elements, rs.rho)
-    num = np.exp(-(pts @ wl.T)) @ signs
-    den = np.exp(-(pts @ wr.T)) @ signs
-    den_scale = np.exp(-(pts @ wr.T)) @ np.abs(signs)
+    num = np.exp(-np.stack(chars._pairings(pts, wl.T), axis=-1)) @ signs
+    wr_terms = np.exp(-np.stack(chars._pairings(pts, wr.T), axis=-1))
+    den = wr_terms @ signs
+    den_scale = wr_terms @ np.abs(signs)
     bad = (np.abs(den) < 1e-12) | (np.abs(den) < 1e-7 * den_scale)
     out = np.divide(num, np.where(bad, 1.0, den))
     if bad.any():
@@ -270,10 +273,12 @@ def test_char_holo_matches_the_positive_sum_oracle_property(kind, labels, along,
         assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want))), (lam.dynkin, err.max())
 
 
-def test_char_holo_of_a_point_alone_equals_it_inside_a_batch(a1, a2):
+def test_char_holo_of_a_point_alone_equals_it_inside_a_batch(a1, a2, t2):
     # elementwise arithmetic only: no BLAS routine that depends on the batch
     rng = np.random.default_rng(13)
-    for rs, dynkins in ((a1, [(1,), (8,)]), (a2, [(1, 0), (3, 2), (8, 8)])):
+    t1 = build_root_system("T1")
+    for rs, dynkins in ((a1, [(1,), (8,)]), (a2, [(1, 0), (3, 2), (8, 8)]),
+                        (t1, [(1,), (8,)]), (t2, [(1, 0), (3, 2), (8, 8)])):
         pts = rng.normal(0.0, 3.0, size=(5000, rs.rank))
         for dynkin in dynkins:
             lam = weight(rs, dynkin)

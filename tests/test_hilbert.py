@@ -18,7 +18,13 @@ from liecheck.hilbert import (
 )
 from liecheck.models import HaarSU2, MonteCarlo, _gauss_rule, haar_sample, su2_character
 from liecheck.quadrature import build_chamber_quadrature, default_order, integrate_invariant
-from liecheck.rootdata import build_root_system, dimension, enumerate_dominant, weight
+from liecheck.rootdata import (
+    build_root_system,
+    dimension,
+    enumerate_dominant,
+    simple_root_pairings,
+    weight,
+)
 
 
 def random_series(dynkins, rng, space, t=1.0):
@@ -178,27 +184,35 @@ def test_constants_row_c_tilde_matches_the_reference(a1, a2, t2):
 
 
 def _pointwise_integrals(rs, lam, scale, s, order, mu, powers):
-    """_character_integral at each eta power, written out at the rule's
-    Cartan nodes: the character's mantissa times one exponential of its
-    log-scale, p log eta and the Gaussian's exponent, summed over the whole
-    grid at once."""
+    """_character_integral at each eta power, written out point by point over
+    the whole grid, in long double where float64 rounding would show: at
+    the rule's simple-root coordinates s_i, the exponent <lam*, scale Y> -
+    s^T G s / s + p log eta(scale Y / 2), from the exact rationals <lam*,
+    w_i> and G = <w_i, w_j>, its exponential and the weighted sum.  The
+    weights, log eta (tens at most) and the character's mantissa (in [1,
+    dim lam]) are float64 values."""
     q = build_chamber_quadrature(rs, s, order, mu)
-    Y = q.nodes
-    log_scale, mantissa = chars._char_holo_parts(rs, lam, scale * Y)
-    exponent = log_scale - np.sum(Y**2, axis=-1) / s
-    log_eta = chars.log_eta(chars.root_pairings(rs, scale * Y / 2.0))
-    return [float(np.sum(q.weights * (mantissa * np.exp(exponent + p * log_eta if p else exponent))))
+    grid = [a.reshape(-1) for a in np.meshgrid(*[q.axis] * rs.rank, indexing="ij")]
+    _, mantissa = chars._chamber_char_parts(rs, lam, [scale * a for a in grid])
+    log_eta = chars.log_eta(simple_root_pairings(rs, [scale / 2.0 * a for a in grid]))
+    L = np.longdouble
+    x, adj, det = [a.astype(L) for a in grid], rs.cartan_adjugate.astype(L), L(rs.cartan_det)
+    k = adj @ (rs.dual_labels.astype(L) @ np.asarray(lam.dynkin, L)) / det
+    rank = range(rs.rank)
+    exponent = (L(scale) * sum(k[i] * x[i] for i in rank)
+                - sum(adj[i, j] * x[i] * x[j] for i in rank for j in rank) / (det * L(s)))
+    w = q.weights.astype(L) * mantissa.astype(L)
+    return [float(np.sum(w * np.exp(exponent + p * log_eta.astype(L) if p else exponent)))
             for p in powers]
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
 def test_a2_chamber_route_matches_the_pointwise_integrand(a1, a2, t):
     # C, D and C~ of every A1 and A2 weight up to level 8 at the default
-    # order and twice it.  The two routes round differently: the largest
-    # move is 9.9e-14 on A2 and 3.1e-14 on A1, at t = 4, where the A2
-    # exponents reach 650; there (C~ of (7, 8) at order 96) a long-double
-    # sum of the same rule puts the chamber route within 6.9e-14 and the
-    # pointwise integrand within 3.1e-14, on either side
+    # order and twice it, against a long-double evaluation of the same rule,
+    # so that the gate measures the chamber route's own rounding: at most
+    # 5.7e-14 (A2, C of (8, 8) at order 96, t = 4, where the exponents
+    # reach 650 and a float64 exponent alone carries about 1e-13 of rounding)
     for rs in (a1, a2):
         for lam in enumerate_dominant(rs, 8):
             r = np.linalg.norm(lam.coords + rs.rho)

@@ -11,7 +11,6 @@ from numpy.polynomial.legendre import leggauss
 from liecheck import chars, models
 from liecheck.models import (
     HaarSU2,
-    _orthonormal_columns,
     build_group_model,
     chamber_coordinates,
     exp_i,
@@ -115,6 +114,35 @@ def test_unitarity_and_multiplicativity(su2):
     assert dev < 1e-12
     prod = rep_matrices(m, xs[:500] @ xs[500:])
     assert np.abs(prod - reps[:500] @ reps[500:]).max() < 1e-11
+
+
+def test_rep_matrices_of_a_point_alone_equal_them_inside_a_batch(su2):
+    # leading shapes (), (N,) and (a, b) give the same bits, and a
+    # C-contiguous result, for unitary and general GL(2, C) points
+    rng = np.random.default_rng(41)
+    gl = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+    for xs in (haar_sample(su2, rng, 6), gl):
+        for n in range(7):
+            m = irrep_matrices(n)
+            flat = rep_matrices(m, xs)
+            grid = rep_matrices(m, xs.reshape(2, 3, 2, 2))
+            assert flat.shape == (6, n + 1, n + 1) and grid.shape == (2, 3, n + 1, n + 1)
+            assert flat.flags.c_contiguous and grid.flags.c_contiguous
+            assert np.array_equal(grid.reshape(flat.shape), flat), n
+            for k, x in enumerate(xs):
+                assert np.array_equal(rep_matrices(m, x), flat[k]), (n, k)
+
+
+def test_mul2x2_is_the_matrix_product_and_batch_independent(su2):
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+    b = haar_sample(su2, rng, 50)
+    prod = models.mul2x2(a, b)
+    assert np.abs(prod - a @ b).max() <= 1e-14
+    assert np.array_equal(models.mul2x2(a, b[0]), np.array([models.mul2x2(x, b[0]) for x in a]))
+    assert np.array_equal(models.mul2x2(b[0], a), np.array([models.mul2x2(b[0], x) for x in a]))
+    for k in (0, 49):
+        assert np.array_equal(models.mul2x2(a[k], b[k]), prod[k])
 
 
 def test_rep_matrices_match_generator_exponential(su2):
@@ -283,28 +311,57 @@ def test_haar_sample_matches_qr_reference(su2, su3):
         haar_sample(model, rng, 7)
         qr_haar_sample(model, ref_rng, 7)
         assert np.array_equal(haar_sample(model, rng, 7), haar_sample(model, ref_rng, 7))
-    # columns at angles ~1e-3 (cond 1e3..1e5): both routes are accurate to about
-    # eps * cond(z); one Gram-Schmidt pass on three columns is off by eps * cond(z)^2
+
+
+def _ginibre(rng, size, n, angle):
+    """Ginibre matrices whose later columns lie at about `angle` from the first."""
+    z = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+    z[..., 1:] = z[..., :1] + angle * z[..., 1:]
+    return z
+
+
+def test_haar_factor_of_ill_conditioned_columns_matches_qr():
+    # columns at angles 1e-3, 1e-6 and 1e-11 (cond 3e2 to 5e13): the closed
+    # form and the QR reference, each with its determinant phase, are both
+    # accurate to about eps * cond(z)
     rng = np.random.default_rng(7)
     for n in (2, 3):
-        z = rng.standard_normal((2000, n, n)) + 1j * rng.standard_normal((2000, n, n))
-        z[..., 1:] = z[..., :1] + 1e-3 * z[..., 1:]
-        err = np.abs(_orthonormal_columns(z) - qr_positive(z)).max(axis=(1, 2))
-        assert (err <= 1e-14 * np.linalg.cond(z)).all()
+        for angle in (1e-3, 1e-6, 1e-11):
+            z = _ginibre(rng, 2000, n, angle)
+            q = qr_positive(z)
+            ref = q / (np.linalg.det(q) ** (1.0 / n))[..., None, None]
+            err = np.abs(models._special_unitary_factor(z.real, z.imag) - ref).max(axis=(1, 2))
+            assert (err <= 1e-14 * np.linalg.cond(z)).all(), (n, angle)
 
 
-def test_orthonormal_columns_of_nearly_parallel_columns():
+def test_haar_factor_of_nearly_parallel_columns():
     rng = np.random.default_rng(53)
     for n in (2, 3):
-        shape = (2000, n, n)
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        z[..., 1:] = z[..., :1] + 1e-11 * z[..., 1:]
+        z = _ginibre(rng, 2000, n, 1e-11)
         assert np.linalg.cond(z).min() >= 1e10
-        q = _orthonormal_columns(z)
-        gram = np.conj(np.swapaxes(q, 1, 2)) @ q
+        x = models._special_unitary_factor(z.real, z.imag)
+        gram = np.conj(np.swapaxes(x, 1, 2)) @ x
         assert np.abs(gram - np.eye(n)).max() <= 1e-14
-        # positive diag(R): each column has a positive component along its own z column
-        assert (np.einsum("nik,nik->nk", np.conj(q), z).real > 0).all()
+        assert np.abs(np.linalg.det(x) - 1.0).max() <= 1e-14
+        # x e^{i arg(det z)/n} is Q of z = QR with positive diag(R): each of its
+        # columns has a positive component along its own z column
+        phase = np.exp(1j * np.angle(np.linalg.det(z)) / n)
+        assert (np.einsum("nik,nik->nk", np.conj(x * phase[:, None, None]), z).real > 0).all()
+
+
+def test_haar_factor_of_a_point_alone_equals_it_inside_a_batch(su2, su3):
+    # elementwise operations only: a row's bits do not depend on the batch,
+    # its size or the block it falls in (N = _HAAR_BLOCK + 1 leaves a lone
+    # last block)
+    B = models._HAAR_BLOCK
+    rng = np.random.default_rng(61)
+    for model in (su2, su3):
+        n = model.defining_dim
+        re, im = rng.standard_normal((2, B + 1, n, n))
+        x = models._special_unitary_factor(re, im)
+        for k in (0, 1, B - 1, B):
+            assert np.array_equal(models._special_unitary_factor(re[k:k + 1], im[k:k + 1])[0], x[k]), k
+        assert np.array_equal(haar_sample(model, 62), haar_sample(model, 62, 1)[0])
 
 
 def test_chamber_coordinates_match_eigvalsh(su3):
