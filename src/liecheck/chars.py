@@ -5,9 +5,13 @@ positive-root pairings, arrays that broadcast; an independent determinant
 oracle lives beside it.  The continued characters (positive on exp(i t))
 come from one evaluator, _chamber_char_parts, in the simple-root
 coordinates s_i = <alpha_i, Y> of a dominant Y = sum_i s_i w_i: one
-log-scale term per axis and a mantissa, arrays that broadcast, so on a
-chamber grid every term of one s_i is formed once per axis point.
-Scattered Cartan points first map to the s of their dominant representative.
+log-scale term per axis and a mantissa, the weight monomials over the
+largest as a polynomial in r = e^{-s_1} and y = e^{-s_rank} whose
+coefficients are the weight multiplicities.  Its two steps, the last
+axis's polynomials in y and Horner's rule in r, are elementwise, so a
+chamber integral forms the first once on its axis (hilbert._chamber_parts)
+and a point has the same bits alone, in a batch and on a slab.  Scattered
+Cartan points first map to the s of their dominant representative.
 The orbital average A(mu, Y) is the probability-normalized flag-manifold
 integral of exp(-<mu, Ad_y Y>), which makes the character/orbit identity
 free of volume conventions:
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate
 
 import numpy as np
 
@@ -94,7 +97,8 @@ def log_eta(pairings) -> np.ndarray | float:
     pairings x = <alpha, Y>: arrays that broadcast, as root_pairings gives
     for Cartan points or the chamber rules for their slabs; finite wherever
     they are, and 0 without roots (a torus)."""
-    return sum(map(_log_sinhc, pairings), 0.0)
+    terms = map(_log_sinhc, pairings)
+    return reduce(np.add, terms, next(terms, 0.0))
 
 
 def eta(rs: RootSystem, Y) -> np.ndarray | float:
@@ -139,29 +143,57 @@ def j_half_identity_residual(rs: RootSystem, Y) -> float:
     return abs(float(eta(rs, half)) - eta_det_oracle(model, cartan_element(model, half)))
 
 
-def _branching_mantissa(p: int, q: int, y, r) -> np.ndarray:
-    """The mantissa T of the continued character of (p, q), 1 <= T <= dim,
-    at y = e^{a_lo - a_mid} and r = e^{a_mid - a_hi} in (0, 1].
+@lru_cache(maxsize=None)
+def _weight_multiplicities(rs: RootSystem, dynkin: tuple[int, ...]) -> np.ndarray:
+    """The continued character's mantissa as a polynomial, T = sum m[k1, k2]
+    r^k1 y^k2 with r = e^{-s_1} (the leading axis) and y = e^{-s_rank} (the
+    last axis): m[k1, k2] is the multiplicity of the weight -lam* + k1
+    alpha_1 + k2 alpha_2, the character being a sum of weight monomials
+    (Demmel & Koev, Math. Comp. 75 (2006) 223) over its largest, e^{<lam*, Y>}.
 
-    The branching rule of the Schur polynomial in the eigenvalues e^{-a},
-    in positive terms with the largest monomial factored out (Demmel &
-    Koev, Math. Comp. 75 (2006) 223), its inner geometric sum collapsed:
-      T = sum_m H_m(r) y^{|m-q|} r^{max(0,q-m)} P_{n_m}(y^2 r), m = 0 .. p+q,
-    n_m = min(q, p+q-m) - max(0, q-m) + 1, H_m(r) = sum_{j<=m} r^j and
-    P_n(z) = sum_{j<n} z^j; H by Horner's rule, the terms below m = q by
-    Horner's rule in y r.  Elementwise, so y and r may be any arrays that
-    broadcast (on the A2 chamber grid y a row and r a column, H_m(r) and
-    the powers of y then one value per axis point).
+    On A2 at lam = (p, q), K = p + q: m = 1 + min(k1, k2, K - k1, K - k2,
+    q - k1 + k2, p - k2 + k1, p, q) where the first six are >= 0, else 0.
+    One row, in y alone: ones(n + 1) on A1 at lam = (n), and [1] on a
+    torus.  Integers held as floats, read-only: a cache shares them.
     """
-    geometric = [*accumulate([y * y * r] * min(p, q), lambda v, z: 1.0 + z * v, initial=1.0)]
-    h, total, above, yr = 0.0, 0.0, 1.0, y * r  # above = y^{m-q} from m = q on
-    for m in range(q):  # the terms below m = q, by Horner's rule in y r
-        h = 1.0 + r * h  # H_m(r), by Horner's rule
-        total = (total + h * geometric[min(m, p)]) * yr
-    for m in range(q, p + q + 1):
-        h = 1.0 + r * h
-        total = total + h * above * geometric[min(q, p + q - m)]
-        above = above * y
+    if rs.kind == "A2":
+        (p, q), K = dynkin, sum(dynkin)
+        k1, k2 = np.ogrid[:K + 1, :K + 1]
+        bounds = [k1, k2, K - k1, K - k2, q - k1 + k2, p - k2 + k1]
+        inside = reduce(np.minimum, bounds) >= 0
+        m = np.where(inside, 1 + reduce(np.minimum, bounds + [p, q]), 0).astype(float)
+    else:
+        m = np.ones((1, dynkin[0] + 1 if rs.kind == "A1" else 1))
+    return _read_only(m)[0]
+
+
+def _last_axis_polynomials(m: np.ndarray, y) -> np.ndarray:
+    """Q_k1(y) = sum_k2 m[k1, k2] y^k2 for every row k1 of m at once, by
+    Horner's rule in place, elementwise: (rows of m, *y's shape); y is read
+    for its shape alone where m has one column.  Above a row's top nonzero
+    coefficient its Q stays 0 exactly, then is that coefficient: the bits
+    of Horner's rule from there, the row alone."""
+    polys = np.zeros((len(m),) + np.shape(y))
+    coefficients = m.T.reshape(m.shape[::-1] + (1,) * np.ndim(y))
+    polys += coefficients[-1]
+    for c in coefficients[-2::-1]:
+        polys *= y
+        polys += c
+    return polys
+
+
+def _mantissa(polys: np.ndarray, r) -> np.ndarray:
+    """T = sum_k1 polys[k1] r^k1 by Horner's rule, elementwise: 2 (len(polys)
+    - 1) passes in place over one new array, or polys[0] itself (then r
+    is not read).  polys[k1] and r broadcast: on a chamber slab the polys
+    are last-axis rows formed once per integral and r is a column."""
+    if len(polys) == 1:
+        return polys[0]
+    total = polys[-1] * r
+    for k in range(len(polys) - 2, 0, -1):
+        total += polys[k]
+        total *= r
+    total += polys[0]
     return total
 
 
@@ -175,20 +207,17 @@ def _chamber_char_parts(rs: RootSystem, lam: Weight, s) -> tuple[list, np.ndarra
     """The continued character at exp(iY), Y = sum_i s_i w_i dominant (on a
     torus any s = Y), s one array per axis, arrays that broadcast: (log_scales,
     T), chi = T e^{sum_i log_scales[i]}, log_scales[i] = <lam*, w_i> s_i.  T in
-    [1, dim lam] is the sum of positive terms over the largest: 1 on a torus;
-    H_n(e^{-s_1}) = sum_{j<=n} e^{-j s_1}, by Horner's rule, on A1 at lam =
-    (n); _branching_mantissa(p, q, e^{-s_2}, e^{-s_1}) on A2 at lam = (p, q),
-    Y's sorted eigen-coordinates having the gaps s_1 and s_2."""
+    [1, dim lam] is the polynomial of _weight_multiplicities in r = e^{-s_1}
+    and y = e^{-s_rank}, each read only where it has positive degree (on a
+    torus T = 1, and no exponential of s, which may overflow there)."""
     if not lam.is_dominant:
         raise ValueError("the continued character requires a dominant weight")
     log_scales = [k * x for k, x in zip(_log_scale_coefficients(rs, lam.dynkin), s)]
-    if rs.kind == "A1":
-        (n,), r = lam.dynkin, np.exp(-s[0])
-        return log_scales, reduce(lambda h, _: 1.0 + r * h, range(n), np.ones_like(r))
-    if rs.kind == "A2":
-        p, q = lam.dynkin
-        return log_scales, _branching_mantissa(p, q, np.exp(-s[1]), np.exp(-s[0]))
-    return log_scales, np.ones(np.broadcast_shapes(*(np.shape(x) for x in s)))
+    m = _weight_multiplicities(rs, lam.dynkin)
+    rows, cols = m.shape
+    y = np.exp(-s[-1]) if cols > 1 else s[-1]
+    r = np.exp(-s[0]) if rows > 1 else None
+    return log_scales, _mantissa(_last_axis_polynomials(m, y), r)
 
 
 def _dominant_coordinates(rs: RootSystem, c: np.ndarray) -> list[np.ndarray]:

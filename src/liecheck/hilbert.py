@@ -141,28 +141,44 @@ def _log_sum(logs) -> float:
 
 def _chamber_parts(q, lam: Weight, scale: float, width: float, p: int):
     """The integrand of _character_integral on the chamber rule q: a map
-    from a slab's simple-root coordinates s to (exponent, mantissa), the
-    value being mantissa * e^exponent; eta is skipped at p = 0.
+    from a slab's rows to (exponent, mantissa), the value being mantissa *
+    e^exponent; eta is skipped at p = 0.
 
     The character is chars._chamber_char_parts at scale s, -|Y|^2/width is
     -s^T G s / width (G = <w_i, w_j>), and eta's roots pair with scale Y / 2
-    at scale/2 times sum_i c_i s_i.  What depends on one s_i is formed once
-    per axis point; per node come only the mantissa's sums, the cross terms
-    s_i s_j, log sinhc of the non-simple roots and one exponential.
+    at scale/2 times sum_i c_i s_i.  Every term of one s_i is formed once
+    per integral on q.axis and laid out on each slab
+    (ChamberQuadrature.lay_out): the log-scale, the Gaussian diagonal and
+    the simple roots' p log sinhc, summed into one term per axis, and the
+    mantissa's last-axis polynomials Q_k1(y) (chars._last_axis_polynomials).
+    A slab adds only the cross terms s_i s_j, the non-simple roots' log
+    sinhc, and the mantissa by Horner's rule in r = e^{-scale s_1}
+    (chars._mantissa).
     """
-    rs = q.rs
+    rs, x = q.rs, q.axis
     g = (rs.cartan_adjugate / (rs.cartan_det * width)).tolist()
-    cross = [(i, j, 2.0 * g[i][j]) for i, j in combinations(range(rs.rank), 2)]
+    scaled, half = scale * x, scale / 2.0 * x
+    axis_terms = [k * scaled - g[i][i] * x * x
+                  for i, k in enumerate(chars._log_scale_coefficients(rs, lam.dynkin))]
+    if p:
+        simple = p * chars.log_eta([half])
+        axis_terms = [a + simple for a in axis_terms]
+    cross = [(i, j, 2.0 * g[i][j] * x) for i, j in combinations(range(rs.rank), 2)]
+    # e^{-scale s} on the axis: y on the last axis, r on the leading one
+    decay = np.exp(-scaled)
+    polys = chars._last_axis_polynomials(chars._weight_multiplicities(rs, lam.dynkin), decay)
 
-    def parts(coords):
-        log_scales, mantissa = chars._chamber_char_parts(rs, lam, [scale * s for s in coords])
-        exponent = reduce(np.add, [u - g[i][i] * s * s
-                                   for i, (u, s) in enumerate(zip(log_scales, coords))])
-        for i, j, gij in cross:
-            exponent -= coords[i] * (gij * coords[j])
-        if p:
-            exponent += p * chars.log_eta(simple_root_pairings(rs, [scale / 2.0 * s for s in coords]))
-        return exponent, mantissa
+    def parts(rows):
+        coords = q.coordinates(rows)
+        # a new array at rank 2, where the slab adds to it; at rank 1 a view
+        # of the axis term, which nothing below writes
+        exponent = reduce(np.add, q.lay_out(rows, axis_terms))
+        for i, j, gx in cross:
+            exponent -= coords[i] * q.lay_out(rows, [gx] * rs.rank)[j]
+        if p and rs.rank > 1:
+            halves = q.lay_out(rows, [half] * rs.rank)
+            exponent += p * chars.log_eta(simple_root_pairings(rs, halves)[rs.rank:])
+        return exponent, chars._mantissa(polys, q.lay_out(rows, [decay] * rs.rank)[0])
 
     return parts
 
@@ -201,13 +217,15 @@ def _character_integral(
     q = build_chamber_quadrature(rs, width, order, mu_norm)
     parts = _chamber_parts(q, lam, scale, width, p)
 
-    def f(coords):
-        exponent, mantissa = parts(coords)
+    def f(rows):
+        exponent, mantissa = parts(rows)
         peak = exponent.max()
         if peak > LOG_FLOAT_MAX:
             raise ValueError(f"{NON_FINITE_VALUES}: the integrand reaches "
                              f"e^{peak:.6g}, past the largest float")
-        return np.multiply(mantissa, np.exp(exponent, out=exponent), out=exponent).reshape(-1)
+        value = np.exp(exponent)
+        value *= mantissa
+        return value.reshape(-1)
 
     # w * f and the sum may pass the largest float where every node is
     # finite: that ends in the ValueError below, not in numpy's warnings
@@ -215,8 +233,8 @@ def _character_integral(
         value = float(haar_mean(f, q)[0])
     if not np.isfinite(value):
         slab_logs = []
-        for coords, w in q.slabs():
-            exponent, mantissa = parts(coords)
+        for rows, w in q.slabs():
+            exponent, mantissa = parts(rows)
             slab_logs.append(_log_sum(np.log(w) + (np.log(mantissa) + exponent).reshape(-1)))
         raise ValueError(f"{NON_FINITE_VALUES}: the weighted sum e^{_log_sum(slab_logs):.6g} "
                          f"passes the largest float")

@@ -418,13 +418,13 @@ def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray, np.ndarray | None
 
 
 # Points per block of _evaluate_blocks for points held in arrays.  The
-# temporaries of the widest integrands, the term arrays of the A2
-# characters, then stay near a 2 MB L2 cache: on a 2-vCPU x86_64 host,
-# 8192 and 16384 points were fastest and 32768 spilled (CHANGES.md).  The
-# chamber rules hand over slabs of about 4096 points instead
-# (quadrature._SLAB).  4096 here, for every integrand, took the benchmark's
-# constants-sweep from 0.91 to 0.82 s but its a2-verify from 0.41 to
-# 0.44 s (medians of 3 pairs of 10 s runs on the same host).
+# temporaries of the widest integrands, the A2 characters' last-axis
+# polynomials (p + q + 1 arrays of the block), then stay near a 2 MB L2
+# cache: on a 2-vCPU x86_64 host, 8192 and 16384 points were fastest and
+# 32768 spilled (CHANGES.md).  The chamber rules hand over slabs of their
+# own (quadrature._SLAB).  4096 here, for every integrand, took the
+# benchmark's constants-sweep from 0.91 to 0.82 s but its a2-verify from
+# 0.41 to 0.44 s (medians of 3 pairs of 10 s runs on the same host).
 _BLOCK = 16_384
 
 
@@ -434,9 +434,9 @@ def _evaluate_blocks(f, points, weights=None) -> np.ndarray:
 
     points is an array, or a tuple of arrays sliced in step along axis 0,
     taken _BLOCK points at a time; or a rule that hands over its points and
-    weights itself, len(points) in all, as the (coordinates, weights) slabs
-    of points.slabs() (quadrature.ChamberQuadrature), f receiving a slab's
-    coordinates and returning its (n,) values.  f receives one block of
+    weights itself, len(points) in all, as the (rows, weights) slabs of
+    points.slabs() (quadrature.ChamberQuadrature), f receiving a slab's
+    rows and returning its (n,) values.  f receives one block of
     each array and must be pointwise: value k of its result depends on
     point k alone, so the blocks give f(points) bit for bit, and w * f
     (weights along axis 0) has the bits of weights * f(points).  One block
@@ -444,7 +444,7 @@ def _evaluate_blocks(f, points, weights=None) -> np.ndarray:
     """
     if hasattr(points, "slabs"):
         n = len(points)
-        blocks = (((coords,), w) for coords, w in points.slabs())
+        blocks = (((rows,), w) for rows, w in points.slabs())
     else:
         arrays = points if isinstance(points, tuple) else (points,)
         n = len(arrays[0])

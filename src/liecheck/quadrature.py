@@ -62,8 +62,13 @@ _INVARIANT_DEGREES = {"A1": (2,), "A2": (2, 3)}
 
 # Points per slab of a chamber rule, to whole grid rows: the integrand's
 # temporaries on a slab stay in the heap the allocator reuses (see
-# models._BLOCK for the blocks of every other integrand)
-_SLAB = 4096
+# models._BLOCK for the blocks of every other integrand).  A slab of the
+# character integrals forms only its cross terms, non-simple roots and
+# mantissa, so its fixed cost (about 0.1 ms) weighs more than its
+# temporaries: on a 2-vCPU x86_64 host, the benchmark's constants-sweep
+# report_s was 0.354 s at 4096 and 0.284 s at 8192 (medians of 5
+# alternating pairs of 10 s runs), and an order-96 A2 rule is one slab
+_SLAB = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,13 +79,15 @@ class ChamberQuadrature:
     coordinates s_i = <alpha_i, Y>: Gauss-Legendre on [0, R / |w_1|], its
     weights times s^2 (the simple roots' share of the density), or
     torus_axis_rule.  slabs() yields a slab of whole grid rows at a time, in
-    the C order of the grid: its coordinates, one array per axis that
-    broadcast to the slab, and its weights (n,), positive.  cartan() maps
-    coordinates to Cartan nodes (n, rank), strictly dominant; nodes and
-    weights are the whole rule, built on demand.  The weights contain the
-    density prod <alpha, Y>^2, the Jacobian of the coordinates and the
-    factor volume (flag_volume(rs)), so that sum(weights * f(nodes))
-    approximates the integral of an Ad-invariant f over the whole algebra.
+    the C order of the grid: its rows, a slice, and its weights (n,),
+    positive.  lay_out() puts per-axis terms, formed once on the axis, on a
+    slab as its coordinates() are: one array per axis that broadcast to
+    the slab.  cartan() maps coordinates to Cartan nodes (n, rank),
+    strictly dominant; nodes and weights are the whole rule, built on
+    demand.  The weights contain the density prod <alpha, Y>^2, the
+    Jacobian of the coordinates and the factor volume (flag_volume(rs)), so
+    that sum(weights * f(nodes)) approximates the integral of an
+    Ad-invariant f over the whole algebra.
     """
 
     rs: RootSystem
@@ -102,7 +109,8 @@ class ChamberQuadrature:
         return len(self.axis) ** (self.rs.rank - 1)
 
     def slabs(self):
-        """(coordinates, weights) of consecutive slabs of about _SLAB points.
+        """(rows, weights) of consecutive slabs of about _SLAB points, rows
+        the slice of grid rows a slab holds.
 
         The rows are split as evenly as whole rows allow into round(n /
         _SLAB) slabs, at least one and at most one per row, so no slab is a
@@ -111,9 +119,28 @@ class ChamberQuadrature:
         """
         count = min(self.rows, max(1, round(len(self) / _SLAB)))
         for k in range(count):
-            lo, hi = self.rows * k // count, self.rows * (k + 1) // count
-            coords, raw = _chamber_nodes_raw(self, lo, hi)
-            yield coords, self.volume * raw
+            rows = slice(self.rows * k // count, self.rows * (k + 1) // count)
+            yield rows, self.volume * _chamber_weights_raw(self, rows)
+
+    def lay_out(self, rows: slice, values) -> list[np.ndarray]:
+        """Per-axis terms on the slab of grid rows `rows`: values[i] (m,)
+        holds axis i's term at each axis point; it becomes a column at the
+        rows' indices of axis i for a leading axis (on rank 2 a view, the
+        rows being those indices), a row for the last, and the arrays
+        broadcast to the slab."""
+        rank = self.rs.rank
+        if rank == 1:
+            lead = ()
+        elif rank == 2:
+            lead = (rows,)
+        else:
+            grid = (len(self.axis),) * (rank - 1)
+            lead = np.unravel_index(np.arange(rows.start, rows.stop), grid)
+        return [*(v[i][:, None] for v, i in zip(values, lead)), values[-1][None, :]]
+
+    def coordinates(self, rows: slice) -> list[np.ndarray]:
+        """The simple-root coordinates of a slab, one array per axis."""
+        return self.lay_out(rows, [self.axis] * self.rs.rank)
 
     def cartan(self, coords) -> np.ndarray:
         """The Cartan nodes (n, rank), sum_i s_i w_i, of a slab's coordinates:
@@ -125,11 +152,11 @@ class ChamberQuadrature:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.cartan(_chamber_nodes_raw(self, 0, self.rows)[0])
+        return self.cartan(self.coordinates(slice(0, self.rows)))
 
     @property
     def weights(self) -> np.ndarray:
-        return self.volume * _chamber_nodes_raw(self, 0, self.rows)[1]
+        return self.volume * _chamber_weights_raw(self, slice(0, self.rows))
 
 
 def default_order(rank: int) -> int:
@@ -156,24 +183,20 @@ def _tensor_rule(*rules):
     return nodes, reduce(np.multiply.outer, [w for _, w in rules]).reshape(-1)
 
 
-def _chamber_nodes_raw(q: ChamberQuadrature, lo: int, hi: int):
-    """Simple-root coordinates and weights, without the volume factor, of
-    grid rows lo to hi - 1 of q.
+def _chamber_weights_raw(q: ChamberQuadrature, rows: slice) -> np.ndarray:
+    """Weights (n,), without the volume factor, of the grid rows `rows` of q.
 
-    The coordinates are one array per axis, broadcasting to the slab: a
-    column per leading axis (unravelled from the row index), the last axis
-    a row.  The weights are the outer product of the axis weights, times
-    (sum_i c_i s_i)^2 for each non-simple positive root: the same
-    elementwise expression at every point, so a slab has the bits of its
-    points in the whole grid.
+    The outer product of the axis weights, laid out as the coordinates are
+    (ChamberQuadrature.lay_out), times (sum_i c_i s_i)^2 for each
+    non-simple positive root: the same elementwise expression at every
+    point, so a slab has the bits of its points in the whole grid.
     """
-    x, w, rank = q.axis, q.axis_weights, q.rs.rank
-    lead = np.unravel_index(np.arange(lo, hi), (len(x),) * (rank - 1)) if rank > 1 else ()
-    coords = (*(x[i][:, None] for i in lead), x[None, :])
-    raw = np.multiply.outer(reduce(np.multiply, [w[i] for i in lead], np.ones(hi - lo)), w)
+    rank = q.rs.rank
+    coords, w = q.coordinates(rows), q.lay_out(rows, [q.axis_weights] * rank)
+    raw = reduce(np.multiply, w[:-1], np.ones((rows.stop - rows.start, 1))) * w[-1]
     for pairing in simple_root_pairings(q.rs, coords)[rank:]:
         raw *= pairing * pairing
-    return coords, raw.reshape(-1)
+    return raw.reshape(-1)
 
 
 def torus_axis_rule(t: float, order: int, target_mu_norm: float):
@@ -197,8 +220,9 @@ def flag_volume(rs: RootSystem) -> float:
 
     For Ad-invariant f, the integral of f over the whole algebra is V times
     the integral over the chamber, in the simple-root coordinates s of
-    _chamber_nodes_raw, of prod_alpha <alpha, Y>^2 f(Y).  Mehta's integral
-    (Macdonald's conjecture at k = 1) gives the Gaussian case exactly:
+    ChamberQuadrature.coordinates, of prod_alpha <alpha, Y>^2 f(Y).
+    Mehta's integral (Macdonald's conjecture at k = 1) gives the Gaussian
+    case exactly:
 
         integral over t of prod_alpha <alpha, x>^2 e^{-|x|^2} dx
             = pi^(r/2) prod_i d_i! prod_alpha |alpha|^2 / 4,
@@ -265,17 +289,18 @@ def integrate_invariant(q: ChamberQuadrature, f) -> float:
     """Integrate an Ad-invariant function over the algebra.
 
     f receives Cartan nodes of shape (n, rank), one slab of the rule at a
-    time (ChamberQuadrature.slabs, mapped by ChamberQuadrature.cartan), and
-    must return (n,) values, each depending on its own node alone; the
-    caller is responsible for Ad-invariance of the integrand it represents.
+    time (ChamberQuadrature.slabs, its coordinates mapped by
+    ChamberQuadrature.cartan), and must return (n,) values, each depending
+    on its own node alone; the caller is responsible for Ad-invariance of
+    the integrand it represents.
     models.haar_mean writes the products w * f of every slab into one array
     and sums it once, so the value has the bits of sum(q.weights *
     f(q.nodes)).  A non-finite value raises ValueError at the slab where it
     appears.
     """
 
-    def checked(coords):
-        Y = q.cartan(coords)
+    def checked(rows):
+        Y = q.cartan(q.coordinates(rows))
         vals = np.asarray(f(Y), dtype=float)
         if vals.shape != (len(Y),):
             raise ValueError("integrand must return one value per node")

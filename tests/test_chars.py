@@ -288,18 +288,38 @@ def test_char_holo_of_a_point_alone_equals_it_inside_a_batch(a1, a2, t2):
 
 
 def test_branching_mantissa_broadcasts_bit_for_bit(a2):
-    # the chamber rules call the mantissa with y a row and r a column, the
-    # scattered points with 1-D y and r: one evaluator, the same bits
+    # the chamber rules form the last axis's polynomials once, y a row, and
+    # run Horner's rule in r, a column, on each slab; scattered points run
+    # both on flat y and r: one evaluator, the same bits
     rng = np.random.default_rng(17)
     y = np.concatenate([[1.0, 1e-300], rng.uniform(1e-9, 1.0, 35)])
     r = np.concatenate([[1.0, 1e-300], rng.uniform(1e-9, 1.0, 21)])
     flat_y, flat_r = (a.ravel() for a in np.broadcast_arrays(y[None, :], r[:, None]))
     for lam in enumerate_dominant(a2, 8):
-        p, q = lam.dynkin
-        # at (0, 0) the mantissa is 1 of r's shape, which broadcasts
-        grid = np.broadcast_to(chars._branching_mantissa(p, q, y[None, :], r[:, None]),
+        m = chars._weight_multiplicities(a2, lam.dynkin)
+        # at (0, 0) the mantissa is 1 of y's shape, which broadcasts
+        grid = np.broadcast_to(chars._mantissa(chars._last_axis_polynomials(m, y), r[:, None]),
                                (len(r), len(y)))
-        assert np.array_equal(grid.ravel(), chars._branching_mantissa(p, q, flat_y, flat_r))
+        flat = chars._mantissa(chars._last_axis_polynomials(m, flat_y), flat_r)
+        assert np.array_equal(grid.ravel(), flat)
+
+
+def test_weight_multiplicities_count_the_gelfand_tsetlin_patterns(a1, a2):
+    # m[k1, k2] is the number of basis states whose monomial is e^{-k1 s_1 -
+    # k2 s_2} times the largest, at Y = s_1 w_1 + s_2 w_2 (A1: m[0, k], e^{-k
+    # s_1}); the closed form on A2, ones on A1, exactly, and dim lam in all
+    for rs in (a1, a2):
+        a = rs.fundamental_weights @ CARTAN_EIGEN_EMBED[rs.kind]
+        for dynkin in np.ndindex(*(11,) * rs.rank):
+            lam = weight(rs, dynkin)
+            pairings = np.asarray(_gt_weight_vectors(rs.kind, dynkin), float) @ a.T
+            k = np.rint(pairings - pairings.min(axis=0)).astype(int)
+            assert np.allclose(pairings - pairings.min(axis=0), k, rtol=0.0, atol=1e-9)
+            m = chars._weight_multiplicities(rs, dynkin)
+            counts = np.zeros(m.shape)
+            np.add.at(counts, tuple(k.T) if rs.rank == 2 else (0, k[:, 0]), 1)
+            assert np.array_equal(m, counts), dynkin
+            assert m.sum() == dimension(rs, lam)
 
 
 def test_chamber_char_parts_match_the_oracle_next_to_the_walls(a1, a2, t2):

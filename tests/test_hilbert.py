@@ -225,6 +225,26 @@ def test_a2_chamber_route_matches_the_pointwise_integrand(a1, a2, t):
                         assert abs(got - want) <= 1e-13 * want, (rs.kind, lam.dynkin, order, scale, p)
 
 
+@pytest.mark.parametrize("kind", ["A1", "A2"])
+def test_character_integral_has_the_same_bits_for_any_slab_partition(kind, monkeypatch):
+    # the per-axis terms are formed once per integral and sliced per slab:
+    # one grid row per slab, uneven slabs of 5 to 11 rows, the default
+    # slabs and the whole grid in one slab give the same bits, at even and
+    # odd orders
+    rs = build_root_system(kind)
+    default = quadrature._SLAB
+    for dynkin in [(0,) * rs.rank, (2,) * rs.rank, (3, 1)[:rs.rank]]:
+        lam = weight(rs, dynkin)
+        r = np.linalg.norm(lam.coords + rs.rho)
+        for order in (96, 97, 192):
+            for p in (0, 1, 2):
+                values = []
+                for slab in (1, 1000, default, 10**9):
+                    monkeypatch.setattr(quadrature, "_SLAB", slab)
+                    values.append(hilbert._character_integral(rs, lam, 2.0, 1.0, order, p, 2.0 * r))
+                assert len(set(values)) == 1, (dynkin, order, p, values)
+
+
 @pytest.mark.parametrize("group, order", [("T1", 64), ("T2", 96), ("T3", 16)])
 def test_torus_product_route_equals_the_tensor_grid_sum(group, order):
     rs = build_root_system(group)
@@ -253,7 +273,7 @@ def test_torus_rows_never_build_the_tensor_grid(t2, monkeypatch):
 
     for module, name in ((hilbert, "build_chamber_quadrature"),
                          (quadrature, "build_chamber_quadrature"),
-                         (quadrature, "_chamber_nodes_raw")):
+                         (quadrature, "_chamber_weights_raw")):
         monkeypatch.setattr(module, name, no_grid)
     lam = weight(t2, (3, 4))
     row = constants_row(t2, lam, 1.0, 96)

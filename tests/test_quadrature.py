@@ -335,7 +335,7 @@ def _a2_weylint_integrand(a2, su3, tg, ts):
 def test_blocked_rule_and_monte_carlo_equal_whole_array_references(a2, t2, su3):
     B = models._BLOCK
     # a T2 character times a Gaussian on the order-192 rule: 384^2 nodes in
-    # 36 slabs of 10 or 11 rows of 384
+    # 18 slabs of 21 or 22 rows of 384
     lam = weight(t2, (3, 2))
     mu = 2.0 * np.linalg.norm(lam.coords + t2.rho)
     q = build_chamber_quadrature(t2, 1.0, 192, mu)
@@ -347,7 +347,7 @@ def test_blocked_rule_and_monte_carlo_equal_whole_array_references(a2, t2, su3):
     val = integrate_invariant(q, _counted(f, calls))
     assert val == float(np.sum(q.weights * f(q.nodes)))
     assert calls == [len(w) for _, w in q.slabs()]
-    assert len(calls) == 36 and set(calls) == {10 * 384, 11 * 384}
+    assert len(calls) == 18 and set(calls) == {21 * 384, 22 * 384}
     # 10^5 SU(3) samples: one draw, the integrand on 6 blocks of B and 1696
     n, seed, ts = 100_000, 77, 0.7
     g = _a2_weylint_integrand(a2, su3, 0.35, ts)
@@ -362,7 +362,7 @@ def test_blocked_rule_and_monte_carlo_equal_whole_array_references(a2, t2, su3):
 
 
 def test_non_finite_value_in_the_last_block_raises(t2):
-    # 36 slabs of 10 or 11 rows of 384 nodes
+    # 18 slabs of 21 or 22 rows of 384 nodes
     q = build_chamber_quadrature(t2, 1.0, 192)
     last = q.nodes[-1]
     seen = []
@@ -374,7 +374,7 @@ def test_non_finite_value_in_the_last_block_raises(t2):
 
     with pytest.raises(ValueError, match="non-finite"):
         integrate_invariant(q, f)
-    assert seen == [False] * 35 + [True]
+    assert seen == [False] * 17 + [True]
 
 
 @pytest.mark.parametrize("kind", ["A1", "A2", "T1", "T2", "T3"])
@@ -396,8 +396,8 @@ def test_slab_sums_equal_the_whole_grid_sum_bit_for_bit(kind):
 
 
 def test_non_finite_value_in_a_middle_slab_raises(a2):
-    # order 192: 9 slabs of 21 or 22 rows of 192 nodes; a NaN in row 100,
-    # which slab 4 (rows 85 to 105) holds
+    # order 192: 4 slabs of 48 rows of 192 nodes; a NaN in row 100, which
+    # slab 2 (rows 96 to 143) holds
     q = build_chamber_quadrature(a2, 1.0, 192)
     bad = q.nodes[100 * 192 + 7]
     seen = []
@@ -409,19 +409,21 @@ def test_non_finite_value_in_a_middle_slab_raises(a2):
 
     with pytest.raises(ValueError, match="non-finite"):
         integrate_invariant(q, f)
-    assert seen == [False] * 4 + [True]
+    assert seen == [False] * 2 + [True]
 
 
 def test_chamber_integral_memory_grows_by_one_array_of_the_rule(a2):
     # Traced peak of one A2 C integral at lam = (6, 6): doubling the order
-    # adds 192^2 - 96^2 nodes, and the peak may grow by 1.5 float64 a node
-    # (the one array of products w * f), not by whole-grid temporaries
+    # adds 384^2 - 192^2 nodes, and the peak may grow by 1.5 float64 a node
+    # (the one array of products w * f), not by whole-grid temporaries.
+    # Both rules come in several slabs; an order-96 rule is one slab, whose
+    # products are f's own result, with no array of the rule beside it
     from liecheck.hilbert import _character_integral
 
     lam = weight(a2, (6, 6))
     mu = 2.0 * np.linalg.norm(lam.coords + a2.rho)
     peaks = {}
-    for order in (96, 192):
+    for order in (192, 384):
         _character_integral(a2, lam, 2.0, 1.0, order, 1, mu)  # warm the caches
         tracemalloc.start()
         try:
@@ -429,7 +431,7 @@ def test_chamber_integral_memory_grows_by_one_array_of_the_rule(a2):
             peaks[order] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[192] - peaks[96] <= 1.5 * 8 * (192**2 - 96**2), peaks
+    assert peaks[384] - peaks[192] <= 1.5 * 8 * (384**2 - 192**2), peaks
 
 
 def test_monte_carlo_average_peak_allocation_is_bounded_by_the_block(a2, su3):
