@@ -650,10 +650,10 @@ def suite_bks(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckRo
     cross = hilbert.bks_bracket(phi, fourier.character_series("A1", (1,), "L2K", t), "spectral")
     rows.append(det_row("bks/spectral-orthogonality", abs(cross.value), 0.0, 1e-15))
     for n in (0, 1, 2):
-        cid = f"bks/spectral-vs-integral-{n}"
-        spec, integ = character_pairing(
-            n, t, MonteCarlo(max(2000, cfg.mc_samples // 50), _seed_for(cfg, cid)))
-        rows.append(stat_row(cid, integ.value, spec.value, integ.stderr))
+        (spec, exact), (_, doubled) = (character_pairing(n, t, HaarSU2(d)) for d in (2 * n, 4 * n))
+        rows.append(det_row(f"bks/spectral-vs-integral-{n}", abs(exact.value), abs(spec.value),
+                            max(cfg.tolerance, 1e-12),
+                            haar_su2_note(exact.value, doubled.value, 2 * n)))
     cid = "bks/spectral-vs-integral-random"
     rng = _rng_for(cfg, cid)
     phi_r = random_series("A1", "HL2", t, [(0,), (1,), (2,)], rng)

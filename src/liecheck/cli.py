@@ -52,11 +52,11 @@ class RunConfig:
     format: str = "json"
 
     def validate(self) -> str | None:
-        if self.group not in ("A1", "A2") and not (
-            self.group.startswith("T") and self.group[1:].isdigit() and int(self.group[1:]) >= 1
-        ):
+        try:
+            rs = build_root_system(self.group)
+        except ValueError:
             return f"unknown group {self.group!r} (expected A1, A2, or T<n>)"
-        if self.group.startswith("T") and int(self.group[1:]) > 2:
+        if rs.rank > 2:
             return "torus rank > 2 makes the tensor quadrature grid impractical"
         if self.t <= 0:
             return "t must be positive"

@@ -28,7 +28,7 @@ __all__ = [
     "weight_inner",
 ]
 
-_TORUS_RE = re.compile(r"^T(\d+)$")
+_TORUS_RE = re.compile(r"T([1-9][0-9]?)\Z")  # ranks 1 to 99 in ASCII digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +123,8 @@ def _weyl_closure(generators: list[np.ndarray], rank: int):
 
 @lru_cache(maxsize=None)
 def build_root_system(kind: str) -> RootSystem:
-    """Construct the root data for "A1", "A2", or "T<n>".
+    """Construct the root data for "A1", "A2", or "T<n>", 1 <= n <= 99, so
+    that any name it accepts builds small arrays; ValueError for any other.
 
     The roots and fundamental weights are written out; the constants of the
     simple-root coordinates follow, each rounded to its exact value.  The
@@ -144,7 +145,7 @@ def build_root_system(kind: str) -> RootSystem:
         fundamental = np.array([w1, w2])
     else:
         m = _TORUS_RE.match(kind)
-        if not m or int(m.group(1)) < 1:
+        if not m:
             raise ValueError(f"unsupported root-system kind: {kind!r}")
         n = int(m.group(1))
         mats = np.eye(n)[None, :, :]

@@ -4,7 +4,7 @@
 At every point each command ends one of three ways, and this module
 asserts which: exit 0 with strict JSON and no failed row; exit 1 (verify
 only) with strict JSON whose summary counts its failed rows, each an
-error row or a row of KNOWN_FAILURES; or exit 2 (constants only) with
+error row; or exit 2 (constants only) with
 "error: constants at weight" on stderr and no output file.  No run may
 raise or emit a RuntimeWarning.  tests/test_cli.py runs REDUCED_GRID;
 
@@ -22,7 +22,6 @@ import json
 import sys
 import tempfile
 import warnings
-from fnmatch import fnmatch
 from pathlib import Path
 
 from liecheck.cli import main
@@ -30,25 +29,12 @@ from liecheck.cli import main
 FULL_GRID = (("A1", "A2", "T1", "T2"), (1e-6, 1e-3, 0.05, 1.0, 5.0, 50.0), (0, 4, 10))
 REDUCED_GRID = (("A1", "A2", "T2"), (1e-3, 1.0, 5.0), (0, 4))
 
-# rows that fail although their identity holds, with the least t at which
-# they do: the fixed 20-point Hermite grid of hilbert._BKS_HERMITE_ORDER
-# (CHANGES.md lists them until they are mended)
-KNOWN_FAILURES = {
-    ("A1", "lemma64/pointwise-transform"): 5.0,
-    ("A1", "bks/spectral-vs-integral-*"): 50.0,
-}
-
 
 def _strict_json(text: str):
     def reject(name):
         raise ValueError(f"non-finite constant {name}")
 
     return json.loads(text, parse_constant=reject)
-
-
-def _is_known(group: str, t: float, check_id: str) -> bool:
-    return any(group == g and fnmatch(check_id, pattern) and t >= since
-               for (g, pattern), since in KNOWN_FAILURES.items())
 
 
 def run_point(group: str, t: float, level: int, out_dir: Path) -> list[str]:
@@ -90,8 +76,7 @@ def run_point(group: str, t: float, level: int, out_dir: Path) -> list[str]:
         if code != (1 if failed else 0) or result["summary"]["failed"] != len(failed):
             problems.append(f"{where}: exit {code}, summary.failed "
                             f"{result['summary']['failed']}, {len(failed)} failed rows")
-        problems += [f"{where}: unknown failed row {c['check_id']}" for c in failed
-                     if c["kind"] != "error" and not _is_known(group, t, c["check_id"])]
+        problems += [f"{where}: failed row {c['check_id']}" for c in failed if c["kind"] != "error"]
     return problems
 
 

@@ -68,6 +68,15 @@ def test_invalid_config(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("group", ["T\u00b2", "T\u0661", "T1\n", "T100"])
+def test_a_malformed_or_too_large_torus_name_is_a_usage_error(capsys, group):
+    # T followed by a superscript two once raised from int() in the
+    # validation, and T followed by an Arabic-Indic one ran as T1
+    assert run(["verify", "--group", group, "--suite", "eta"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown group") and "Traceback" not in err
+
+
 def test_csv_report(tmp_path):
     out = tmp_path / "report.csv"
     assert run(["verify", "--suite", "unitarity", "--group", "T1",
@@ -241,6 +250,20 @@ def test_closed_form_overflow_raises_no_runtime_warning(tmp_path):
                     "--max-level", "20", "--out", str(tmp_path / "r.json")]) == 1
 
 
+def test_pairing_transform_at_large_t_ends_in_values_or_error_rows_without_a_warning(tmp_path):
+    # at t = 500 the pairing moment of label 2 has weights past the largest
+    # float; T_n is summed at e^{-rho} exp(iY), so no cosh or sinh overflows
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["verify", "--suite", "lemma64", "--group", "A1", "--t", "500",
+                    "--out", str(out)])
+    report = _strict_json(out.read_text())
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert code == (1 if failed else 0) and report["summary"]["failed"] == len(failed)
+    assert all(c["kind"] == "error" and c["note"] for c in failed)
+
+
 def test_transform_whose_constant_overflows_is_a_usage_error(tmp_path, capsys):
     # C at label 30 and t = 4 is e^1926: once a file of NaN with exit 0
     src = tmp_path / "series.json"
@@ -410,9 +433,6 @@ def test_a1_statistical_rows_and_haar_su2_rule_rows():
     assert report["summary"]["failed"] == 0
     checks = {c["check_id"]: c for c in report["checks"]}
     assert [c["check_id"] for c in report["checks"] if c["kind"] == "statistical"] == [
-        "bks/spectral-vs-integral-0",
-        "bks/spectral-vs-integral-1",
-        "bks/spectral-vs-integral-2",
         "bks/spectral-vs-integral-random",
         "convolution/mc-crosscheck",
         "fourier/coeff-diagonal",
@@ -421,10 +441,11 @@ def test_a1_statistical_rows_and_haar_su2_rule_rows():
         "plancherel/l2k-chi-norm",
         "weylint/mc-crosscheck-a1",
     ]
-    assert report["summary"]["statistical"]["k"] == 10
-    assert report["summary"]["statistical"]["false_alarm_prob"] == 0.0267
+    assert report["summary"]["statistical"]["k"] == 7
+    assert report["summary"]["statistical"]["false_alarm_prob"] == 0.0187
     rule = ["fourier/coeff-cross", "fourier/roundtrip", "convolution/integral-oracle",
-            "plancherel/l2k-bandlimited", "heat/convolution"]
+            "plancherel/l2k-bandlimited", "heat/convolution", "bks/spectral-vs-integral-0",
+            "bks/spectral-vs-integral-1", "bks/spectral-vs-integral-2"]
     for cid in rule:
         c = checks[cid]
         assert c["kind"] == "deterministic" and c["pass"] and c["sigma_distance"] is None

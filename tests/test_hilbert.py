@@ -389,10 +389,10 @@ def test_bks_spectral_vs_integral(su2):
             tol = 3 * integ.stderr + 1e-10 * abs(spec.value)
             assert abs(integ.value - spec.value) <= tol
             # the integrand has degree 2n in x, so the Haar rule of that
-            # degree leaves only the 20-point Hermite grid's error
+            # degree leaves only the error of the pairing moments
             rule = bks_bracket(phi, f, HaarSU2(2 * n))
             assert rule.stderr == 0.0
-            assert abs(rule.value - spec.value) <= 1e-9 * abs(spec.value)
+            assert abs(rule.value - spec.value) <= 1e-12 * abs(spec.value)
 
 
 def test_bks_integral_orthogonality(su2):
@@ -406,14 +406,14 @@ def test_pointwise_transform_is_d_times_character(a1, su2):
     # the integral transform of a character series is D * character, pointwise
     rng = np.random.default_rng(6)
     xs = haar_sample(su2, rng, 20)
-    for t in (0.5, 1.0):
+    for t in (0.5, 1.0, 5.0, 50.0):
         for n in (0, 1, 2):
             lam = weight(a1, (n,))
             phi = character_series("A1", (n,), "HL2", t)
             vals = bks_integral_transform(phi, su2, xs)
             target = d_constant(a1, lam, t) * su2_character(n, xs)
             rel = np.abs(vals - target) / np.abs(target)
-            assert rel.max() <= 1e-6
+            assert rel.max() <= 1e-6, (t, n, rel.max())
 
 
 def test_bks_route_errors(su2):

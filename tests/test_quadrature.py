@@ -8,7 +8,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
-from liecheck import chars, models
+from liecheck import chars, models, quadrature
 from liecheck.models import MonteCarlo, _gauss_rule, cartan_element, chamber_coordinates
 from liecheck.quadrature import (
     build_chamber_quadrature,
@@ -332,7 +332,14 @@ def _a2_weylint_integrand(a2, su3, tg, ts):
     return f
 
 
-def test_blocked_rule_and_monte_carlo_equal_whole_array_references(a2, t2, su3):
+@pytest.fixture
+def slab_8192(monkeypatch):
+    # the partitions these tests spell out are those of 8192-point slabs,
+    # whatever size quadrature._SLAB is tuned to
+    monkeypatch.setattr(quadrature, "_SLAB", 8192)
+
+
+def test_blocked_rule_and_monte_carlo_equal_whole_array_references(a2, t2, su3, slab_8192):
     B = models._BLOCK
     # a T2 character times a Gaussian on the order-192 rule: 384^2 nodes in
     # 18 slabs of 21 or 22 rows of 384
@@ -361,7 +368,7 @@ def test_blocked_rule_and_monte_carlo_equal_whole_array_references(a2, t2, su3):
     assert calls == [B] * 6 + [n - 6 * B]
 
 
-def test_non_finite_value_in_the_last_block_raises(t2):
+def test_non_finite_value_in_the_last_block_raises(t2, slab_8192):
     # 18 slabs of 21 or 22 rows of 384 nodes
     q = build_chamber_quadrature(t2, 1.0, 192)
     last = q.nodes[-1]
@@ -395,7 +402,7 @@ def test_slab_sums_equal_the_whole_grid_sum_bit_for_bit(kind):
         assert integrate_invariant(q, f) == float(np.sum(q.weights * f(q.nodes))), order
 
 
-def test_non_finite_value_in_a_middle_slab_raises(a2):
+def test_non_finite_value_in_a_middle_slab_raises(a2, slab_8192):
     # order 192: 4 slabs of 48 rows of 192 nodes; a NaN in row 100, which
     # slab 2 (rows 96 to 143) holds
     q = build_chamber_quadrature(a2, 1.0, 192)
@@ -412,7 +419,7 @@ def test_non_finite_value_in_a_middle_slab_raises(a2):
     assert seen == [False] * 2 + [True]
 
 
-def test_chamber_integral_memory_grows_by_one_array_of_the_rule(a2):
+def test_chamber_integral_memory_grows_by_one_array_of_the_rule(a2, slab_8192):
     # Traced peak of one A2 C integral at lam = (6, 6): doubling the order
     # adds 384^2 - 192^2 nodes, and the peak may grow by 1.5 float64 a node
     # (the one array of products w * f), not by whole-grid temporaries.

@@ -138,8 +138,11 @@ def test_rho_coroot_pairing(a1, a2):
 def test_errors():
     with pytest.raises(ValueError):
         build_root_system("B2")
-    with pytest.raises(ValueError):
-        build_root_system("T0")
+    # a torus rank is 1 to 99 in ASCII digits, with nothing after it
+    for kind in ("T0", "T01", "T100", "T\u00b2", "T\u0661", "T1\n"):
+        with pytest.raises(ValueError):
+            build_root_system(kind)
+    assert build_root_system("T99").rank == 99
     a1 = build_root_system("A1")
     with pytest.raises(ValueError):
         dimension(a1, weight(a1, (-1,)))
