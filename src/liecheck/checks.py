@@ -306,9 +306,13 @@ def pointwise_transform_deviation(rs: RootSystem, model: GroupModel, t: float, x
     independent of the irreducible matrices behind bks_integral_transform."""
     deviations = []
     for n in (0, 1, 2):
+        d = hilbert.d_constant(rs, weight(rs, (n,)), t)
+        if d < np.finfo(float).tiny:
+            raise ArithmeticError(f"D of label {n} at t = {t!r} is {d!r}, below the smallest "
+                                  "normal float: no relative deviation")
         phi = fourier.character_series("A1", (n,), "HL2", t)
         vals = hilbert.bks_integral_transform(phi, model, xs)
-        target = hilbert.d_constant(rs, weight(rs, (n,)), t) * su2_character(n, xs)
+        target = d * su2_character(n, xs)
         deviations.append(float((np.abs(vals - target) / np.abs(target)).max()))
     return worst(deviations)
 
@@ -499,12 +503,15 @@ def suite_lemma64(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> l
         rows.append(skip_row("lemma64/pointwise-transform",
                              "pointwise transform oracle needs SU2 irreducible matrices"))
         return rows
-    xs = haar_sample(model, _rng_for(cfg, "lemma64/pointwise-transform"), 20)
-    rows.append(det_row("lemma64/pointwise-transform",
-                        pointwise_transform_deviation(rs, model, cfg.t, xs), 0.0,
-                        max(cfg.tolerance, 1e-6),
-                        "max relative deviation of the integral transform from D * character "
-                        "over 20 Haar points"))
+    cid = "lemma64/pointwise-transform"
+    xs = haar_sample(model, _rng_for(cfg, cid), 20)
+    try:
+        rows.append(det_row(cid, pointwise_transform_deviation(rs, model, cfg.t, xs), 0.0,
+                            max(cfg.tolerance, 1e-6),
+                            "max relative deviation of the integral transform from D * "
+                            "character over 20 Haar points"))
+    except (ValueError, ArithmeticError) as exc:
+        rows.append(error_row(cid, str(exc)))
     return rows
 
 
@@ -696,13 +703,20 @@ def suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
     b = hilbert.transform_apply(heat.heat_multiplier_apply(hl2, t), "H")
     rows.append(det_row("heat/commutes-with-dictionary",
                         series_deviation(a.terms, b.terms, a.terms), 0.0, 1e-13))
-    cid = "heat/kernel-normalization"
-    xs, _ = haar_nodes(model, MonteCarlo(cfg.mc_samples // 2, _seed_for(cfg, cid)))
-    mean, sem = haar_mean(lambda x: heat.heat_kernel_eval(model, t, x)[0], xs, None)
-    rows.append(stat_row(cid, float(mean), 1.0, float(sem),
-                         "Haar integral of the kernel is 1"))
-    p_vals, _ = heat.heat_kernel_eval(model, t, xs[:100])
-    p_inv, _ = heat.heat_kernel_eval(model, t, np.conj(np.swapaxes(xs[:100], 1, 2)))
+    # the kernel heat_kernel_eval sums at its default cutoff: characters
+    # chi_n for n below this count
+    terms = len(heat._truncation(t, 1e-12)[0])
+    # p_t sin^2 phi is a cosine polynomial of degree terms + 1
+    degree = terms + 1
+    nodes = degree // 2 + 1
+    exact, doubled = (heat.heat_kernel_integral(model, t, m) for m in (nodes, 2 * nodes))
+    rows.append(det_row("heat/kernel-normalization", exact, 1.0, max(cfg.tolerance, 1e-12),
+                        f"Haar integral of the kernel is 1; Weyl integration formula, midpoint "
+                        f"rule in phi exact to degree {degree} ({nodes} nodes); "
+                        + doubling_note(doubled, exact, 2 * nodes)))
+    xs = haar_sample(model, _rng_for(cfg, "heat/kernel-symmetry"), 100)
+    p_vals, _ = heat.heat_kernel_eval(model, t, xs)
+    p_inv, _ = heat.heat_kernel_eval(model, t, np.conj(np.swapaxes(xs, 1, 2)))
     rows.append(det_row("heat/kernel-symmetry", float(np.abs(p_vals - p_inv).max()),
                         0.0, max(cfg.tolerance, 1e-10)))
     v1, _ = heat.heat_kernel_eval(model, t, np.eye(2), cutoff=1e-12)
@@ -710,9 +724,8 @@ def suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
     rows.append(det_row("heat/kernel-truncation", v1, v2, max(cfg.tolerance, 1e-10)))
     cid = "heat/convolution"
     ys = haar_sample(model, _rng_for(cfg, cid), 10)
-    # the truncated kernel is a sum of characters chi_n, each of degree n,
-    # for n below heat_kernel_eval's term count at its default cutoff
-    degree = len(heat._truncation(t, 1e-12)[0]) - 1 + _top_band(series)
+    # each chi_n of the kernel has degree n
+    degree = terms - 1 + _top_band(series)
     note = "spatial kernel convolution vs diagonal multiplier, max over 10 points"
     if HaarSU2(2 * degree).samples > cfg.mc_samples:
         # small t keeps so many kernel terms that the exact rule would cost

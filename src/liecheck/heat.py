@@ -22,6 +22,7 @@ __all__ = [
     "energy_eigenvalue",
     "heat_convolution_residual",
     "heat_kernel_eval",
+    "heat_kernel_integral",
     "heat_multiplier_apply",
 ]
 
@@ -107,6 +108,25 @@ def heat_kernel_eval(model: GroupModel, t: float, x, cutoff: float = 1e-12):
         total = total + (n + 1) * e * u
         u_prev, u = u, 2.0 * c * u - u_prev
     return (total if total.shape else float(total)), bound
+
+
+def heat_kernel_integral(model: GroupModel, t: float, nodes: int) -> float:
+    """Haar integral of heat_kernel_eval by the Weyl integration formula.
+
+    A class function f on SU(2) integrates as (2/pi) int_0^pi f(phi)
+    sin^2 phi dphi, f(phi) its value at diag(e^{i phi}, e^{-i phi}).  The
+    midpoint rule in phi, at phi_k = (k + 1/2) pi / nodes, integrates
+    cos(j phi) exactly for every j < 2 nodes.  The truncated kernel is
+    sum_n (n+1) e_n sin((n+1) phi) / sin phi, so f sin^2 phi is a cosine
+    polynomial of degree (kept terms + 1), and the rule is exact once
+    2 nodes exceeds it.  The sum goes through haar_mean.
+    """
+    phi = (np.arange(nodes) + 0.5) * (np.pi / nodes)
+    xs = np.zeros((nodes, 2, 2), complex)
+    xs[:, 0, 0], xs[:, 1, 1] = np.exp(1j * phi), np.exp(-1j * phi)
+    mean, _ = haar_mean(lambda x: heat_kernel_eval(model, t, x)[0], xs,
+                        (2.0 / nodes) * np.sin(phi) ** 2)
+    return float(mean)
 
 
 def heat_convolution_residual(

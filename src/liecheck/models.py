@@ -1,8 +1,8 @@
 """Concrete matrix models: su(2) and su(3) bases, Haar sampling, SU(2) irreps.
 
 The orthonormal algebra bases realize <X, Y> = -trace(XY) in the defining
-representation.  Haar samples of both groups are the Q of a Ginibre
-matrix z = QR with positive diag(R), in closed form from z's columns; on
+representation.  Haar samples of both groups are the first n - 1 columns
+of a Ginibre matrix, orthonormalised and completed to determinant 1; on
 SU(2) a product rule (HaarSU2) integrates polynomials in the matrix
 entries exactly up to a stated degree, and haar_mean averages a pointwise
 integrand over either scheme's points, block by block.  SU(3) is modelled
@@ -286,12 +286,12 @@ def chamber_coordinates(model: GroupModel, coords) -> np.ndarray:
     return np.stack([a @ u for u in CARTAN_EIGEN_EMBED["A2"]], axis=-1)
 
 
-# Rows per block of _special_unitary_factor: a block's Ginibre matrices and
+# Rows per block of _special_unitary_factor: a block's columns and
 # temporaries, a dozen complex arrays, then stay near a 2 MB L2 cache.  On a
-# 2-vCPU x86_64 host (numpy 2.4.6; medians of 15-21 runs, draws included)
-# haar_sample of 10^5 SU(3) elements took 97 ms in one block, 71-73 ms at
-# 4096 and 8192 rows and 85 ms at 16384; of 10^5 SU(2) elements 39 ms in
-# one block and 31-32 ms at 2048 to 16384 rows.
+# 2-vCPU x86_64 host (numpy 2.4.6; medians of 21 runs, draws included)
+# haar_sample of 10^5 SU(3) elements took 78-88 ms in one block and 46-57 ms
+# at 4096 to 16384 rows; of 10^5 SU(2) elements 15-17 ms in one block and
+# 11-14 ms at 4096 to 16384 rows.
 _HAAR_BLOCK = 8192
 
 
@@ -305,43 +305,49 @@ def _inner(u, v) -> np.ndarray:
     return sum(np.conj(a) * b for a, b in zip(u, v))
 
 
-def _su2_factor(z: np.ndarray, x: np.ndarray) -> None:
-    """Write into x (m, 2, 2) the SU(2) factor of the Ginibre matrices z."""
-    a, b = z[:, 0, 0], z[:, 1, 0]
-    det = a * z[:, 1, 1] - z[:, 0, 1] * b
-    w = np.exp(-0.5j * np.angle(det)) / _norm((a, b))
-    a, b = a * w, b * w
-    x[:, 0, 0], x[:, 1, 0], x[:, 0, 1], x[:, 1, 1] = a, b, -np.conj(b), np.conj(a)
+def _su2_factor(re: np.ndarray, im: np.ndarray, x: np.ndarray) -> None:
+    """Write into x (m, 2, 2) the SU(2) element whose first column is the
+    unit quaternion (a, b) = z_{.0} / |z_{.0}|, z = re + i im (m, 2, 1)."""
+    ar, ai, br, bi = re[:, 0, 0], im[:, 0, 0], re[:, 1, 0], im[:, 1, 0]
+    s = 1.0 / np.sqrt(ar * ar + ai * ai + br * br + bi * bi)
+    ar, ai, br, bi = ar * s, ai * s, br * s, bi * s
+    v = x.view(float)  # (m, 2, 4): re, im of column 0, then of column 1
+    v[:, 0, 0], v[:, 0, 1], v[:, 0, 2], v[:, 0, 3] = ar, ai, -br, bi
+    v[:, 1, 0], v[:, 1, 1], v[:, 1, 2], v[:, 1, 3] = br, bi, ar, -ai
 
 
-def _su3_factor(z: np.ndarray, x: np.ndarray) -> None:
-    """Write into x (m, 3, 3) the SU(3) factor of the Ginibre matrices z."""
-    c, out = np.moveaxis(z, 0, -1), np.moveaxis(x, 0, -1)  # [row, column, sample]
+def _su3_factor(re: np.ndarray, im: np.ndarray, x: np.ndarray) -> None:
+    """Write into x (m, 3, 3) the SU(3) element [q0, q1, conj(q0 x q1)] of
+    the columns z = re + i im (m, 3, 2)."""
+    # [row, column, sample]: each component one contiguous array
+    c = np.empty(re.shape[1:] + re.shape[:1], complex)
+    c.real, c.imag = np.moveaxis(re, 0, -1), np.moveaxis(im, 0, -1)
+    out = np.moveaxis(x, 0, -1)
     q0 = c[:, 0] / _norm(c[:, 0])
     q1 = c[:, 1]
     for _ in range(2):  # Gram-Schmidt twice
         q1 = q1 - _inner(q0, q1) * q0
     q1 = q1 / _norm(q1)
-    w = np.conj([q0[1] * q1[2] - q0[2] * q1[1],
-                 q0[2] * q1[0] - q0[0] * q1[2],
-                 q0[0] * q1[1] - q0[1] * q1[0]])
-    p = np.exp(-1j * np.angle(_inner(w, c[:, 2])) / 3.0)
-    out[:, 0], out[:, 1], out[:, 2] = p * q0, p * q1, np.conj(p) * np.conj(p) * w
+    out[:, 0], out[:, 1] = q0, q1
+    out[:, 2] = np.conj([q0[1] * q1[2] - q0[2] * q1[1],
+                         q0[2] * q1[0] - q0[0] * q1[2],
+                         q0[0] * q1[1] - q0[1] * q1[0]])
 
 
 def _special_unitary_factor(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The Haar factor x (m, n, n) of haar_sample for the Ginibre matrices
-    z = (re + i im) / sqrt 2, re and im (m, n, n).
+    """The Haar factor x (m, n, n) of haar_sample for the first n - 1
+    columns z = re + i im of Ginibre matrices, re and im (m, n, n - 1).
 
-    z is formed and factored _HAAR_BLOCK rows at a time, by elementwise
+    The columns are factored _HAAR_BLOCK rows at a time, by elementwise
     operations only, so row k of the result depends on z[k] alone, bit for
     bit.
     """
-    x = np.empty(re.shape, complex)
-    factor = _su2_factor if re.shape[-1] == 2 else _su3_factor
+    n = re.shape[-2]
+    x = np.empty((len(re), n, n), complex)
+    factor = _su2_factor if n == 2 else _su3_factor
     for lo in range(0, len(x), _HAAR_BLOCK):
         rows = slice(lo, lo + _HAAR_BLOCK)
-        factor((re[rows] + 1j * im[rows]) / SQRT2, x[rows])
+        factor(re[rows], im[rows], x[rows])
     return x
 
 
@@ -349,27 +355,33 @@ def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
     """Haar-distributed elements of SU(2) or SU(3).
 
     The Q of a Ginibre matrix z = QR with positive diag(R) is Haar on the
-    unitary group, and Q e^{-i arg(det Q)/n} Haar on the special unitary
-    group (Mezzadri, Notices AMS 54 (2007) 592).  As det R > 0, arg det Q
-    = arg det z.  So no QR is formed:
-      - SU(2) is fixed by its first column (a, b), x = [[a, -conj b],
-        [b, conj a]], and Q's first column is z's, normalised: (a, b) =
-        z_{.0} / |z_{.0}| e^{-i arg(det z)/2};
-      - on SU(3), Q's first two columns q0, q1 come from Gram-Schmidt run
-        twice (one pass loses orthogonality in proportion to eps cond(z)^2,
-        the second restores it; Giraud, Langou & Rozloznik, Numer. Math. 101
-        (2005)).  w = conj(q0 x q1) is the unit vector orthogonal to both
-        with det[q0, q1, w] = 1, so Q's last column is e^{i psi} w, where
-        e^{i psi} = det Q is the phase of <w, z_{.2}> (diag(R) > 0).  Then
-        x = [p q0, p q1, conj(p)^2 w] with p = e^{-i psi/3}.
-    Deterministic given the generator state, which draws the real parts of
-    z, then the imaginary parts; size=None gives one (n, n) matrix.
+    unitary group (Mezzadri, Notices AMS 54 (2007) 592), and the map
+    Q -> Q diag(1, ..., 1, conj det Q), which commutes with left
+    multiplication by SU(n), carries it to Haar measure on the special
+    unitary group.  Its value depends only on Q's first n - 1 columns,
+    which are z's, orthonormalised in order (the column-by-column
+    construction of Diaconis & Shahshahani, Prob. Eng. Inf. Sci. 1 (1987)
+    15).  So only those columns are drawn, and no QR or determinant is
+    formed:
+      - SU(2) is fixed by its first column, the unit quaternion (a, b) =
+        z_{.0} / |z_{.0}|: x = [[a, -conj b], [b, conj a]];
+      - on SU(3), q0 and q1 come from Gram-Schmidt run twice (one pass
+        loses orthogonality in proportion to eps cond(z)^2, the second
+        restores it; Giraud, Langou & Rozloznik, Numer. Math. 101 (2005)),
+        and the last column w = conj(q0 x q1) is the unit vector orthogonal
+        to both with det[q0, q1, w] = 1.
+    Deterministic given the generator state, which draws 2n(n - 1) normals
+    per sample: on SU(2) each sample's Re a, Im a, Re b, Im b in turn; on
+    SU(3) the real parts of every sample's two columns, (size, 3, 2), then
+    their imaginary parts.  size=None gives one (n, n) matrix.
     """
     rng = np.random.default_rng(rng)
-    n = model.defining_dim
-    shape = (1 if size is None else size, n, n)
-    re = rng.standard_normal(shape)
-    x = _special_unitary_factor(re, rng.standard_normal(shape))
+    n, m = model.defining_dim, 1 if size is None else size
+    if n == 2:
+        re, im = np.moveaxis(rng.standard_normal((m, 2, 1, 2)), -1, 0)
+    else:
+        re, im = rng.standard_normal((2, m, n, n - 1))
+    x = _special_unitary_factor(re, im)
     return x[0] if size is None else x
 
 
@@ -475,8 +487,9 @@ def haar_mean(f, points, weights=None) -> tuple[np.ndarray, np.ndarray]:
     of chars.orbital_average, the Monte-Carlo oracle
     quadrature.cartesian_oracle_integrate, the tridiagonal rule of
     quadrature.tridiagonal_rule, whose chamber images serve every
-    integrand of one Gaussian width, and the chamber rules of
-    quadrature.integrate_invariant, which come in slabs.  f is evaluated
+    integrand of one Gaussian width, the torus rule of the Weyl
+    integration formula in heat.heat_kernel_integral, and the chamber rules
+    of quadrature.integrate_invariant, which come in slabs.  f is evaluated
     block by block (see _evaluate_blocks), so points is an array, a tuple
     of arrays or a rule with slabs(), and the values may carry trailing
     axes.  No weights (Monte Carlo): the plain mean, and the standard error
@@ -486,7 +499,10 @@ def haar_mean(f, points, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """
     vals = _evaluate_blocks(f, points, weights)
     if weights is None and not hasattr(points, "slabs"):
-        sem = np.sqrt(vals.real.var(axis=0, ddof=1) + vals.imag.var(axis=0, ddof=1))
+        var = vals.real.var(axis=0, ddof=1)
+        if np.iscomplexobj(vals):  # a real array's imaginary variance is 0
+            var = var + vals.imag.var(axis=0, ddof=1)
+        sem = np.sqrt(var)
         return vals.mean(axis=0), sem / np.sqrt(len(vals))
     # numpy's own sum, in one fixed order: a BLAS dot splits the point
     # axis across its threads, and the last digits would follow their count

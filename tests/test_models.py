@@ -48,21 +48,31 @@ def su2_log_coords(xs):
     return np.sqrt(2.0) * phi[..., None] * axis
 
 
-def qr_positive(z):
-    """Reference Q of z = QR with positive diag(R): Householder QR, phase fix."""
-    q, r = np.linalg.qr(z)
-    d = np.einsum("...ii->...i", r)
-    return q * (d / np.abs(d))[..., None, :]
+def qr_complete(z):
+    """Reference SU(n) factor of the columns z (..., n, n - 1): Householder
+    QR, the phase fix that makes diag(R) positive, then Q diag(1, ..., conj
+    det Q) with LAPACK det."""
+    q, r = np.linalg.qr(z, mode="complete")
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q[..., :-1] *= (d / np.abs(d))[..., None, :]
+    q[..., -1] *= np.conj(np.linalg.det(q))[..., None]
+    return q
 
 
 def qr_haar_sample(model, rng, size=None):
-    """Reference Haar sampler: QR with the phase fix, then LAPACK det."""
+    """Reference Haar sampler: the same n - 1 Ginibre columns, drawn in the
+    same order, through qr_complete."""
     rng = np.random.default_rng(rng)
     n = model.defining_dim
-    shape = (n, n) if size is None else (size, n, n)
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    q = qr_positive(z)
-    return q / (np.linalg.det(q) ** (1.0 / n))[..., None, None]
+    m = 1 if size is None else size
+    if n == 2:
+        g = rng.standard_normal((m, 2, 1, 2))
+        z = g[..., 0] + 1j * g[..., 1]
+    else:
+        re, im = rng.standard_normal((2, m, n, n - 1))
+        z = re + 1j * im
+    x = qr_complete(z / np.sqrt(2.0))
+    return x[0] if size is None else x
 
 
 def su2_diag(theta):
@@ -306,47 +316,49 @@ def test_haar_sample_matches_qr_reference(su2, su3):
             assert np.abs(one - qr_haar_sample(model, seed)).max() <= 1e-12
         xs = haar_sample(model, 5, 20_000)
         assert np.abs(xs - qr_haar_sample(model, 5, 20_000)).max() <= 1e-12
-        # the generator is left in the same state: same draws, same order
+
+
+def test_haar_sample_draws_2n_n_minus_1_normals_per_sample(su2, su3):
+    for model in (su2, su3):
+        n = model.defining_dim
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
-        haar_sample(model, rng, 7)
-        qr_haar_sample(model, ref_rng, 7)
-        assert np.array_equal(haar_sample(model, rng, 7), haar_sample(model, ref_rng, 7))
+        for size, count in ((7, 7), (None, 1), (1, 1)):
+            haar_sample(model, rng, size)
+            ref_rng.standard_normal(count * 2 * n * (n - 1))
+            assert np.array_equal(rng.standard_normal(3), ref_rng.standard_normal(3))
 
 
 def _ginibre(rng, size, n, angle):
-    """Ginibre matrices whose later columns lie at about `angle` from the first."""
+    """The first n - 1 columns of Ginibre matrices, the later ones at about
+    `angle` from the first."""
     z = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
     z[..., 1:] = z[..., :1] + angle * z[..., 1:]
-    return z
+    return z[..., :n - 1]
 
 
 def test_haar_factor_of_ill_conditioned_columns_matches_qr():
-    # columns at angles 1e-3, 1e-6 and 1e-11 (cond 3e2 to 5e13): the closed
-    # form and the QR reference, each with its determinant phase, are both
-    # accurate to about eps * cond(z)
+    # columns at angles 1e-3, 1e-6 and 1e-11 (on SU(3), cond 3e2 to 5e13;
+    # SU(2) takes one column, of cond 1): the closed form and the QR
+    # reference are both accurate to about eps * cond(z)
     rng = np.random.default_rng(7)
     for n in (2, 3):
         for angle in (1e-3, 1e-6, 1e-11):
             z = _ginibre(rng, 2000, n, angle)
-            q = qr_positive(z)
-            ref = q / (np.linalg.det(q) ** (1.0 / n))[..., None, None]
-            err = np.abs(models._special_unitary_factor(z.real, z.imag) - ref).max(axis=(1, 2))
-            assert (err <= 1e-14 * np.linalg.cond(z)).all(), (n, angle)
+            err = np.abs(models._special_unitary_factor(z.real, z.imag) - qr_complete(z))
+            assert (err.max(axis=(1, 2)) <= 1e-14 * np.linalg.cond(z)).all(), (n, angle)
 
 
 def test_haar_factor_of_nearly_parallel_columns():
     rng = np.random.default_rng(53)
-    for n in (2, 3):
-        z = _ginibre(rng, 2000, n, 1e-11)
-        assert np.linalg.cond(z).min() >= 1e10
-        x = models._special_unitary_factor(z.real, z.imag)
-        gram = np.conj(np.swapaxes(x, 1, 2)) @ x
-        assert np.abs(gram - np.eye(n)).max() <= 1e-14
-        assert np.abs(np.linalg.det(x) - 1.0).max() <= 1e-14
-        # x e^{i arg(det z)/n} is Q of z = QR with positive diag(R): each of its
-        # columns has a positive component along its own z column
-        phase = np.exp(1j * np.angle(np.linalg.det(z)) / n)
-        assert (np.einsum("nik,nik->nk", np.conj(x * phase[:, None, None]), z).real > 0).all()
+    z = _ginibre(rng, 2000, 3, 1e-11)
+    assert np.linalg.cond(z).min() >= 1e10
+    x = models._special_unitary_factor(z.real, z.imag)
+    gram = np.conj(np.swapaxes(x, 1, 2)) @ x
+    assert np.abs(gram - np.eye(3)).max() <= 1e-14
+    assert np.abs(np.linalg.det(x) - 1.0).max() <= 1e-14
+    # the first two columns of x are those of Q in z = QR with positive
+    # diag(R): each has a positive component along its own z column
+    assert (np.einsum("nik,nik->nk", np.conj(x[..., :2]), z).real > 0).all()
 
 
 def test_haar_factor_of_a_point_alone_equals_it_inside_a_batch(su2, su3):
@@ -357,11 +369,29 @@ def test_haar_factor_of_a_point_alone_equals_it_inside_a_batch(su2, su3):
     rng = np.random.default_rng(61)
     for model in (su2, su3):
         n = model.defining_dim
-        re, im = rng.standard_normal((2, B + 1, n, n))
+        re, im = rng.standard_normal((2, B + 1, n, n - 1))
         x = models._special_unitary_factor(re, im)
         for k in (0, 1, B - 1, B):
             assert np.array_equal(models._special_unitary_factor(re[k:k + 1], im[k:k + 1])[0], x[k]), k
         assert np.array_equal(haar_sample(model, 62), haar_sample(model, 62, 1)[0])
+
+
+def test_haar_sample_schur_orthogonality_of_t1_and_t2(su2, su3):
+    # SU(2): the Haar mean of T_n(x)_ij conj(T_m(x)_kl) is
+    # delta_nm delta_ik delta_jl / (n + 1); every coefficient within 4 sigma
+    N = 100_000
+    xs = haar_sample(su2, 71, N)
+    reps = {n: rep_matrices(irrep_matrices(n), xs).reshape(N, -1) for n in (1, 2)}
+    for n in (1, 2):
+        for m in (1, 2):
+            mean = np.einsum("ki,kj->ij", reps[n], np.conj(reps[m])) / N
+            square = np.einsum("ki,kj->ij", np.abs(reps[n]) ** 2, np.abs(reps[m]) ** 2) / N
+            sem = np.sqrt((square - np.abs(mean) ** 2) / (N - 1))
+            ref = np.eye((n + 1) ** 2) / (n + 1) if n == m else 0.0
+            assert (np.abs(mean - ref) <= 4 * sem).all(), (n, m)
+    # SU(3): E |tr x|^4 = 2
+    vals = np.abs(np.einsum("nii->n", haar_sample(su3, 72, N))) ** 4
+    assert abs(vals.mean() - 2.0) <= 4 * vals.std(ddof=1) / np.sqrt(N)
 
 
 def test_chamber_coordinates_match_eigvalsh(su3):
