@@ -250,36 +250,35 @@ def test_closed_form_overflow_raises_no_runtime_warning(tmp_path):
                     "--max-level", "20", "--out", str(tmp_path / "r.json")]) == 1
 
 
-@pytest.mark.parametrize("t", ["500", "1e-300"])
-def test_pairing_transform_at_large_t_ends_in_values_or_error_rows_without_a_warning(tmp_path, t):
+def test_pairing_transform_at_large_t_ends_in_values_or_error_rows_without_a_warning(tmp_path):
     # at t = 500 the pairing moment of label 2 has weights past the largest
     # float; T_n is summed at e^{-rho} exp(iY), so no cosh or sinh overflows.
     # At t = 1e-300 D underflows to 0, and no relative deviation from it is
     # taken.  Either way the pointwise row fails alone, and the D rows that
     # are finite stay in the report
-    out = tmp_path / "r.json"
     pkg = str(Path(liecheck.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([pkg, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "liecheck.cli",
-                           "verify", "--suite", "lemma64", "--group", "A1", "--t", t,
-                           "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.stderr == ""
-    report = _strict_json(out.read_text())
-    failed = [c for c in report["checks"] if not c["pass"]]
-    assert proc.returncode == 1 and report["summary"]["failed"] == len(failed)
-    assert all(c["kind"] == "error" and c["note"] for c in failed)
-    rows = {c["check_id"]: c for c in report["checks"]}
-    assert not rows["lemma64/pointwise-transform"]["pass"]
-    assert "lemma64/error" not in rows
-    for label in (0, 1):
-        assert rows[f"lemma64/D-{label}"]["pass"]
-        assert rows[f"lemma64/D-{label}"]["kind"] == "deterministic"
-    if t == "500":
-        assert rows["lemma64/D-1"]["rhs"] > 1e200
-        assert "exceeds the largest float" in rows["lemma64/pointwise-transform"]["note"]
-    else:
-        assert "below the smallest normal float" in rows["lemma64/pointwise-transform"]["note"]
+    for t, note in (("500", "exceeds the largest float"),
+                    ("1e-300", "below the smallest normal float")):
+        out = tmp_path / f"r-{t}.json"
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "liecheck.cli",
+                               "verify", "--suite", "lemma64", "--group", "A1", "--t", t,
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.stderr == "", t
+        report = _strict_json(out.read_text())
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert proc.returncode == 1 and report["summary"]["failed"] == len(failed)
+        assert all(c["kind"] == "error" and c["note"] for c in failed)
+        rows = {c["check_id"]: c for c in report["checks"]}
+        assert "lemma64/error" not in rows
+        assert note in rows["lemma64/pointwise-transform"]["note"]
+        for label in (0, 1):
+            assert rows[f"lemma64/D-{label}"]["pass"]
+            assert rows[f"lemma64/D-{label}"]["kind"] == "deterministic"
+        # D of label 1: e^500 (1000 pi)^(3/2) at t = 500, 0 at t = 1e-300
+        d1 = rows["lemma64/D-1"]["rhs"]
+        assert d1 > 1e200 if t == "500" else d1 == 0.0
 
 
 def test_transform_whose_constant_overflows_is_a_usage_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ from liecheck.heat import (
     energy_eigenvalue,
     heat_convolution_residual,
     heat_kernel_eval,
+    heat_kernel_integral,
     heat_multiplier_apply,
 )
 from liecheck.hilbert import transform_apply
@@ -102,6 +103,18 @@ def test_heat_kernel_normalization(su2):
     vals, _ = heat_kernel_eval(su2, 1.0, xs)
     sem = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - 1.0) <= 3 * sem
+
+
+def test_heat_kernel_integral_by_the_weyl_formula_is_exact(su2):
+    # the midpoint rule in phi is exact once twice its nodes exceed the
+    # cosine degree (kept terms + 1) of p_t sin^2 phi
+    for t in (1e-4, 1e-3, 0.05, 1.0, 5.0, 50.0):
+        nodes = (len(_truncation(t, 1e-12)[0]) + 1) // 2 + 1
+        assert abs(heat_kernel_integral(su2, t, nodes) - 1.0) <= 1e-12, t
+    # and not before: at t = 50 the kernel keeps one term, p_t = 1, and
+    # sin^2 phi has degree 2; the one node phi = pi/2 gives 2 sin^2 = 2
+    assert len(_truncation(50.0, 1e-12)[0]) == 1
+    assert heat_kernel_integral(su2, 50.0, 1) == 2.0
 
 
 def test_heat_kernel_symmetry(su2):

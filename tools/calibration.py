@@ -10,7 +10,7 @@ check id, and in total, the audit prints:
   n P(|Z| > k) and that binomial's standard deviation.
 
 It then lists every row beyond 3 sigma with its seed.  Which suites have
-statistical rows is read from the reports of the first seed.
+statistical rows is read from a report of every suite at the first seed.
 
     PYTHONPATH=src python tools/calibration.py --seeds 1-120
 
@@ -41,22 +41,21 @@ def seed_range(text: str) -> range:
     return range(first, last + 1)
 
 
+def statistical_suites(group: str, seed: int) -> list[str]:
+    """The suites whose report for the group has statistical rows."""
+    rows = run_verification_suite(RunConfig(group=group, seed=seed), "all")["checks"]
+    return sorted({c["check_id"].split("/")[0] for c in rows if c["kind"] == "statistical"})
+
+
 def audit(seeds: range, out=sys.stdout) -> int:
     """Run the audit over the seeds; the number of rows that must not fail."""
     z_by_id: dict[str, list[tuple[int, float]]] = defaultdict(list)
     bad = 0
-    suites = {}
+    suites = {group: statistical_suites(group, seeds.start) for group in GROUPS}
     for seed in seeds:
         for group in GROUPS:
             cfg = RunConfig(group=group, seed=seed)
-            if group not in suites:
-                # the first seed runs every suite and keeps those with sigma rows
-                rows = run_verification_suite(cfg, "all")["checks"]
-                suites[group] = sorted({c["check_id"].split("/")[0] for c in rows
-                                        if c["kind"] == "statistical"})
-            else:
-                rows = [c for s in suites[group] for c in run_verification_suite(cfg, s)["checks"]]
-            for c in rows:
+            for c in (c for s in suites[group] for c in run_verification_suite(cfg, s)["checks"]):
                 if c["kind"] == "statistical":
                     z_by_id[c["check_id"]].append((seed, c["sigma_distance"]))
                 elif not c["pass"] and c["kind"] != "skip":
