@@ -706,13 +706,13 @@ def suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
     # the kernel heat_kernel_eval sums at its default cutoff: characters
     # chi_n for n below this count
     terms = len(heat._truncation(t, 1e-12)[0])
-    # p_t sin^2 phi is a cosine polynomial of degree terms + 1
+    # p_t sin^2 theta is a cosine polynomial of degree terms + 1
     degree = terms + 1
     nodes = degree // 2 + 1
     exact, doubled = (heat.heat_kernel_integral(model, t, m) for m in (nodes, 2 * nodes))
     rows.append(det_row("heat/kernel-normalization", exact, 1.0, max(cfg.tolerance, 1e-12),
-                        f"Haar integral of the kernel is 1; Weyl integration formula, midpoint "
-                        f"rule in phi exact to degree {degree} ({nodes} nodes); "
+                        f"Haar integral of the kernel is 1; polar rule exact to degree {degree} "
+                        f"in theta ({nodes} nodes); "
                         + doubling_note(doubled, exact, 2 * nodes)))
     xs = haar_sample(model, _rng_for(cfg, "heat/kernel-symmetry"), 100)
     p_vals, _ = heat.heat_kernel_eval(model, t, xs)
@@ -724,22 +724,15 @@ def suite_heat(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list[CheckR
     rows.append(det_row("heat/kernel-truncation", v1, v2, max(cfg.tolerance, 1e-10)))
     cid = "heat/convolution"
     ys = haar_sample(model, _rng_for(cfg, cid), 10)
-    # each chi_n of the kernel has degree n
-    degree = terms - 1 + _top_band(series)
-    note = "spatial kernel convolution vs diagonal multiplier, max over 10 points"
-    if HaarSU2(2 * degree).samples > cfg.mc_samples:
-        # small t keeps so many kernel terms that the exact rule would cost
-        # more than the Monte-Carlo route
-        est = heat.heat_convolution_residual(
-            model, series, t, ys, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid + "/samples")))
-        rows.append(stat_row(cid, est.value, 0.0, est.stderr,
-                             f"{note}; Monte Carlo: the rule exact to degree {degree} "
-                             f"would need {HaarSU2(2 * degree).samples} nodes"))
-    else:
-        exact, doubled = (heat.heat_convolution_residual(model, series, t, ys, HaarSU2(d)).value
-                          for d in (degree, 2 * degree))
-        rows.append(det_row(cid, exact, 0.0, max(cfg.tolerance, 1e-12),
-                            f"{note}; {haar_su2_note(exact, doubled, degree, residual=True)}"))
+    # f(w y) adds a cosine polynomial of degree top band in theta
+    degree += _top_band(series)
+    nodes = degree // 2 + 1
+    exact, doubled = (heat.heat_convolution_residual(model, series, t, ys, m)
+                      for m in (nodes, 2 * nodes))
+    rows.append(det_row(cid, exact, 0.0, max(cfg.tolerance, 1e-12),
+                        f"spatial kernel convolution vs diagonal multiplier, max over 10 points; "
+                        f"polar rule exact to degree {degree} in theta ({nodes} nodes); "
+                        + doubling_note(doubled, exact, 2 * nodes, residual=True)))
     return rows
 
 

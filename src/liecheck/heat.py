@@ -15,7 +15,16 @@ from functools import lru_cache
 import numpy as np
 
 from .fourier import FourierSeries, synthesize, synthesize_many
-from .models import Estimate, GroupModel, _read_only, haar_mean, haar_nodes, mul2x2
+from .models import (
+    SQRT2,
+    GroupModel,
+    _gauss_rule,
+    _read_only,
+    algebra_element,
+    haar_mean,
+    mul2x2,
+)
+from .quadrature import _tensor_rule
 from .rootdata import RootSystem, Weight, build_root_system, weight
 
 __all__ = [
@@ -110,23 +119,39 @@ def heat_kernel_eval(model: GroupModel, t: float, x, cutoff: float = 1e-12):
     return (total if total.shape else float(total)), bound
 
 
-def heat_kernel_integral(model: GroupModel, t: float, nodes: int) -> float:
-    """Haar integral of heat_kernel_eval by the Weyl integration formula.
+def _polar_rule(model: GroupModel, nodes: int, band: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes w (N, 2, 2) and weights (N,) of a Haar rule on SU(2) in polar form.
 
-    A class function f on SU(2) integrates as (2/pi) int_0^pi f(phi)
-    sin^2 phi dphi, f(phi) its value at diag(e^{i phi}, e^{-i phi}).  The
-    midpoint rule in phi, at phi_k = (k + 1/2) pi / nodes, integrates
-    cos(j phi) exactly for every j < 2 nodes.  The truncated kernel is
-    sum_n (n+1) e_n sin((n+1) phi) / sin phi, so f sin^2 phi is a cosine
-    polynomial of degree (kept terms + 1), and the rule is exact once
-    2 nodes exceeds it.  The sum goes through haar_mean.
+    w = exp(theta e) = cos(theta) I + sin(theta) e, with e the algebra
+    element of unit direction u in S^2 scaled so that e^2 = -I; tr w =
+    2 cos theta.  Haar measure is (2/pi) sin^2 theta dtheta du / 4 pi (the
+    Weyl integration formula).  theta takes the midpoint rule, theta_k =
+    (k + 1/2) pi / nodes with weights (2/nodes) sin^2 theta_k, which
+    integrates a g(theta) sin^2 theta that is a cosine polynomial of degree
+    below 2 nodes exactly.  u takes (band//2 + 1)-point Gauss-Legendre in
+    its height times the (band + 1)-point trapezoid rule in its azimuth,
+    exact for polynomials in u of degree <= band.
     """
-    phi = (np.arange(nodes) + 0.5) * (np.pi / nodes)
-    xs = np.zeros((nodes, 2, 2), complex)
-    xs[:, 0, 0], xs[:, 1, 1] = np.exp(1j * phi), np.exp(-1j * phi)
-    mean, _ = haar_mean(lambda x: heat_kernel_eval(model, t, x)[0], xs,
-                        (2.0 / nodes) * np.sin(phi) ** 2)
-    return float(mean)
+    theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
+    azimuths = (2.0 * np.pi * np.arange(band + 1) / (band + 1), np.full(band + 1, 1.0 / (band + 1)))
+    pts, w = _tensor_rule((theta, (1.0 / nodes) * np.sin(theta) ** 2),
+                          _gauss_rule("legendre", band // 2 + 1), azimuths)
+    theta, z, phi = pts.T
+    s = np.sqrt(1.0 - z * z)
+    e = SQRT2 * algebra_element(model, np.stack([s * np.cos(phi), s * np.sin(phi), z], -1))
+    return np.cos(theta)[:, None, None] * np.eye(2) + np.sin(theta)[:, None, None] * e, w
+
+
+def heat_kernel_integral(model: GroupModel, t: float, nodes: int) -> float:
+    """Haar integral of heat_kernel_eval on _polar_rule(model, nodes, 0).
+
+    The truncated kernel is sum_n (n+1) e_n sin((n+1) theta) / sin theta,
+    so p_t sin^2 theta is a cosine polynomial of degree (kept terms + 1),
+    and the rule is exact once 2 nodes exceeds it.  The sum goes through
+    haar_mean.
+    """
+    ws, weights = _polar_rule(model, nodes, 0)
+    return float(haar_mean(lambda w: heat_kernel_eval(model, t, w)[0], ws, weights)[0])
 
 
 def heat_convolution_residual(
@@ -134,29 +159,29 @@ def heat_convolution_residual(
     f_series: FourierSeries,
     t: float,
     ys,
-    scheme,
-) -> Estimate:
+    nodes: int,
+) -> float:
     """Spatial vs spectral heat flow on a band-limited function.
 
-    At each point y of the batch ys, compares the Haar mean of
-    p_t(y x^{-1}) f(x) over the scheme's points x against the multiplier
-    route evaluated at y.  scheme is MonteCarlo or the HaarSU2 rule; the
-    rule is exact when its degree is at least the kept kernel terms minus
-    one plus the series' top Dynkin label.  Returns the largest
-    |difference| with the standard error at that point.
+    At each point y of the batch ys, compares the Haar integral of
+    p_t(y x^{-1}) f(x) against the multiplier route evaluated at y.  The
+    integral runs over x = w y, w on _polar_rule(model, nodes, L) with L
+    the series' top Dynkin label, where y x^{-1} = w^{-1}: the kernel at
+    w^{-1} depends on theta alone, and f(w y), of degree L in the entries
+    of w, is a polynomial of degree L in u and a cosine polynomial of
+    degree L in theta once averaged over u.  The rule is exact once
+    2 nodes exceeds the kept kernel terms + 1 + L.  Returns the largest
+    |difference| over ys.
     """
     if model.kind != "SU2":
         raise ValueError("heat_convolution_residual needs SU2")
-    xs, weights = haar_nodes(model, scheme)
-    f_vals = synthesize_many(f_series, model, xs)
+    ws, weights = _polar_rule(model, nodes, max(dn[0] for dn in f_series.terms))
+    kernel, _ = heat_kernel_eval(model, t, np.conj(np.swapaxes(ws, -1, -2)))
     flowed = heat_multiplier_apply(f_series, t)
-    xinv = np.conj(np.swapaxes(xs, -1, -2))
-    worst = Estimate(-1.0, 0.0)
+    worst = 0.0
     for y in ys:
-        mean, sem = haar_mean(
-            lambda xi, fv, y=y: heat_kernel_eval(model, t, mul2x2(y, xi))[0] * fv,
-            (xinv, f_vals), weights)
-        resid = abs(complex(mean) - synthesize(flowed, model, y))
-        if resid > worst.value:
-            worst = Estimate(resid, float(sem))
+        mean, _ = haar_mean(
+            lambda w, p, y=y: p * synthesize_many(f_series, model, mul2x2(w, y)),
+            (ws, kernel), weights)
+        worst = max(worst, abs(complex(mean) - synthesize(flowed, model, y)))
     return worst

@@ -289,7 +289,7 @@ def chamber_coordinates(model: GroupModel, coords) -> np.ndarray:
 # Rows per block of _special_unitary_factor: a block's columns and
 # temporaries, a dozen complex arrays, then stay near a 2 MB L2 cache.  On a
 # 2-vCPU x86_64 host (numpy 2.4.6; medians of 21 runs, draws included)
-# haar_sample of 10^5 SU(3) elements took 78-88 ms in one block and 46-57 ms
+# haar_sample of 10^5 SU(3) elements took 74-88 ms in one block and 46-57 ms
 # at 4096 to 16384 rows; of 10^5 SU(2) elements 15-17 ms in one block and
 # 11-14 ms at 4096 to 16384 rows.
 _HAAR_BLOCK = 8192
@@ -371,16 +371,13 @@ def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
         and the last column w = conj(q0 x q1) is the unit vector orthogonal
         to both with det[q0, q1, w] = 1.
     Deterministic given the generator state, which draws 2n(n - 1) normals
-    per sample: on SU(2) each sample's Re a, Im a, Re b, Im b in turn; on
-    SU(3) the real parts of every sample's two columns, (size, 3, 2), then
-    their imaginary parts.  size=None gives one (n, n) matrix.
+    per sample: the real parts of every sample's n - 1 columns,
+    (size, n, n - 1), then their imaginary parts.  size=None gives one
+    (n, n) matrix.
     """
     rng = np.random.default_rng(rng)
     n, m = model.defining_dim, 1 if size is None else size
-    if n == 2:
-        re, im = np.moveaxis(rng.standard_normal((m, 2, 1, 2)), -1, 0)
-    else:
-        re, im = rng.standard_normal((2, m, n, n - 1))
+    re, im = rng.standard_normal((2, m, n, n - 1))
     x = _special_unitary_factor(re, im)
     return x[0] if size is None else x
 
@@ -487,8 +484,8 @@ def haar_mean(f, points, weights=None) -> tuple[np.ndarray, np.ndarray]:
     of chars.orbital_average, the Monte-Carlo oracle
     quadrature.cartesian_oracle_integrate, the tridiagonal rule of
     quadrature.tridiagonal_rule, whose chamber images serve every
-    integrand of one Gaussian width, the torus rule of the Weyl
-    integration formula in heat.heat_kernel_integral, and the chamber rules
+    integrand of one Gaussian width, the polar rule of the Weyl
+    integration formula in heat._polar_rule, and the chamber rules
     of quadrature.integrate_invariant, which come in slabs.  f is evaluated
     block by block (see _evaluate_blocks), so points is an array, a tuple
     of arrays or a rule with slabs(), and the values may carry trailing

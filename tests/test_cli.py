@@ -459,12 +459,18 @@ def test_a1_statistical_rows_and_haar_su2_rule_rows():
     ]
     assert report["summary"]["statistical"]["k"] == 6
     assert report["summary"]["statistical"]["false_alarm_prob"] == 0.0161
-    # the kernel's integral by the Weyl integration formula, exact in phi
+    # the kernel's integral and its convolution on the polar rule, exact in
+    # theta for the 11 kernel terms kept at t = 1 (and the series' band 2)
     norm = checks["heat/kernel-normalization"]
     assert norm["kind"] == "deterministic" and norm["pass"] and norm["rel_err"] <= 1e-15
-    assert "exact to degree 12 (7 nodes); order 14 vs 7: rel delta" in norm["note"]
+    assert "exact to degree 12 in theta (7 nodes); order 14 vs 7: rel delta" in norm["note"]
+    for cfg in (RunConfig(group="A1"), RunConfig(group="A1", mc_samples=2000)):
+        heat_rows = run_verification_suite(cfg, "heat")["checks"]
+        conv = next(c for c in heat_rows if c["check_id"] == "heat/convolution")
+        assert conv["kind"] == "deterministic" and conv["pass"] and conv["abs_err"] <= 1e-12
+        assert "exact to degree 14 in theta (8 nodes); order 16 vs 8: abs delta" in conv["note"]
     rule = ["fourier/coeff-cross", "fourier/roundtrip", "convolution/integral-oracle",
-            "plancherel/l2k-bandlimited", "heat/convolution", "bks/spectral-vs-integral-0",
+            "plancherel/l2k-bandlimited", "bks/spectral-vs-integral-0",
             "bks/spectral-vs-integral-1", "bks/spectral-vs-integral-2"]
     for cid in rule:
         c = checks[cid]
@@ -472,14 +478,9 @@ def test_a1_statistical_rows_and_haar_su2_rule_rows():
         assert c["rel_err"] <= 1e-12
         assert "SU(2) Haar rule exact to degree" in c["note"]
         assert "rel delta" in c["note"] or "abs delta" in c["note"]
-    # degrees from the series bands and, for heat, the 11 kernel terms kept at t = 1
+    # degrees from the series bands
     assert "degree 3 (16 nodes)" in checks["fourier/coeff-cross"]["note"]
     assert "degree 4 (50 nodes)" in checks["fourier/roundtrip"]["note"]
-    assert "degree 12 (676 nodes)" in checks["heat/convolution"]["note"]
-    # below 4375 samples the degree-24 rule costs more than Monte Carlo
-    small = run_verification_suite(RunConfig(group="A1", mc_samples=2000), "heat")
-    conv = next(c for c in small["checks"] if c["check_id"] == "heat/convolution")
-    assert conv["kind"] == "statistical" and "would need 4375 nodes" in conv["note"]
     # the orbit-method cross-check compares the two signed sides
     kir = checks["kirillov/mc-crosscheck-a1"]
     assert kir["lhs"] > 1.0 and kir["rhs"] > 1.0

@@ -11,7 +11,7 @@ from liecheck.heat import (
     heat_multiplier_apply,
 )
 from liecheck.hilbert import transform_apply
-from liecheck.models import HaarSU2, MonteCarlo, haar_sample, su2_character
+from liecheck.models import haar_sample, su2_character
 from liecheck.rootdata import build_root_system, enumerate_dominant, weight
 
 
@@ -106,15 +106,15 @@ def test_heat_kernel_normalization(su2):
 
 
 def test_heat_kernel_integral_by_the_weyl_formula_is_exact(su2):
-    # the midpoint rule in phi is exact once twice its nodes exceed the
-    # cosine degree (kept terms + 1) of p_t sin^2 phi
+    # the midpoint rule in theta is exact once twice its nodes exceed the
+    # cosine degree (kept terms + 1) of p_t sin^2 theta
     for t in (1e-4, 1e-3, 0.05, 1.0, 5.0, 50.0):
         nodes = (len(_truncation(t, 1e-12)[0]) + 1) // 2 + 1
         assert abs(heat_kernel_integral(su2, t, nodes) - 1.0) <= 1e-12, t
     # and not before: at t = 50 the kernel keeps one term, p_t = 1, and
-    # sin^2 phi has degree 2; the one node phi = pi/2 gives 2 sin^2 = 2
+    # sin^2 theta has degree 2; the one node theta = pi/2 gives 2 sin^2 = 2
     assert len(_truncation(50.0, 1e-12)[0]) == 1
-    assert heat_kernel_integral(su2, 50.0, 1) == 2.0
+    assert abs(heat_kernel_integral(su2, 50.0, 1) - 2.0) <= 1e-15
 
 
 def test_heat_kernel_symmetry(su2):
@@ -149,8 +149,8 @@ def test_heat_kernel_matches_term_by_term_reference(su2):
 
 def test_heat_convolution_constant(su2):
     one = FourierSeries("A1", "L2K", 1.0, {(0,): np.ones((1, 1))})
-    est = heat_convolution_residual(su2, one, 1.0, haar_sample(su2, 80, 10), MonteCarlo(20_000, 8))
-    assert est.value <= 3 * est.stderr + 1e-12
+    # 11 kernel terms at t = 1: the theta integrand has degree 12, exact on 7 nodes
+    assert heat_convolution_residual(su2, one, 1.0, haar_sample(su2, 80, 10), 7) <= 1e-12
 
 
 def test_heat_convolution_character(su2, a1):
@@ -158,18 +158,19 @@ def test_heat_convolution_character(su2, a1):
     flowed = heat_multiplier_apply(chi, 1.0)
     # multiplier on the n = 1 term is e^{-3/4}
     assert abs(flowed.terms[(1,)][0, 0] * 2.0 - np.exp(-0.75)) < 1e-14
-    est = heat_convolution_residual(su2, chi, 1.0, haar_sample(su2, 90, 10), MonteCarlo(200_000, 9))
-    assert est.value <= 3 * est.stderr
+    assert heat_convolution_residual(su2, chi, 1.0, haar_sample(su2, 90, 10), 7) <= 1e-12
 
 
 def test_heat_convolution_band_limited(su2):
     rng = np.random.default_rng(10)
     series = random_series([(0,), (1,), (2,), (3,), (4,)], rng)
     ys = haar_sample(su2, rng, 10)
-    est = heat_convolution_residual(su2, series, 1.0, ys, MonteCarlo(200_000, 11))
-    assert est.value <= 3 * est.stderr
-    # the exact rule: kernel terms n <= 10 (11 kept at t = 1) times bands <= 4
+    # the polar rule is exact once twice its nodes exceed the theta degree,
+    # kept kernel terms + 1 + top band: 11 + 1 + 4 at t = 1
     n_terms = len(_truncation(1.0, 1e-12)[0])
     assert n_terms == 11
-    exact = heat_convolution_residual(su2, series, 1.0, ys, HaarSU2(n_terms - 1 + 4))
-    assert exact.stderr == 0.0 and exact.value <= 1e-12
+    assert heat_convolution_residual(su2, series, 1.0, ys, 9) <= 1e-12
+    # and not before: at t = 50 one term is kept, degree 1 + 1 + 4
+    assert len(_truncation(50.0, 1e-12)[0]) == 1
+    assert heat_convolution_residual(su2, series, 50.0, ys, 4) <= 1e-12
+    assert heat_convolution_residual(su2, series, 50.0, ys, 3) > 1e-3

@@ -65,13 +65,8 @@ def qr_haar_sample(model, rng, size=None):
     rng = np.random.default_rng(rng)
     n = model.defining_dim
     m = 1 if size is None else size
-    if n == 2:
-        g = rng.standard_normal((m, 2, 1, 2))
-        z = g[..., 0] + 1j * g[..., 1]
-    else:
-        re, im = rng.standard_normal((2, m, n, n - 1))
-        z = re + 1j * im
-    x = qr_complete(z / np.sqrt(2.0))
+    re, im = rng.standard_normal((2, m, n, n - 1))
+    x = qr_complete((re + 1j * im) / np.sqrt(2.0))
     return x[0] if size is None else x
 
 

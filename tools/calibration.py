@@ -1,16 +1,15 @@
 """Calibration audit of the Monte-Carlo rows over a fixed range of seeds.
 
-Every A1 and A2 `verify` suite that has statistical rows is run at each
-seed of the range, at the CLI defaults otherwise.  For each statistical
-check id, and in total, the audit prints:
+`verify --suite all` is run for A1 and A2 at each seed of the range, at
+the CLI defaults otherwise.  For each statistical check id, and in total,
+the audit prints:
 
 - n: the number of rows;
 - mean z^2, which is 1 where the standard errors are honest;
 - the counts beyond 2 and 3 sigma, each against its binomial expectation
   n P(|Z| > k) and that binomial's standard deviation.
 
-It then lists every row beyond 3 sigma with its seed.  Which suites have
-statistical rows is read from a report of every suite at the first seed.
+It then lists every row beyond 3 sigma with its seed.
 
     PYTHONPATH=src python tools/calibration.py --seeds 1-120
 
@@ -26,7 +25,7 @@ import math
 import sys
 from collections import defaultdict
 
-from liecheck.cli import SUITE_NAMES, RunConfig, run_verification_suite
+from liecheck.cli import RunConfig, run_verification_suite
 
 GROUPS = ("A1", "A2")
 # two-sided normal tails beyond 2 and 3 sigma
@@ -41,29 +40,20 @@ def seed_range(text: str) -> range:
     return range(first, last + 1)
 
 
-def statistical_suites(group: str, seed: int) -> list[str]:
-    """The suites whose report for the group has statistical rows."""
-    rows = run_verification_suite(RunConfig(group=group, seed=seed), "all")["checks"]
-    return sorted({c["check_id"].split("/")[0] for c in rows if c["kind"] == "statistical"})
-
-
 def audit(seeds: range, out=sys.stdout) -> int:
     """Run the audit over the seeds; the number of rows that must not fail."""
     z_by_id: dict[str, list[tuple[int, float]]] = defaultdict(list)
     bad = 0
-    suites = {group: statistical_suites(group, seeds.start) for group in GROUPS}
     for seed in seeds:
         for group in GROUPS:
-            cfg = RunConfig(group=group, seed=seed)
-            for c in (c for s in suites[group] for c in run_verification_suite(cfg, s)["checks"]):
+            for c in run_verification_suite(RunConfig(group=group, seed=seed), "all")["checks"]:
                 if c["kind"] == "statistical":
                     z_by_id[c["check_id"]].append((seed, c["sigma_distance"]))
                 elif not c["pass"] and c["kind"] != "skip":
                     print(f"seed {seed} {group}: {c['kind']} row {c['check_id']} failed: "
                           f"{c['note']}", file=out)
                     bad += 1
-    print(f"seeds {seeds.start}-{seeds.stop - 1}; suites "
-          + "; ".join(f"{g}: {', '.join(s)}" for g, s in suites.items()), file=out)
+    print(f"seeds {seeds.start}-{seeds.stop - 1}, groups {', '.join(GROUPS)}", file=out)
     header = f"{'check id':34} {'n':>5} {'mean z^2':>9} {'>2 sigma (expected)':>22} " \
              f"{'>3 sigma (expected)':>22}"
     print(header, file=out)
