@@ -15,16 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fourier import FourierSeries, synthesize, synthesize_many
-from .models import (
-    SQRT2,
-    GroupModel,
-    _gauss_rule,
-    _read_only,
-    algebra_element,
-    haar_mean,
-    mul2x2,
-)
-from .quadrature import _tensor_rule
+from .models import GroupModel, _polar_rule, _read_only, haar_mean, mul2x2
 from .rootdata import RootSystem, Weight, build_root_system, weight
 
 __all__ = [
@@ -119,38 +110,14 @@ def heat_kernel_eval(model: GroupModel, t: float, x, cutoff: float = 1e-12):
     return (total if total.shape else float(total)), bound
 
 
-def _polar_rule(model: GroupModel, nodes: int, band: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes w (N, 2, 2) and weights (N,) of a Haar rule on SU(2) in polar form.
-
-    w = exp(theta e) = cos(theta) I + sin(theta) e, with e the algebra
-    element of unit direction u in S^2 scaled so that e^2 = -I; tr w =
-    2 cos theta.  Haar measure is (2/pi) sin^2 theta dtheta du / 4 pi (the
-    Weyl integration formula).  theta takes the midpoint rule, theta_k =
-    (k + 1/2) pi / nodes with weights (2/nodes) sin^2 theta_k, which
-    integrates a g(theta) sin^2 theta that is a cosine polynomial of degree
-    below 2 nodes exactly.  u takes (band//2 + 1)-point Gauss-Legendre in
-    its height times the (band + 1)-point trapezoid rule in its azimuth,
-    exact for polynomials in u of degree <= band.
-    """
-    theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
-    azimuths = (2.0 * np.pi * np.arange(band + 1) / (band + 1), np.full(band + 1, 1.0 / (band + 1)))
-    pts, w = _tensor_rule((theta, (1.0 / nodes) * np.sin(theta) ** 2),
-                          _gauss_rule("legendre", band // 2 + 1), azimuths)
-    theta, z, phi = pts.T
-    s = np.sqrt(1.0 - z * z)
-    e = SQRT2 * algebra_element(model, np.stack([s * np.cos(phi), s * np.sin(phi), z], -1))
-    return np.cos(theta)[:, None, None] * np.eye(2) + np.sin(theta)[:, None, None] * e, w
-
-
 def heat_kernel_integral(model: GroupModel, t: float, nodes: int) -> float:
-    """Haar integral of heat_kernel_eval on _polar_rule(model, nodes, 0).
+    """Haar integral of heat_kernel_eval on models._polar_rule(nodes, 0).
 
-    The truncated kernel is sum_n (n+1) e_n sin((n+1) theta) / sin theta,
-    so p_t sin^2 theta is a cosine polynomial of degree (kept terms + 1),
-    and the rule is exact once 2 nodes exceeds it.  The sum goes through
-    haar_mean.
+    The truncated kernel is sum_n (n+1) e_n U_n(cos theta), a polynomial
+    of degree (kept terms - 1) in cos theta, and the rule is exact once
+    2 nodes - 1 reaches it.  The sum goes through haar_mean.
     """
-    ws, weights = _polar_rule(model, nodes, 0)
+    ws, weights = _polar_rule(nodes, 0)
     return float(haar_mean(lambda w: heat_kernel_eval(model, t, w)[0], ws, weights)[0])
 
 
@@ -165,17 +132,17 @@ def heat_convolution_residual(
 
     At each point y of the batch ys, compares the Haar integral of
     p_t(y x^{-1}) f(x) against the multiplier route evaluated at y.  The
-    integral runs over x = w y, w on _polar_rule(model, nodes, L) with L
+    integral runs over x = w y, w on models._polar_rule(nodes, L) with L
     the series' top Dynkin label, where y x^{-1} = w^{-1}: the kernel at
-    w^{-1} depends on theta alone, and f(w y), of degree L in the entries
-    of w, is a polynomial of degree L in u and a cosine polynomial of
-    degree L in theta once averaged over u.  The rule is exact once
-    2 nodes exceeds the kept kernel terms + 1 + L.  Returns the largest
+    w^{-1} is a polynomial of degree (kept terms - 1) in cos theta, and
+    f(w y), of degree L in the entries of w, is one of degree <= L in
+    cos theta once averaged over the rule's directions.  The rule is exact
+    once 2 nodes - 1 reaches kept terms - 1 + L.  Returns the largest
     |difference| over ys.
     """
     if model.kind != "SU2":
         raise ValueError("heat_convolution_residual needs SU2")
-    ws, weights = _polar_rule(model, nodes, max(dn[0] for dn in f_series.terms))
+    ws, weights = _polar_rule(nodes, max(dn[0] for dn in f_series.terms))
     kernel, _ = heat_kernel_eval(model, t, np.conj(np.swapaxes(ws, -1, -2)))
     flowed = heat_multiplier_apply(f_series, t)
     worst = 0.0

@@ -38,7 +38,7 @@ from .models import (
     Estimate,
     GroupModel,
     _gauss_legendre_01,
-    _gauss_rule,
+    _sphere_rule,
     algebra_element,
     build_group_model,
     haar_mean,
@@ -49,7 +49,6 @@ from .models import (
 from .quadrature import (
     LOG_FLOAT_MAX,
     NON_FINITE_VALUES,
-    _tensor_rule,
     build_chamber_quadrature,
     default_order,
     gaussian_linear_moment,
@@ -363,24 +362,23 @@ def transform_apply(series, which: str):
 
 def _pairing_moment(n: int, t: float) -> np.ndarray:
     """M = integral over su(2) of T_n(exp iY) e^{-|Y|^2/2t} eta(Y/2) dY, by haar_mean on a
-    polar rule Y = r u: exact in u for degree n (Gauss-Legendre in cos(theta), trapezoid
-    in phi); _BKS_RADIAL_ORDER radii within 12 sqrt(2t) of the peak of r e^{(n+1) rho -
-    r^2/2t}.  T_n(exp iY) = e^{n rho} T_n(e^{-rho} exp iY), rho = r / sqrt 2, and e^{n rho}
-    joins the weights in log form; a ValueError names the log of a weight sum past the
-    largest float."""
+    polar rule Y = r u: u on models._sphere_rule(n), exact in u for degree n, times 4 pi;
+    _BKS_RADIAL_ORDER radii within 12 sqrt(2t) of the peak of r e^{(n+1) rho - r^2/2t}.
+    T_n(exp iY) = e^{n rho} T_n(e^{-rho} exp iY), rho = r / sqrt 2, and e^{n rho} joins
+    the weights in log form; a ValueError names the log of a weight sum past the largest
+    float."""
     peak = (t * (n + 1) / SQRT2 + np.sqrt(t * t * (n + 1) ** 2 / 2.0 + 4.0 * t)) / 2.0
     lo = max(0.0, peak - 12.0 * np.sqrt(2.0 * t))
     r, wr = _gauss_legendre_01(_BKS_RADIAL_ORDER, peak + 12.0 * np.sqrt(2.0 * t) - lo)
-    azimuths = (2.0 * np.pi * np.arange(n + 1) / (n + 1), np.full(n + 1, 2.0 * np.pi / (n + 1)))
-    nodes, w = _tensor_rule((r + lo, wr), _gauss_rule("legendre", n // 2 + 1), azimuths)
-    r, z, phi = nodes.T
+    u, wu = _sphere_rule(n)  # radii outer, directions inner
+    w = np.multiply.outer(wr, 4.0 * np.pi * wu).reshape(-1)
+    r = np.repeat(r + lo, len(wu))
     rho = r / SQRT2  # the root's pairing with Y/2, so eta(Y/2) = sinh(rho) / rho
     log_w = np.log(w) + 2.0 * np.log(r) - r * r / (2.0 * t) + n * rho + chars.log_eta([rho])
     if _log_sum(log_w) > LOG_FLOAT_MAX:
         raise ValueError(f"{NON_FINITE_VALUES}: the weights of the pairing moment of label {n} "
                          f"sum to e^{_log_sum(log_w):.6g}, past the largest float")
-    u = np.stack([np.sqrt(1.0 - z * z) * np.cos(phi), np.sqrt(1.0 - z * z) * np.sin(phi), z], -1)
-    iy = 1j * algebra_element(build_group_model("SU2"), r[:, None] * u)
+    iy = 1j * algebra_element(build_group_model("SU2"), r[:, None] * np.tile(u, (len(wr), 1)))
     rho = rho[:, None, None]
     # e^{-rho} exp(iY) = e^{-rho} (cosh(rho) I + sinh(rho)/rho iY)
     scaled = (1.0 + np.exp(-2.0 * rho)) / 2.0 * np.eye(2) - np.expm1(-2.0 * rho) / (2.0 * rho) * iy

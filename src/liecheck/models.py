@@ -3,9 +3,9 @@
 The orthonormal algebra bases realize <X, Y> = -trace(XY) in the defining
 representation.  Haar samples of both groups are the first n - 1 columns
 of a Ginibre matrix, orthonormalised and completed to determinant 1; on
-SU(2) a product rule (HaarSU2) integrates polynomials in the matrix
-entries exactly up to a stated degree, and haar_mean averages a pointwise
-integrand over either scheme's points, block by block.  SU(3) is modelled
+SU(2) one polar rule of the Weyl integration formula (_polar_rule) is
+exact to a stated degree (HaarSU2), and haar_mean averages a pointwise
+integrand over any scheme's points, block by block.  SU(3) is modelled
 at the level of its defining representation (adjoint action, Haar
 sampling); SU(2) additionally carries its irreducible representations as
 exact symmetric powers of the defining one, with the closed-form exp(iY)
@@ -72,18 +72,18 @@ class MonteCarlo:
 
 @dataclass(frozen=True)
 class HaarSU2:
-    """Haar scheme on SU(2): a product rule exact to polynomial degree `degree`.
+    """Haar scheme on SU(2): the polar rule exact to polynomial degree `degree`.
 
-    Every polynomial of degree <= degree in the entries of x and their
-    conjugates is integrated exactly (see _haar_su2_rule).  `samples` is
-    the node count, the rule's counterpart of MonteCarlo.samples.
+    Every polynomial of degree <= D = degree in the entries of x and their
+    conjugates is integrated exactly (see _polar_rule).  `samples` is the
+    node count, the rule's counterpart of MonteCarlo.samples.
     """
 
     degree: int
 
     @property
     def samples(self) -> int:
-        return (self.degree + 1) ** 2 * (self.degree // 4 + 1)
+        return (self.degree // 2 + 1) ** 2 * (self.degree + 1)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -383,31 +383,53 @@ def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _haar_su2_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (N, 2, 2) and weights (N,) of the HaarSU2 rule of a degree D.
+def _sphere_rule(band: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions u (N, 3) and weights (N,) summing to 1 of a rule for the
+    uniform measure on S^2, exact for polynomials in u of degree <= band.
 
-    x = [[a, -conj(b)], [b, conj(a)]] with a = sqrt(1-u) e^{i xi_1} and
-    b = sqrt(u) e^{i xi_2}; normalised Haar measure is
-    du dxi_1 dxi_2 / 4 pi^2 with u uniform on [0, 1].  A monomial
-    a^p conj(a)^q b^r conj(b)^s of degree <= D has frequencies p - q in
-    xi_1 and r - s in xi_2 of modulus <= D, which the (D+1)-point
-    trapezoid rule integrates exactly.  What survives, p = q and r = s, is
-    (1-u)^p u^r of degree <= D/2 in u, exact under (floor(D/4)+1)-point
-    Gauss-Legendre.  N = (D+1)^2 (floor(D/4)+1).  On exact rules over the
-    rotation group see Graf & Potts, Numer. Funct. Anal. Optim. 30 (2009)
-    665.  The arrays are shared by every caller, so they are read-only.
+    (band//2 + 1)-point Gauss-Legendre in the height u_3 times the
+    (band + 1)-point trapezoid rule in the azimuth, which is exact for the
+    azimuthal frequencies, |k| <= band, of such a polynomial; the rest is
+    of degree <= band in the height.  Shared, so read-only.
     """
+    z, wz = _gauss_rule("legendre", band // 2 + 1)
+    phi = 2.0 * np.pi * np.arange(band + 1) / (band + 1)
+    s = np.sqrt(1.0 - z * z)[:, None]
+    u = np.stack(np.broadcast_arrays(s * np.cos(phi), s * np.sin(phi), z[:, None]), axis=-1)
+    return _read_only(u.reshape(-1, 3), np.repeat(wz / (2.0 * (band + 1)), band + 1))
+
+
+@lru_cache(maxsize=None)
+def _polar_rule(nodes: int, band: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x (N, 2, 2) and weights (N,) of a Haar rule on SU(2) in polar form.
+
+    x = cos(theta) I + sin(theta) i(u . sigma), u a direction of
+    _sphere_rule(band), theta the outer axis.  Haar measure is (2/pi)
+    sin^2 theta dtheta times the uniform measure on directions (the Weyl
+    integration formula), and theta_k = k pi / (nodes + 1) with weights
+    (2 / (nodes + 1)) sin^2 theta_k, Gauss-Chebyshev of the second kind in
+    cos theta (Gautschi, Orthogonal Polynomials (2004) 1.4), is exact to
+    degree 2 nodes - 1 in cos theta.  A polynomial of degree <= D in the
+    entries of x and their conjugates averages over u to one of degree
+    <= D in cos theta, so _polar_rule(D//2 + 1, D) is exact for it; see
+    Graf & Potts, Numer. Funct. Anal. Optim. 30 (2009) 665.  Read-only.
+    """
+    theta = np.arange(1, nodes + 1) * (np.pi / (nodes + 1))
+    u, wu = _sphere_rule(band)
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    # x = [[a, -conj b], [b, conj a]] with a = c + i s u_3, b = s (-u_2 + i u_1)
+    a = c + 1j * s * u[:, 2]
+    b = s * (-u[:, 1] + 1j * u[:, 0])
+    x = np.stack([np.stack([a, -b.conj()], axis=-1), np.stack([b, a.conj()], axis=-1)], axis=-2)
+    w = (2.0 / (nodes + 1)) * s * s * wu
+    return _read_only(x.reshape(-1, 2, 2), w.reshape(-1))
+
+
+def _haar_su2_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (N, 2, 2) and weights (N,) of the HaarSU2 rule of a degree."""
     if degree < 0:
         raise ValueError("HaarSU2 degree must be >= 0")
-    m = degree + 1
-    phase = np.exp(2j * np.pi * np.arange(m) / m)
-    u, wu = _gauss_legendre_01(degree // 4 + 1, 1.0)
-    a = np.sqrt(1.0 - u)[:, None, None] * phase[None, :, None]
-    b = np.sqrt(u)[:, None, None] * phase[None, None, :]
-    a, b = np.broadcast_arrays(a, b)
-    xs = np.stack([np.stack([a, -b.conj()], axis=-1), np.stack([b, a.conj()], axis=-1)], axis=-2)
-    xs = xs.reshape(-1, 2, 2)
-    return _read_only(xs, np.repeat(wu / (m * m), m * m))
+    return _polar_rule(degree // 2 + 1, degree)
 
 
 def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray, np.ndarray | None]:
@@ -484,8 +506,8 @@ def haar_mean(f, points, weights=None) -> tuple[np.ndarray, np.ndarray]:
     of chars.orbital_average, the Monte-Carlo oracle
     quadrature.cartesian_oracle_integrate, the tridiagonal rule of
     quadrature.tridiagonal_rule, whose chamber images serve every
-    integrand of one Gaussian width, the polar rule of the Weyl
-    integration formula in heat._polar_rule, and the chamber rules
+    integrand of one Gaussian width, the SU(2) polar rule _polar_rule
+    and the pairing moments on its directions, and the chamber rules
     of quadrature.integrate_invariant, which come in slabs.  f is evaluated
     block by block (see _evaluate_blocks), so points is an array, a tuple
     of arrays or a rule with slabs(), and the values may carry trailing

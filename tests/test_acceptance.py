@@ -233,8 +233,8 @@ def test_criterion_09_heat_multiplier():
         # relative to the input series, not to either side
         worst_semi = max(worst_semi, series_deviation(one.terms, two.terms, s.terms))
     series = random_series("A1", "L2K", 1.0, dynkins, rng)
-    # polar rule exact for 11 kernel terms at t = 1 and bands <= 4: 9 nodes
-    conv = heat.heat_convolution_residual(SU2, series, 1.0, haar_sample(SU2, rng, 10), 9)
+    # polar rule exact for 11 kernel terms at t = 1 and bands <= 4: 8 nodes
+    conv = heat.heat_convolution_residual(SU2, series, 1.0, haar_sample(SU2, rng, 10), 8)
     conv_ok = conv <= 1e-12
     pos_ok = all(
         energy_positivity([heat.energy_eigenvalue(rs, lam) for lam in enumerate_dominant(rs, level)])

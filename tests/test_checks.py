@@ -7,6 +7,7 @@ from liecheck.checks import (
     det_row,
     energy_positivity,
     invariant_test_functions,
+    pointwise_transform_deviation,
     random_series,
     series_deviation,
     stat_row,
@@ -115,6 +116,17 @@ def test_energy_positivity_fails_a_zero_at_a_non_trivial_weight():
     assert not energy_positivity([0.5, 1.0, 2.0])
     assert not energy_positivity([0.0, -0.5, 2.0])
     assert type(energy_positivity(np.array([0.0, 0.5]))) is bool
+
+
+def test_pointwise_transform_scale_survives_a_zero_of_the_character(a1, su2):
+    # chi_2 = sin(3 phi) / sin(phi) vanishes at phi = pi/3: a deviation
+    # scaled by |D chi_2| at each point reads 1.40 here on a correct transform
+    zero = np.diag([np.exp(1j * np.pi / 3.0), np.exp(-1j * np.pi / 3.0)])
+    assert abs(models.su2_character(2, zero)) <= 1e-15
+    xs = models.haar_sample(su2, np.random.default_rng(202), 19)
+    with_zero = pointwise_transform_deviation(a1, su2, 1.0, np.concatenate([xs, zero[None]]))
+    assert with_zero <= 1e-13
+    assert pointwise_transform_deviation(a1, su2, 1.0, xs) <= 1e-13
 
 
 def test_weylint_maps_each_width_and_order_to_the_chamber_once(monkeypatch, a2):

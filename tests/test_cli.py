@@ -460,15 +460,15 @@ def test_a1_statistical_rows_and_haar_su2_rule_rows():
     assert report["summary"]["statistical"]["k"] == 6
     assert report["summary"]["statistical"]["false_alarm_prob"] == 0.0161
     # the kernel's integral and its convolution on the polar rule, exact in
-    # theta for the 11 kernel terms kept at t = 1 (and the series' band 2)
+    # cos theta for the 11 kernel terms kept at t = 1 (and the series' band 2)
     norm = checks["heat/kernel-normalization"]
     assert norm["kind"] == "deterministic" and norm["pass"] and norm["rel_err"] <= 1e-15
-    assert "exact to degree 12 in theta (7 nodes); order 14 vs 7: rel delta" in norm["note"]
+    assert "exact to degree 10 in cos theta (6 nodes); order 12 vs 6: rel delta" in norm["note"]
     for cfg in (RunConfig(group="A1"), RunConfig(group="A1", mc_samples=2000)):
         heat_rows = run_verification_suite(cfg, "heat")["checks"]
         conv = next(c for c in heat_rows if c["check_id"] == "heat/convolution")
         assert conv["kind"] == "deterministic" and conv["pass"] and conv["abs_err"] <= 1e-12
-        assert "exact to degree 14 in theta (8 nodes); order 16 vs 8: abs delta" in conv["note"]
+        assert "exact to degree 12 in cos theta (7 nodes); order 14 vs 7: abs delta" in conv["note"]
     rule = ["fourier/coeff-cross", "fourier/roundtrip", "convolution/integral-oracle",
             "plancherel/l2k-bandlimited", "bks/spectral-vs-integral-0",
             "bks/spectral-vs-integral-1", "bks/spectral-vs-integral-2"]
@@ -480,7 +480,7 @@ def test_a1_statistical_rows_and_haar_su2_rule_rows():
         assert "rel delta" in c["note"] or "abs delta" in c["note"]
     # degrees from the series bands
     assert "degree 3 (16 nodes)" in checks["fourier/coeff-cross"]["note"]
-    assert "degree 4 (50 nodes)" in checks["fourier/roundtrip"]["note"]
+    assert "degree 4 (45 nodes)" in checks["fourier/roundtrip"]["note"]
     # the orbit-method cross-check compares the two signed sides
     kir = checks["kirillov/mc-crosscheck-a1"]
     assert kir["lhs"] > 1.0 and kir["rhs"] > 1.0

@@ -106,15 +106,19 @@ def test_heat_kernel_normalization(su2):
 
 
 def test_heat_kernel_integral_by_the_weyl_formula_is_exact(su2):
-    # the midpoint rule in theta is exact once twice its nodes exceed the
-    # cosine degree (kept terms + 1) of p_t sin^2 theta
+    # the Gauss-Chebyshev rule in cos theta is exact once 2 nodes - 1
+    # reaches the degree (kept terms - 1) of p_t in cos theta
     for t in (1e-4, 1e-3, 0.05, 1.0, 5.0, 50.0):
-        nodes = (len(_truncation(t, 1e-12)[0]) + 1) // 2 + 1
+        nodes = (len(_truncation(t, 1e-12)[0]) - 1) // 2 + 1
         assert abs(heat_kernel_integral(su2, t, nodes) - 1.0) <= 1e-12, t
-    # and not before: at t = 50 the kernel keeps one term, p_t = 1, and
-    # sin^2 theta has degree 2; the one node theta = pi/2 gives 2 sin^2 = 2
-    assert len(_truncation(50.0, 1e-12)[0]) == 1
-    assert abs(heat_kernel_integral(su2, 50.0, 1) - 2.0) <= 1e-15
+    # and not before: at t = 1 the kernel keeps 11 terms, p_t = sum_n
+    # (n+1) e_n U_n(cos theta) of degree 10, exact on 6 nodes; 5 nodes take
+    # U_10 to -1 in place of 0, so the integral misses 1 by 11 e_10 alone
+    decay = _truncation(1.0, 1e-12)[0]
+    assert len(decay) == 11
+    assert abs(heat_kernel_integral(su2, 1.0, 6) - 1.0) <= 1e-15
+    assert abs(heat_kernel_integral(su2, 1.0, 5) - 1.0 + 11.0 * decay[10]) <= 1e-15
+    assert 11.0 * decay[10] > 1e-12
 
 
 def test_heat_kernel_symmetry(su2):
@@ -149,8 +153,8 @@ def test_heat_kernel_matches_term_by_term_reference(su2):
 
 def test_heat_convolution_constant(su2):
     one = FourierSeries("A1", "L2K", 1.0, {(0,): np.ones((1, 1))})
-    # 11 kernel terms at t = 1: the theta integrand has degree 12, exact on 7 nodes
-    assert heat_convolution_residual(su2, one, 1.0, haar_sample(su2, 80, 10), 7) <= 1e-12
+    # 11 kernel terms at t = 1: degree 10 in cos theta, exact on 6 nodes
+    assert heat_convolution_residual(su2, one, 1.0, haar_sample(su2, 80, 10), 6) <= 1e-12
 
 
 def test_heat_convolution_character(su2, a1):
@@ -158,19 +162,21 @@ def test_heat_convolution_character(su2, a1):
     flowed = heat_multiplier_apply(chi, 1.0)
     # multiplier on the n = 1 term is e^{-3/4}
     assert abs(flowed.terms[(1,)][0, 0] * 2.0 - np.exp(-0.75)) < 1e-14
-    assert heat_convolution_residual(su2, chi, 1.0, haar_sample(su2, 90, 10), 7) <= 1e-12
+    # degree 10 + 1 in cos theta, exact on 6 nodes
+    assert heat_convolution_residual(su2, chi, 1.0, haar_sample(su2, 90, 10), 6) <= 1e-12
 
 
 def test_heat_convolution_band_limited(su2):
     rng = np.random.default_rng(10)
     series = random_series([(0,), (1,), (2,), (3,), (4,)], rng)
     ys = haar_sample(su2, rng, 10)
-    # the polar rule is exact once twice its nodes exceed the theta degree,
-    # kept kernel terms + 1 + top band: 11 + 1 + 4 at t = 1
+    # the polar rule is exact once 2 nodes - 1 reaches the degree in
+    # cos theta, kept kernel terms - 1 + top band: 11 - 1 + 4 at t = 1
     n_terms = len(_truncation(1.0, 1e-12)[0])
     assert n_terms == 11
-    assert heat_convolution_residual(su2, series, 1.0, ys, 9) <= 1e-12
-    # and not before: at t = 50 one term is kept, degree 1 + 1 + 4
+    assert heat_convolution_residual(su2, series, 1.0, ys, 8) <= 1e-12
+    # and not before: at t = 50 one term is kept, degree 0 + 4, exact on 3
+    # nodes; 2 nodes miss by about 5.1
     assert len(_truncation(50.0, 1e-12)[0]) == 1
-    assert heat_convolution_residual(su2, series, 50.0, ys, 4) <= 1e-12
-    assert heat_convolution_residual(su2, series, 50.0, ys, 3) > 1e-3
+    assert heat_convolution_residual(su2, series, 50.0, ys, 3) <= 1e-12
+    assert heat_convolution_residual(su2, series, 50.0, ys, 2) > 1.0

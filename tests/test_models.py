@@ -254,45 +254,74 @@ def test_haar_schur_orthogonality(su2, su3):
         assert abs(vals.mean() - 1.0) < 3.5 * sem2
 
 
+def schur_defect(xs, weights, degree):
+    """Largest error of a rule on Schur orthogonality up to a degree: the
+    Haar mean of T_n(x)_ij conj(T_m(x)_kl), a polynomial of degree n + m,
+    is delta_nm delta_ik delta_jl / (n + 1)."""
+    reps = [rep_matrices(irrep_matrices(n), xs) for n in range(degree + 1)]
+    worst = 0.0
+    for n in range(degree + 1):
+        for m in range(degree + 1 - n):
+            gram = np.einsum("k,kij,kab->ijab", weights, reps[n], np.conj(reps[m]))
+            ref = np.zeros_like(gram)
+            if n == m:
+                idx = np.arange(n + 1)
+                ref[idx[:, None], idx[None, :], idx[:, None], idx[None, :]] = 1.0 / (n + 1)
+            worst = max(worst, float(np.abs(gram - ref).max()))
+    return worst
+
+
 def test_haar_su2_rule_is_exact_to_its_degree(su2):
-    # Schur orthogonality: the Haar mean of T_n(x)_ij conj(T_m(x)_kl), a
-    # polynomial of degree n + m, is delta_nm delta_ik delta_jl / (n + 1)
-    for degree in (3, 4, 12):
+    for degree in range(13):
         xs, weights = haar_nodes(su2, HaarSU2(degree))
         assert len(xs) == len(weights) == HaarSU2(degree).samples
+        assert HaarSU2(degree).samples == (degree // 2 + 1) ** 2 * (degree + 1)
         assert not xs.flags.writeable and not weights.flags.writeable
         assert abs(weights.sum() - 1.0) <= 1e-15
         assert np.abs(np.conj(np.swapaxes(xs, 1, 2)) @ xs - np.eye(2)).max() <= 1e-15
         assert np.abs(np.linalg.det(xs) - 1.0).max() <= 1e-15
-        reps = [rep_matrices(irrep_matrices(n), xs) for n in range(degree + 1)]
-        for n in range(degree + 1):
-            for m in range(degree + 1 - n):
-                gram = np.einsum("k,kij,kab->ijab", weights, reps[n], np.conj(reps[m]))
-                ref = np.zeros_like(gram)
-                if n == m:
-                    idx = np.arange(n + 1)
-                    ref[idx[:, None], idx[None, :], idx[:, None], idx[None, :]] = 1.0 / (n + 1)
-                assert np.abs(gram - ref).max() <= 1e-13, (degree, n, m)
-    assert HaarSU2(4).samples == 50 and HaarSU2(12).samples == 676
+        assert schur_defect(xs, weights, degree) <= 1e-13, degree
+    assert HaarSU2(3).samples == 16 and HaarSU2(4).samples == 45 and HaarSU2(12).samples == 637
     with pytest.raises(ValueError, match="SU2"):
         haar_nodes(build_group_model("SU3"), HaarSU2(4))
+    with pytest.raises(ValueError, match=">= 0"):
+        haar_nodes(su2, HaarSU2(-1))
 
 
 def test_haar_su2_rule_degree_bound_is_tight(su2):
-    # degree 4 integrands under the degree-3 rule (4 trapezoid points, one
-    # Gauss-Legendre point u = 1/2): a^4 aliases to frequency 0, so the rule
-    # gives (1 - 1/2)^2 = 1/4 against the Haar mean 0; |a|^4 = (1 - u)^2
-    # gives 1/4 against 1/3, a gap of 1/12.  The degree-4 rule is exact.
-    def means(degree):
-        xs, weights = haar_nodes(su2, HaarSU2(degree))
-        a = xs[:, 0, 0]
-        return weights @ a**4, weights @ np.abs(a) ** 4
+    # HaarSU2(D) is _polar_rule(D//2 + 1, D); one theta node fewer (exact
+    # in cos theta to degree D - 1 or D - 2) or one band lower (directions
+    # exact to degree D - 1) misses Schur orthogonality at degree D
+    for degree in (2, 4, 8, 9):
+        nodes = degree // 2 + 1
+        assert schur_defect(*models._polar_rule(nodes, degree), degree) <= 1e-13
+        assert schur_defect(*models._polar_rule(nodes - 1, degree), degree) > 0.1, degree
+        assert schur_defect(*models._polar_rule(nodes, degree - 1), degree) > 0.1, degree
 
-    quartic, modulus = means(3)
-    assert abs(quartic - 0.25) <= 1e-15
-    assert abs(modulus - 1.0 / 3.0 + 1.0 / 12.0) <= 1e-15
-    quartic, modulus = means(4)
-    assert abs(quartic) <= 1e-15 and abs(modulus - 1.0 / 3.0) <= 1e-15
+
+def test_sphere_rule_is_exact_to_its_band():
+    # the uniform mean of u1^a u2^b u3^c on S^2 is 0 unless a, b, c are all
+    # even, and then Gamma(3/2) prod Gamma((a_i + 1)/2) / (pi^(3/2)
+    # Gamma((a + b + c + 3)/2))
+    def moment(a, b, c):
+        if a % 2 or b % 2 or c % 2:
+            return 0.0
+        return (gamma(1.5) * gamma((a + 1) / 2) * gamma((b + 1) / 2) * gamma((c + 1) / 2)
+                / (np.pi**1.5 * gamma((a + b + c + 3) / 2)))
+
+    def defect(u, w, degree):
+        return max(abs(w @ (u[:, 0] ** a * u[:, 1] ** b * u[:, 2] ** (k - a - b)) - moment(a, b, k - a - b))
+                   for k in range(degree + 1) for a in range(k + 1) for b in range(k + 1 - a))
+
+    for band in range(9):
+        u, w = models._sphere_rule(band)
+        assert len(u) == len(w) == (band // 2 + 1) * (band + 1)
+        assert not u.flags.writeable and not w.flags.writeable
+        assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-15
+        assert abs(w.sum() - 1.0) <= 1e-15
+        assert defect(u, w, band) <= 1e-15, band
+        # and not beyond: some monomial of degree band + 1 is missed
+        assert defect(u, w, band + 1) > 1e-3, band
 
 
 def test_haar_determinant_and_unitarity(su2, su3):

@@ -7,7 +7,11 @@ the audit prints:
 - n: the number of rows;
 - mean z^2, which is 1 where the standard errors are honest;
 - the counts beyond 2 and 3 sigma, each against its binomial expectation
-  n P(|Z| > k) and that binomial's standard deviation.
+  n P(|Z| > k) and that binomial's standard deviation;
+- the Kolmogorov-Smirnov distance of the |z| sample from the half-normal
+  law of |Z|, whose CDF is erf(z / sqrt 2).  It is not gated.  A row whose
+  sides are complex reports |z| of a 2-D error (checks.stat_row), whose law
+  is not half-normal even where the standard errors are honest.
 
 It then lists every row beyond 3 sigma with its seed.
 
@@ -40,6 +44,15 @@ def seed_range(text: str) -> range:
     return range(first, last + 1)
 
 
+def ks_half_normal(zs) -> float:
+    """Kolmogorov-Smirnov distance of a sample of |z| from the half-normal
+    law, CDF erf(z / sqrt 2): the largest gap between that CDF and the
+    sample's empirical CDF, on either side of each jump."""
+    cdf = [math.erf(z / math.sqrt(2.0)) for z in sorted(zs)]
+    n = len(cdf)
+    return max(max((i + 1) / n - f, f - i / n) for i, f in enumerate(cdf))
+
+
 def audit(seeds: range, out=sys.stdout) -> int:
     """Run the audit over the seeds; the number of rows that must not fail."""
     z_by_id: dict[str, list[tuple[int, float]]] = defaultdict(list)
@@ -55,7 +68,7 @@ def audit(seeds: range, out=sys.stdout) -> int:
                     bad += 1
     print(f"seeds {seeds.start}-{seeds.stop - 1}, groups {', '.join(GROUPS)}", file=out)
     header = f"{'check id':34} {'n':>5} {'mean z^2':>9} {'>2 sigma (expected)':>22} " \
-             f"{'>3 sigma (expected)':>22}"
+             f"{'>3 sigma (expected)':>22} {'KS |z|':>8}"
     print(header, file=out)
     everything = [z for zs in z_by_id.values() for z in zs]
     for name, zs in [*sorted(z_by_id.items()), ("total", everything)]:
@@ -64,6 +77,7 @@ def audit(seeds: range, out=sys.stdout) -> int:
         for k, p in P_BEYOND.items():
             count = sum(1 for _, z in zs if z > k)
             cells.append(f"{count:5d} ({n * p:6.2f} +- {math.sqrt(n * p * (1 - p)):4.2f})")
+        cells.append(f"{ks_half_normal([z for _, z in zs]):6.3f}")
         print("   ".join(cells), file=out)
     beyond = sorted((seed, name, z) for name, zs in z_by_id.items() for seed, z in zs if z > 3)
     for seed, name, z in beyond:
