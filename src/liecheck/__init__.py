@@ -7,7 +7,7 @@ together, the pairing transforms, and the heat multiplier, with every
 identity backed by an independent oracle.
 """
 
-from .chars import ClosedFormA1, HurwitzSU3
+from .chars import ClosedFormA1, GelfandTsetlinSU3
 from .fourier import FourierSeries
 from .hilbert import ConstantsRow
 from .models import Estimate, GroupModel, HaarSU2, IrrepMatrices, MonteCarlo, build_group_model
@@ -22,9 +22,9 @@ __all__ = [
     "ConstantsRow",
     "Estimate",
     "FourierSeries",
+    "GelfandTsetlinSU3",
     "GroupModel",
     "HaarSU2",
-    "HurwitzSU3",
     "IrrepMatrices",
     "MonteCarlo",
     "RootSystem",

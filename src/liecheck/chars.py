@@ -33,7 +33,6 @@ from .models import (
     GroupModel,
     MonteCarlo,
     _gauss_legendre_01,
-    _gauss_rule,
     _read_only,
     _sinhc,
     algebra_coords,
@@ -42,11 +41,12 @@ from .models import (
     haar_mean,
     haar_nodes,
 )
-from .rootdata import RootSystem, Weight, build_root_system, dimension
+from .quadrature import _tensor_rule
+from .rootdata import RootSystem, Weight, build_root_system, dimension, is_dominant
 
 __all__ = [
     "ClosedFormA1",
-    "HurwitzSU3",
+    "GelfandTsetlinSU3",
     "eta",
     "eta_det_oracle",
     "j_half_identity_residual",
@@ -62,12 +62,11 @@ class ClosedFormA1:
 
 
 @dataclass(frozen=True)
-class HurwitzSU3:
-    """Orbital-average scheme: a product rule over SU(3) Haar measure.
-
-    Hurwitz's column-by-column parametrisation of Haar measure (Zyczkowski
-    & Kus, J. Phys. A 27 (1994) 4235) with `order` points on each of its
-    four axes, order^4 nodes.  It uses neither the Weyl quotient nor HCIZ.
+class GelfandTsetlinSU3:
+    """Orbital-average scheme on SU(3): a product rule on the Gelfand-Tsetlin
+    polytope of the orbit, `order` points on each of its three axes,
+    order^3 nodes (see _gelfand_tsetlin_diagonals).  It uses neither the
+    Weyl quotient nor HCIZ.
     """
 
     order: int
@@ -210,7 +209,7 @@ def _chamber_char_parts(rs: RootSystem, lam: Weight, s) -> tuple[list, np.ndarra
     [1, dim lam] is the polynomial of _weight_multiplicities in r = e^{-s_1}
     and y = e^{-s_rank}, each read only where it has positive degree (on a
     torus T = 1, and no exponential of s, which may overflow there)."""
-    if not lam.is_dominant:
+    if not is_dominant(rs, lam):
         raise ValueError("the continued character requires a dominant weight")
     log_scales = [k * x for k, x in zip(_log_scale_coefficients(rs, lam.dynkin), s)]
     m = _weight_multiplicities(rs, lam.dynkin)
@@ -254,61 +253,37 @@ def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:
     return float(out[0]) if np.ndim(Y) == 1 else out
 
 
-@lru_cache(maxsize=None)
-def _hurwitz_su3_moduli(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared moduli |y_ij|^2 at the nodes of the HurwitzSU3 rule, and weights.
+def _gelfand_tsetlin_diagonals(m, order: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The diagonal x of U* diag(m) U at the nodes of the GelfandTsetlinSU3
+    rule, three arrays (N,), and weights (N,) summing to 1; N = order^3.
 
-    A left torus factor leaves the moduli unchanged, so the first column u
-    is taken real.  Its squared moduli p are uniform on the 2-simplex:
-    collapsed (Duffy) Gauss-Legendre p = (s, (1-s) r, (1-s)(1-r)) with
-    weight 2 (1-s) w_s w_r.  The second column v is a uniform point of
-    CP^1 = S^2 inside u^perp; with e, f a real orthonormal basis of u^perp,
-    |v_i|^2 = (1+z)/2 e_i^2 + (1-z)/2 f_i^2 + sqrt(1-z^2) cos(phi) e_i f_i,
-    Gauss-Legendre in z and the trapezoid rule in phi.  The third column's
-    moduli are 1 - p_i - |v_i|^2.
-
-    Returns (N, 9) moduli, entry 3i + j being |y_ij|^2, and (N,) weights
-    summing to 1; N = order^4.  The arrays are shared by every caller, so
-    they are read-only.
+    With m_1 >= m_2 >= m_3 the sorted spectrum, the Gelfand-Tsetlin pattern
+    m_1 >= p >= m_2 >= q >= m_3, p >= c >= q of Haar-random U is uniform on
+    its polytope (Baryshnikov, Probab. Theory Relat. Fields 119 (2001) 256)
+    and x = (c, p + q - c, tr m - p - q).  Gauss-Legendre nodes (u, v, w)
+    on [0, 1]^3 give p = m_2 + u (m_1 - m_2), q = m_3 + v (m_2 - m_3) and
+    c = q + w (p - q), of weight 2 (p - q) / (m_1 - m_3) w_u w_v w_w: the
+    Jacobian over the polytope's volume.  m_1 > m_3.
     """
-    s, ws = _gauss_legendre_01(order, 1.0)
-    s, r = s[:, None], s[None, :]
-    p = np.stack(np.broadcast_arrays(s, (1.0 - s) * r, (1.0 - s) * (1.0 - r)), axis=-1)
-    p = p.reshape(-1, 3)
-    w_simplex = (2.0 * (1.0 - s) * ws[:, None] * ws[None, :]).reshape(-1)
-    # e: the coordinate axis of u's smallest entry (u_k^2 <= 1/3) made
-    # orthogonal to u; f = u x e completes the basis of u^perp
-    u = np.sqrt(p)
-    k = np.argmin(u, axis=-1)
-    e = -u[np.arange(len(u)), k][:, None] * u
-    e[np.arange(len(u)), k] += 1.0
-    e /= np.sqrt(np.einsum("ni,ni->n", e, e))[:, None]
-    f = np.cross(u, e)
-    z, wz = _gauss_rule("legendre", order)
-    z, phi = np.meshgrid(z, 2.0 * np.pi * np.arange(order) / order, indexing="ij")
-    along_e = ((1.0 + z) / 2.0).reshape(-1, 1)
-    mixed = (np.sqrt(1.0 - z * z) * np.cos(phi)).reshape(-1, 1)
-    w_sphere = np.repeat(wz / (2.0 * order), order)
-    v = (along_e * (e * e)[:, None, :] + (1.0 - along_e) * (f * f)[:, None, :]
-         + mixed * (e * f)[:, None, :])
-    moduli = np.empty(v.shape + (3,))
-    moduli[..., 0] = p[:, None, :]
-    moduli[..., 1] = v
-    moduli[..., 2] = 1.0 - p[:, None, :] - v
-    moduli = moduli.reshape(-1, 9)
-    return _read_only(moduli, np.outer(w_simplex, w_sphere).reshape(-1))
+    m1, m2, m3 = sorted(np.asarray(m, float).tolist(), reverse=True)
+    nodes, weights = _tensor_rule(*[_gauss_legendre_01(order, 1.0)] * 3)
+    p = m2 + nodes[:, 0] * (m1 - m2)
+    q = m3 + nodes[:, 1] * (m2 - m3)
+    c = q + nodes[:, 2] * (p - q)
+    return (c, p + q - c, (m1 + m2 + m3) - p - q), weights * (2.0 * (p - q) / (m1 - m3))
 
 
 def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
     """Normalized orbital average A(mu, Y) of exp(-<mu, Ad_y Y>) over K/T.
 
     ClosedFormA1 uses the exact sphere average sinh(|mu||Y|)/(|mu||Y|);
-    HurwitzSU3 is a deterministic product rule over SU(3) Haar measure;
-    MonteCarlo averages over the Haar samples of models.haar_nodes (the
-    integrand is right T-invariant, so Haar on K realizes the normalized
-    K/T measure) and reports a standard error.  The last two see the group
-    element only through the squared moduli of its entries, and both
-    average through models.haar_mean.
+    GelfandTsetlinSU3 is a deterministic rule on the Gelfand-Tsetlin
+    polytope of mu's orbit, exactly 1 where mu = 0; MonteCarlo averages
+    over the Haar samples of models.haar_nodes (the integrand is right
+    T-invariant, so Haar on K realizes the normalized K/T measure) and
+    reports a standard error.  The last two see the group element only
+    through the diagonal of U* mu U, and both average through
+    models.haar_mean.
     """
     mu_c = np.asarray(mu, float)
     y_c = np.asarray(Y, float)
@@ -320,24 +295,25 @@ def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
     # Y = i diag(b), mu = i diag(m): <mu, Ad_y Y> = sum_ij m_i b_j |y_ij|^2
     b = np.diagonal(cartan_element(model, y_c)).imag
     m = np.diagonal(cartan_element(model, mu_c)).imag
-    if isinstance(scheme, HurwitzSU3):
+    if isinstance(scheme, GelfandTsetlinSU3):
         if model.kind != "SU3":
-            raise ValueError("HurwitzSU3 scheme requires the SU3 model")
-        points, weights = _hurwitz_su3_moduli(scheme.order)
-        mb = np.outer(m, b).reshape(-1)
+            raise ValueError("GelfandTsetlinSU3 scheme requires the SU3 model")
+        if m.max() == m.min():  # mu = 0: the orbit is a point
+            return Estimate(1.0, 0.0)
+        points, weights = _gelfand_tsetlin_diagonals(m, scheme.order)
 
-        def pair(moduli):
-            return moduli @ mb
+        def integrand(x1, x2, x3):
+            return np.exp(-(b[0] * x1 + b[1] * x2 + b[2] * x3))
 
     elif isinstance(scheme, MonteCarlo):
         points, weights = haar_nodes(model, scheme)
 
-        def pair(ys):
-            return ((ys.real**2 + ys.imag**2) @ b) @ m
+        def integrand(ys):
+            return np.exp(-(((ys.real**2 + ys.imag**2) @ b) @ m))
 
     else:
         raise ValueError(f"unknown orbital-average scheme: {scheme!r}")
-    mean, sem = haar_mean(lambda p: np.exp(-pair(p)), points, weights)
+    mean, sem = haar_mean(integrand, points, weights)
     return Estimate(float(mean), float(sem))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import asdict, dataclass, fields
-from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,9 +54,9 @@ _IRREP_ONLY = {"fourier", "convolution", "bks", "heat"}
 
 # points per axis of the deterministic second routes; each row's note
 # carries the relative change from half the order
-_HURWITZ_ORDER = 20  # SU(3) Haar product rule of chars.HurwitzSU3, 20^4 nodes
+_GELFAND_TSETLIN_ORDER = 20  # chars.GelfandTsetlinSU3, 20^3 nodes
 # quadrature.tridiagonal_rule over the algebra: 20^2 nodes on su(2), 16^4 on
-# su(3); one rule and its chamber images serve every case of one width
+# su(3); one unit-width rule and its chamber images serve every case
 _TRIDIAGONAL_ORDER = {"SU2": 20, "SU3": 16}
 # the one case per suite that keeps its Monte-Carlo route as a cross-check
 _KIRILLOV_MC_CASE = 3  # A2 lam = (1, 1), double angle
@@ -232,22 +231,27 @@ def chamber_integral(rs: RootSystem, case, order: int) -> float:
 
 
 def tridiagonal_integrals(rs: RootSystem, model: GroupModel, cases, order: int) -> list[float]:
-    """invariant_test_functions cases of one Gaussian width by the tridiagonal rule.
+    """invariant_test_functions cases by the tridiagonal rule of the given order.
 
-    One rule and its chamber images serve every case: one eta array and one
-    character per weight, each evaluated in the blocks of models.haar_mean,
-    so each value has the bits of its case integrated alone over the rule.
+    One unit-width rule and its chamber images serve every case: a width
+    t_g scales the images by sqrt(t_g) and the norm by t_g^(dim_k/2).  Per
+    width, one eta array and one character per weight, each evaluated in
+    the blocks of models.haar_mean, so each value has the bits of its case
+    integrated alone over the scaled images.
     """
-    rep, weights, norm = tridiagonal_rule(model, cases[0][0], order)
-    eta = _evaluate_blocks(lambda r: chars.eta(rs, r), rep)
-    chis = {}
-    for _, _, lam, _ in cases:
+    unit, weights, norm = tridiagonal_rule(model, order)
+    values, widths = [], {}
+    for tg, p, lam, _ in cases:
+        if tg not in widths:
+            rep = np.sqrt(tg) * unit
+            widths[tg] = rep, _evaluate_blocks(lambda r: chars.eta(rs, r), rep), {}
+        rep, eta, chis = widths[tg]
         if lam.dynkin not in chis:
             chis[lam.dynkin] = _evaluate_blocks(
                 lambda r: chars.weyl_char_holo(rs, lam, 2.0 * r), rep)
-    return [norm * float(haar_mean(lambda e, chi: e**p * chi, (eta, chis[lam.dynkin]),
-                                   weights)[0])
-            for _, p, lam, _ in cases]
+        mean = haar_mean(lambda e, chi: e**p * chi, (eta, chis[lam.dynkin]), weights)[0]
+        values.append(norm * tg ** (model.dim_k / 2.0) * float(mean))
+    return values
 
 
 def cartesian_monte_carlo(rs: RootSystem, model: GroupModel, case, scheme: MonteCarlo):
@@ -408,12 +412,8 @@ def suite_weylint(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> l
                              f"{_TILT_CAP:g} at t={cfg.t:g}"))
         return rows
     tri = _TRIDIAGONAL_ORDER[model.kind]
-    # the cases of one width are contiguous, so each (width, order) rule is built once
-    fines, coarses = [], []
-    for _, same_width in groupby(cases, key=lambda case: case[0]):
-        same_width = list(same_width)
-        fines += tridiagonal_integrals(rs, model, same_width, tri)
-        coarses += tridiagonal_integrals(rs, model, same_width, tri // 2)
+    fines = tridiagonal_integrals(rs, model, cases, tri)
+    coarses = tridiagonal_integrals(rs, model, cases, tri // 2)
     mc_case = min(_WEYLINT_MC_CASE, len(cases) - 1)
     for i, (case, fine, coarse) in enumerate(zip(cases, fines, coarses)):
         tg, p, lam, _ = case
@@ -456,25 +456,24 @@ def suite_kirillov(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> 
         lhs, est = chars.kirillov_sides(model, lam, Y, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
         rows.append(stat_row(cid, lhs, est.value, est.stderr, f"lam={lam.dynkin}"))
         return rows
-    # A2: orbital averages by the SU(3) Haar product rule, signed sides
+    # A2: orbital averages by the Gelfand-Tsetlin rule, signed sides
     lams = [weight(rs, d) for d in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2))]
     ys = [rng.normal(0.0, 0.5, size=2) for _ in lams]
-    # the Monte-Carlo cross-check goes first: its samples are freed before
-    # the rule's nodes are built, so the two never share the peak memory
     cid = "kirillov/mc-crosscheck-a2"
     lam, Y = lams[_KIRILLOV_MC_CASE], ys[_KIRILLOV_MC_CASE]
     lhs, est = chars.kirillov_sides(model, lam, Y, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
     rows.append(stat_row(cid, lhs, est.value, est.stderr,
                          f"lam={lam.dynkin}; Monte-Carlo route of "
-                         f"hurwitz-a2-double-{_KIRILLOV_MC_CASE}"))
+                         f"gt-a2-double-{_KIRILLOV_MC_CASE}"))
+    order = _GELFAND_TSETLIN_ORDER
     for i, (lam, Y) in enumerate(zip(lams, ys)):
         for tag, half in (("double", False), ("half", True)):
-            lhs, fine = chars.kirillov_sides(model, lam, Y, chars.HurwitzSU3(_HURWITZ_ORDER), half)
-            _, coarse = chars.kirillov_sides(model, lam, Y, chars.HurwitzSU3(_HURWITZ_ORDER // 2),
+            lhs, fine = chars.kirillov_sides(model, lam, Y, chars.GelfandTsetlinSU3(order), half)
+            _, coarse = chars.kirillov_sides(model, lam, Y, chars.GelfandTsetlinSU3(order // 2),
                                              half)
             rows.append(det_row(
-                f"kirillov/hurwitz-a2-{tag}-{i}", lhs, fine.value, max(cfg.tolerance, 1e-12),
-                f"lam={lam.dynkin}; {doubling_note(fine.value, coarse.value, _HURWITZ_ORDER)}",
+                f"kirillov/gt-a2-{tag}-{i}", lhs, fine.value, max(cfg.tolerance, 1e-12),
+                f"lam={lam.dynkin}; {doubling_note(fine.value, coarse.value, order)}",
             ))
     return rows
 
@@ -628,9 +627,18 @@ def suite_plancherel(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -
                              "pointwise synthesis needs SU2 irreducible matrices"))
         return rows
     cid = "plancherel/l2k-chi-norm"
+
+    def chi_norm2(x):
+        return np.abs(su2_character(1, x)) ** 2
+
     xs, _ = haar_nodes(model, MonteCarlo(cfg.mc_samples, _seed_for(cfg, cid)))
-    mean, sem = haar_mean(lambda x: np.abs(su2_character(1, x)) ** 2, xs, None)
+    mean, sem = haar_mean(chi_norm2, xs, None)
     rows.append(stat_row(cid, float(mean), 1.0, float(sem), "||chi||^2 = 1 by orthogonality"))
+    # |chi_1|^2 is of degree 2: the rule of that degree, and twice it for the delta
+    exact, doubled = (float(haar_mean(chi_norm2, *haar_nodes(model, HaarSU2(d)))[0])
+                      for d in (2, 4))
+    rows.append(det_row(f"{cid}-rule", exact, 1.0, max(cfg.tolerance, 1e-12),
+                        "||chi||^2 = 1 by orthogonality; " + haar_su2_note(exact, doubled, 2)))
     cid = "plancherel/l2k-bandlimited"
     series = random_series("A1", "L2K", cfg.t, [(0,), (1,), (2,)], _rng_for(cfg, cid))
     degree = 2 * _top_band(series)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fourier import FourierSeries, synthesize, synthesize_many
 from .models import GroupModel, _polar_rule, _read_only, haar_mean, mul2x2
-from .rootdata import RootSystem, Weight, build_root_system, weight
+from .rootdata import RootSystem, Weight, build_root_system, is_dominant, weight
 
 __all__ = [
     "energy_eigenvalue",
@@ -31,7 +31,7 @@ _TERM_CAP = 10_000
 
 def energy_eigenvalue(rs: RootSystem, lam: Weight) -> float:
     """Casimir/Laplace-Beltrami eigenvalue |lam+rho|^2 - |rho|^2, >= 0."""
-    if not lam.is_dominant:
+    if not is_dominant(rs, lam):
         raise ValueError("energy_eigenvalue requires a dominant weight")
     lr = lam.coords + rs.rho
     return float(lr @ lr - rs.rho @ rs.rho)

@@ -54,7 +54,8 @@ from .quadrature import (
     gaussian_linear_moment,
     torus_axis_rule,
 )
-from .rootdata import RootSystem, Weight, build_root_system, dimension, simple_root_pairings, weight
+from .rootdata import (RootSystem, Weight, build_root_system, dimension, is_dominant,
+                       simple_root_pairings, weight)
 
 __all__ = [
     "ConstantsRow",
@@ -86,7 +87,7 @@ def c_constant(rs: RootSystem, lam: Weight, t: float) -> float:
     """(t*pi)^(dim/2) * exp(t |lam+rho|^2), the Gaussian moment of 2(lam+rho) at width t."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if not lam.is_dominant:
+    if not is_dominant(rs, lam):
         raise ValueError("c_constant requires a dominant weight")
     return gaussian_linear_moment(rs, 2.0 * (lam.coords + rs.rho), t)
 
@@ -95,7 +96,7 @@ def d_constant(rs: RootSystem, lam: Weight, t: float) -> float:
     """(2*t*pi)^(dim/2) * exp(t |lam+rho|^2 / 2), the Gaussian moment of lam+rho at width 2t."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if not lam.is_dominant:
+    if not is_dominant(rs, lam):
         raise ValueError("d_constant requires a dominant weight")
     return gaussian_linear_moment(rs, lam.coords + rs.rho, 2.0 * t)
 

@@ -502,11 +502,11 @@ def haar_mean(f, points, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Average of a pointwise integrand over a scheme's points, with its standard error.
 
     The one place where any integration scheme's points become a mean and
-    a standard error: the Haar schemes of haar_nodes, the HurwitzSU3 rule
-    of chars.orbital_average, the Monte-Carlo oracle
+    a standard error: the Haar schemes of haar_nodes, the Gelfand-Tsetlin
+    rule of chars.orbital_average, the Monte-Carlo oracle
     quadrature.cartesian_oracle_integrate, the tridiagonal rule of
-    quadrature.tridiagonal_rule, whose chamber images serve every
-    integrand of one Gaussian width, the SU(2) polar rule _polar_rule
+    quadrature.tridiagonal_rule, whose unit-width chamber images serve
+    every Gaussian width, the SU(2) polar rule _polar_rule
     and the pairing moments on its directions, and the chamber rules
     of quadrature.integrate_invariant, which come in slabs.  f is evaluated
     block by block (see _evaluate_blocks), so points is an array, a tuple

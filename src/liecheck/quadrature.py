@@ -15,8 +15,9 @@ Matrices, 3rd ed., ch. 17), and the Jacobian |det w|.  Two Cartesian
 routes that never use the chamber reduction check it: the Monte-Carlo
 oracle, and the deterministic tridiagonal rule, which needs neither the
 Weyl integration formula nor the flag volume and hands back its nodes
-mapped to the chamber, so one rule serves every integrand of one Gaussian
-width.  All their 1-D Gauss rules come from models._gauss_rule.
+mapped to the chamber at unit width, so one rule serves every integrand
+of every Gaussian width.  All their 1-D Gauss rules come from
+models._gauss_rule.
 """
 
 from __future__ import annotations
@@ -326,13 +327,13 @@ def gaussian_linear_moment(rs: RootSystem, mu, t: float) -> float:
     return float((t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * float(mu @ mu) / 4.0))
 
 
-def tridiagonal_rule(model: GroupModel, t: float, order: int):
+def tridiagonal_rule(model: GroupModel, order: int):
     """Chamber images (N, rank), weights (N,) and norm of the tridiagonal rule
-    for e^{-|c|^2/t} over su(2) or su(3), `order` points per axis.
+    for e^{-|c|^2} over su(2) or su(3), `order` points per axis.
 
     Unitary invariance brings H = -iY to real tridiagonal form (Trotter,
     Adv. Math. 54 (1984) 67; Dumitriu & Edelman, J. Math. Phys. 43 (2002)
-    5830), so for an Ad-invariant f the integral of f(Y) e^{-|Y|^2/t} over
+    5830), so for an Ad-invariant f the integral of f(Y) e^{-|Y|^2} over
     the algebra is norm * haar_mean(f, nodes, weights), f taking chamber
     coordinates.  It uses no Weyl integration formula and no flag volume.
 
@@ -341,29 +342,28 @@ def tridiagonal_rule(model: GroupModel, t: float, order: int):
     coordinates on C^2 and C (sphere areas 2 pi^2 and 2 pi) make the
     integral over R^8 2 pi^2 * 2 pi times that over (c_2, c_7) in R^2,
     s > 0 and rho > 0 of s^3 rho f(c_0 = s, c_5 = rho, c_2, c_7, other
-    c = 0) e^{-(c_2^2 + c_7^2 + s^2 + rho^2)/t}.  With c_2, c_7 = sqrt(t) x
-    (Gauss-Hermite), s^2 = t u (Gauss-Laguerre, alpha = 1) and rho^2 = t v
-    (alpha = 0) it is pi^3 t^4 sum w f.  su(2): one phase leaves 2 pi times
+    c = 0) e^{-(c_2^2 + c_7^2 + s^2 + rho^2)}.  With c_2, c_7 = x
+    (Gauss-Hermite), s^2 = u (Gauss-Laguerre, alpha = 1) and rho^2 = v
+    (alpha = 0) it is pi^3 sum w f.  su(2): one phase leaves 2 pi times
     the integral over c_2 in R and rho > 0 of rho f(c_0 = rho, c_2, c_1 = 0)
-    e^{-(c_2^2 + rho^2)/t}, or pi t^(3/2) sum w f.  f = 1 gives
-    (pi t)^(dim_k/2) exactly.
+    e^{-(c_2^2 + rho^2)}, or pi sum w f.  f = 1 gives pi^(dim_k/2) exactly.
 
-    The Cartesian nodes go through models.chamber_coordinates once, in the
-    blocks of models._evaluate_blocks, so an integrand evaluated on the
-    returned nodes in those blocks has the bits it would have composed with
-    chamber_coordinates; one rule and its chamber images serve every
-    integrand of one width.
+    The rule is built at unit width: chamber coordinates are homogeneous of
+    degree 1 and the weights do not depend on the width, so width t takes
+    the images times sqrt(t) and the norm times t^(dim_k/2).  The Cartesian
+    nodes go through models.chamber_coordinates once, in the blocks of
+    models._evaluate_blocks, so an integrand evaluated on the returned
+    nodes in those blocks has the bits it would have composed with
+    chamber_coordinates.
     """
     x, wx = _gauss_rule("hermite", order)
     v, wv = _gauss_rule("laguerre", order)
-    diagonal = (np.sqrt(t) * x, wx)
-    rho = (np.sqrt(t * v), wv)
+    rho = (np.sqrt(v), wv)
     if model.kind == "SU2":
-        slots, rules, norm = [0, 2], (rho, diagonal), np.pi * t**1.5
+        slots, rules, norm = [0, 2], (rho, (x, wx)), np.pi
     elif model.kind == "SU3":
         u, wu = _gauss_rule("laguerre", order, 1.0)
-        slots, rules = [0, 5, 2, 7], ((np.sqrt(t * u), wu), rho, diagonal, diagonal)
-        norm = np.pi**3 * t**4
+        slots, rules, norm = [0, 5, 2, 7], ((np.sqrt(u), wu), rho, (x, wx), (x, wx)), np.pi**3
     else:
         raise ValueError(f"the tridiagonal rule needs the SU2 or SU3 model, not {model.kind!r}")
     nodes, weights = _tensor_rule(*rules)

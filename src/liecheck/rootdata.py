@@ -23,6 +23,7 @@ __all__ = [
     "build_root_system",
     "dimension",
     "enumerate_dominant",
+    "is_dominant",
     "simple_root_pairings",
     "weight",
     "weight_inner",
@@ -91,10 +92,6 @@ class Weight:
 
     dynkin: tuple[int, ...]
     coords: np.ndarray
-
-    @property
-    def is_dominant(self) -> bool:
-        return all(k >= 0 for k in self.dynkin)
 
     def __repr__(self) -> str:  # compact: Weight(1, 0)
         return "Weight" + str(self.dynkin)
@@ -206,6 +203,12 @@ def weight(rs: RootSystem, dynkin) -> Weight:
     return Weight(dynkin=labels, coords=coords)
 
 
+def is_dominant(rs: RootSystem, lam: Weight) -> bool:
+    """Whether lam is dominant for rs: every Dynkin label >= 0, and every
+    weight of a torus, whose Weyl group is trivial."""
+    return rs.is_torus or all(k >= 0 for k in lam.dynkin)
+
+
 def enumerate_dominant(rs: RootSystem, max_level: int) -> list[Weight]:
     """All dominant weights with every Dynkin label in [0, max_level], lex order."""
     if max_level < 0:
@@ -231,7 +234,7 @@ def dimension(rs: RootSystem, lam: Weight) -> int:
     roots and rounded; the product is required to sit within 1e-9 of an
     integer.
     """
-    if not lam.is_dominant:
+    if not is_dominant(rs, lam):
         raise ValueError(f"dimension requires a dominant weight, got {lam}")
     if rs.is_torus:
         return 1

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from liecheck.cli import main
 
-FULL_GRID = (("A1", "A2", "T1", "T2"), (1e-6, 1e-3, 0.05, 1.0, 5.0, 50.0), (0, 4, 10))
+FULL_GRID = (("A1", "A2", "T1", "T2"), (1e-6, 1e-4, 1e-3, 0.05, 1.0, 5.0, 50.0), (0, 4, 10))
 REDUCED_GRID = (("A1", "A2", "T2"), (1e-3, 1.0, 5.0), (0, 4))
 
 

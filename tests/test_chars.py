@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liecheck import chars
 from liecheck.chars import (
     ClosedFormA1,
-    HurwitzSU3,
-    _hurwitz_su3_moduli,
+    GelfandTsetlinSU3,
+    _gelfand_tsetlin_diagonals,
     eta,
     eta_det_oracle,
     j_half_identity_residual,
@@ -365,9 +365,12 @@ def test_weyl_char_holo_torus_matches_two_exponential_reference(t2):
     pts = 2.0 * q.nodes
     for lam in (weight(t2, (0, 0)), weight(t2, (3, 4)), top):
         assert np.array_equal(weyl_char_holo(t2, lam, pts), _weyl_char_holo_two_exp(t2, lam, pts)[0])
-    t1 = build_root_system("T1")
+    # every torus weight is dominant: (-1,) is the mirror of (1,); on A1 it raises
+    t1, a1 = build_root_system("T1"), build_root_system("A1")
+    assert weyl_char_holo(t1, weight(t1, (-1,)), np.ones(1)) == weyl_char_holo(
+        t1, weight(t1, (1,)), -np.ones(1))
     with pytest.raises(ValueError):
-        weyl_char_holo(t1, weight(t1, (-1,)), np.ones(1))
+        weyl_char_holo(a1, weight(a1, (-1,)), np.ones(1))
 
 
 def test_orbital_average_trivial(su2):
@@ -413,43 +416,86 @@ def test_monte_carlo_standard_error_is_calibrated(su2, a1):
     assert abs(float(np.mean(z))) <= 0.231
 
 
-def test_hurwitz_su3_rule_is_a_haar_rule():
-    for order in (4, 9, 16):
-        moduli, weights = _hurwitz_su3_moduli(order)
-        assert moduli.shape == (order**4, 9) and weights.shape == (order**4,)
+def test_gelfand_tsetlin_rule_is_an_orbit_rule():
+    # the diagonal x of U* diag(m) U, U Haar: E x_i = tr m / 3 and
+    # E x_1^2 = (sum m_i^2 + (tr m)^2) / 12, the moduli |U_i1|^2 being
+    # uniform on the simplex; summed exactly so that only the rule is tested
+    for m, order in (((1.3, -0.4, -0.9), 4), ((-2.0, 0.5, 3.5), 9), ((1.0, 1.0, -2.0), 16)):
+        m = np.array(m)
+        x, weights = _gelfand_tsetlin_diagonals(m, order)
+        assert all(xi.shape == (order**3,) for xi in x) and weights.shape == (order**3,)
         assert abs(math.fsum(weights) - 1.0) <= 1e-14
-        assert weights.min() > 0.0 and moduli.min() > 0.0
-        # unistochastic: every row and column of |y_ij|^2 sums to 1
-        grid = moduli.reshape(-1, 3, 3)
-        assert np.abs(grid.sum(axis=1) - 1.0).max() <= 1e-14
-        assert np.abs(grid.sum(axis=2) - 1.0).max() <= 1e-14
-        # Haar moments E|y_ij|^2 = 1/3 and E|y_ij|^4 = 2/(n(n+1)) = 1/6,
-        # summed exactly so that only the rule is tested
-        for power, exact in ((1, 1.0 / 3.0), (2, 1.0 / 6.0)):
-            for col in (moduli**power).T:
-                assert abs(math.fsum(weights * col) - exact) <= 1e-14
-    for arr in _hurwitz_su3_moduli(4):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+        assert weights.min() >= 0.0
+        scale = float(np.abs(m).max())
+        for xi in x:
+            assert abs(math.fsum(weights * xi) - m.sum() / 3.0) <= 1e-14 * scale
+        second = (np.sum(m**2) + m.sum() ** 2) / 12.0
+        assert abs(math.fsum(weights * x[0] ** 2) - second) <= 1e-14 * scale**2
+        # every x is a diagonal of the orbit: it sums to tr m, inside [m_3, m_1]
+        assert np.abs(x[0] + x[1] + x[2] - m.sum()).max() <= 1e-14 * scale
+        for xi in x:
+            assert m.min() - 1e-14 * scale <= xi.min() and xi.max() <= m.max() + 1e-14 * scale
 
 
-def test_hurwitz_su3_matches_character_side(su3, a2):
-    # the 12 (lam, double/half) cases of the kirillov suite, Y ~ N(0, 0.5^2)
+def test_gelfand_tsetlin_orbital_average_at_mu_zero_is_one(su3):
+    # the orbit of mu = 0 is a point: the rule's weight 2 (p - q) / (m_1 - m_3)
+    # would be 0 / 0 there
+    for Y in (np.array([0.3, -1.2]), np.zeros(2)):
+        assert orbital_average(su3, np.zeros(2), Y, GelfandTsetlinSU3(20)) == (1.0, 0.0)
+
+
+def _hciz(m, b):
+    """The HCIZ average of exp(-sum_ij m_i b_j |U_ij|^2) over SU(3):
+    2 det[e^{-m_i b_j}] / (Delta(m) Delta(-b))."""
+    def vandermonde(a):
+        return (a[0] - a[1]) * (a[0] - a[2]) * (a[1] - a[2])
+
+    return 2.0 * np.linalg.det(np.exp(-np.outer(m, b))) / (vandermonde(m) * vandermonde(-b))
+
+
+gaps = st.floats(0.2, 1.8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gm=st.tuples(gaps, gaps), gb=st.tuples(gaps, gaps), perm=st.permutations(range(3)),
+       flip=st.booleans())
+def test_gelfand_tsetlin_orbital_average_matches_hciz(su3, gm, gb, perm, flip):
+    # separated spectra, so the determinant formula keeps its digits
+    def spectrum(g):
+        a = np.array([0.0, -g[0], -g[0] - g[1]])
+        return a - a.mean()
+
+    embed = CARTAN_EIGEN_EMBED["A2"]
+    m, b = spectrum(gm), spectrum(gb)[list(perm)] * (-1.0 if flip else 1.0)
+    assume(np.linalg.norm(m) * np.linalg.norm(b) <= 6.0)
+    mu, Y = embed @ m, embed @ b
+    m = np.diagonal(cartan_element(su3, mu)).imag
+    b = np.diagonal(cartan_element(su3, Y)).imag
+    exact = _hciz(m, b)
+    rule = orbital_average(su3, mu, Y, GelfandTsetlinSU3(20))
+    assert rule.stderr == 0.0
+    assert abs(rule.value - exact) <= 1e-11 * exact
+
+
+def test_gelfand_tsetlin_su3_matches_character_side(su3, a2):
+    # the 12 (lam, double/half) cases of the kirillov suite, Y ~ N(0, 0.5^2),
+    # and 12 wide ones, Y ~ N(0, 2^2), all at order 20
     rng = np.random.default_rng(606)
-    for dn in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2)):
-        lam = weight(a2, dn)
-        Y = rng.normal(0.0, 0.5, size=2)
-        for half in (False, True):
-            lhs, rhs = kirillov_sides(su3, lam, Y, HurwitzSU3(20), half_angle=half)
-            assert rhs.stderr == 0.0
-            assert abs(lhs - rhs.value) <= 1e-12 * abs(lhs)
+    for sd in (0.5, 2.0):
+        for dn in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2)):
+            lam = weight(a2, dn)
+            Y = rng.normal(0.0, sd, size=2)
+            for half in (False, True):
+                lhs, rhs = kirillov_sides(su3, lam, Y, GelfandTsetlinSU3(20), half_angle=half)
+                assert rhs.stderr == 0.0
+                assert abs(lhs - rhs.value) <= 1e-13 * abs(lhs), (sd, dn, half)
 
 
-def test_hurwitz_su3_agrees_with_monte_carlo(su3, a2):
+def test_gelfand_tsetlin_su3_agrees_with_monte_carlo(su3, a2):
     lam = weight(a2, (2, 2))
     mu = 2.0 * (lam.coords + a2.rho)
     Y = np.array([0.4, -0.3])
-    rule = orbital_average(su3, mu, Y, HurwitzSU3(20))
+    rule = orbital_average(su3, mu, Y, GelfandTsetlinSU3(20))
     mc = orbital_average(su3, mu, Y, MonteCarlo(100_000, 616))
     assert abs(mc.value - rule.value) <= 3.0 * mc.stderr
 
@@ -523,7 +569,7 @@ def test_scheme_mismatch(su2, su3):
     with pytest.raises(ValueError):
         orbital_average(su3, np.array([1.0, 0.0]), np.array([0.5, 0.0]), ClosedFormA1())
     with pytest.raises(ValueError, match="requires the SU3 model"):
-        orbital_average(su2, np.array([1.0]), np.array([0.5]), HurwitzSU3(8))
+        orbital_average(su2, np.array([1.0]), np.array([0.5]), GelfandTsetlinSU3(8))
     # an unknown scheme object is refused before any averaging
     with pytest.raises(ValueError, match="unknown orbital-average scheme"):
         orbital_average(su2, np.array([1.0]), np.array([0.5]), object())

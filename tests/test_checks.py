@@ -129,11 +129,27 @@ def test_pointwise_transform_scale_survives_a_zero_of_the_character(a1, su2):
     assert pointwise_transform_deviation(a1, su2, 1.0, xs) <= 1e-13
 
 
+def test_a_scaled_su2_character_fails_the_plancherel_rule_row(monkeypatch):
+    # ||chi_1||^2 off by 2e-6: the Monte-Carlo row's standard error, near
+    # 2e-3 at the default samples, hides it; the rule row does not
+    def rows():
+        report = run_verification_suite(RunConfig(group="A1"), "plancherel")
+        return {c["check_id"]: c for c in report["checks"]}
+
+    assert rows()["plancherel/l2k-chi-norm-rule"]["pass"]
+    monkeypatch.setattr(checks, "su2_character",
+                        lambda n, xs: (1.0 + 1e-6) * models.su2_character(n, xs))
+    scaled = rows()
+    assert scaled["plancherel/l2k-chi-norm"]["pass"]
+    rule = scaled["plancherel/l2k-chi-norm-rule"]
+    assert not rule["pass"] and abs(rule["rel_err"] - 2e-6) <= 1e-9
+
+
 def test_weylint_maps_each_width_and_order_to_the_chamber_once(monkeypatch, a2):
-    # A2 at t = 1: 20 cases at 3 Gaussian widths, each width's rules of
-    # orders 16 and 8 mapped to the chamber in one block pass, and the
-    # Monte-Carlo row's samples once; one pass per case would map
-    # 20 * (16^4 + 8^4) nodes
+    # A2 at t = 1: 20 cases at 3 Gaussian widths, the unit-width rules of
+    # orders 16 and 8 mapped to the chamber in one block pass each and
+    # scaled to every width, and the Monte-Carlo row's samples once; one
+    # pass per width would map 3 * (16^4 + 8^4) nodes
     points = []
 
     def counted(model, coords):
@@ -148,21 +164,24 @@ def test_weylint_maps_each_width_and_order_to_the_chamber_once(monkeypatch, a2):
     widths = {case[0] for case in cases}
     assert len(cases) == 20 and len(widths) == 3
     assert report["summary"]["failed"] == 0
-    assert sum(points) == len(widths) * (16**4 + 8**4) + cfg.mc_samples
+    assert sum(points) == 16**4 + 8**4 + cfg.mc_samples
 
     def blocks(n):
         return -(-n // models._BLOCK)
 
-    assert len(points) == len(widths) * (blocks(16**4) + blocks(8**4)) + blocks(cfg.mc_samples)
+    assert len(points) == blocks(16**4) + blocks(8**4) + blocks(cfg.mc_samples)
 
 
 def test_shared_tridiagonal_values_equal_the_rule_case_by_case(a2, su3):
+    # cases of two widths, each integrated alone over the unit-width
+    # rule's images scaled by sqrt(t_g), its norm scaled by t_g^4
     cases = invariant_test_functions(a2, 1.0)
-    width = [case for case in cases if case[0] == cases[1][0]][:5]
-    shared = tridiagonal_integrals(a2, su3, width, 16)
-    nodes, weights, norm = tridiagonal_rule(su3, width[0][0], 16)
-    for (_, p, lam, _), value in zip(width, shared):
+    picked = cases[:3] + [case for case in cases if case[0] != cases[0][0]][:3]
+    shared = tridiagonal_integrals(a2, su3, picked, 16)
+    nodes, weights, norm = tridiagonal_rule(su3, 16)
+    for (tg, p, lam, _), value in zip(picked, shared):
         def f(Y):
             return chars.eta(a2, Y) ** p * chars.weyl_char_holo(a2, lam, 2.0 * Y)
 
-        assert value == norm * float(models.haar_mean(f, nodes, weights)[0])
+        mean = models.haar_mean(f, np.sqrt(tg) * nodes, weights)[0]
+        assert value == norm * tg**4.0 * float(mean)

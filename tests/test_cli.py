@@ -385,7 +385,7 @@ def test_statistical_summary_and_deterministic_second_routes():
     assert stat["beyond_2sigma"] == sum(
         1 for c in a2["checks"] if c["kind"] == "statistical" and c["sigma_distance"] > 2.0)
     rule = [c for c in a2["checks"] if c["check_id"].startswith(
-        ("kirillov/hurwitz-a2-", "weylint/chamber-vs-tridiagonal-"))]
+        ("kirillov/gt-a2-", "weylint/chamber-vs-tridiagonal-"))]
     assert [c["check_id"] for c in a2["checks"] if c["kind"] == "statistical"] == [
         "kirillov/mc-crosscheck-a2", "weylint/mc-crosscheck-a2"]
     a1 = run_verification_suite(RunConfig(group="A1"), "weylint")
@@ -395,7 +395,7 @@ def test_statistical_summary_and_deterministic_second_routes():
     assert len(rule) == 12 + 20 + 20
     for c in rule:
         assert c["kind"] == "deterministic" and c["pass"]
-        assert c["rel_err"] <= 1e-12
+        assert c["rel_err"] <= (1e-13 if c["check_id"].startswith("kirillov/") else 1e-12)
         assert "rel delta" in c["note"]
     # both Monte-Carlo cross-checks take the same case of their group's list
     for report, group in ((a1, "a1"), (a2, "a2")):

@@ -32,10 +32,12 @@ def gauss(t):
 
 def _tridiagonal(model, f, t, order):
     """The integral of f(Y) e^{-|Y|^2/t} over the algebra by the tridiagonal
-    rule, f taking the chamber coordinates of the rule's nodes."""
-    nodes, weights, norm = tridiagonal_rule(model, t, order)
+    rule, f taking the chamber coordinates of the unit-width rule's nodes
+    scaled by sqrt(t), the norm scaled by t^(dim_k/2)."""
+    nodes, weights, norm = tridiagonal_rule(model, order)
     assert nodes.shape == (len(weights), model.rank)
-    return norm * float(models.haar_mean(f, nodes, weights)[0])
+    scaled = np.sqrt(t) * nodes
+    return norm * t ** (model.dim_k / 2.0) * float(models.haar_mean(f, scaled, weights)[0])
 
 
 def test_gaussian_reproduction_a1(a1):
@@ -260,7 +262,7 @@ def test_errors(a1, su2):
     with pytest.raises(ValueError):
         cartesian_oracle_integrate(su2, lambda c: np.ones(len(c)), 1.0, "nope")
     with pytest.raises(ValueError, match="needs the SU2 or SU3 model"):
-        tridiagonal_rule(replace(su2, kind="SU4"), 1.0, 4)
+        tridiagonal_rule(replace(su2, kind="SU4"), 4)
 
 
 def _reference_rule(rs, t, order, mu):

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liecheck import chars, rootdata
+from liecheck import chars, heat, hilbert, rootdata
+from liecheck.fourier import FourierSeries, plancherel_norm
 from liecheck.models import algebra_coords, cartan_element
-from liecheck.rootdata import build_root_system, dimension, enumerate_dominant, weight, weight_inner
+from liecheck.rootdata import (build_root_system, dimension, enumerate_dominant, is_dominant,
+                               weight, weight_inner)
 
 
 def test_a1_data(a1):
@@ -88,6 +90,20 @@ def test_enumerate_dominant(a1, a2):
     assert [w.dynkin for w in enumerate_dominant(a1, 2)] == [(0,), (1,), (2,)]
     assert [w.dynkin for w in enumerate_dominant(a1, 0)] == [(0,)]
     assert [w.dynkin for w in enumerate_dominant(a2, 1)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_every_torus_weight_is_dominant(a1):
+    # a torus's Weyl group is trivial: (-2,) on T1 is the mirror of (2,)
+    t1 = build_root_system("T1")
+    neg, pos = weight(t1, (-2,)), weight(t1, (2,))
+    assert is_dominant(t1, neg) and not is_dominant(a1, weight(a1, (-2,)))
+    assert dimension(t1, neg) == dimension(t1, pos) == 1
+    assert hilbert.c_constant(t1, neg, 0.7) == hilbert.c_constant(t1, pos, 0.7)
+    assert hilbert.d_constant(t1, neg, 0.7) == hilbert.d_constant(t1, pos, 0.7)
+    assert heat.energy_eigenvalue(t1, neg) == heat.energy_eigenvalue(t1, pos) == 4.0
+    norms = [plancherel_norm(FourierSeries("T1", "HL2", 0.7, {dn: np.ones((1, 1))}))
+             for dn in ((-2,), (2,))]
+    assert norms[0] == norms[1] == hilbert.c_constant(t1, pos, 0.7)
 
 
 def test_dimension_examples(a1, a2):
