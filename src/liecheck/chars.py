@@ -109,37 +109,43 @@ def eta(rs: RootSystem, Y) -> np.ndarray | float:
     return np.exp(log_eta(root_pairings(rs, c)))
 
 
-def eta_det_oracle(model: GroupModel, Y) -> float:
-    """Density via the determinant route: det(sin(ad Y)/ad Y)^(1/2).
+def eta_det_oracle(model: GroupModel, Y) -> np.ndarray | float:
+    """Density via the determinant route: det(sin(ad Y)/ad Y)^(1/2), batched.
 
-    Y is an algebra element given as a defining-representation matrix.  The
-    ad matrix is assembled in the orthonormal basis, its (imaginary)
-    spectrum extracted, and sin(x)/x applied spectrally; agrees with the
-    product form on chamber representatives of conjugates.
+    Y is an algebra element given as a defining-representation matrix, or a
+    stack (..., n, n) of them.  The ad matrices are assembled in the
+    orthonormal basis, their (imaginary) spectra extracted by one eigvalsh
+    call over the stack, and sin(x)/x applied spectrally; agrees with the
+    product form on chamber representatives of conjugates.  Each matrix of
+    the stack is handled by the same per-matrix routines, so it has the
+    bits it has alone.  A float for one matrix, as weyl_char_holo.
     """
     Y = np.asarray(Y, complex)
     basis = model.ad_basis
-    brackets = Y[None, :, :] @ basis - basis @ Y[None, :, :]
-    ad = algebra_coords(model, brackets).T  # column b = coords of [Y, e_b]
+    ys = Y[..., None, :, :]
+    brackets = ys @ basis - basis @ ys
+    ad = np.swapaxes(algebra_coords(model, brackets), -1, -2)  # column b = coords of [Y, e_b]
     w = np.linalg.eigvalsh(1j * ad)         # ad is real antisymmetric
     # eigenvalue i*w contributes sin(i*w)/(i*w) = sinh(w)/w
-    det = float(np.prod(_sinhc(w)))
-    return float(np.sqrt(det))
+    out = np.sqrt(np.prod(_sinhc(w), axis=-1))
+    return float(out) if Y.ndim == 2 else out
 
 
-def j_half_identity_residual(rs: RootSystem, Y) -> float:
-    """|j(iY) - eta(Y/2)|, the two sides by independent routes.
+def j_half_identity_residual(rs: RootSystem, Y) -> np.ndarray | float:
+    """|j(iY) - eta(Y/2)|, the two sides by independent routes, batched.
 
     j(iY) is the product over positive roots of sinh(<a,Y>/2)/(<a,Y>/2),
     the product form eta(rs, Y/2); eta(Y/2) is the determinant route
     det(sin(ad)/ad)^(1/2) at the Cartan element Y/2 of the SU(2) or SU(3)
-    matrix model.  Tori give 0.
+    matrix model.  Y is (..., rank); a float for one point.  Tori give 0.
     """
     half = np.asarray(Y, float) / 2.0
     model = group_model_for(rs.kind)
     if model is None:
-        return 0.0
-    return abs(float(eta(rs, half)) - eta_det_oracle(model, cartan_element(model, half)))
+        out = np.zeros(half.shape[:-1])
+    else:
+        out = np.abs(eta(rs, half) - eta_det_oracle(model, cartan_element(model, half)))
+    return float(out) if half.ndim == 1 else out
 
 
 @lru_cache(maxsize=None)
@@ -276,7 +282,8 @@ def _gelfand_tsetlin_diagonals(m, order: int) -> tuple[tuple[np.ndarray, ...], n
 def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
     """Normalized orbital average A(mu, Y) of exp(-<mu, Ad_y Y>) over K/T.
 
-    ClosedFormA1 uses the exact sphere average sinh(|mu||Y|)/(|mu||Y|);
+    ClosedFormA1 uses the exact sphere average sinh(|mu||Y|)/(|mu||Y|),
+    batched: Y (..., rank) gives an Estimate of arrays, one point floats;
     GelfandTsetlinSU3 is a deterministic rule on the Gelfand-Tsetlin
     polytope of mu's orbit, exactly 1 where mu = 0; MonteCarlo averages
     over the Haar samples of models.haar_nodes (the integrand is right
@@ -290,8 +297,8 @@ def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
     if isinstance(scheme, ClosedFormA1):
         if model.rs_kind != "A1":
             raise ValueError("ClosedFormA1 scheme requires the SU2 model")
-        x = float(np.linalg.norm(mu_c) * np.linalg.norm(y_c))
-        return Estimate(float(_sinhc(x)), 0.0)
+        value = _sinhc(np.linalg.norm(mu_c) * np.linalg.norm(y_c, axis=-1))
+        return Estimate(float(value) if y_c.ndim == 1 else value, 0.0)
     # Y = i diag(b), mu = i diag(m): <mu, Ad_y Y> = sum_ij m_i b_j |y_ij|^2
     b = np.diagonal(cartan_element(model, y_c)).imag
     m = np.diagonal(cartan_element(model, mu_c)).imag
@@ -329,15 +336,17 @@ def kirillov_sides(
     Default: eta(Y) * char_holo(lam, 2Y) and d * A(2(lam+rho), Y).
     half_angle: eta(Y/2) * char_holo(lam, Y) and d * A(lam+rho, Y).
     The right side's stderr is d times the orbital average's standard error.
+    Under ClosedFormA1, Y may be a batch (..., rank), and both sides are
+    then arrays with a point's bits alone.
     """
     rs = build_root_system(model.rs_kind)
     d = dimension(rs, lam)
     y_c = np.asarray(Y, float)
     if half_angle:
-        lhs = float(eta(rs, y_c / 2.0)) * float(weyl_char_holo(rs, lam, y_c))
+        lhs = eta(rs, y_c / 2.0) * weyl_char_holo(rs, lam, y_c)
         mu = lam.coords + rs.rho
     else:
-        lhs = float(eta(rs, y_c)) * float(weyl_char_holo(rs, lam, 2.0 * y_c))
+        lhs = eta(rs, y_c) * weyl_char_holo(rs, lam, 2.0 * y_c)
         mu = 2.0 * (lam.coords + rs.rho)
     avg = orbital_average(model, mu, y_c, scheme)
-    return lhs, Estimate(d * avg.value, d * avg.stderr)
+    return (float(lhs) if y_c.ndim == 1 else lhs), Estimate(d * avg.value, d * avg.stderr)

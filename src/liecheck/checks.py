@@ -177,30 +177,31 @@ def closed_form_a1_residuals(rs: RootSystem, model: GroupModel, rng, draws: int)
 
     Each of the draws takes the next weight up to level 6 in turn and
     Y ~ N(0, 0.7^2) from rng; the residual |eta chi - d A| is scaled by
-    max(1, d A), d A the closed-form sphere-average side.
+    max(1, d A), d A the closed-form sphere-average side.  The draws come
+    in one call, the stream of one draw at a time, and each weight's
+    points are evaluated as one batch.
     """
     residuals = {False: [], True: []}
     lams = enumerate_dominant(rs, 6)
-    for k in range(draws):
-        lam = lams[k % len(lams)]
-        Y = rng.normal(0.0, 0.7, size=1)
+    ys = rng.normal(0.0, 0.7, size=(draws, 1))
+    for j, lam in enumerate(lams[:draws]):
         for half in (False, True):
-            lhs, rhs = chars.kirillov_sides(model, lam, Y, chars.ClosedFormA1(), half_angle=half)
-            residuals[half].append(abs(lhs - rhs.value) / max(1.0, rhs.value))
-    return worst(residuals[False]), worst(residuals[True])
+            lhs, rhs = chars.kirillov_sides(model, lam, ys[j::len(lams)], chars.ClosedFormA1(),
+                                            half_angle=half)
+            residuals[half].append(np.abs(lhs - rhs.value) / np.maximum(1.0, rhs.value))
+    return tuple(worst(np.concatenate(residuals[half])) for half in (False, True))
 
 
 def eta_det_residual(rs: RootSystem, model: GroupModel, coords) -> float:
     """max |eta by the product form - eta by the determinant oracle| over
     the algebra points with orthonormal coordinates coords (n, dim_k)."""
-    return worst(abs(float(chars.eta(rs, rep))
-                     - chars.eta_det_oracle(model, algebra_element(model, c)))
-                 for c, rep in zip(coords, chamber_coordinates(model, coords)))
+    product = chars.eta(rs, chamber_coordinates(model, coords))
+    return worst(np.abs(product - chars.eta_det_oracle(model, algebra_element(model, coords))))
 
 
 def j_half_residual(rs: RootSystem, points) -> float:
     """max |j(iY) - eta(Y/2)| over the Cartan points (n, rank)."""
-    return worst(chars.j_half_identity_residual(rs, p) for p in points)
+    return worst(chars.j_half_identity_residual(rs, points))
 
 
 def invariant_test_functions(rs: RootSystem, t: float):

@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import c_constant
-from .models import GroupModel, exp_i, haar_mean, haar_nodes, irrep_matrices, mul2x2, rep_matrices
+from .models import (
+    GroupModel,
+    _condon_shortley_ratio,
+    _rep_planes,
+    exp_i,
+    haar_mean,
+    haar_nodes,
+    mul2x2,
+)
 from .rootdata import build_root_system, dimension, weight
 
 __all__ = [
@@ -88,14 +96,22 @@ def fourier_coeff(model: GroupModel, f, dynkin, scheme):
     if model.kind != "SU2":
         raise ValueError("fourier_coeff needs irreducible matrices (SU2 only)")
     rs = build_root_system(model.rs_kind)
-    irrep = irrep_matrices(weight(rs, dynkin).dynkin[0])
+    n = weight(rs, dynkin).dynkin[0]
+    return haar_mean(lambda xs: _times_rep_adjoint(np.asarray(f(xs), dtype=complex), n, xs),
+                     *haar_nodes(model, scheme))
 
-    def integrand(xs):
-        # T(x^{-1}) = T(x)^dagger
-        inv = np.conj(np.swapaxes(rep_matrices(irrep, xs), -1, -2))
-        return np.asarray(f(xs), dtype=complex)[:, None, None] * inv
 
-    return haar_mean(integrand, *haar_nodes(model, scheme))
+def _times_rep_adjoint(values: np.ndarray, n: int, xs) -> np.ndarray:
+    """values[k] T_n(xs[k])^dagger, (N, n+1, n+1) and C-contiguous.
+
+    T(x)^dagger = T(conj x)^T, since the recurrence has real coefficients:
+    the planes of conj x are scaled in place and written, times the
+    values, in one pass.  Point k depends on values[k] and xs[k] alone.
+    """
+    planes = _rep_planes(n, np.conj(xs))
+    planes *= _condon_shortley_ratio(n)[:, :, None]
+    out = np.empty((len(values), n + 1, n + 1), complex)
+    return np.multiply(values[:, None, None], planes.T, out=out)
 
 
 def synthesize_many(series: FourierSeries, model: GroupModel, xs, Y=None) -> np.ndarray:
@@ -103,6 +119,13 @@ def synthesize_many(series: FourierSeries, model: GroupModel, xs, Y=None) -> np.
 
     With Y given (Cartan or full algebra coordinates), evaluates the
     holomorphic extension at the polar points x * exp(iY) instead.
+
+    f(x) = sum_lam d_lam tr(C_lam T_lam(x)) = sum_lam sum_{l,k} c[l, k] p[l, k],
+    with p the planes of models._rep_planes and c = d_lam C_lam^T times the
+    Condon-Shortley ratio: each label adds its d^2 planes elementwise into
+    the result, in a fixed order, after scaling them in place, and label 0
+    adds its constant.  No (N, d, d) array, transpose or product over the
+    batch axis is formed, so a point has the same bits alone and in a batch.
     """
     if model.kind != "SU2":
         raise ValueError("pointwise synthesis needs irreducible matrices (SU2 only)")
@@ -114,9 +137,15 @@ def synthesize_many(series: FourierSeries, model: GroupModel, xs, Y=None) -> np.
     rs = build_root_system(series.rs_kind)
     out = np.zeros(len(pts), dtype=complex)
     for dynkin, coeff in series.terms.items():
-        reps = rep_matrices(irrep_matrices(dynkin[0]), pts)
-        d = dimension(rs, weight(rs, dynkin))
-        out += d * np.einsum("ab,nba->n", coeff, reps)
+        n = dynkin[0]
+        c = dimension(rs, weight(rs, dynkin)) * coeff.T * _condon_shortley_ratio(n)
+        if n == 0:
+            out += c[0, 0]
+            continue
+        planes = _rep_planes(n, pts)
+        planes *= c[:, :, None]
+        for plane in planes.reshape(-1, len(pts)):
+            out += plane
     return out if batch else out[0]
 
 

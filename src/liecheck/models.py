@@ -559,25 +559,19 @@ def irrep_matrices(n: int) -> IrrepMatrices:
     return IrrepMatrices(n=n, dim=n + 1, generators=gens)
 
 
-def rep_matrices(m: IrrepMatrices, gs) -> np.ndarray:
-    """Degree-n symmetric power T_n(g) of a batch of 2x2 complex matrices.
+def _rep_planes(n: int, gs) -> np.ndarray:
+    """The planes p[l, k] (n+1, n+1, N) of the symmetric-power recurrence of
+    rep_matrices for 2x2 matrices gs (..., 2, 2), N = gs.size // 4, batch
+    axis last: T_n(g)[l, k] = p[l, k] * _condon_shortley_ratio(n)[l, k].
 
-    Column k is the image of the basis vector sqrt(C(n,k)) e1^(n-k) e2^k,
-    the product (g e1)^(n-k) (g e2)^k expanded in the same basis.  This is
-    the Condon-Shortley basis of irrep_matrices(n), so T_n(exp X) is the
-    exponential of the generator action of X.  The entries are polynomials
-    in the entries of g: exact and multiplicative on all of GL(2,C), unitary
-    on SU(2), and the holomorphic extension at x exp(iY) is T_n(x exp(iY)).
-
-    The recurrence runs with the batch axis last: the planes p[l, k] are
-    (n+1, n+1, N) and the entries of g e1 and g e2 are contiguous arrays
-    over the batch, so every step is an elementwise product of long arrays.
-    The result is returned C-contiguous, (..., n+1, n+1): a strided view
-    would reach einsum and matmul callers with other strides, and einsum
-    then rounds a lone point differently from a batch.
+    Column k is the product (g e1)^(n-k) (g e2)^k of linear forms, and p[l, k]
+    its coefficient of e1^(n-l) e2^l.  The entries of g e1 and g e2 are
+    contiguous arrays over the batch, so every step is an elementwise
+    product of long arrays and a plane's point k depends on gs[k] alone, bit
+    for bit.  The recurrence has real coefficients: the planes of conj(gs)
+    are the conjugates of those of gs.
     """
     g = np.asarray(gs, complex)
-    n, lead = m.n, g.shape[:-2]
     # the entries of g e1 and g e2, rows 0 and 1, each one contiguous array
     e1_top, e2_top, e1_bot, e2_bot = np.moveaxis(g, (-2, -1), (0, 1)).reshape(4, -1)
     size = e1_top.size
@@ -594,10 +588,41 @@ def rep_matrices(m: IrrepMatrices, gs) -> np.ndarray:
         np.multiply(e1_top, p[e1], out=p[e1])
         np.multiply(e2_top, p[e2], out=p[e2])
         p[1:s + 2] += bot[:s + 1]
+    return p
+
+
+@lru_cache(maxsize=None)
+def _condon_shortley_ratio(n: int) -> np.ndarray:
+    """sqrt(C(n, k)) / sqrt(C(n, l)) at [l, k]: the change from the monomial
+    coefficients of _rep_planes to the orthonormal basis of irrep_matrices(n).
+    Shared, so read-only."""
     scale = np.sqrt([comb(n, i) for i in range(n + 1)])
-    out = np.empty((size, n + 1, n + 1), complex)
-    np.multiply(np.moveaxis(p, -1, 0), scale[None, :] / scale[:, None], out=out)
-    return out.reshape(lead + (n + 1, n + 1))
+    return _read_only(scale[None, :] / scale[:, None])[0]
+
+
+def rep_matrices(m: IrrepMatrices, gs) -> np.ndarray:
+    """Degree-n symmetric power T_n(g) of a batch of 2x2 complex matrices.
+
+    Column k is the image of the basis vector sqrt(C(n,k)) e1^(n-k) e2^k,
+    the product (g e1)^(n-k) (g e2)^k expanded in the same basis.  This is
+    the Condon-Shortley basis of irrep_matrices(n), so T_n(exp X) is the
+    exponential of the generator action of X.  The entries are polynomials
+    in the entries of g: exact and multiplicative on all of GL(2,C), unitary
+    on SU(2), and the holomorphic extension at x exp(iY) is T_n(x exp(iY)).
+
+    The recurrence runs with the batch axis last (_rep_planes), and the
+    planes are scaled into a C-contiguous result, (..., n+1, n+1): a
+    strided view would reach einsum and matmul callers with other strides,
+    and einsum then rounds a lone point differently from a batch.  The
+    Fourier layer contracts the planes themselves and calls no
+    rep_matrices.
+    """
+    g = np.asarray(gs, complex)
+    n = m.n
+    p = _rep_planes(n, g)
+    out = np.empty((p.shape[-1], n + 1, n + 1), complex)
+    np.multiply(np.moveaxis(p, -1, 0), _condon_shortley_ratio(n), out=out)
+    return out.reshape(g.shape[:-2] + (n + 1, n + 1))
 
 
 def mul2x2(a, b) -> np.ndarray:

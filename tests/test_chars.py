@@ -94,6 +94,23 @@ def test_eta_product_vs_det_oracle_random(a1, a2, su2, su3):
             assert abs(prod - det) < 1e-10
 
 
+def test_batched_eta_det_oracle_equals_per_matrix_calls(a1, a2, su2, su3):
+    # one eigvalsh call over a stack gives each matrix the bits of its own call
+    rng = np.random.default_rng(47)
+    for rs, model in ((a1, su2), (a2, su3)):
+        Ys = algebra_element(model, rng.normal(0.0, 0.8, size=(60, model.dim_k)))
+        batch = eta_det_oracle(model, Ys)
+        assert batch.shape == (60,)
+        alone = [eta_det_oracle(model, Y) for Y in Ys]
+        assert all(isinstance(v, float) for v in alone)
+        assert np.array_equal(batch, alone)
+        assert np.array_equal(eta_det_oracle(model, Ys.reshape(3, 20, *Ys.shape[1:])),
+                              batch.reshape(3, 20))
+        pts = rng.normal(0.0, 0.8, size=(60, rs.rank))
+        residuals = j_half_identity_residual(rs, pts)
+        assert np.array_equal(residuals, [j_half_identity_residual(rs, p) for p in pts])
+
+
 def test_j_half_identity(a1, a2):
     assert j_half_identity_residual(a1, a1_point(0.0)) == 0.0
     assert j_half_identity_residual(a1, a1_point(1.3)) < 1e-14

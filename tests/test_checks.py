@@ -16,6 +16,7 @@ from liecheck.checks import (
 )
 from liecheck.cli import RunConfig, run_verification_suite
 from liecheck.quadrature import tridiagonal_rule
+from liecheck.rootdata import enumerate_dominant
 
 
 def test_random_series_draws_the_inline_dicts_of_the_criteria():
@@ -185,3 +186,25 @@ def test_shared_tridiagonal_values_equal_the_rule_case_by_case(a2, su3):
 
         mean = models.haar_mean(f, np.sqrt(tg) * nodes, weights)[0]
         assert value == norm * tg**4.0 * float(mean)
+
+
+def test_closed_form_a1_residuals_equal_a_per_draw_loop(a1, su2):
+    # the loop the batched residuals replaced: one draw, one weight and one
+    # pair of scalar kirillov_sides calls at a time
+    def per_draw(rng, draws):
+        residuals = {False: [], True: []}
+        lams = enumerate_dominant(a1, 6)
+        for k in range(draws):
+            lam = lams[k % len(lams)]
+            Y = rng.normal(0.0, 0.7, size=1)
+            for half in (False, True):
+                lhs, rhs = chars.kirillov_sides(su2, lam, Y, chars.ClosedFormA1(), half_angle=half)
+                residuals[half].append(abs(lhs - rhs.value) / max(1.0, rhs.value))
+        return worst(residuals[False]), worst(residuals[True])
+
+    for draws in (100, 7, 3):
+        ref, rng = np.random.default_rng(303), np.random.default_rng(303)
+        assert checks.closed_form_a1_residuals(a1, su2, rng, draws) == per_draw(ref, draws)
+        # criterion 03 draws its A2 points from the same generator next
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.normal(0.0, 0.5, size=2).tobytes() == ref.normal(0.0, 0.5, size=2).tobytes()

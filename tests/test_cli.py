@@ -353,6 +353,23 @@ def test_reduced_input_sweep_ends_in_a_value_a_failed_row_or_a_usage_error(tmp_p
     assert problems == []
 
 
+@pytest.mark.parametrize("group", ["A1", "A2"])
+@pytest.mark.parametrize("samples", [2, 16_386])
+def test_monte_carlo_sample_count_edges_end_in_exit_0_or_1(tmp_path, group, samples):
+    # 2 is the smallest accepted count, whose standard errors have 1 degree
+    # of freedom, so a statistical row may fail; at 16 386 the last block of
+    # models._evaluate_blocks holds 2 points.  Either way: exit 0 or 1,
+    # strict JSON, no exception and no failed deterministic row
+    out = tmp_path / "report.json"
+    code = run(["verify", "--suite", "all", "--group", group, "--mc-samples", str(samples),
+                "--out", str(out)])
+    report = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-finite {c}"))
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert code == (1 if failed else 0) and report["summary"]["failed"] == len(failed)
+    assert all(c["kind"] == "statistical" for c in failed)
+    assert report["config"]["mc_samples"] == samples
+
+
 def test_a_constants_row_with_a_non_finite_field_is_a_usage_error(tmp_path, capsys,
                                                                    monkeypatch):
     real = hilbert.constants_row

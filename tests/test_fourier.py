@@ -3,6 +3,7 @@ import pytest
 
 from liecheck.fourier import (
     FourierSeries,
+    _times_rep_adjoint,
     character_series,
     convolve,
     fourier_coeff,
@@ -88,6 +89,53 @@ def test_synthesize_many_holomorphic_matches_per_point_loop(su2):
         ]
         assert np.abs(batched - np.array(loop)).max() < 1e-12 * np.abs(batched).max()
         assert np.array_equal(batched, [synthesize(series, su2, x, Y) for x in xs])
+
+
+# one more than models._BLOCK: the last block of _evaluate_blocks holds 2 points
+BATCH = 16_386
+PICKS = (0, 1, 8_191, 16_383, 16_384, 16_385)
+
+
+def test_synthesize_many_of_a_point_alone_equals_it_inside_a_batch(su2):
+    # labels 0-4, each alone and all together, at group points and at the
+    # polar points x exp(iY) of Cartan and full algebra coordinates
+    rng = np.random.default_rng(44)
+    xs = haar_sample(su2, rng, BATCH)
+    labels = [(n,) for n in range(5)]
+    for Y in (None, np.array([0.6]), rng.normal(0.0, 0.7, size=3)):
+        for dns in [[dn] for dn in labels] + [labels]:
+            series = random_series(dns, rng, space="L2K" if Y is None else "HL2")
+            batch = synthesize_many(series, su2, xs, Y)
+            assert batch.shape == (BATCH,)
+            for k in PICKS:
+                alone = synthesize_many(series, su2, xs[k], Y)
+                assert np.array_equal(alone, batch[k]), (dns, k)
+                assert np.array_equal(synthesize_many(series, su2, xs[k:k + 1], Y), batch[k:k + 1])
+
+
+def test_synthesize_many_is_the_trace_of_the_irrep_matrices(su2):
+    rng = np.random.default_rng(45)
+    xs = haar_sample(su2, rng, 40)
+    series = random_series([(n,) for n in range(5)], rng)
+    want = sum((dn[0] + 1) * np.einsum("ab,nba->n", coeff, rep_matrices(irrep_matrices(dn[0]), xs))
+               for dn, coeff in series.terms.items())
+    assert np.abs(synthesize_many(series, su2, xs) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_coefficient_integrand_of_a_point_alone_equals_it_inside_a_batch(su2):
+    # f(x) T(x)^dagger from the planes of conj x has the bits of the
+    # conjugate transpose of rep_matrices, alone and in a batch
+    rng = np.random.default_rng(46)
+    xs = haar_sample(su2, rng, BATCH)
+    values = rng.normal(size=BATCH) + 1j * rng.normal(size=BATCH)
+    for n in range(5):
+        batch = _times_rep_adjoint(values, n, xs)
+        assert batch.shape == (BATCH, n + 1, n + 1) and batch.flags.c_contiguous
+        reps = rep_matrices(irrep_matrices(n), xs)
+        assert np.array_equal(batch, values[:, None, None] * np.conj(np.swapaxes(reps, 1, 2)))
+        for k in PICKS:
+            assert np.array_equal(_times_rep_adjoint(values[k:k + 1], n, xs[k:k + 1]),
+                                  batch[k:k + 1]), (n, k)
 
 
 def test_roundtrip_band_limited(su2):

@@ -6,12 +6,18 @@ the audit prints:
 
 - n: the number of rows;
 - mean z^2, which is 1 where the standard errors are honest;
-- the counts beyond 2 and 3 sigma, each against its binomial expectation
-  n P(|Z| > k) and that binomial's standard deviation;
-- the Kolmogorov-Smirnov distance of the |z| sample from the half-normal
-  law of |Z|, whose CDF is erf(z / sqrt 2).  It is not gated.  A row whose
-  sides are complex reports |z| of a 2-D error (checks.stat_row), whose law
-  is not half-normal even where the standard errors are honest.
+- the counts beyond 2 and 3 sigma, each against its expectation
+  sum P(|z| > k) under the row's law and the standard deviation of that
+  count;
+- the Kolmogorov-Smirnov distance of the |z| sample from the row's law.
+
+Each row has its own reference law, which the `law` column names.  A row
+on real values has |z| = |Z| of a normal Z, the half-normal law with CDF
+erf(z / sqrt 2).  A row on complex values (COMPLEX_ROWS) gates
+|lhs - rhs| against sqrt(var Re + var Im) (checks.stat_row), so where Re
+and Im have equal variance |z|^2 ~ Exp(1), with CDF 1 - e^{-z^2}.  The
+total takes each row's z under its own law, and its KS distance compares
+the values F(|z|) with the uniform law.  Nothing is gated.
 
 It then lists every row beyond 3 sigma with its seed.
 
@@ -32,8 +38,13 @@ from collections import defaultdict
 from liecheck.cli import RunConfig, run_verification_suite
 
 GROUPS = ("A1", "A2")
-# two-sided normal tails beyond 2 and 3 sigma
-P_BEYOND = {2: math.erfc(2.0 / math.sqrt(2.0)), 3: math.erfc(3.0 / math.sqrt(2.0))}
+# the statistical rows whose sides are complex: their |z| is a 2-D error
+COMPLEX_ROWS = frozenset({
+    "bks/spectral-vs-integral-random",
+    "convolution/mc-crosscheck",
+    "fourier/coeff-diagonal",
+})
+SIGMAS = (2, 3)
 
 
 def seed_range(text: str) -> range:
@@ -44,13 +55,54 @@ def seed_range(text: str) -> range:
     return range(first, last + 1)
 
 
+def half_normal_cdf(z: float) -> float:
+    """P(|Z| <= z) of a standard normal Z."""
+    return math.erf(z / math.sqrt(2.0))
+
+
+def complex_modulus_cdf(z: float) -> float:
+    """P(|W| <= z) of a standard complex normal W, E|W|^2 = 1: |W|^2 ~ Exp(1)."""
+    return -math.expm1(-z * z)
+
+
+def ks_uniform(us) -> float:
+    """Kolmogorov-Smirnov distance of a sample on [0, 1] from the uniform
+    law: the largest gap between u and the sample's empirical CDF, on
+    either side of each jump."""
+    us = sorted(us)
+    n = len(us)
+    return max(max((i + 1) / n - u, u - i / n) for i, u in enumerate(us))
+
+
 def ks_half_normal(zs) -> float:
-    """Kolmogorov-Smirnov distance of a sample of |z| from the half-normal
-    law, CDF erf(z / sqrt 2): the largest gap between that CDF and the
-    sample's empirical CDF, on either side of each jump."""
-    cdf = [math.erf(z / math.sqrt(2.0)) for z in sorted(zs)]
-    n = len(cdf)
-    return max(max((i + 1) / n - f, f - i / n) for i, f in enumerate(cdf))
+    """KS distance of a sample of |z| from the half-normal law."""
+    return ks_uniform(map(half_normal_cdf, zs))
+
+
+def ks_complex_modulus(zs) -> float:
+    """KS distance of a sample of |z| from the law of |W|, CDF 1 - e^{-z^2}."""
+    return ks_uniform(map(complex_modulus_cdf, zs))
+
+
+def reference_cdf(check_id: str):
+    """The CDF of |z| under honest standard errors for the row check_id."""
+    return complex_modulus_cdf if check_id in COMPLEX_ROWS else half_normal_cdf
+
+
+# the name of each law in the table, and the KS distance from it
+LAWS = {half_normal_cdf: ("half-normal", ks_half_normal),
+        complex_modulus_cdf: ("1 - e^{-z^2}", ks_complex_modulus)}
+
+
+def table_line(name: str, zs: list[float], cdfs: list, ks: float, law: str) -> str:
+    """One line of the table: the sample |z| of a row, each z with its CDF."""
+    n = len(zs)
+    cells = [f"{name:34} {n:5d} {sum(z * z for z in zs) / n:9.3f}"]
+    for k in SIGMAS:
+        tails = [1.0 - cdf(k) for cdf in cdfs]
+        mean, sd = sum(tails), math.sqrt(sum(p * (1.0 - p) for p in tails))
+        cells.append(f"{sum(1 for z in zs if z > k):5d} ({mean:6.2f} +- {sd:4.2f})")
+    return "   ".join(cells + [f"{ks:6.3f}  {law}"])
 
 
 def audit(seeds: range, out=sys.stdout) -> int:
@@ -67,18 +119,20 @@ def audit(seeds: range, out=sys.stdout) -> int:
                           f"{c['note']}", file=out)
                     bad += 1
     print(f"seeds {seeds.start}-{seeds.stop - 1}, groups {', '.join(GROUPS)}", file=out)
-    header = f"{'check id':34} {'n':>5} {'mean z^2':>9} {'>2 sigma (expected)':>22} " \
-             f"{'>3 sigma (expected)':>22} {'KS |z|':>8}"
-    print(header, file=out)
-    everything = [z for zs in z_by_id.values() for z in zs]
-    for name, zs in [*sorted(z_by_id.items()), ("total", everything)]:
-        n = len(zs)
-        cells = [f"{name:34} {n:5d} {sum(z * z for _, z in zs) / n:9.3f}"]
-        for k, p in P_BEYOND.items():
-            count = sum(1 for _, z in zs if z > k)
-            cells.append(f"{count:5d} ({n * p:6.2f} +- {math.sqrt(n * p * (1 - p)):4.2f})")
-        cells.append(f"{ks_half_normal([z for _, z in zs]):6.3f}")
-        print("   ".join(cells), file=out)
+    print("law of |z| under honest standard errors: half-normal, CDF erf(z / sqrt 2), on "
+          "real values; 1 - e^{-z^2} on complex values (" + ", ".join(sorted(COMPLEX_ROWS))
+          + "); the total takes each row's law", file=out)
+    print(f"{'check id':34} {'n':>5} {'mean z^2':>9} {'>2 sigma (expected)':>22} "
+          f"{'>3 sigma (expected)':>22} {'KS |z|':>8}  law", file=out)
+    all_zs, all_cdfs = [], []
+    for name, pairs in sorted(z_by_id.items()):
+        zs, cdf = [z for _, z in pairs], reference_cdf(name)
+        law, ks = LAWS[cdf]
+        print(table_line(name, zs, [cdf] * len(zs), ks(zs), law), file=out)
+        all_zs += zs
+        all_cdfs += [cdf] * len(zs)
+    total_ks = ks_uniform(cdf(z) for cdf, z in zip(all_cdfs, all_zs))
+    print(table_line("total", all_zs, all_cdfs, total_ks, "per row"), file=out)
     beyond = sorted((seed, name, z) for name, zs in z_by_id.items() for seed, z in zs if z > 3)
     for seed, name, z in beyond:
         print(f"beyond 3 sigma: seed {seed} {name} z = {z:.2f}", file=out)
