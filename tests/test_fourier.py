@@ -113,15 +113,6 @@ def test_synthesize_many_of_a_point_alone_equals_it_inside_a_batch(su2):
                 assert np.array_equal(synthesize_many(series, su2, xs[k:k + 1], Y), batch[k:k + 1])
 
 
-def test_synthesize_many_is_the_trace_of_the_irrep_matrices(su2):
-    rng = np.random.default_rng(45)
-    xs = haar_sample(su2, rng, 40)
-    series = random_series([(n,) for n in range(5)], rng)
-    want = sum((dn[0] + 1) * np.einsum("ab,nba->n", coeff, rep_matrices(irrep_matrices(dn[0]), xs))
-               for dn, coeff in series.terms.items())
-    assert np.abs(synthesize_many(series, su2, xs) - want).max() <= 1e-13 * np.abs(want).max()
-
-
 def test_coefficient_integrand_of_a_point_alone_equals_it_inside_a_batch(su2):
     # f(x) T(x)^dagger from the planes of conj x has the bits of the
     # conjugate transpose of rep_matrices, alone and in a batch
