@@ -33,6 +33,7 @@ from .models import (
     GroupModel,
     MonteCarlo,
     _gauss_legendre_01,
+    _pairings,
     _read_only,
     _sinhc,
     algebra_coords,
@@ -74,16 +75,15 @@ class GelfandTsetlinSU3:
 
 def _log_sinhc(x: np.ndarray) -> np.ndarray:
     """log(sinh(x)/x) without overflow: |x| + log((1 - e^{-2|x|}) / (2|x|)),
-    and log(1 + x^2/6) where |x| < 1e-8, the small-x branch of models._sinhc."""
+    and log(1 + x^2/6) where |x| < 1e-8, the small-x branch of models._sinhc,
+    formed only where there are such entries."""
     ax = np.abs(x)
+    small = ax < 1e-8
+    if not small.any():
+        return ax + np.log(-np.expm1(-2.0 * ax) / (2.0 * ax))
     safe = np.maximum(ax, 1e-8)
-    return np.where(ax < 1e-8, np.log1p(ax * ax / 6.0),
+    return np.where(small, np.log1p(ax * ax / 6.0),
                     safe + np.log(-np.expm1(-2.0 * safe) / (2.0 * safe)))
-
-
-def _pairings(c: np.ndarray, matrix: np.ndarray) -> list[np.ndarray]:
-    """The columns of c @ matrix, elementwise: no BLAS routine that depends on the batch."""
-    return [sum(c[..., i] * col[i] for i in range(len(col))) for col in matrix.T]
 
 
 def root_pairings(rs: RootSystem, Y) -> list[np.ndarray]:
@@ -279,6 +279,14 @@ def _gelfand_tsetlin_diagonals(m, order: int) -> tuple[tuple[np.ndarray, ...], n
     return (c, p + q - c, (m1 + m2 + m3) - p - q), weights * (2.0 * (p - q) / (m1 - m3))
 
 
+def _adjoint_pairing(ys: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<mu, Ad_y Y> = sum_i m_i sum_j b_j |y_ij|^2 at group elements ys
+    (..., n, n), for mu = i diag(m) and Y = i diag(b); elementwise
+    (_pairings), so a point has the same bits alone and in a batch."""
+    moduli = ys.real**2 + ys.imag**2
+    return _pairings(_pairings(moduli, b[:, None])[0], m[:, None])[0]
+
+
 def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
     """Normalized orbital average A(mu, Y) of exp(-<mu, Ad_y Y>) over K/T.
 
@@ -316,7 +324,7 @@ def orbital_average(model: GroupModel, mu, Y, scheme) -> Estimate:
         points, weights = haar_nodes(model, scheme)
 
         def integrand(ys):
-            return np.exp(-(((ys.real**2 + ys.imag**2) @ b) @ m))
+            return np.exp(-_adjoint_pairing(ys, m, b))
 
     else:
         raise ValueError(f"unknown orbital-average scheme: {scheme!r}")

@@ -5,14 +5,16 @@ representation.  Haar samples of both groups are the first n - 1 columns
 of a Ginibre matrix, orthonormalised and completed to determinant 1; on
 SU(2) one polar rule of the Weyl integration formula (_polar_rule) is
 exact to a stated degree (HaarSU2), and haar_mean averages a pointwise
-integrand over any scheme's points, block by block.  SU(3) is modelled
-at the level of its defining representation (adjoint action, Haar
-sampling); SU(2) additionally carries its irreducible representations as
-exact symmetric powers of the defining one, with the closed-form exp(iY)
-for the holomorphic extension.  These serve as brute-force oracles for
-characters, Fourier coefficients, and the integral transforms.  The
-numerical pieces the layers above share (the Gauss rules of _gauss_rule,
-_read_only, sinh(x)/x, the Cartan eigenvalue embedding) live here once.
+integrand over any scheme's points, block by block, Monte-Carlo values
+with the point axis last.  SU(3) is modelled at the level of its defining
+representation (adjoint action, Haar sampling); SU(2) additionally
+carries its irreducible representations as exact symmetric powers of the
+defining one, with the closed-form exp(iY) for the holomorphic extension.
+These serve as brute-force oracles for characters, Fourier coefficients,
+and the integral transforms.  The numerical pieces the layers above share
+(the Gauss rules of _gauss_rule, Legendre's by Newton's method with no
+LAPACK call, _read_only, sinh(x)/x, the elementwise _pairings, the Cartan
+eigenvalue embedding) live here once.
 """
 
 from __future__ import annotations
@@ -94,24 +96,71 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # (a_k, b_k, mu_0) of the recurrence p_{k+1} = (x - a_k) p_k - b_k p_{k-1} of
-# the monic orthogonal polynomials for 1 on [-1, 1], e^{-x^2} on R and
-# u^alpha e^{-u} on [0, inf)
+# the monic orthogonal polynomials for e^{-x^2} on R and u^alpha e^{-u} on
+# [0, inf); Legendre's rules come from _legendre_rule
 _RECURRENCES = {
-    "legendre": lambda k, alpha: (0.0 * k, k * k / (4.0 * k * k - 1.0), 2.0),
     "hermite": lambda k, alpha: (0.0 * k, k / 2.0, sqrt(pi)),
     "laguerre": lambda k, alpha: (2.0 * k + alpha + 1.0, k * (k + alpha), gamma(alpha + 1.0)),
 }
 
 
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights, by Newton's method in theta.
+
+    P_n(cos theta) is the finite cosine series sum_k a_k a_{n-k}
+    cos((n - 2k) theta), a_k = C(2k, k) / 4^k, whose terms k and n - k are
+    one harmonic.  Newton's method on it in theta, from Tricomi's asymptotic
+    nodes (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652; Bogaert,
+    ibid. 36 (2014) A1008), finds the n // 2 roots in (0, pi/2).  The
+    weights are 2 (1 - x^2) / (n (x P_n - P_{n-1}))^2 = 2 / ((1 - x^2)
+    P_n'(x)^2), with 1 - x^2 = sin^2 theta and P_{n-1}, P_n from one pass
+    of the three-term recurrence over the nodes in [0, 1).  The rule is
+    mirrored about 0, an odd order's middle node.  Every sum is numpy's own
+    along a contiguous axis and no LAPACK or BLAS routine is called, so the
+    bits do not depend on a thread count.
+    """
+    n, half, odd = order, order // 2, order % 2
+    a = np.cumprod(np.concatenate(([1.0], 1.0 - 0.5 / np.arange(1, n + 1))))
+    k = np.arange((n + 1) // 2)
+    h = n - 2.0 * k                          # the harmonics n - 2k > 0
+    c = 2.0 * a[k] * a[n - k]
+    constant = 0.0 if odd else a[half] ** 2
+    j = np.arange(1, half + 1)
+    theta = np.arccos((1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n**3))
+                      * np.cos((4.0 * j - 1.0) * pi / (4.0 * n + 2.0)))
+    for _ in range(20):
+        ht = theta[:, None] * h
+        step = ((np.cos(ht) * c).sum(axis=1) + constant) / -(np.sin(ht) * (h * c)).sum(axis=1)
+        theta = theta - step
+        # quadratic convergence: after a step below 1e-11 the error is below rounding
+        if not np.any(np.abs(step) >= 1e-11):
+            break
+    # the nodes in (0, 1), descending, then an odd order's middle node 0
+    x, s = np.append(np.cos(theta), [0.0] * odd), np.append(np.sin(theta), [1.0] * odd)
+    p_prev, p = np.ones_like(x), x
+    for m in range(1, n):
+        p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
+    w = 2.0 * (s * s) / (n * n * (p_prev - x * p) ** 2)
+    return (np.concatenate((-x[:half], x[half:], x[:half][::-1])),
+            np.concatenate((w[:half], w[half:], w[:half][::-1])))
+
+
 @lru_cache(maxsize=None)
 def _gauss_rule(family: str, order: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes (ascending) and weights of a _RECURRENCES family, built once.
+    """Gauss nodes (ascending) and weights of the weight 1 on [-1, 1]
+    ("legendre"), e^{-x^2} on R ("hermite") or u^alpha e^{-u} on [0, inf)
+    ("laguerre"), built once.
 
-    Golub-Welsch (Math. Comp. 23 (1969) 221): nodes are the eigenvalues of
-    the Jacobi matrix, diagonal a_k and off-diagonal sqrt(b_k); weights are
-    the Christoffel numbers 1 / sum_{k<order} p_k(x)^2 of the orthonormal
-    p_k, run by the same recurrence.  The arrays are shared, so read-only.
+    Legendre by Newton's method (_legendre_rule), for every order the chamber
+    rules take.  Hermite and Laguerre, which serve only the tridiagonal
+    rule at orders 8-20, by Golub-Welsch (Math. Comp. 23 (1969) 221): nodes
+    are the eigenvalues of the Jacobi matrix, diagonal a_k and off-diagonal
+    sqrt(b_k); weights are the Christoffel numbers 1 / sum_{k<order}
+    p_k(x)^2 of the orthonormal p_k, run by the same recurrence.  The
+    arrays are shared, so read-only.
     """
+    if family == "legendre":
+        return _read_only(*_legendre_rule(order))
     a, b, mass = _RECURRENCES[family](np.arange(order, dtype=float), alpha)
     root = np.sqrt(b)
     x = np.linalg.eigvalsh(np.diag(a) + np.diag(root[1:], 1) + np.diag(root[1:], -1))
@@ -130,11 +179,19 @@ def _gauss_legendre_01(order: int, upper: float):
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, elementwise; 1 + x^2/6 where |x| < 1e-8, which rounds to 1."""
+    """sinh(x)/x, elementwise; 1 + x^2/6 where |x| < 1e-8, which rounds to 1.
+    The small-x branch is formed only where there are such entries."""
     x = np.asarray(x, float)
     small = np.abs(x) < 1e-8
+    if not small.any():
+        return np.sinh(x) / x
     safe = np.where(small, 1.0, x)
     return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
+
+
+def _pairings(c: np.ndarray, matrix: np.ndarray) -> list[np.ndarray]:
+    """The columns of c @ matrix, elementwise: no BLAS routine that depends on the batch."""
+    return [sum(c[..., i] * col[i] for i in range(len(col))) for col in matrix.T]
 
 
 _PAULI = np.array(
@@ -277,13 +334,14 @@ def chamber_coordinates(model: GroupModel, coords) -> np.ndarray:
     ndarray, shape (..., rank)
         Orthonormal t-coordinates of the chamber representative obtained by
         diagonalizing (closed-form, trace invariants) and sorting the
-        spectrum.
+        spectrum, paired with the embedding elementwise (_pairings), so a
+        point has the same bits alone and in a batch.
     """
     c = np.asarray(coords, float)
     if model.kind == "SU2":
         return np.linalg.norm(c, axis=-1)[..., None]
     a = _eigs_desc_from_invariants(*_su3_invariants_from_coords(c))
-    return np.stack([a @ u for u in CARTAN_EIGEN_EMBED["A2"]], axis=-1)
+    return np.stack(_pairings(a, CARTAN_EIGEN_EMBED["A2"].T), axis=-1)
 
 
 # Rows per block of _special_unitary_factor: a block's columns and
@@ -459,9 +517,9 @@ def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray, np.ndarray | None
 _BLOCK = 16_384
 
 
-def _evaluate_blocks(f, points, weights=None) -> np.ndarray:
-    """f at every point, times its weight if there are weights, written
-    block by block into one array.
+def _value_blocks(f, points, weights=None):
+    """The number of points and the values of f, times its weight if there
+    are weights, block by block.
 
     points is an array, or a tuple of arrays sliced in step along axis 0,
     taken _BLOCK points at a time; or a rule that hands over its points and
@@ -470,8 +528,7 @@ def _evaluate_blocks(f, points, weights=None) -> np.ndarray:
     rows and returning its (n,) values.  f receives one block of
     each array and must be pointwise: value k of its result depends on
     point k alone, so the blocks give f(points) bit for bit, and w * f
-    (weights along axis 0) has the bits of weights * f(points).  One block
-    needs no second array: it is f's result, or w * f.
+    (weights along axis 0) has the bits of weights * f(points).
     """
     if hasattr(points, "slabs"):
         n = len(points)
@@ -484,16 +541,46 @@ def _evaluate_blocks(f, points, weights=None) -> np.ndarray:
         edges = [0, n] if n <= _BLOCK + 1 else [*range(0, n - 1, _BLOCK), n]
         blocks = ((tuple(a[lo:hi] for a in arrays), None if weights is None else weights[lo:hi])
                   for lo, hi in zip(edges, edges[1:]))
+
+    def values():
+        for args, w in blocks:
+            block = np.asarray(f(*args))
+            if w is not None:
+                block = np.reshape(w, (-1,) + (1,) * (block.ndim - 1)) * block
+            yield block
+
+    return n, values()
+
+
+def _evaluate_blocks(f, points, weights=None) -> np.ndarray:
+    """f at every point, times its weight if there are weights, written
+    block by block into one array, point axis first (see _value_blocks).
+    One block needs no second array: it is f's result, or w * f.
+    """
+    n, blocks = _value_blocks(f, points, weights)
     vals, lo = None, 0
-    for args, w in blocks:
-        block = np.asarray(f(*args))
-        if w is not None:
-            block = np.reshape(w, (-1,) + (1,) * (block.ndim - 1)) * block
+    for block in blocks:
         if len(block) == n:
             return block
         if vals is None:
             vals = np.empty((n,) + block.shape[1:], block.dtype)
         vals[lo:lo + len(block)] = block
+        lo += len(block)
+    return vals
+
+
+def _evaluate_batch_last(f, points) -> np.ndarray:
+    """f at every point, written block by block into one C-contiguous array
+    with the point axis last, (*trailing axes, n): each component's values
+    are one contiguous row, which numpy reduces pairwise.  1-D values are
+    those of _evaluate_blocks, and no point-first array outlives its block.
+    """
+    n, blocks = _value_blocks(f, points)
+    vals, lo = None, 0
+    for block in blocks:
+        if vals is None:
+            vals = np.empty(block.shape[1:] + (n,), block.dtype)
+        vals[..., lo:lo + len(block)] = np.moveaxis(block, 0, -1)
         lo += len(block)
     return vals
 
@@ -509,20 +596,22 @@ def haar_mean(f, points, weights=None) -> tuple[np.ndarray, np.ndarray]:
     every Gaussian width, the SU(2) polar rule _polar_rule
     and the pairing moments on its directions, and the chamber rules
     of quadrature.integrate_invariant, which come in slabs.  f is evaluated
-    block by block (see _evaluate_blocks), so points is an array, a tuple
+    block by block (see _value_blocks), so points is an array, a tuple
     of arrays or a rule with slabs(), and the values may carry trailing
     axes.  No weights (Monte Carlo): the plain mean, and the standard error
-    sqrt(var Re + var Im) / sqrt(N) with ddof 1.  Otherwise the weighted
-    sum of a deterministic rule, with standard error 0: the products w * f
-    fill one array, block by block, which numpy sums once.
+    sqrt(var Re + var Im) / sqrt(N) with ddof 1, from values stored point
+    axis last (_evaluate_batch_last), so numpy reduces each component of
+    trailing axes as one contiguous row, as it reduces 1-D values.  Otherwise
+    the weighted sum of a deterministic rule, with standard error 0: the
+    products w * f fill one array, block by block, which numpy sums once.
     """
-    vals = _evaluate_blocks(f, points, weights)
     if weights is None and not hasattr(points, "slabs"):
-        var = vals.real.var(axis=0, ddof=1)
+        vals = _evaluate_batch_last(f, points)
+        var = vals.real.var(axis=-1, ddof=1)
         if np.iscomplexobj(vals):  # a real array's imaginary variance is 0
-            var = var + vals.imag.var(axis=0, ddof=1)
-        sem = np.sqrt(var)
-        return vals.mean(axis=0), sem / np.sqrt(len(vals))
+            var = var + vals.imag.var(axis=-1, ddof=1)
+        return vals.mean(axis=-1), np.sqrt(var) / np.sqrt(vals.shape[-1])
+    vals = _evaluate_blocks(f, points, weights)
     # numpy's own sum, in one fixed order: a BLAS dot splits the point
     # axis across its threads, and the last digits would follow their count
     return vals.sum(axis=0), np.zeros(vals.shape[1:])

@@ -592,3 +592,20 @@ def test_scheme_mismatch(su2, su3):
         orbital_average(su2, np.array([1.0]), np.array([0.5]), object())
     with pytest.raises(ValueError, match="unknown Cartesian integration scheme"):
         cartesian_oracle_integrate(su2, lambda c: np.ones(len(c)), 1.0, object())
+
+
+def test_adjoint_pairing_matches_the_matrix_form_and_is_batch_independent(su2, su3):
+    # the Monte-Carlo orbital average's exponent, sum_i m_i sum_j b_j |y_ij|^2
+    rng = np.random.default_rng(2033)
+    n = 16_386  # the last block of models.haar_mean holds 2 points
+    for model in (su2, su3):
+        dim = model.defining_dim
+        ys = haar_sample(model, rng, n)
+        m, b = rng.normal(size=dim), rng.normal(size=dim)
+        m, b = m - m.mean(), b - b.mean()
+        pair = chars._adjoint_pairing(ys, m, b)
+        ref = ((ys.real**2 + ys.imag**2) @ b) @ m
+        assert np.all(np.abs(np.exp(-pair) - np.exp(-ref)) <= 4 * np.spacing(np.exp(-ref)))
+        for k in (0, 1, 26, 27, 35, n - 2, n - 1):
+            assert chars._adjoint_pairing(ys[k], m, b) == pair[k], (model.kind, k)
+            assert np.array_equal(chars._adjoint_pairing(ys[k:k + 1], m, b), pair[k:k + 1])

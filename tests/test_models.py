@@ -418,6 +418,16 @@ def test_haar_sample_schur_orthogonality_of_t1_and_t2(su2, su3):
     assert abs(vals.mean() - 2.0) <= 4 * vals.std(ddof=1) / np.sqrt(N)
 
 
+def test_chamber_coordinates_of_a_point_alone_equal_them_inside_a_batch(su3):
+    # the eigenvalues meet the Cartan embedding elementwise, not in a BLAS
+    # product whose rounding depends on the batch
+    coords = np.random.default_rng(2031).normal(size=(models._BLOCK + 2, 8))
+    batch = chamber_coordinates(su3, coords)
+    for k in (0, 1, 26, 27, 35, len(coords) - 2, len(coords) - 1):
+        assert np.array_equal(chamber_coordinates(su3, coords[k]), batch[k]), k
+        assert np.array_equal(chamber_coordinates(su3, coords[k:k + 2]), batch[k:k + 2]), k
+
+
 def test_chamber_coordinates_match_eigvalsh(su3):
     rng = np.random.default_rng(29)
     coords = rng.normal(size=(200, 8))
@@ -560,3 +570,80 @@ def test_gauss_rules_are_cached_read_only_and_ascending():
             with pytest.raises(ValueError):
                 a[0] = 0.0
         assert np.all(np.diff(x) > 0) and np.all(w > 0)
+
+
+def _golub_welsch_legendre(order):
+    """Golub-Welsch (Math. Comp. 23 (1969) 221) as a test-only reference: the
+    eigenvalues of the Legendre Jacobi matrix and 2 times the squared first
+    components of its eigenvectors."""
+    k = np.arange(1, order, dtype=float)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 * v[0] ** 2
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 97, 193, 400])
+def test_legendre_rule_calls_no_lapack_and_matches_golub_welsch(order, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Gauss-Legendre rule calls no LAPACK routine")
+
+    with monkeypatch.context() as patch:
+        for name in ("eigvalsh", "eigh", "eig"):
+            patch.setattr(np.linalg, name, forbidden)
+        x, w = models._gauss_rule.__wrapped__("legendre", order)
+    ref_x, ref_w = _golub_welsch_legendre(order)
+    assert np.abs(x - ref_x).max() <= 1e-15
+    # Golub-Welsch's smallest weights, next to +-1, are off by up to 6e-12
+    # relative at order 400 against 34-digit references (these by 2e-13), so
+    # the weights are compared on the scale of the largest
+    assert np.abs(w - ref_w).max() <= 1e-12 * ref_w.max()
+    # an exact mirror image; an odd order's middle node is 0
+    assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+
+
+def test_monte_carlo_moments_of_1d_values_have_numpy_bits():
+    rng = np.random.default_rng(2029)
+    for n in (2, models._BLOCK + 2, 100_000):
+        re = rng.normal(size=n)
+        z = re + 1j * rng.normal(size=n)
+        mean, sem = models.haar_mean(lambda v: v, re)
+        assert mean == re.mean() and sem == np.sqrt(re.var(ddof=1)) / np.sqrt(n)
+        mean, sem = models.haar_mean(lambda v: v, z)
+        assert mean == z.mean()
+        assert sem == np.sqrt(z.real.var(ddof=1) + z.imag.var(ddof=1)) / np.sqrt(n)
+
+
+def test_monte_carlo_moments_with_trailing_axes_match_each_component():
+    # (N, d, d) complex and (N, 4) real values: every component's mean and
+    # standard error within 4 ulp of numpy's on that component alone
+    rng = np.random.default_rng(2030)
+    for n in (3, models._BLOCK + 2, 100_000):
+        for vals in (rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)),
+                     rng.normal(size=(n, 4))):
+            mean, sem = models.haar_mean(lambda v: v, vals)
+            assert mean.shape == sem.shape == vals.shape[1:]
+            for idx in np.ndindex(vals.shape[1:]):
+                col = vals[(slice(None),) + idx]
+                ref_sem = np.sqrt(col.real.var(ddof=1) + col.imag.var(ddof=1)) / np.sqrt(n)
+                assert abs(mean[idx] - col.mean()) <= 4 * np.spacing(abs(col.mean())), (n, idx)
+                assert abs(sem[idx] - ref_sem) <= 4 * np.spacing(ref_sem), (n, idx)
+
+
+def test_single_branch_sinhc_forms_equal_their_two_branch_reference():
+    def sinhc_ref(x):
+        small = np.abs(x) < 1e-8
+        safe = np.where(small, 1.0, x)
+        return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
+
+    def log_sinhc_ref(x):
+        ax = np.abs(x)
+        safe = np.maximum(ax, 1e-8)
+        return np.where(ax < 1e-8, np.log1p(ax * ax / 6.0),
+                        safe + np.log(-np.expm1(-2.0 * safe) / (2.0 * safe)))
+
+    x = np.concatenate(([0.0, -0.0, 1e-9, -3e-9, 1e-8, -1e-8, 2e-8, 700.0, -650.0],
+                        np.random.default_rng(2032).normal(0.0, 3.0, 1000)))
+    # with small entries, without any, and single values
+    for v in (x, x[4:], x[0], x[5], x[-1]):
+        assert np.array_equal(models._sinhc(v), sinhc_ref(np.asarray(v)))
+        assert np.array_equal(chars._log_sinhc(v), log_sinhc_ref(v))
