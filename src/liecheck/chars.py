@@ -3,15 +3,19 @@
 The density eta is exp(log_eta), log_eta a sum of log(sinh x / x) at the
 positive-root pairings, arrays that broadcast; an independent determinant
 oracle lives beside it.  The continued characters (positive on exp(i t))
-come from one evaluator, _chamber_char_parts, in the simple-root
-coordinates s_i = <alpha_i, Y> of a dominant Y = sum_i s_i w_i: one
-log-scale term per axis and a mantissa, the weight monomials over the
-largest as a polynomial in r = e^{-s_1} and y = e^{-s_rank} whose
-coefficients are the weight multiplicities.  Its two steps, the last
-axis's polynomials in y and Horner's rule in r, are elementwise, so a
-chamber integral forms the first once on its axis (hilbert._chamber_parts)
-and a point has the same bits alone, in a batch and on a slab.  Scattered
-Cartan points first map to the s of their dominant representative.
+are written in the simple-root coordinates s_i = <alpha_i, Y> of a
+dominant Y = sum_i s_i w_i: one log-scale term per axis and a mantissa,
+the weight monomials over the largest as a polynomial in r = e^{-s_1} and
+y = e^{-s_rank} whose coefficients m are the weight multiplicities.  Two
+routes evaluate the mantissa.  Scattered points (_chamber_char_parts)
+take the last axis's polynomials in y and Horner's rule in r,
+elementwise, so a point has the same bits alone and in a batch.  On a
+chamber tensor grid r and y are both e^{-s} on the rule's one axis, and
+the mantissa is the bilinear form T = E m E^T, E[i, k] = e^{-k s_i}
+(_grid_mantissa), one contraction per slab, so a point has the same bits
+on any slab partition.  Each route keeps its bits; the two agree to a
+few ulp.  Scattered Cartan points first map to the s of their dominant
+representative.
 The orbital average A(mu, Y) is the probability-normalized flag-manifold
 integral of exp(-<mu, Ad_y Y>), which makes the character/orbit identity
 free of volume conventions:
@@ -190,8 +194,8 @@ def _last_axis_polynomials(m: np.ndarray, y) -> np.ndarray:
 def _mantissa(polys: np.ndarray, r) -> np.ndarray:
     """T = sum_k1 polys[k1] r^k1 by Horner's rule, elementwise: 2 (len(polys)
     - 1) passes in place over one new array, or polys[0] itself (then r
-    is not read).  polys[k1] and r broadcast: on a chamber slab the polys
-    are last-axis rows formed once per integral and r is a column."""
+    is not read).  polys[k1] and r broadcast, so scattered points have the
+    same bits alone and in a batch; a chamber grid takes _grid_mantissa."""
     if len(polys) == 1:
         return polys[0]
     total = polys[-1] * r
@@ -200,6 +204,28 @@ def _mantissa(polys: np.ndarray, r) -> np.ndarray:
         total *= r
     total += polys[0]
     return total
+
+
+def _grid_mantissa(m: np.ndarray, x: np.ndarray):
+    """The mantissa of the multiplicities m on the tensor grid of one axis
+    x, r = y = e^{-x}, as a map from a slice of the leading axis's indices
+    to T there, arrays that broadcast to (rows, len(x)).
+
+    Where m has one row (A1, and A2 at lam = 0) T is the polynomial in y
+    alone, formed once on the last axis by _last_axis_polynomials.  Else m
+    is square (A2) and T = E m E^T, E[i, k] = e^{-k x_i}: E and B = m E^T
+    are formed once, and a slice takes E[rows] B.  Both products are
+    numpy's einsum C loop with no optimize, so no BLAS call is made and
+    each value is a sum over k, in one order, of its own row of E and
+    column of B: the same bits for any partition into slices.  Within a few
+    ulp of _mantissa at the same r and y, not bit for bit.
+    """
+    if len(m) == 1:
+        last_axis = _last_axis_polynomials(m, np.exp(-x))[0]
+        return lambda rows: last_axis
+    E = np.exp(np.multiply.outer(x, -np.arange(len(m), dtype=float)))
+    B = np.einsum("kl,jl->kj", m, E)
+    return lambda rows: np.einsum("ik,kj->ij", E[rows], B)
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +240,9 @@ def _chamber_char_parts(rs: RootSystem, lam: Weight, s) -> tuple[list, np.ndarra
     T), chi = T e^{sum_i log_scales[i]}, log_scales[i] = <lam*, w_i> s_i.  T in
     [1, dim lam] is the polynomial of _weight_multiplicities in r = e^{-s_1}
     and y = e^{-s_rank}, each read only where it has positive degree (on a
-    torus T = 1, and no exponential of s, which may overflow there)."""
+    torus T = 1, and no exponential of s, which may overflow there), by
+    _last_axis_polynomials and Horner's rule in r (_mantissa): the route of
+    scattered points, each with its own bits."""
     if not is_dominant(rs, lam):
         raise ValueError("the continued character requires a dominant weight")
     log_scales = [k * x for k, x in zip(_log_scale_coefficients(rs, lam.dynkin), s)]

@@ -215,6 +215,11 @@ _OPTION_HELP = {
     "t": "measure parameter, > 0",
     "quad_order": f"points per dimension (default {hilbert.default_order(1)} for rank 1, "
                   f"{hilbert.default_order(2)} otherwise)",
+    "mc_samples": f"Monte-Carlo samples per statistical row, >= 2 (default "
+                  f"{RunConfig.mc_samples}); the 3-sigma gates and "
+                  "summary.statistical.false_alarm_prob assume a normal z, which few "
+                  "samples do not give: at 2, most A1 and A2 'verify --suite all' runs "
+                  "fail a statistical row (14 and 12 of seeds 1-20)",
 }
 
 

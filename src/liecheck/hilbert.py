@@ -145,16 +145,18 @@ def _chamber_parts(q, lam: Weight, scale: float, width: float, p: int):
     from a slab's rows to (exponent, mantissa), the value being mantissa *
     e^exponent; eta is skipped at p = 0.
 
-    The character is chars._chamber_char_parts at scale s, -|Y|^2/width is
-    -s^T G s / width (G = <w_i, w_j>), and eta's roots pair with scale Y / 2
-    at scale/2 times sum_i c_i s_i.  Every term of one s_i is formed once
-    per integral on q.axis and laid out on each slab
-    (ChamberQuadrature.lay_out): the log-scale, the Gaussian diagonal and
-    the simple roots' p log sinhc, summed into one term per axis, and the
-    mantissa's last-axis polynomials Q_k1(y) (chars._last_axis_polynomials).
-    A slab adds only the cross terms s_i s_j, the non-simple roots' log
-    sinhc, and the mantissa by Horner's rule in r = e^{-scale s_1}
-    (chars._mantissa).
+    The character is the continued character of chars at scale s (its
+    log-scales as in chars._chamber_char_parts), -|Y|^2/width is -s^T G s /
+    width (G = <w_i, w_j>), and eta's roots pair with scale Y / 2 at scale/2
+    times sum_i c_i s_i.  Every term of one s_i is formed once per integral
+    on q.axis and laid out on each slab (ChamberQuadrature.lay_out): the
+    log-scale, the Gaussian diagonal and the simple roots' p log sinhc,
+    summed into one term per axis.  A slab adds only the cross terms s_i
+    s_j and the non-simple roots' log sinhc.  The mantissa is the grid's,
+    not the scattered points' Horner's rule (chars._grid_mantissa): on A2
+    the bilinear form E m E^T, formed once as E and m E^T and contracted on
+    each slab's rows; where m has one row (A1, and A2 at lam = 0) the
+    polynomial in y alone on the last axis, formed once.
     """
     rs, x = q.rs, q.axis
     g = (rs.cartan_adjugate / (rs.cartan_det * width)).tolist()
@@ -165,9 +167,8 @@ def _chamber_parts(q, lam: Weight, scale: float, width: float, p: int):
         simple = p * chars.log_eta([half])
         axis_terms = [a + simple for a in axis_terms]
     cross = [(i, j, 2.0 * g[i][j] * x) for i, j in combinations(range(rs.rank), 2)]
-    # e^{-scale s} on the axis: y on the last axis, r on the leading one
-    decay = np.exp(-scaled)
-    polys = chars._last_axis_polynomials(chars._weight_multiplicities(rs, lam.dynkin), decay)
+    # r and y are both e^{-scale s} on the axis; a slab's rows index r's axis
+    mantissa = chars._grid_mantissa(chars._weight_multiplicities(rs, lam.dynkin), scaled)
 
     def parts(rows):
         coords = q.coordinates(rows)
@@ -179,7 +180,7 @@ def _chamber_parts(q, lam: Weight, scale: float, width: float, p: int):
         if p and rs.rank > 1:
             halves = q.lay_out(rows, [half] * rs.rank)
             exponent += p * chars.log_eta(simple_root_pairings(rs, halves)[rs.rank:])
-        return exponent, chars._mantissa(polys, q.lay_out(rows, [decay] * rs.rank)[0])
+        return exponent, mantissa(rows)
 
     return parts
 

@@ -65,10 +65,11 @@ _INVARIANT_DEGREES = {"A1": (2,), "A2": (2, 3)}
 # temporaries on a slab stay in the heap the allocator reuses (see
 # models._BLOCK for the blocks of every other integrand).  A slab of the
 # character integrals forms only its cross terms, non-simple roots and
-# mantissa, so its fixed cost (about 0.1 ms) weighs more than its
+# mantissa contraction, so its fixed cost weighs more than its
 # temporaries: on a 2-vCPU x86_64 host, the benchmark's constants-sweep
-# report_s was 0.354 s at 4096 and 0.284 s at 8192 (medians of 5
-# alternating pairs of 10 s runs), and an order-96 A2 rule is one slab
+# report_s was 0.246 s at 4096, 0.213 s at 8192 and 0.214 s at 16384
+# (medians of 5 alternating runs of 10 s each), and an order-96 A2 rule
+# is one slab
 _SLAB = 8192
 
 

@@ -305,9 +305,10 @@ def test_char_holo_of_a_point_alone_equals_it_inside_a_batch(a1, a2, t2):
 
 
 def test_branching_mantissa_broadcasts_bit_for_bit(a2):
-    # the chamber rules form the last axis's polynomials once, y a row, and
-    # run Horner's rule in r, a column, on each slab; scattered points run
-    # both on flat y and r: one evaluator, the same bits
+    # scattered points take the last axis's polynomials and Horner's rule
+    # in r, elementwise: y a row and r a column give the bits of the same
+    # points flat, so a point has the same bits alone and in a batch (a
+    # chamber grid takes _grid_mantissa instead, tested below)
     rng = np.random.default_rng(17)
     y = np.concatenate([[1.0, 1e-300], rng.uniform(1e-9, 1.0, 35)])
     r = np.concatenate([[1.0, 1e-300], rng.uniform(1e-9, 1.0, 21)])
@@ -319,6 +320,24 @@ def test_branching_mantissa_broadcasts_bit_for_bit(a2):
                                (len(r), len(y)))
         flat = chars._mantissa(chars._last_axis_polynomials(m, flat_y), flat_r)
         assert np.array_equal(grid.ravel(), flat)
+
+
+def test_grid_mantissa_matches_horners_rule_at_the_same_r_and_y(a2):
+    # a chamber grid takes T = E m E^T, scattered points Horner's rule: at
+    # the same r = y = e^{-x} the two agree to a few ulp (the largest
+    # difference, 1.3e-15, is at (10, 12)), on the axis of an order-96 rule
+    # and at x = 0, where T is dim lam exactly, and e^{-x} = 1e-300
+    x = np.concatenate([[0.0, -np.log(1e-300)],
+                        2.0 * build_chamber_quadrature(a2, 1.0, 96, 10.0).axis])
+    decay = np.exp(-x)
+    assert math.isclose(decay[1], 1e-300, rel_tol=1e-12)
+    for lam in enumerate_dominant(a2, 12):
+        m = chars._weight_multiplicities(a2, lam.dynkin)
+        # at (0, 0) the grid mantissa is a row of ones, which broadcasts
+        grid = np.broadcast_to(chars._grid_mantissa(m, x)(slice(None)), (len(x), len(x)))
+        horner = chars._mantissa(chars._last_axis_polynomials(m, decay), decay[:, None])
+        assert grid[0, 0] == dimension(a2, lam)
+        assert np.all(np.abs(grid - horner) <= 2e-15 * horner), lam.dynkin
 
 
 def test_weight_multiplicities_count_the_gelfand_tsetlin_patterns(a1, a2):

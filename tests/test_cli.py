@@ -545,6 +545,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
     # a BLAS dot would split the point axis across its threads
     src = str(Path(liecheck.__file__).resolve().parents[1])
     runs = (["verify", "--suite", "lemma33", "--group", "A2"],
+            ["constants", "--group", "A2", "--format", "csv"],
             ["constants", "--group", "T2", "--format", "csv"])
     for args in runs:
         outs = []
