@@ -29,6 +29,7 @@ from .models import (
     _evaluate_blocks,
     algebra_element,
     chamber_coordinates,
+    haar_draw,
     haar_mean,
     haar_nodes,
     haar_sample,
@@ -577,8 +578,10 @@ def suite_convolution(cfg: RunConfig, rs: RootSystem, model: GroupModel) -> list
     a = random_series("A1", "L2K", t, [(0,), (1,)], rng)
     b = random_series("A1", "L2K", t, [(1,), (2,)], rng)
     ab = fourier.convolve(a, b)
-    # the Monte-Carlo samples come from the same stream before the points q
-    xs = haar_sample(model, rng, cfg.mc_samples)
+    # the Monte-Carlo samples come from the same stream before the points q:
+    # haar_draw takes all their normals at once, as haar_sample would, and
+    # forms the elements a block at a time inside haar_mean
+    xs = haar_draw(model, rng, cfg.mc_samples)
     qs = haar_sample(model, rng, 5)
     direct = fourier.synthesize_many(ab, model, qs)
 

@@ -2,7 +2,8 @@
 
 The orthonormal algebra bases realize <X, Y> = -trace(XY) in the defining
 representation.  Haar samples of both groups are the first n - 1 columns
-of a Ginibre matrix, orthonormalised and completed to determinant 1; on
+of a Ginibre matrix, orthonormalised and completed to determinant 1, a
+block at a time (HaarDraw), so a Monte-Carlo mean never holds them all; on
 SU(2) one polar rule of the Weyl integration formula (_polar_rule) is
 exact to a stated degree (HaarSU2), and haar_mean averages a pointwise
 integrand over any scheme's points, block by block, Monte-Carlo values
@@ -29,6 +30,7 @@ import numpy as np
 __all__ = [
     "Estimate",
     "GroupModel",
+    "HaarDraw",
     "HaarSU2",
     "IrrepMatrices",
     "MonteCarlo",
@@ -39,6 +41,7 @@ __all__ = [
     "chamber_coordinates",
     "exp_i",
     "group_model_for",
+    "haar_draw",
     "haar_mean",
     "haar_nodes",
     "haar_sample",
@@ -344,13 +347,22 @@ def chamber_coordinates(model: GroupModel, coords) -> np.ndarray:
     return np.stack(_pairings(a, CARTAN_EIGEN_EMBED["A2"].T), axis=-1)
 
 
-# Rows per block of _special_unitary_factor: a block's columns and
-# temporaries, a dozen complex arrays, then stay near a 2 MB L2 cache.  On a
-# 2-vCPU x86_64 host (numpy 2.4.6; medians of 21 runs, draws included)
-# haar_sample of 10^5 SU(3) elements took 74-88 ms in one block and 46-57 ms
-# at 4096 to 16384 rows; of 10^5 SU(2) elements 15-17 ms in one block and
-# 11-14 ms at 4096 to 16384 rows.
+# Rows per block of HaarDraw: a block's columns, its factor and the
+# temporaries of factor and integrand, a dozen complex arrays, then stay
+# near a 2 MB L2 cache, and a Monte-Carlo mean holds one block's buffer in
+# place of all N elements.  On a 2-vCPU x86_64 host (numpy 2.4.6;
+# medians of 21 runs, 3 repeats) an SU(3) orbital average of 10^5 samples,
+# draw plus integrand, took 38-39 ms with the samples in one array, 35-36
+# ms at 8192 rows, 34-37 ms at 4096, 38-39 ms at 16384 and 59-63 ms in one
+# block; its traced peak fell from 25.5 to 13.7 MiB.
 _HAAR_BLOCK = 8192
+
+
+def _block_edges(n: int, block: int) -> list[int]:
+    """Edges of the blocks of `block` points that cover n points.  A lone
+    last point joins the block before it: numpy multiplies a one-row matrix
+    by another BLAS routine, whose last digits differ."""
+    return [0, n] if n <= block + 1 else [*range(0, n - 1, block), n]
 
 
 def _norm(v) -> np.ndarray:
@@ -392,25 +404,9 @@ def _su3_factor(re: np.ndarray, im: np.ndarray, x: np.ndarray) -> None:
                          q0[0] * q1[1] - q0[1] * q1[0]])
 
 
-def _special_unitary_factor(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The Haar factor x (m, n, n) of haar_sample for the first n - 1
-    columns z = re + i im of Ginibre matrices, re and im (m, n, n - 1).
-
-    The columns are factored _HAAR_BLOCK rows at a time, by elementwise
-    operations only, so row k of the result depends on z[k] alone, bit for
-    bit.
-    """
-    n = re.shape[-2]
-    x = np.empty((len(re), n, n), complex)
-    factor = _su2_factor if n == 2 else _su3_factor
-    for lo in range(0, len(x), _HAAR_BLOCK):
-        rows = slice(lo, lo + _HAAR_BLOCK)
-        factor(re[rows], im[rows], x[rows])
-    return x
-
-
-def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
-    """Haar-distributed elements of SU(2) or SU(3).
+@dataclass(frozen=True, eq=False)
+class HaarDraw:
+    """Haar-distributed elements of SU(2) or SU(3), drawn but not yet formed.
 
     The Q of a Ginibre matrix z = QR with positive diag(R) is Haar on the
     unitary group (Mezzadri, Notices AMS 54 (2007) 592), and the map
@@ -419,8 +415,8 @@ def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
     unitary group.  Its value depends only on Q's first n - 1 columns,
     which are z's, orthonormalised in order (the column-by-column
     construction of Diaconis & Shahshahani, Prob. Eng. Inf. Sci. 1 (1987)
-    15).  So only those columns are drawn, and no QR or determinant is
-    formed:
+    15).  So a draw holds only those columns, z = re + i im, re and im
+    (N, n, n - 1), and no QR or determinant is formed:
       - SU(2) is fixed by its first column, the unit quaternion (a, b) =
         z_{.0} / |z_{.0}|: x = [[a, -conj b], [b, conj a]];
       - on SU(3), q0 and q1 come from Gram-Schmidt run twice (one pass
@@ -428,15 +424,62 @@ def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
         restores it; Giraud, Langou & Rozloznik, Numer. Math. 101 (2005)),
         and the last column w = conj(q0 x q1) is the unit vector orthogonal
         to both with det[q0, q1, w] = 1.
+    The columns are factored _HAAR_BLOCK rows at a time (_block_edges), by
+    elementwise operations only, so element k depends on z[k] alone, bit
+    for bit.  blocks() yields the (m, n, n) blocks in order, each written
+    into one buffer that the next block reuses, so no (N, n, n) array is
+    formed; array() writes them into one such array (haar_sample).
+    """
+
+    re: np.ndarray
+    im: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def blocks(self):
+        n = self.re.shape[-2]
+        yield from self._factored(np.empty((min(len(self), _HAAR_BLOCK + 1), n, n), complex))
+
+    def array(self) -> np.ndarray:
+        n = self.re.shape[-2]
+        x = np.empty((len(self), n, n), complex)
+        for _ in self._factored(x):
+            pass
+        return x
+
+    def _factored(self, out: np.ndarray):
+        """Each block, factored into its own rows of out if out has a row
+        per element, else into the head of out, a buffer."""
+        factor = _su2_factor if self.re.shape[-2] == 2 else _su3_factor
+        edges = _block_edges(len(self), _HAAR_BLOCK)
+        for lo, hi in zip(edges, edges[1:]):
+            x = out[lo:hi] if len(out) == len(self) else out[:hi - lo]
+            factor(self.re[lo:hi], self.im[lo:hi], x)
+            yield x
+
+
+def haar_draw(model: GroupModel, rng, size: int) -> HaarDraw:
+    """size Haar-distributed elements of SU(2) or SU(3), as a HaarDraw.
+
     Deterministic given the generator state, which draws 2n(n - 1) normals
-    per sample: the real parts of every sample's n - 1 columns,
-    (size, n, n - 1), then their imaginary parts.  size=None gives one
-    (n, n) matrix.
+    per sample in one call: the real parts of every sample's n - 1
+    columns, (size, n, n - 1), then their imaginary parts.  The draw and
+    haar_sample(model, rng, size) leave the generator in the same state.
     """
     rng = np.random.default_rng(rng)
-    n, m = model.defining_dim, 1 if size is None else size
-    re, im = rng.standard_normal((2, m, n, n - 1))
-    x = _special_unitary_factor(re, im)
+    n = model.defining_dim
+    return HaarDraw(*rng.standard_normal((2, size, n, n - 1)))
+
+
+def haar_sample(model: GroupModel, rng, size: int | None = None) -> np.ndarray:
+    """Haar-distributed elements of SU(2) or SU(3), (size, n, n).
+
+    The elements of haar_draw(model, rng, size), formed in one array by the
+    block loop of HaarDraw, with the same bits.  size=None gives one (n, n)
+    matrix, the first of a draw of size 1.
+    """
+    x = haar_draw(model, rng, 1 if size is None else size).array()
     return x[0] if size is None else x
 
 
@@ -490,15 +533,16 @@ def _haar_su2_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return _polar_rule(degree // 2 + 1, degree)
 
 
-def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray, np.ndarray | None]:
+def haar_nodes(model: GroupModel, scheme) -> tuple[np.ndarray | HaarDraw, np.ndarray | None]:
     """Points of a Haar scheme and their weights.
 
-    MonteCarlo: scheme.samples Haar samples drawn from scheme.seed, with
-    weights None (all equal).  HaarSU2: the rule's shared, read-only nodes
-    and weights; SU(2) only.
+    MonteCarlo: the HaarDraw of scheme.samples elements drawn from
+    scheme.seed, whose blocks haar_mean takes one at a time, with weights
+    None (all equal).  HaarSU2: the rule's shared, read-only nodes and
+    weights; SU(2) only.
     """
     if isinstance(scheme, MonteCarlo):
-        return haar_sample(model, np.random.default_rng(scheme.seed), scheme.samples), None
+        return haar_draw(model, np.random.default_rng(scheme.seed), scheme.samples), None
     if isinstance(scheme, HaarSU2):
         if model.kind != "SU2":
             raise ValueError("HaarSU2 scheme requires the SU2 model")
@@ -522,23 +566,28 @@ def _value_blocks(f, points, weights=None):
     are weights, block by block.
 
     points is an array, or a tuple of arrays sliced in step along axis 0,
-    taken _BLOCK points at a time; or a rule that hands over its points and
-    weights itself, len(points) in all, as the (rows, weights) slabs of
-    points.slabs() (quadrature.ChamberQuadrature), f receiving a slab's
-    rows and returning its (n,) values.  f receives one block of
-    each array and must be pointwise: value k of its result depends on
-    point k alone, so the blocks give f(points) bit for bit, and w * f
-    (weights along axis 0) has the bits of weights * f(points).
+    taken _BLOCK points at a time (_block_edges); or a source that hands
+    over its points itself, len(points) in all: the (rows, weights) slabs
+    of points.slabs() (quadrature.ChamberQuadrature), f receiving a slab's
+    rows and returning its (n,) values, or the element blocks of
+    points.blocks() (HaarDraw, weights None), each valid only until the
+    next.  f receives one block of each array and must be pointwise: value
+    k of its result depends on point k alone, so the blocks give
+    f(points) bit for bit, and w * f (weights along axis 0) has the bits
+    of weights * f(points).
     """
     if hasattr(points, "slabs"):
         n = len(points)
         blocks = (((rows,), w) for rows, w in points.slabs())
+    elif hasattr(points, "blocks"):
+        if weights is not None:
+            raise ValueError("a HaarDraw's points have equal weights")
+        n = len(points)
+        blocks = (((x,), None) for x in points.blocks())
     else:
         arrays = points if isinstance(points, tuple) else (points,)
         n = len(arrays[0])
-        # a lone last point joins the block before it: numpy multiplies a
-        # one-row matrix by another BLAS routine, whose last digits differ
-        edges = [0, n] if n <= _BLOCK + 1 else [*range(0, n - 1, _BLOCK), n]
+        edges = _block_edges(n, _BLOCK)
         blocks = ((tuple(a[lo:hi] for a in arrays), None if weights is None else weights[lo:hi])
                   for lo, hi in zip(edges, edges[1:]))
 
@@ -597,13 +646,15 @@ def haar_mean(f, points, weights=None) -> tuple[np.ndarray, np.ndarray]:
     and the pairing moments on its directions, and the chamber rules
     of quadrature.integrate_invariant, which come in slabs.  f is evaluated
     block by block (see _value_blocks), so points is an array, a tuple
-    of arrays or a rule with slabs(), and the values may carry trailing
-    axes.  No weights (Monte Carlo): the plain mean, and the standard error
-    sqrt(var Re + var Im) / sqrt(N) with ddof 1, from values stored point
-    axis last (_evaluate_batch_last), so numpy reduces each component of
-    trailing axes as one contiguous row, as it reduces 1-D values.  Otherwise
-    the weighted sum of a deterministic rule, with standard error 0: the
-    products w * f fill one array, block by block, which numpy sums once.
+    of arrays, a rule with slabs() or a Monte-Carlo HaarDraw, whose
+    elements are formed a block at a time, and the values may carry
+    trailing axes.  No weights (Monte Carlo): the plain mean, and the
+    standard error sqrt(var Re + var Im) / sqrt(N) with ddof 1, from
+    values stored point axis last (_evaluate_batch_last), so numpy reduces
+    each component of trailing axes as one contiguous row, as it reduces
+    1-D values.  Otherwise the weighted sum of a deterministic rule, with
+    standard error 0: the products w * f fill one array, block by block,
+    which numpy sums once.
     """
     if weights is None and not hasattr(points, "slabs"):
         vals = _evaluate_batch_last(f, points)

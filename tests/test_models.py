@@ -14,6 +14,8 @@ from liecheck.models import (
     build_group_model,
     chamber_coordinates,
     exp_i,
+    haar_draw,
+    haar_mean,
     haar_nodes,
     haar_sample,
     irrep_matrices,
@@ -368,7 +370,7 @@ def test_haar_factor_of_ill_conditioned_columns_matches_qr():
     for n in (2, 3):
         for angle in (1e-3, 1e-6, 1e-11):
             z = _ginibre(rng, 2000, n, angle)
-            err = np.abs(models._special_unitary_factor(z.real, z.imag) - qr_complete(z))
+            err = np.abs(models.HaarDraw(z.real, z.imag).array() - qr_complete(z))
             assert (err.max(axis=(1, 2)) <= 1e-14 * np.linalg.cond(z)).all(), (n, angle)
 
 
@@ -376,7 +378,7 @@ def test_haar_factor_of_nearly_parallel_columns():
     rng = np.random.default_rng(53)
     z = _ginibre(rng, 2000, 3, 1e-11)
     assert np.linalg.cond(z).min() >= 1e10
-    x = models._special_unitary_factor(z.real, z.imag)
+    x = models.HaarDraw(z.real, z.imag).array()
     gram = np.conj(np.swapaxes(x, 1, 2)) @ x
     assert np.abs(gram - np.eye(3)).max() <= 1e-14
     assert np.abs(np.linalg.det(x) - 1.0).max() <= 1e-14
@@ -387,17 +389,72 @@ def test_haar_factor_of_nearly_parallel_columns():
 
 def test_haar_factor_of_a_point_alone_equals_it_inside_a_batch(su2, su3):
     # elementwise operations only: a row's bits do not depend on the batch,
-    # its size or the block it falls in (N = _HAAR_BLOCK + 1 leaves a lone
-    # last block)
+    # its size or the block it falls in (N = 2 _HAAR_BLOCK + 2 ends in a
+    # block of 2)
     B = models._HAAR_BLOCK
     rng = np.random.default_rng(61)
     for model in (su2, su3):
         n = model.defining_dim
-        re, im = rng.standard_normal((2, B + 1, n, n - 1))
-        x = models._special_unitary_factor(re, im)
-        for k in (0, 1, B - 1, B):
-            assert np.array_equal(models._special_unitary_factor(re[k:k + 1], im[k:k + 1])[0], x[k]), k
+        re, im = rng.standard_normal((2, 2 * B + 2, n, n - 1))
+        x = models.HaarDraw(re, im).array()
+        for k in (0, 1, B - 1, B, 2 * B, 2 * B + 1):
+            assert np.array_equal(models.HaarDraw(re[k:k + 1], im[k:k + 1]).array()[0], x[k]), k
         assert np.array_equal(haar_sample(model, 62), haar_sample(model, 62, 1)[0])
+
+
+def test_haar_draw_blocks_equal_haar_sample_bit_for_bit(su2, su3):
+    # the draw takes haar_sample's normals in one call, so the generator
+    # ends in the same state; its blocks reuse one buffer, and the last
+    # holds B + 1 points (a lone point joins it) or 2
+    B = models._HAAR_BLOCK
+    for model in (su2, su3):
+        for n in (2, B - 1, B, B + 1, B + 2, 10**5):
+            rng, ref_rng = np.random.default_rng(63), np.random.default_rng(63)
+            draw = haar_draw(model, rng, n)
+            assert len(draw) == n
+            blocks = [(x.copy(), x.__array_interface__["data"][0]) for x in draw.blocks()]
+            xs = haar_sample(model, ref_rng, n)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, n
+            assert np.array_equal(np.concatenate([x for x, _ in blocks]), xs), n
+            assert len({address for _, address in blocks}) == 1, n
+            sizes = [len(x) for x, _ in blocks]
+            assert max(sizes) <= B + 1 and (len(sizes) == 1 or sizes[-1] > 1), (n, sizes)
+
+
+def test_haar_mean_over_a_draw_equals_it_over_the_array_bit_for_bit(su2, su3):
+    # a real scalar (the orbital-average exponent), a complex scalar (the
+    # convolution integrand) and (N, d, d) values (a Fourier coefficient's
+    # integrand at n = 2), in blocks of _HAAR_BLOCK against blocks of _BLOCK
+    from liecheck import fourier
+    from liecheck.checks import random_series
+
+    rng = np.random.default_rng(64)
+    a = random_series("A1", "L2K", 1.0, [(0,), (1,)], rng)
+    b = random_series("A1", "L2K", 1.0, [(1,), (2,)], rng)
+    q = haar_sample(su2, rng)
+
+    def exponent(model):
+        m = np.diagonal(models.cartan_element(model, np.linspace(1.0, 2.0, model.rank))).imag
+        y = np.diagonal(models.cartan_element(model, np.linspace(0.3, -0.2, model.rank))).imag
+        return lambda ys: np.exp(-chars._adjoint_pairing(ys, m, y))
+
+    def convolution(x):
+        return (fourier.synthesize_many(a, su2, x)
+                * fourier.synthesize_many(b, su2, models.mul2x2(np.conj(np.swapaxes(x, 1, 2)), q)))
+
+    def coefficient(x):
+        return fourier._times_rep_adjoint(fourier.synthesize_many(a, su2, x), 2, x)
+
+    cases = [(su3, exponent(su3)), (su2, exponent(su2)), (su2, convolution), (su2, coefficient)]
+    for n in (2, models._HAAR_BLOCK + 1, 10**5):
+        for model, f in cases:
+            draw = haar_draw(model, 65, n)
+            mean, sem = haar_mean(f, draw)
+            ref_mean, ref_sem = haar_mean(f, draw.array())
+            assert mean.shape == ref_mean.shape and sem.shape == ref_sem.shape
+            assert np.array_equal(mean, ref_mean) and np.array_equal(sem, ref_sem), (n, f)
+    with pytest.raises(ValueError, match="equal weights"):
+        haar_mean(np.abs, draw, np.ones(len(draw)))
 
 
 def test_haar_sample_schur_orthogonality_of_t1_and_t2(su2, su3):
