@@ -108,13 +108,19 @@ def pairing_scale(rs: RootSystem, t: float) -> float:
 
 
 def ratio_defect(rs: RootSystem, lam: Weight, t: float) -> float:
-    """Relative defect of (4 t pi)^(-dim/4) D against sqrt(C).
+    """Relative defect of (4 t pi)^(-dim/4) D against sqrt(C), from the
+    closed forms c_constant and d_constant (_ratio_defect).
 
     Relative, because the absolute scale e^{t|lam+rho|^2/2} grows past any
     fixed absolute tolerance for large weights.
     """
-    root_c = float(np.sqrt(c_constant(rs, lam, t)))
-    return float(abs(pairing_scale(rs, t) * d_constant(rs, lam, t) - root_c) / root_c)
+    return _ratio_defect(rs, t, c_constant(rs, lam, t), d_constant(rs, lam, t))
+
+
+def _ratio_defect(rs: RootSystem, t: float, C: float, D: float) -> float:
+    """|(4 t pi)^(-dim/4) D - sqrt(C)| / sqrt(C) of given constants C and D."""
+    root_c = float(np.sqrt(C))
+    return float(abs(pairing_scale(rs, t) * D - root_c) / root_c)
 
 
 @dataclass(frozen=True)
@@ -198,45 +204,49 @@ def _character_integral(
     axes, and by Fubini over a finite sum its sum over the tensor rule is
     the product of rank sums over quadrature.torus_axis_rule, each through
     models.haar_mean.  An axis factor is the one exponential e^{-mu_i x -
-    x^2/width}.  Where a value would pass the largest float, a ValueError
-    (quadrature.NON_FINITE_VALUES) names its log, raised before any
-    exponential overflows: on a torus the log of the integral; on A1 and
-    A2 the largest exponent of the integrand, or, where every node is
-    finite, the log of the weighted sum, taken again from the logs of its
-    terms.  No RuntimeWarning is printed.
+    x^2/width}.
+
+    The sum comes first, with numpy's overflow warnings off; only a value
+    that is not finite is diagnosed, and a ValueError
+    (quadrature.NON_FINITE_VALUES) names its log: on a torus the log of the
+    integral, from the logs of the axis sums' terms; on A1 and A2, walking
+    the slabs again in order, the largest exponent of the first slab whose
+    integrand passes the largest float, or, where every node is finite, the
+    log of the weighted sum, taken again from the logs of its terms.  No
+    RuntimeWarning is printed.
     """
     if rs.is_torus:
         x, w = torus_axis_rule(width, order, mu_norm)
         exponents = [-mu_i * x - x**2 / width for mu_i in scale * lam.coords]
-        peaks = [e.max() for e in exponents]
-        # the log of each partial product, so that no exponential overflows on the way
-        logs = np.cumsum([_log_sum(np.log(w) + e) for e in exponents])
-        if max(*logs, *peaks) > LOG_FLOAT_MAX:
+        with np.errstate(over="ignore"):
+            value = prod(float(haar_mean(np.exp, e, w)[0]) for e in exponents)
+        if not np.isfinite(value):
+            log_value = sum(_log_sum(np.log(w) + e) for e in exponents)
             raise ValueError(f"{NON_FINITE_VALUES}: the axis sums of the integral "
-                             f"e^{logs[-1]:.6g} pass the largest float")
-        return prod(float(haar_mean(np.exp, e, w)[0]) for e in exponents)
+                             f"e^{log_value:.6g} pass the largest float")
+        return value
 
     q = build_chamber_quadrature(rs, width, order, mu_norm)
     parts = _chamber_parts(q, lam, scale, width, p)
 
     def f(rows):
         exponent, mantissa = parts(rows)
-        peak = exponent.max()
-        if peak > LOG_FLOAT_MAX:
-            raise ValueError(f"{NON_FINITE_VALUES}: the integrand reaches "
-                             f"e^{peak:.6g}, past the largest float")
         value = np.exp(exponent)
         value *= mantissa
         return value.reshape(-1)
 
-    # w * f and the sum may pass the largest float where every node is
-    # finite: that ends in the ValueError below, not in numpy's warnings
+    # a node past e^709, w * f and the sum may each pass the largest float:
+    # that ends in the ValueError below, not in numpy's warnings
     with np.errstate(over="ignore"):
         value = float(haar_mean(f, q)[0])
     if not np.isfinite(value):
         slab_logs = []
         for rows, w in q.slabs():
             exponent, mantissa = parts(rows)
+            peak = exponent.max()
+            if peak > LOG_FLOAT_MAX:
+                raise ValueError(f"{NON_FINITE_VALUES}: the integrand reaches "
+                                 f"e^{peak:.6g}, past the largest float")
             slab_logs.append(_log_sum(np.log(w) + (np.log(mantissa) + exponent).reshape(-1)))
         raise ValueError(f"{NON_FINITE_VALUES}: the weighted sum e^{_log_sum(slab_logs):.6g} "
                          f"passes the largest float")
@@ -303,7 +313,8 @@ def constants_row(rs: RootSystem, lam: Weight, t: float, order: int) -> Constant
     """Assemble the constants table row for one dominant weight.
 
     ratio_check is ratio_defect, the relative defect of (4 t pi)^(-dim/4) D
-    against sqrt(C).
+    against sqrt(C), taken from the row's own C and D, so each closed form
+    is formed once.
     """
     C = c_constant(rs, lam, t)
     D = d_constant(rs, lam, t)
@@ -318,7 +329,7 @@ def constants_row(rs: RootSystem, lam: Weight, t: float, order: int) -> Constant
         D=D,
         C_tilde=naive.value,
         C_tilde_err=naive.stderr,
-        ratio_check=ratio_defect(rs, lam, t),
+        ratio_check=_ratio_defect(rs, t, C, D),
     )
 
 

@@ -562,8 +562,9 @@ _BLOCK = 16_384
 
 
 def _value_blocks(f, points, weights=None):
-    """The number of points and the values of f, times its weight if there
-    are weights, block by block.
+    """The number of points and, block by block, the values of f with the
+    weights of their points, (w, values), w None where there are no
+    weights and else shaped to broadcast along the values' axis 0.
 
     points is an array, or a tuple of arrays sliced in step along axis 0,
     taken _BLOCK points at a time (_block_edges); or a source that hands
@@ -573,8 +574,8 @@ def _value_blocks(f, points, weights=None):
     points.blocks() (HaarDraw, weights None), each valid only until the
     next.  f receives one block of each array and must be pointwise: value
     k of its result depends on point k alone, so the blocks give
-    f(points) bit for bit, and w * f (weights along axis 0) has the bits
-    of weights * f(points).
+    f(points) bit for bit, and w * values (weights along axis 0) has the
+    bits of weights * f(points).
     """
     if hasattr(points, "slabs"):
         n = len(points)
@@ -595,8 +596,8 @@ def _value_blocks(f, points, weights=None):
         for args, w in blocks:
             block = np.asarray(f(*args))
             if w is not None:
-                block = np.reshape(w, (-1,) + (1,) * (block.ndim - 1)) * block
-            yield block
+                w = np.reshape(w, (-1,) + (1,) * (block.ndim - 1))
+            yield w, block
 
     return n, values()
 
@@ -604,16 +605,23 @@ def _value_blocks(f, points, weights=None):
 def _evaluate_blocks(f, points, weights=None) -> np.ndarray:
     """f at every point, times its weight if there are weights, written
     block by block into one array, point axis first (see _value_blocks).
+    A block's product w * f is formed in its own rows of that array
+    (np.multiply with out), so no block makes a product array of its own.
     One block needs no second array: it is f's result, or w * f.
     """
     n, blocks = _value_blocks(f, points, weights)
     vals, lo = None, 0
-    for block in blocks:
+    for w, block in blocks:
         if len(block) == n:
-            return block
+            return block if w is None else w * block
         if vals is None:
-            vals = np.empty((n,) + block.shape[1:], block.dtype)
-        vals[lo:lo + len(block)] = block
+            dtype = block.dtype if w is None else np.result_type(w, block)
+            vals = np.empty((n,) + block.shape[1:], dtype)
+        rows = vals[lo:lo + len(block)]
+        if w is None:
+            rows[...] = block
+        else:
+            np.multiply(w, block, out=rows)
         lo += len(block)
     return vals
 
@@ -626,7 +634,7 @@ def _evaluate_batch_last(f, points) -> np.ndarray:
     """
     n, blocks = _value_blocks(f, points)
     vals, lo = None, 0
-    for block in blocks:
+    for _, block in blocks:
         if vals is None:
             vals = np.empty(block.shape[1:] + (n,), block.dtype)
         vals[..., lo:lo + len(block)] = np.moveaxis(block, 0, -1)

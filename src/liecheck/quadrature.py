@@ -67,9 +67,13 @@ _INVARIANT_DEGREES = {"A1": (2,), "A2": (2, 3)}
 # character integrals forms only its cross terms, non-simple roots and
 # mantissa contraction, so its fixed cost weighs more than its
 # temporaries: on a 2-vCPU x86_64 host, the benchmark's constants-sweep
-# report_s was 0.246 s at 4096, 0.213 s at 8192 and 0.214 s at 16384
-# (medians of 5 alternating runs of 10 s each), and an order-96 A2 rule
-# is one slab
+# report_s was 0.223 s at 4096, 0.203 s at 8192 and 0.186 s at 16384
+# (medians of 5 rotating runs of 10 s each).  But at 16384 a slab's
+# temporaries pass glibc's 128 KiB mmap threshold: an order-192 A2 C
+# integral took 1.44 ms in process against 0.95 ms at 8192, a fresh
+# process's constants-sweep rows read 0.173-0.176 s against 0.141-0.146 s,
+# and a2-verify's report_s rose 3.6% (BENCH_32).  An order-96 A2 rule is
+# one slab
 _SLAB = 8192
 
 
@@ -122,7 +126,9 @@ class ChamberQuadrature:
         count = min(self.rows, max(1, round(len(self) / _SLAB)))
         for k in range(count):
             rows = slice(self.rows * k // count, self.rows * (k + 1) // count)
-            yield rows, self.volume * _chamber_weights_raw(self, rows)
+            weights = _chamber_weights_raw(self, rows)
+            weights *= self.volume
+            yield rows, weights
 
     def lay_out(self, rows: slice, values) -> list[np.ndarray]:
         """Per-axis terms on the slab of grid rows `rows`: values[i] (m,)
@@ -158,7 +164,9 @@ class ChamberQuadrature:
 
     @property
     def weights(self) -> np.ndarray:
-        return self.volume * _chamber_weights_raw(self, slice(0, self.rows))
+        weights = _chamber_weights_raw(self, slice(0, self.rows))
+        weights *= self.volume
+        return weights
 
 
 def default_order(rank: int) -> int:
@@ -186,18 +194,20 @@ def _tensor_rule(*rules):
 
 
 def _chamber_weights_raw(q: ChamberQuadrature, rows: slice) -> np.ndarray:
-    """Weights (n,), without the volume factor, of the grid rows `rows` of q.
+    """Weights (n,), without the volume factor, of the grid rows `rows` of q,
+    a new array that the caller may scale in place.
 
     The outer product of the axis weights, laid out as the coordinates are
     (ChamberQuadrature.lay_out), times (sum_i c_i s_i)^2 for each
-    non-simple positive root: the same elementwise expression at every
-    point, so a slab has the bits of its points in the whole grid.
+    non-simple positive root, each pairing a new array squared in place:
+    the same elementwise expression at every point, so a slab has the bits
+    of its points in the whole grid.
     """
     rank = q.rs.rank
     coords, w = q.coordinates(rows), q.lay_out(rows, [q.axis_weights] * rank)
     raw = reduce(np.multiply, w[:-1], np.ones((rows.stop - rows.start, 1))) * w[-1]
     for pairing in simple_root_pairings(q.rs, coords)[rank:]:
-        raw *= pairing * pairing
+        raw *= np.multiply(pairing, pairing, out=pairing)
     return raw.reshape(-1)
 
 

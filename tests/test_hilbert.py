@@ -1,7 +1,10 @@
-from math import prod
+import warnings
+from math import log, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecheck import chars, hilbert, quadrature
 from liecheck.fourier import FourierSeries, character_series, plancherel_norm
@@ -17,7 +20,13 @@ from liecheck.hilbert import (
     verify_norm_identity,
 )
 from liecheck.models import HaarSU2, MonteCarlo, _gauss_rule, haar_sample, su2_character
-from liecheck.quadrature import build_chamber_quadrature, default_order, integrate_invariant
+from liecheck.quadrature import (
+    LOG_FLOAT_MAX,
+    NON_FINITE_VALUES,
+    build_chamber_quadrature,
+    default_order,
+    integrate_invariant,
+)
 from liecheck.rootdata import (
     build_root_system,
     dimension,
@@ -281,6 +290,77 @@ def test_torus_rows_never_build_the_tensor_grid(t2, monkeypatch):
     assert abs(row.C_tilde - row.C) <= 1e-12 * row.C
     for which in ("C", "D"):
         assert verify_norm_identity(t2, lam, 1.0, which, 96).rel_err <= 1e-12
+
+
+def test_finite_torus_rows_never_take_the_log_sum(t2, monkeypatch):
+    # the axis sums come first; the logs of their terms are taken only to
+    # name the log of an integral that is not finite
+    def no_log_sum(*args, **kwargs):
+        raise AssertionError("a finite torus row took the log-sum-exp")
+
+    monkeypatch.setattr(hilbert, "_log_sum", no_log_sum)
+    t1 = build_root_system("T1")
+    for rs, dynkin, t in ((t1, (3,), 1.0), (t1, (14,), 2.0), (t2, (3, 4), 1.0),
+                          (t2, (6, 6), 2.0), (t2, (0, 0), 1e-6)):
+        lam = weight(rs, dynkin)
+        row = constants_row(rs, lam, t, default_order(rs.rank))
+        assert np.isfinite(row.C_tilde) and abs(row.C_tilde - row.C) <= 1e-10 * row.C
+        for which in ("C", "D"):
+            assert verify_norm_identity(rs, lam, t, which, 64).rel_err <= 1e-10
+    # the T1 (19,) integral at t = 2 is e^722.9: only its diagnosis sums logs
+    with pytest.raises(AssertionError, match="log-sum-exp"):
+        naive_constant(t1, weight(t1, (19,)), 2.0, 64)
+
+
+def test_a2_overflow_names_the_peak_of_the_first_slab_past_the_largest_float(a2, monkeypatch):
+    # order 192 in 4 slabs of 48 grid rows: at (0, 20), t = 3 the C
+    # integrand's exponent first passes LOG_FLOAT_MAX in slab 1, below the
+    # larger peak of slab 2.  The sum overflows, and walking the slabs in
+    # order names slab 1's peak, not the largest exponent of the rule
+    monkeypatch.setattr(quadrature, "_SLAB", 8192)
+    lam = weight(a2, (0, 20))
+    mu = 2.0 * np.linalg.norm(lam.coords + a2.rho)
+    q = build_chamber_quadrature(a2, 3.0, 192, mu)
+    parts = hilbert._chamber_parts(q, lam, 2.0, 3.0, 1)
+    peaks = [parts(rows)[0].max() for rows, _ in q.slabs()]
+    assert len(peaks) == 4 and peaks[0] <= LOG_FLOAT_MAX < peaks[1] < max(peaks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            hilbert._character_integral(a2, lam, 2.0, 3.0, 192, 1, mu)
+    assert str(exc.value) == (f"{NON_FINITE_VALUES}: the integrand reaches e^{peaks[1]:.6g}, "
+                              f"past the largest float")
+    assert "e^828.656," in str(exc.value)
+
+
+_GROUPS = {kind: build_root_system(kind) for kind in ("A1", "A2", "T1", "T2")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(_GROUPS)),
+       labels=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+       log_t=st.floats(log(1e-6), log(50.0)),
+       order=st.integers(8, 128),
+       p=st.sampled_from([0, 1]),
+       which=st.sampled_from(["C", "D"]))
+def test_character_integral_is_a_finite_positive_value_or_a_named_overflow(
+        kind, labels, log_t, order, p, which):
+    # the C integrand (scale 2, width t) or the D integrand (scale 1, width
+    # 2t) at any accepted t, weight and order: the sum is a positive float,
+    # or it is not finite and a ValueError names its log; numpy never warns
+    rs = _GROUPS[kind]
+    lam = weight(rs, labels[:rs.rank])
+    t = float(np.exp(log_t))
+    scale, width = (2.0, t) if which == "C" else (1.0, 2.0 * t)
+    mu = scale * np.linalg.norm(lam.coords + rs.rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = hilbert._character_integral(rs, lam, scale, width, order, p, mu)
+        except ValueError as exc:
+            assert str(exc).startswith(NON_FINITE_VALUES), exc
+            return
+    assert type(value) is float and np.isfinite(value) and value > 0.0, value
 
 
 def test_torus_rows_overflow_only_where_c_does(t2):

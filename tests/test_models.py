@@ -526,7 +526,8 @@ def _counted(f, calls):
 def test_block_evaluation_equals_whole_array_bit_for_bit(su2, su3):
     # real values from the A2 characters and eta (matrix products over the
     # point axis), complex values from the SU(2) irreps, (n, d, d) values
-    # from the irrep matrices themselves, and a pair of arrays sliced in step
+    # from the irrep matrices themselves, and a pair of arrays sliced in step;
+    # with weights, each block's products are written into the output's rows
     a2 = build_root_system("A2")
     lam = weight(a2, (2, 1))
     rep3 = irrep_matrices(3)
@@ -549,8 +550,10 @@ def test_block_evaluation_equals_whole_array_bit_for_bit(su2, su3):
     for n in (1, B - 1, B, B + 1, B + 2, 2 * B + 1, 3 * B + 7):
         c = rng.normal(0.0, 0.8, size=(n, 8))
         xs = haar_sample(su2, rng, n)
+        w = rng.uniform(0.5, 2.0, n)
         for f, points in ((real, c), (complex_, xs), (matrices, xs), (pair, (xs, c))):
             whole = f(*points) if isinstance(points, tuple) else f(points)
+            weighted = np.reshape(w, (-1,) + (1,) * (whole.ndim - 1)) * whole
             calls = []
             blocked = models._evaluate_blocks(_counted(f, calls), points)
             assert blocked.dtype == whole.dtype and blocked.shape == whole.shape
@@ -560,6 +563,20 @@ def test_block_evaluation_equals_whole_array_bit_for_bit(su2, su3):
             if len(sizes) > 1 and sizes[-1] == 1:
                 sizes[-2:] = [B + 1]
             assert calls == sizes, (f.__name__, n)
+            blocked = models._evaluate_blocks(f, points, w)
+            assert blocked.dtype == weighted.dtype and blocked.shape == weighted.shape
+            assert np.array_equal(blocked, weighted), (f.__name__, n)
+
+
+def test_one_block_is_f_itself_or_one_product():
+    # no output array beside a single block: without weights f's own
+    # result comes back, with weights the one product w * f
+    x = np.linspace(0.0, 1.0, 7)
+    w = np.linspace(1.0, 2.0, 7)
+    result = np.exp(x)
+    assert models._evaluate_blocks(lambda block: result, x) is result
+    weighted = models._evaluate_blocks(lambda block: result, x, w)
+    assert weighted.base is None and np.array_equal(weighted, w * result)
 
 
 # closed-form moments m_k of each family's weight, and the scale of their

@@ -404,6 +404,31 @@ def test_slab_sums_equal_the_whole_grid_sum_bit_for_bit(kind):
         assert integrate_invariant(q, f) == float(np.sum(q.weights * f(q.nodes))), order
 
 
+@pytest.mark.parametrize("slab", [1, 1000, quadrature._SLAB])
+def test_weighted_slab_values_equal_weights_times_f_bit_for_bit(a2, monkeypatch, slab):
+    # models._evaluate_blocks multiplies each slab's values by its weights
+    # into the slab's rows of one array: the bits of q.weights * f(q.nodes),
+    # from one slab per grid row (slab 1) to the rule in a few slabs
+    monkeypatch.setattr(quadrature, "_SLAB", slab)
+    lam = weight(a2, (2, 1))
+    mu = 2.0 * np.linalg.norm(lam.coords + a2.rho)
+
+    def real(Y):
+        return chars.weyl_char_holo(a2, lam, 2.0 * Y) * np.exp(-np.einsum("...i,...i->...", Y, Y))
+
+    def complex_(Y):
+        return np.exp(1j * Y[:, 0] - Y[:, 1] * Y[:, 1])
+
+    for order in (96, 97, 192):
+        q = build_chamber_quadrature(a2, 1.0, order, mu)
+        count = min(q.rows, max(1, round(len(q) / slab)))
+        assert len(list(q.slabs())) == count, order
+        for f in (real, complex_):
+            vals = models._evaluate_blocks(lambda rows: f(q.cartan(q.coordinates(rows))), q)
+            ref = q.weights * f(q.nodes)
+            assert vals.dtype == ref.dtype and np.array_equal(vals, ref), (order, f.__name__)
+
+
 def test_non_finite_value_in_a_middle_slab_raises(a2, slab_8192):
     # order 192: 4 slabs of 48 rows of 192 nodes; a NaN in row 100, which
     # slab 2 (rows 96 to 143) holds
