@@ -27,7 +27,7 @@ free of volume conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -58,6 +58,7 @@ __all__ = [
     "kirillov_sides",
     "orbital_average",
     "weyl_char_holo",
+    "weyl_chars_holo",
 ]
 
 
@@ -234,7 +235,7 @@ def _log_scale_coefficients(rs: RootSystem, dynkin: tuple[int, ...]) -> list[flo
     return (rs.cartan_adjugate @ (rs.dual_labels @ np.asarray(dynkin, float)) / rs.cartan_det).tolist()
 
 
-def _chamber_char_parts(rs: RootSystem, lam: Weight, s) -> tuple[list, np.ndarray]:
+def _chamber_char_parts(rs: RootSystem, lam: Weight, s, decay=None) -> tuple[list, np.ndarray]:
     """The continued character at exp(iY), Y = sum_i s_i w_i dominant (on a
     torus any s = Y), s one array per axis, arrays that broadcast: (log_scales,
     T), chi = T e^{sum_i log_scales[i]}, log_scales[i] = <lam*, w_i> s_i.  T in
@@ -242,14 +243,16 @@ def _chamber_char_parts(rs: RootSystem, lam: Weight, s) -> tuple[list, np.ndarra
     and y = e^{-s_rank}, each read only where it has positive degree (on a
     torus T = 1, and no exponential of s, which may overflow there), by
     _last_axis_polynomials and Horner's rule in r (_mantissa): the route of
-    scattered points, each with its own bits."""
+    scattered points, each with its own bits.  decay(i) is e^{-s_i}; a
+    cached one lets several weights share it (_char_holo_parts)."""
     if not is_dominant(rs, lam):
         raise ValueError("the continued character requires a dominant weight")
+    decay = decay or (lambda i: np.exp(-s[i]))
     log_scales = [k * x for k, x in zip(_log_scale_coefficients(rs, lam.dynkin), s)]
     m = _weight_multiplicities(rs, lam.dynkin)
     rows, cols = m.shape
-    y = np.exp(-s[-1]) if cols > 1 else s[-1]
-    r = np.exp(-s[0]) if rows > 1 else None
+    y = decay(len(s) - 1) if cols > 1 else s[-1]
+    r = decay(0) if rows > 1 else None
     return log_scales, _mantissa(_last_axis_polynomials(m, y), r)
 
 
@@ -265,26 +268,44 @@ def _dominant_coordinates(rs: RootSystem, c: np.ndarray) -> list[np.ndarray]:
     return [hi - lo] if len(a) == 2 else [2.0 * hi + lo, -(hi + 2.0 * lo)]
 
 
-def _char_holo_parts(rs: RootSystem, lam: Weight, Y) -> tuple[np.ndarray, np.ndarray]:
-    """The continued character at exp(iY), Y (..., n, rank), as (log_scale, T),
-    chi = T e^{log_scale}: _chamber_char_parts at the s of Y's dominant
-    representative.  On a torus the log-scale is -<lam, Y>, summed over the
-    axes in one fixed order by _pairings, as the alternating sum's one term
-    has it."""
+def _char_holo_parts(rs: RootSystem, lams, Y) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The continued characters of the weights lams at exp(iY), Y (..., n,
+    rank), one (log_scale, T) per weight in order, chi = T e^{log_scale}:
+    _chamber_char_parts at the s of Y's dominant representative, which is
+    formed once, as is each e^{-s_i} that a weight reads.  On a torus the
+    log-scale is -<lam, Y>, summed over the axes in one fixed order by
+    _pairings, as the alternating sum's one term has it."""
     c = np.asarray(Y, float)
-    log_scales, mantissa = _chamber_char_parts(rs, lam, _dominant_coordinates(rs, c))
-    if rs.is_torus:
-        return -_pairings(c, lam.coords[:, None])[0], mantissa
-    return reduce(np.add, log_scales), mantissa
+    s = _dominant_coordinates(rs, c)
+    decay = cache(lambda i: np.exp(-s[i]))
+    parts = []
+    for lam in lams:
+        log_scales, mantissa = _chamber_char_parts(rs, lam, s, decay)
+        if rs.is_torus:
+            parts.append((-_pairings(c, lam.coords[:, None])[0], mantissa))
+        else:
+            parts.append((reduce(np.add, log_scales), mantissa))
+    return parts
+
+
+def weyl_chars_holo(rs: RootSystem, lams, Y) -> np.ndarray:
+    """Holomorphically continued characters of the weights lams at exp(iY),
+    batched, in one pass: (len(lams), ...) for Y (..., rank), row k the
+    T e^{log_scale} of lams[k] (_char_holo_parts), with the bits of that
+    weight alone.  chi^C(exp iY) = sum over the weights mu of lam of
+    e^{-<mu, Y>}: real, >= 1 on the closed dominant chamber and dim lam at 0."""
+    c = np.atleast_2d(np.asarray(Y, float))
+    out = np.empty((len(lams),) + c.shape[:-1])
+    for row, (log_scale, mantissa) in zip(out, _char_holo_parts(rs, lams, c)):
+        np.multiply(mantissa, np.exp(log_scale), out=row)
+    return out.reshape((len(lams),) + np.shape(Y)[:-1])
 
 
 def weyl_char_holo(rs: RootSystem, lam: Weight, Y) -> np.ndarray | float:
-    """Holomorphically continued character at exp(iY), batched: T e^{log_scale}
-    of _char_holo_parts.  chi^C(exp iY) = sum over the weights mu of lam of
-    e^{-<mu, Y>}: real, >= 1 on the closed dominant chamber and dim lam at 0."""
-    log_scale, mantissa = _char_holo_parts(rs, lam, np.atleast_2d(np.asarray(Y, float)))
-    out = mantissa * np.exp(log_scale)
-    return float(out[0]) if np.ndim(Y) == 1 else out
+    """The continued character of one weight (weyl_chars_holo), a float for
+    one point Y (rank,)."""
+    out = weyl_chars_holo(rs, [lam], Y)[0]
+    return float(out) if np.ndim(Y) == 1 else out
 
 
 def _gelfand_tsetlin_diagonals(m, order: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

@@ -26,6 +26,7 @@ from .models import (
     GroupModel,
     HaarSU2,
     MonteCarlo,
+    _evaluate_batch_last,
     _evaluate_blocks,
     algebra_element,
     chamber_coordinates,
@@ -237,22 +238,30 @@ def tridiagonal_integrals(rs: RootSystem, model: GroupModel, cases, order: int) 
 
     One unit-width rule and its chamber images serve every case: a width
     t_g scales the images by sqrt(t_g) and the norm by t_g^(dim_k/2).  Per
-    width, one eta array and one character per weight, each evaluated in
-    the blocks of models.haar_mean, so each value has the bits of its case
+    width, one eta array and one pass of chars.weyl_chars_holo over the
+    width's weights, each in the blocks of models.haar_mean, and dropped
+    before the next width; the character of lam = 0 is 1 at every finite
+    node and is not evaluated.  So each value has the bits of its case
     integrated alone over the scaled images.
     """
     unit, weights, norm = tridiagonal_rule(model, order)
-    values, widths = [], {}
-    for tg, p, lam, _ in cases:
-        if tg not in widths:
-            rep = np.sqrt(tg) * unit
-            widths[tg] = rep, _evaluate_blocks(lambda r: chars.eta(rs, r), rep), {}
-        rep, eta, chis = widths[tg]
-        if lam.dynkin not in chis:
-            chis[lam.dynkin] = _evaluate_blocks(
-                lambda r: chars.weyl_char_holo(rs, lam, 2.0 * r), rep)
-        mean = haar_mean(lambda e, chi: e**p * chi, (eta, chis[lam.dynkin]), weights)[0]
-        values.append(norm * tg ** (model.dim_k / 2.0) * float(mean))
+    values = [0.0] * len(cases)
+    for tg in dict.fromkeys(case[0] for case in cases):
+        at_width = [(i, p, lam) for i, (t, p, lam, _) in enumerate(cases) if t == tg]
+        lams = {lam.dynkin: lam for _, _, lam in at_width if any(lam.dynkin)}
+        rep = np.sqrt(tg) * unit
+        eta = _evaluate_blocks(lambda r: chars.eta(rs, r), rep)
+        chis = {}
+        if lams:
+            chis = dict(zip(lams, _evaluate_batch_last(
+                lambda r: chars.weyl_chars_holo(rs, list(lams.values()), 2.0 * r).T, rep)))
+        for i, p, lam in at_width:
+            if lam.dynkin in chis:
+                mean = haar_mean(lambda e, chi: e**p * chi, (eta, chis[lam.dynkin]), weights)[0]
+            else:
+                mean = haar_mean(lambda e: e**p, eta, weights)[0]
+            values[i] = norm * tg ** (model.dim_k / 2.0) * float(mean)
+        del rep, eta, chis  # before the next width's arrays are formed
     return values
 
 

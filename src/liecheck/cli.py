@@ -58,14 +58,21 @@ class RunConfig:
             return f"unknown group {self.group!r} (expected A1, A2, or T<n>)"
         if rs.rank > 2:
             return "torus rank > 2 makes the tensor quadrature grid impractical"
+        if not math.isfinite(self.t):
+            return f"t must be a finite number, not {self.t!r}"
         if self.t <= 0:
             return "t must be positive"
+        if self.t < sys.float_info.min:
+            # 1/t overflows below the smallest normal float
+            return f"t must be at least {sys.float_info.min!r}, the smallest normal float"
         if self.max_level < 0:
             return "max-level must be >= 0"
         if self.quad_order and self.quad_order < 8:
             return "quad-order must be >= 8"
         if self.mc_samples < 2:
             return "mc-samples must be >= 2"
+        if not math.isfinite(self.tolerance):
+            return f"tolerance must be a finite number, not {self.tolerance!r}"
         if self.tolerance <= 0:
             return "tolerance must be positive"
         if self.format not in ("json", "csv"):

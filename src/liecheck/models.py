@@ -293,20 +293,23 @@ def cartan_to_algebra(model: GroupModel, coords) -> np.ndarray:
     return out
 
 
-def _su3_invariants_from_coords(c: np.ndarray):
-    # entries of H = -iY = sum c_a (gellmann_a / sqrt 2), without building matrices
+def _su3_invariants(c) -> tuple[np.ndarray, np.ndarray]:
+    """tr H^2 and det H of H = -iY = sum_a c[a] gellmann_a / sqrt 2, from its
+    entries, without building matrices.  c holds the 8 coordinates, arrays
+    that broadcast or scalars: an exact 0.0 may stand for a coordinate that
+    is zero everywhere (quadrature.tridiagonal_rule), as x + 0.0 and x * 0.0
+    have the bits they have with an array of zeros."""
     s2, s3 = SQRT2, np.sqrt(3.0)
-    h00 = (c[..., 2] + c[..., 7] / s3) / s2
-    h11 = (-c[..., 2] + c[..., 7] / s3) / s2
-    h22 = -2.0 * c[..., 7] / (s3 * s2)
-    q01 = (c[..., 0] ** 2 + c[..., 1] ** 2) / 2.0
-    q02 = (c[..., 3] ** 2 + c[..., 4] ** 2) / 2.0
-    q12 = (c[..., 5] ** 2 + c[..., 6] ** 2) / 2.0
+    h00 = (c[2] + c[7] / s3) / s2
+    h11 = (-c[2] + c[7] / s3) / s2
+    h22 = -2.0 * c[7] / (s3 * s2)
+    q01 = (c[0] ** 2 + c[1] ** 2) / 2.0
+    q02 = (c[3] ** 2 + c[4] ** 2) / 2.0
+    q12 = (c[5] ** 2 + c[6] ** 2) / 2.0
     tr2 = h00**2 + h11**2 + h22**2 + 2.0 * (q01 + q02 + q12)
     # det H for hermitian H with the off-diagonal moduli above
     re_triple = (
-        (c[..., 0] * c[..., 3] + c[..., 1] * c[..., 4]) * c[..., 5]
-        + (c[..., 0] * c[..., 4] - c[..., 1] * c[..., 3]) * c[..., 6]
+        (c[0] * c[3] + c[1] * c[4]) * c[5] + (c[0] * c[4] - c[1] * c[3]) * c[6]
     ) / (2.0 * s2)
     det = h00 * h11 * h22 - h00 * q12 - h11 * q02 - h22 * q01 + 2.0 * re_triple
     return tr2, det
@@ -343,7 +346,13 @@ def chamber_coordinates(model: GroupModel, coords) -> np.ndarray:
     c = np.asarray(coords, float)
     if model.kind == "SU2":
         return np.linalg.norm(c, axis=-1)[..., None]
-    a = _eigs_desc_from_invariants(*_su3_invariants_from_coords(c))
+    return _su3_chamber(*_su3_invariants([c[..., a] for a in range(8)]))
+
+
+def _su3_chamber(tr2: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """The orthonormal t-coordinates (..., 2) of the chamber representative
+    of the su(3) elements with invariants tr H^2 and det H (_su3_invariants)."""
+    a = _eigs_desc_from_invariants(tr2, det)
     return np.stack(_pairings(a, CARTAN_EIGEN_EMBED["A2"].T), axis=-1)
 
 
@@ -570,19 +579,19 @@ def _value_blocks(f, points, weights=None):
     taken _BLOCK points at a time (_block_edges); or a source that hands
     over its points itself, len(points) in all: the (rows, weights) slabs
     of points.slabs() (quadrature.ChamberQuadrature), f receiving a slab's
-    rows and returning its (n,) values, or the element blocks of
-    points.blocks() (HaarDraw, weights None), each valid only until the
-    next.  f receives one block of each array and must be pointwise: value
-    k of its result depends on point k alone, so the blocks give
-    f(points) bit for bit, and w * values (weights along axis 0) has the
-    bits of weights * f(points).
+    rows and returning its (n,) values, or the blocks of points.blocks()
+    (a HaarDraw's elements, quadrature._NormalDraw's normals; weights
+    None), each valid only until the next.  f receives one block of each
+    array and must be pointwise: value k of its result depends on point k
+    alone, so the blocks give f(points) bit for bit, and w * values
+    (weights along axis 0) has the bits of weights * f(points).
     """
     if hasattr(points, "slabs"):
         n = len(points)
         blocks = (((rows,), w) for rows, w in points.slabs())
     elif hasattr(points, "blocks"):
         if weights is not None:
-            raise ValueError("a HaarDraw's points have equal weights")
+            raise ValueError("a Monte-Carlo draw's points have equal weights")
         n = len(points)
         blocks = (((x,), None) for x in points.blocks())
     else:
@@ -654,9 +663,10 @@ def haar_mean(f, points, weights=None) -> tuple[np.ndarray, np.ndarray]:
     and the pairing moments on its directions, and the chamber rules
     of quadrature.integrate_invariant, which come in slabs.  f is evaluated
     block by block (see _value_blocks), so points is an array, a tuple
-    of arrays, a rule with slabs() or a Monte-Carlo HaarDraw, whose
-    elements are formed a block at a time, and the values may carry
-    trailing axes.  No weights (Monte Carlo): the plain mean, and the
+    of arrays, a rule with slabs() or a Monte-Carlo draw with blocks()
+    (HaarDraw, quadrature._NormalDraw), whose points are formed a block
+    at a time, and the values may carry trailing axes.  No weights
+    (Monte Carlo): the plain mean, and the
     standard error sqrt(var Re + var Im) / sqrt(N) with ddof 1, from
     values stored point axis last (_evaluate_batch_last), so numpy reduces
     each component of trailing axes as one contiguous row, as it reduces

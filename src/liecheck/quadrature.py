@@ -29,13 +29,16 @@ from math import factorial, hypot, prod
 import numpy as np
 
 from .models import (
+    _BLOCK,
     Estimate,
     GroupModel,
     MonteCarlo,
+    _block_edges,
     _evaluate_blocks,
     _gauss_legendre_01,
     _gauss_rule,
-    chamber_coordinates,
+    _su3_chamber,
+    _su3_invariants,
     haar_mean,
 )
 from .rootdata import RootSystem, simple_root_pairings
@@ -361,26 +364,31 @@ def tridiagonal_rule(model: GroupModel, order: int):
 
     The rule is built at unit width: chamber coordinates are homogeneous of
     degree 1 and the weights do not depend on the width, so width t takes
-    the images times sqrt(t) and the norm times t^(dim_k/2).  The Cartesian
-    nodes go through models.chamber_coordinates once, in the blocks of
-    models._evaluate_blocks, so an integrand evaluated on the returned
-    nodes in those blocks has the bits it would have composed with
-    chamber_coordinates.
+    the images times sqrt(t) and the norm times t^(dim_k/2).  The images
+    come from the nodes' nonzero entries, each on its own grid axis, so
+    that they broadcast to the grid: sqrt(rho^2 + c_2^2) on su(2), the norm
+    over (rho, 0, c_2); on su(3) models._su3_invariants with the four zero
+    coordinates as scalars, mapped by models._su3_chamber in the blocks of
+    models._evaluate_blocks.  No (N, dim_k) node array is formed, and every
+    image has the bits of models.chamber_coordinates at its zero-padded
+    Cartesian node.
     """
     x, wx = _gauss_rule("hermite", order)
     v, wv = _gauss_rule("laguerre", order)
-    rho = (np.sqrt(v), wv)
+    rho = np.sqrt(v)
     if model.kind == "SU2":
-        slots, rules, norm = [0, 2], (rho, (x, wx)), np.pi
-    elif model.kind == "SU3":
-        u, wu = _gauss_rule("laguerre", order, 1.0)
-        slots, rules, norm = [0, 5, 2, 7], ((np.sqrt(u), wu), rho, (x, wx), (x, wx)), np.pi**3
-    else:
+        weights = np.multiply.outer(wv, wx).reshape(-1)
+        images = np.sqrt(rho[:, None] ** 2 + x**2).reshape(-1, 1)
+        return images, weights, np.pi
+    if model.kind != "SU3":
         raise ValueError(f"the tridiagonal rule needs the SU2 or SU3 model, not {model.kind!r}")
-    nodes, weights = _tensor_rule(*rules)
-    c = np.zeros((len(nodes), model.dim_k))
-    c[:, slots] = nodes
-    return _evaluate_blocks(lambda block: chamber_coordinates(model, block), c), weights, norm
+    u, wu = _gauss_rule("laguerre", order, 1.0)
+    weights = reduce(np.multiply.outer, [wu, wv, wx, wx]).reshape(-1)
+    # grid axes s = c_0, rho = c_5, c_2 and c_7
+    c = [np.sqrt(u)[:, None, None, None], 0.0, x[:, None], 0.0, 0.0, rho[:, None, None], 0.0, x]
+    tr2, det = _su3_invariants(c)
+    images = _evaluate_blocks(_su3_chamber, (tr2.reshape(-1), det.reshape(-1)))
+    return images, weights, np.pi**3
 
 
 def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme: MonteCarlo) -> Estimate:
@@ -391,15 +399,38 @@ def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme: MonteCarl
     returns the non-Gaussian factor at each as (n,) values.  Importance
     sampling with Y ~ Normal(0, t/2 per coordinate): the estimator is
     (t*pi)^(m/2) * mean f with a reported standard error, averaged through
-    models.haar_mean with weights None.  The draw is one rng.normal call,
-    only f runs block by block.  The deterministic Cartesian route is
-    tridiagonal_rule.
+    models.haar_mean with weights None.  The points are drawn a block at a
+    time (_NormalDraw), in stream order from one generator, so no (N,
+    dim_k) array is formed; the value, the standard error and the
+    generator's final state are those of one rng.normal call for all N.
+    The deterministic Cartesian route is tridiagonal_rule.
     """
     if not isinstance(scheme, MonteCarlo):
         raise ValueError(f"unknown Cartesian integration scheme: {scheme!r}")
     m = model.dim_k
-    rng = np.random.default_rng(scheme.seed)
-    c = rng.normal(0.0, np.sqrt(t / 2.0), size=(scheme.samples, m))
-    mean, sem = haar_mean(lambda block: np.asarray(f(block), dtype=float), c, None)
+    draw = _NormalDraw(np.random.default_rng(scheme.seed), np.sqrt(t / 2.0), scheme.samples, m)
+    mean, sem = haar_mean(lambda block: np.asarray(f(block), dtype=float), draw)
     norm = (t * np.pi) ** (m / 2.0)
     return Estimate(norm * float(mean), norm * float(sem))
+
+
+@dataclass(frozen=True, eq=False)
+class _NormalDraw:
+    """n points of Normal(0, scale^2) in R^dim, handed to models.haar_mean a
+    block at a time: blocks() draws the blocks of models._block_edges(n,
+    models._BLOCK), the blocks of an (n, dim) array, one rng.normal call
+    each, in stream order.  Normal variates use no cached state, so the
+    blocks hold the rows of rng.normal(0, scale, (n, dim)) bit for bit."""
+
+    rng: np.random.Generator
+    scale: float
+    n: int
+    dim: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def blocks(self):
+        edges = _block_edges(self.n, _BLOCK)
+        for lo, hi in zip(edges, edges[1:]):
+            yield self.rng.normal(0.0, self.scale, size=(hi - lo, self.dim))

@@ -242,7 +242,7 @@ def _wall_and_interior_points(rs, rng, n):
 
 
 def _assert_matches_oracle(rs, lam, pts):
-    log_scale, mantissa = chars._char_holo_parts(rs, lam, pts)
+    log_scale, mantissa = chars._char_holo_parts(rs, [lam], pts)[0]
     assert np.all((mantissa >= 1.0) & (mantissa <= dimension(rs, lam)))
     want = _log_char_holo_positive(rs, lam, pts)
     err = np.abs(log_scale + np.log(mantissa) - want)
@@ -302,6 +302,30 @@ def test_char_holo_of_a_point_alone_equals_it_inside_a_batch(a1, a2, t2):
             batch = weyl_char_holo(rs, lam, pts)
             alone = np.array([weyl_char_holo(rs, lam, y) for y in pts])
             assert np.array_equal(batch, alone), (dynkin, np.count_nonzero(batch != alone))
+
+
+def test_multi_weight_characters_equal_each_weight_alone(a1, a2, t2):
+    # one pass forms the dominant coordinates and their e^{-s_i} once for
+    # all the weights; each row keeps the bits of its weight alone, lam = 0
+    # included, in a batch, at single points and on the chamber walls
+    rng = np.random.default_rng(31)
+    t1 = build_root_system("T1")
+    for rs in (a1, a2, t1, t2):
+        if rs.is_torus:
+            pts = np.vstack([np.zeros((1, rs.rank)), rng.normal(0.0, 3.0, size=(200, rs.rank))])
+        else:
+            on_walls = np.vstack([np.outer(rng.uniform(0.0, 30.0, 50), w)
+                                  for w in rs.fundamental_weights])
+            pts = np.vstack([_wall_and_interior_points(rs, rng, 100), on_walls, -on_walls])
+        lams = enumerate_dominant(rs, 3)
+        assert (0,) * rs.rank in [lam.dynkin for lam in lams]
+        batch = chars.weyl_chars_holo(rs, lams, pts)
+        assert batch.shape == (len(lams), len(pts))
+        for lam, row in zip(lams, batch):
+            assert np.array_equal(row, weyl_char_holo(rs, lam, pts)), lam.dynkin
+        for y in pts[::13]:
+            assert np.array_equal(chars.weyl_chars_holo(rs, lams, y),
+                                  [weyl_char_holo(rs, lam, y) for lam in lams])
 
 
 def test_branching_mantissa_broadcasts_bit_for_bit(a2):

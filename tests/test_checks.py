@@ -99,7 +99,7 @@ def test_chamber_integral_is_the_written_out_integrand(a1, a2):
             tg, p, lam, mu_eff = case
 
             def f(Y):
-                log_scale, mantissa = chars._char_holo_parts(rs, lam, 2.0 * Y)
+                log_scale, mantissa = chars._char_holo_parts(rs, [lam], 2.0 * Y)[0]
                 exponent = log_scale - np.sum(Y**2, axis=-1) / tg
                 if p:
                     exponent = exponent + p * chars.log_eta(chars.root_pairings(rs, Y))
@@ -148,17 +148,22 @@ def test_a_scaled_su2_character_fails_the_plancherel_rule_row(monkeypatch):
 
 def test_weylint_maps_each_width_and_order_to_the_chamber_once(monkeypatch, a2):
     # A2 at t = 1: 20 cases at 3 Gaussian widths, the unit-width rules of
-    # orders 16 and 8 mapped to the chamber in one block pass each and
-    # scaled to every width, and the Monte-Carlo row's samples once; one
-    # pass per width would map 3 * (16^4 + 8^4) nodes
+    # orders 16 and 8 mapped to the chamber in one block pass each, from
+    # their nodes' invariants (models._su3_chamber), and scaled to every
+    # width, and the Monte-Carlo row's samples once; one pass per width
+    # would map 3 * (16^4 + 8^4) nodes
     points = []
 
     def counted(model, coords):
         points.append(len(coords))
         return models.chamber_coordinates(model, coords)
 
+    def counted_images(tr2, det):
+        points.append(len(tr2))
+        return models._su3_chamber(tr2, det)
+
     monkeypatch.setattr(checks, "chamber_coordinates", counted)
-    monkeypatch.setattr(quadrature, "chamber_coordinates", counted)
+    monkeypatch.setattr(quadrature, "_su3_chamber", counted_images)
     cfg = RunConfig(group="A2", t=1.0)
     report = run_verification_suite(cfg, "weylint")
     cases = invariant_test_functions(a2, 1.0)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liecheck
 from input_sweep import REDUCED_GRID, run_point
@@ -66,6 +68,27 @@ def test_invalid_config(capsys):
     assert run(["verify", "--suite", "eta", "--group", "A1", "--t", "-1"]) == 2
     assert run(["verify", "--suite", "eta", "--group", "A1", "--quad-order", "4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["verify", "constants"])
+@pytest.mark.parametrize("args, message", [
+    (["--t", "nan"], "t must be a finite number, not nan"),
+    (["--t", "inf"], "t must be a finite number, not inf"),
+    (["--t", "1e-320"], "t must be at least 2.2250738585072014e-308, the smallest normal float"),
+    (["--tolerance", "nan"], "tolerance must be a finite number, not nan"),
+    (["--tolerance", "inf"], "tolerance must be a finite number, not inf"),
+], ids=["t-nan", "t-inf", "t-subnormal", "tolerance-nan", "tolerance-inf"])
+def test_a_non_finite_or_subnormal_t_or_tolerance_is_a_usage_error(tmp_path, capsys, command,
+                                                                   args, message):
+    # non-finite values once ended in json's ValueError on the report's
+    # config, and a subnormal t in a RuntimeWarning where 1/t overflows
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--group", "A1", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("group", ["T\u00b2", "T\u0661", "T1\n", "T100"])
@@ -354,10 +377,11 @@ def test_reduced_input_sweep_ends_in_a_value_a_failed_row_or_a_usage_error(tmp_p
 
 
 @pytest.mark.parametrize("group", ["A1", "A2"])
-@pytest.mark.parametrize("samples", [2, 16_386])
+@pytest.mark.parametrize("samples", [2, 16_385, 16_386])
 def test_monte_carlo_sample_count_edges_end_in_exit_0_or_1(tmp_path, group, samples):
     # 2 is the smallest accepted count, whose standard errors have 1 degree
-    # of freedom, so a statistical row may fail; at 16 386 the last block of
+    # of freedom, so a statistical row may fail; at 16 385 a lone last point
+    # joins the block before it, and at 16 386 the last block of
     # models._evaluate_blocks holds 2 points.  Either way: exit 0 or 1,
     # strict JSON, no exception and no failed deterministic row
     out = tmp_path / "report.json"
@@ -556,3 +580,26 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
                                   capture_output=True, check=True, timeout=300)
             outs.append(proc.stdout)
         assert outs[0] == outs[1], args
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.sampled_from(["A1", "A2", "T1", "T2"]),
+       level=st.integers(0, 6),
+       log_t=st.floats(np.log(1e-6), np.log(50.0)),
+       order=st.integers(8, 128),
+       suite=st.sampled_from(["lemma33", "lemma64", "eta", "unitarity"]))
+def test_a_suite_ends_in_finite_values_or_failed_error_rows(group, level, log_t, order, suite):
+    # any accepted group, level, t and order: every row's numbers are
+    # finite, or the row is a failed error row, summary.failed counts the
+    # failed rows, and numpy never warns
+    cfg = RunConfig(group=group, t=float(np.exp(log_t)), max_level=level, quad_order=order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_verification_suite(cfg, suite)
+    for row in report["checks"]:
+        if row["kind"] == "error":
+            assert not row["pass"], row
+            continue
+        numbers = [row[k] for k in ("lhs", "rhs", "abs_err", "rel_err", "sigma_distance")]
+        assert all(np.isfinite(v) for v in numbers if v is not None), row
+    assert report["summary"]["failed"] == sum(not row["pass"] for row in report["checks"])

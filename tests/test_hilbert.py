@@ -149,7 +149,7 @@ def _naive_constant_reference(rs, lam, t, order):
     mu = 2.0 * np.linalg.norm(lam.coords + rs.rho)
 
     def f(Y):
-        log_scale, mantissa = chars._char_holo_parts(rs, lam, 2.0 * Y)
+        log_scale, mantissa = chars._char_holo_parts(rs, [lam], 2.0 * Y)[0]
         return mantissa * np.exp(log_scale - np.sum(Y**2, axis=-1) / t)
 
     v0, v1 = (integrate_invariant(build_chamber_quadrature(rs, t, o, mu), f) / d
@@ -361,6 +361,27 @@ def test_character_integral_is_a_finite_positive_value_or_a_named_overflow(
             assert str(exc).startswith(NON_FINITE_VALUES), exc
             return
     assert type(value) is float and np.isfinite(value) and value > 0.0, value
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_GROUPS)),
+       labels=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       log_t=st.floats(log(1e-6), log(50.0)),
+       order=st.integers(8, 128))
+def test_constants_row_is_finite_or_raises_what_the_cli_reports(kind, labels, log_t, order):
+    # a whole constants row at any accepted t, weight and order: finite
+    # floats, or the ValueError or ArithmeticError that `constants` turns
+    # into a usage error (exit 2); numpy never warns
+    rs = _GROUPS[kind]
+    lam = weight(rs, labels[:rs.rank])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            row = constants_row(rs, lam, float(np.exp(log_t)), order)
+        except (ValueError, ArithmeticError):
+            return
+    values = [v for v in vars(row).values() if isinstance(v, float)]
+    assert len(values) == 7 and all(np.isfinite(values)), row
 
 
 def test_torus_rows_overflow_only_where_c_does(t2):

@@ -334,6 +334,28 @@ def _a2_weylint_integrand(a2, su3, tg, ts):
     return f
 
 
+@pytest.mark.parametrize("kind, order", [("SU2", 10), ("SU2", 20), ("SU3", 8), ("SU3", 16),
+                                         ("SU3", 17)])
+def test_tridiagonal_images_equal_the_chamber_coordinates_of_the_padded_nodes(kind, order):
+    # the images come from the nodes' nonzero entries alone; the reference
+    # is the zero-padded (N, dim_k) Cartesian node array through
+    # chamber_coordinates
+    model = models.build_group_model(kind)
+    x, v = _gauss_rule("hermite", order), _gauss_rule("laguerre", order)
+    rho = (np.sqrt(v[0]), v[1])
+    if kind == "SU2":
+        slots, rules = [0, 2], (rho, x)
+    else:
+        u = _gauss_rule("laguerre", order, 1.0)
+        slots, rules = [0, 5, 2, 7], ((np.sqrt(u[0]), u[1]), rho, x, x)
+    nodes, weights = quadrature._tensor_rule(*rules)
+    c = np.zeros((len(nodes), model.dim_k))
+    c[:, slots] = nodes
+    images, w, _ = tridiagonal_rule(model, order)
+    assert np.array_equal(images, chamber_coordinates(model, c))
+    assert np.array_equal(w, weights)
+
+
 @pytest.fixture
 def slab_8192(monkeypatch):
     # the partitions these tests spell out are those of 8192-point slabs,
@@ -468,14 +490,34 @@ def test_chamber_integral_memory_grows_by_one_array_of_the_rule(a2, slab_8192):
     assert peaks[384] - peaks[192] <= 1.5 * 8 * (384**2 - 192**2), peaks
 
 
+@pytest.mark.parametrize("n", [2, models._BLOCK - 1, models._BLOCK, models._BLOCK + 1,
+                               models._BLOCK + 2, 2 * models._BLOCK + 1])
+def test_cartesian_normals_drawn_a_block_at_a_time_equal_one_draw(a2, su3, n):
+    # the blocks of _block_edges, one rng.normal call each in stream order:
+    # the rows, the mean, the standard error and the generator's final
+    # state of one call for all n points
+    seed, tg, ts = 5, 0.35, 0.7
+    g = _a2_weylint_integrand(a2, su3, tg, ts)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    draw = quadrature._NormalDraw(rng, np.sqrt(ts / 2.0), n, 8)
+    mean, sem = models.haar_mean(g, draw)
+    c = ref_rng.normal(0.0, np.sqrt(ts / 2.0), size=(n, 8))
+    ref_mean, ref_sem = models.haar_mean(g, c, None)
+    assert mean == ref_mean and sem == ref_sem
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    norm = (ts * np.pi) ** 4.0
+    est = cartesian_oracle_integrate(su3, g, ts, MonteCarlo(n, seed))
+    assert est == (norm * float(ref_mean), norm * float(ref_sem))
+
+
 def test_monte_carlo_average_peak_allocation_is_bounded_by_the_block(a2, su3):
-    # Bound, from the block size: the one draw (n x 8 float64), the values
-    # and the reduction's temporaries (4 arrays of n float64), and the
-    # integrand's temporaries on one block, allowed 64 float64 per point.
-    # Evaluating the integrand on all n points at once needs its
-    # temporaries n / B times over.
+    # Bound, from the block size: one block of the draw (B x 8 float64),
+    # the values and the reduction's temporaries (4 arrays of n float64),
+    # and the integrand's temporaries on one block, allowed 24 float64 per
+    # point.  Drawing all n points in one call (n x 8 float64) or
+    # evaluating the integrand on all of them at once exceeds it.
     n, B = 100_000, models._BLOCK
-    bound = 8 * (n * 8 + 4 * n + 64 * B)
+    bound = 8 * (4 * n + (8 + 24) * B)
     g = _a2_weylint_integrand(a2, su3, 0.35, 0.7)
     cartesian_oracle_integrate(su3, g, 0.7, MonteCarlo(1000, 1))  # warm the caches
     tracemalloc.start()

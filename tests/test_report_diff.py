@@ -2,10 +2,23 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+from liecheck.cli import main
+
 _SPEC = importlib.util.spec_from_file_location(
     "report_diff", Path(__file__).resolve().parents[1] / "tools" / "report_diff.py")
 report_diff = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(report_diff)
+
+
+REFERENCE = Path(__file__).resolve().parent / "reference"
+# A deterministic value may move by this much of its row's magnitude
+# max(1, |lhs|, |rhs|) (in a constants table, of max(1, |value|)): the
+# references were written with one numpy, and CI installs whichever numpy
+# is current, whose exp, log and sums may round differently.  A tenth of
+# the default gate, 1e-8.
+ROUNDING = 1e-9
 
 
 def _check(check_id, lhs, rhs, passed=True, note="", kind="deterministic"):
@@ -75,3 +88,34 @@ def test_reports_of_different_kinds_or_unreadable_are_usage_errors(tmp_path, cap
     assert "is a constants report" in capsys.readouterr().err
     assert report_diff.main([str(table), str(tmp_path / "missing.json")]) == 2
     assert report_diff.main([str(table)]) == 2
+
+
+@pytest.mark.parametrize("name, argv", [
+    *[(f"verify-{g}.json", ["verify", "--suite", "all", "--group", g])
+      for g in ("A1", "A2", "T1", "T2")],
+    *[(f"constants-{g}.json", ["constants", "--group", g]) for g in ("A1", "A2", "T2")],
+])
+def test_default_outputs_match_the_references(tmp_path, capsys, name, argv):
+    # the committed default outputs (tests/reference/README.md says how to
+    # write them again): the same rows and pass flags by report_diff; every
+    # deterministic value within ROUNDING; a statistical row by its pass
+    # flag alone, as its draws may differ between numpy versions
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    code, lines = _diff(capsys, str(REFERENCE / name), str(out))
+    assert code == 0, lines
+    kind, old = report_diff.load(REFERENCE / name)
+    _, new = report_diff.load(out)
+    columns = report_diff.VERIFY_VALUES if kind == "verify" else report_diff.CONSTANTS_VALUES
+    for group, rows in old.items():
+        for key, row in rows.items():
+            if row.get("kind") == "statistical":
+                continue
+            for col in columns:
+                a, b = row.get(col), new[group][key].get(col)
+                if a is None or b is None:
+                    assert a == b, (key, col)
+                    continue
+                scale = (max(1.0, abs(row["lhs"] or 0.0), abs(row["rhs"] or 0.0))
+                         if kind == "verify" else max(1.0, abs(a)))
+                assert abs(b - a) <= ROUNDING * scale, (key, col, a, b)
