@@ -57,9 +57,10 @@ _IRREP_ONLY = {"fourier", "convolution", "bks", "heat"}
 # points per axis of the deterministic second routes; each row's note
 # carries the relative change from half the order
 _GELFAND_TSETLIN_ORDER = 20  # chars.GelfandTsetlinSU3, 20^3 nodes
-# quadrature.tridiagonal_rule over the algebra: 20^2 nodes on su(2), 16^4 on
-# su(3); one unit-width rule and its chamber images serve every case
-_TRIDIAGONAL_ORDER = {"SU2": 20, "SU3": 16}
+# quadrature.tridiagonal_rule over the algebra, (diagonal, moduli) points
+# per axis: 20^2 nodes on su(2), 16^2 x 10^2 on su(3); one unit-width rule
+# and its chamber images serve every case
+_TRIDIAGONAL_ORDER = {"SU2": (20, 20), "SU3": (16, 10)}
 # the one case per suite that keeps its Monte-Carlo route as a cross-check
 _KIRILLOV_MC_CASE = 3  # A2 lam = (1, 1), double angle
 # eta^1 * char(2Y) at t_g = 0.35 t: lam = (1,) on A1, (0, 1) on A2; the
@@ -120,17 +121,19 @@ def stat_row(check_id: str, lhs, rhs, stderr: float, note: str = "") -> CheckRow
     return CheckRow(check_id, "statistical", lhs, rhs, abs_err, None, sigma, sigma <= 3.0, note)
 
 
-def doubling_note(fine, coarse, order: int, *, residual: bool = False) -> str:
+def doubling_note(fine, coarse, order: int | str, *, residual: bool = False) -> str:
     """Largest change from the rule at half the order; fine and coarse may be arrays.
 
-    Relative to the largest |fine|.  Absolute where fine is 0, and for a
-    residual, whose target is 0 and whose size is rounding.
+    order is the fine rule's order, or a text naming both rules.  Relative
+    to the largest |fine|.  Absolute where fine is 0, and for a residual,
+    whose target is 0 and whose size is rounding.
     """
+    rules = order if isinstance(order, str) else f"order {order} vs {order // 2}"
     delta = float(np.max(np.abs(np.subtract(fine, coarse))))
     scale = float(np.max(np.abs(fine)))
     if residual or scale == 0.0:
-        return f"order {order} vs {order // 2}: abs delta {delta:.1e}"
-    return f"order {order} vs {order // 2}: rel delta {delta / scale:.1e}"
+        return f"{rules}: abs delta {delta:.1e}"
+    return f"{rules}: rel delta {delta / scale:.1e}"
 
 
 def haar_su2_note(exact, doubled, degree: int, *, residual: bool = False) -> str:
@@ -233,8 +236,10 @@ def chamber_integral(rs: RootSystem, case, order: int) -> float:
     return hilbert._character_integral(rs, lam, 2.0, tg, order, p, mu_eff)
 
 
-def tridiagonal_integrals(rs: RootSystem, model: GroupModel, cases, order: int) -> list[float]:
-    """invariant_test_functions cases by the tridiagonal rule of the given order.
+def tridiagonal_integrals(rs: RootSystem, model: GroupModel, cases, order: int,
+                          moduli_order: int | None = None) -> list[float]:
+    """invariant_test_functions cases by the tridiagonal rule of the given
+    orders (quadrature.tridiagonal_rule).
 
     One unit-width rule and its chamber images serve every case: a width
     t_g scales the images by sqrt(t_g) and the norm by t_g^(dim_k/2).  Per
@@ -244,7 +249,7 @@ def tridiagonal_integrals(rs: RootSystem, model: GroupModel, cases, order: int) 
     node and is not evaluated.  So each value has the bits of its case
     integrated alone over the scaled images.
     """
-    unit, weights, norm = tridiagonal_rule(model, order)
+    unit, weights, norm = tridiagonal_rule(model, order, moduli_order)
     values = [0.0] * len(cases)
     for tg in dict.fromkeys(case[0] for case in cases):
         at_width = [(i, p, lam) for i, (t, p, lam, _) in enumerate(cases) if t == tg]
@@ -414,7 +419,7 @@ def suite_weylint(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> l
         return rows
     rows.append(det_row("weylint/flag-volume-closed-form", flag_volume_from_gaussian(rs),
                         flag_volume(rs), max(cfg.tolerance, 1e-12),
-                        "order-200 chamber rule of the Gaussian vs Mehta's integral"))
+                        "order-64 chamber rule of the Gaussian vs Mehta's integral"))
 
     cases = invariant_test_functions(rs, cfg.t)
     if not cases:
@@ -422,9 +427,11 @@ def suite_weylint(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> l
                              f"no test integrand within the tilt cap |mu_eff|^2 t_gauss <= "
                              f"{_TILT_CAP:g} at t={cfg.t:g}"))
         return rows
-    tri = _TRIDIAGONAL_ORDER[model.kind]
-    fines = tridiagonal_integrals(rs, model, cases, tri)
-    coarses = tridiagonal_integrals(rs, model, cases, tri // 2)
+    tri, moduli = _TRIDIAGONAL_ORDER[model.kind]
+    fines = tridiagonal_integrals(rs, model, cases, tri, moduli)
+    coarses = tridiagonal_integrals(rs, model, cases, tri // 2, moduli // 2)
+    rules = (tri if tri == moduli else
+             f"{tri}^2 x {moduli}^2 vs {tri // 2}^2 x {moduli // 2}^2 nodes")
     mc_case = min(_WEYLINT_MC_CASE, len(cases) - 1)
     for i, (case, fine, coarse) in enumerate(zip(cases, fines, coarses)):
         tg, p, lam, _ = case
@@ -432,7 +439,7 @@ def suite_weylint(cfg: RunConfig, rs: RootSystem, model: GroupModel | None) -> l
         note = f"eta^{p} * char(2Y) * gaussian(t={tg:g}), lam={lam.dynkin}"
         rule_id = f"chamber-vs-tridiagonal-{i:02d}"
         rows.append(det_row(f"weylint/{rule_id}", fine, val, max(cfg.tolerance, 1e-12),
-                            f"{note}; {doubling_note(fine, coarse, tri)}"))
+                            f"{note}; {doubling_note(fine, coarse, rules)}"))
         if i == mc_case:
             cid = f"weylint/mc-crosscheck-{rs.kind.lower()}"
             est = cartesian_monte_carlo(rs, model, case,
@@ -765,8 +772,13 @@ def suite_unitarity(cfg: RunConfig, rs: RootSystem, model) -> list[CheckRow]:
                    for lam in enumerate_dominant(rs, cfg.max_level))
     rows.append(det_row("unitarity/ratio-identity", defect, 0.0, max(cfg.tolerance, 1e-12),
                         "(4 t pi)^(-dim/4) D = sqrt(C), relative"))
+    lams = enumerate_dominant(rs, min(cfg.max_level, 2))
+    beyond = hilbert.dictionary_range_note(rs, lams, t)
+    if beyond is not None:  # the series would map to 0, or scale by inf
+        rows.append(skip_row("unitarity/series", f"no series checks: {beyond}"))
+        return rows
     rng = _rng_for(cfg, "unitarity/series")
-    dynkins = [lam.dynkin for lam in enumerate_dominant(rs, min(cfg.max_level, 2))]
+    dynkins = [lam.dynkin for lam in lams]
     series = random_series(rs.kind, "HL2", t, dynkins, rng)
     mapped = hilbert.transform_apply(series, "H")
     rows.append(det_row("unitarity/norm-preservation", fourier.plancherel_norm(mapped),

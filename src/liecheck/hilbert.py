@@ -49,6 +49,7 @@ from .models import (
 from .quadrature import (
     LOG_FLOAT_MAX,
     NON_FINITE_VALUES,
+    _log_gaussian_moment,
     build_chamber_quadrature,
     default_order,
     gaussian_linear_moment,
@@ -65,6 +66,7 @@ __all__ = [
     "c_constant",
     "constants_row",
     "d_constant",
+    "dictionary_range_note",
     "naive_constant",
     "pairing_scale",
     "ratio_defect",
@@ -74,6 +76,7 @@ __all__ = [
 
 TRANSFORM_NAMES = ("H", "Theta", "ThetaStar", "ScaledTheta", "Htilde")
 
+_FLOAT_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 # radii in _pairing_moment: at t = 50 the pointwise transform is off 3.0e-8 at 48, 1.3e-13 at 64
 _BKS_RADIAL_ORDER = 64
 
@@ -114,13 +117,50 @@ def ratio_defect(rs: RootSystem, lam: Weight, t: float) -> float:
     Relative, because the absolute scale e^{t|lam+rho|^2/2} grows past any
     fixed absolute tolerance for large weights.
     """
-    return _ratio_defect(rs, t, c_constant(rs, lam, t), d_constant(rs, lam, t))
+    return _ratio_defect(rs, lam, t, c_constant(rs, lam, t), d_constant(rs, lam, t))
 
 
-def _ratio_defect(rs: RootSystem, t: float, C: float, D: float) -> float:
-    """|(4 t pi)^(-dim/4) D - sqrt(C)| / sqrt(C) of given constants C and D."""
-    root_c = float(np.sqrt(C))
-    return float(abs(pairing_scale(rs, t) * D - root_c) / root_c)
+def _log_pairing_scale(rs: RootSystem, t: float) -> float:
+    return -rs.dim_k / 4.0 * np.log(4.0 * t * np.pi)
+
+
+def _normal_constants(C: float, D: float, log_scale: float) -> bool:
+    """C and D are normal floats, and so is the pairing scale e^log_scale,
+    with a margin of a factor e at either end of the float range."""
+    return min(C, D) >= _FLOAT_TINY and abs(log_scale) < LOG_FLOAT_MAX - 1.0
+
+
+def dictionary_range_note(rs: RootSystem, lams, t: float) -> str | None:
+    """None where C and D of every weight in lams and the pairing scale at
+    t are normal floats (_normal_constants); else a note naming the first
+    that is not.  ArithmeticError where C or D passes the largest float."""
+    log_scale = _log_pairing_scale(rs, t)
+    for lam in lams:
+        C, D = c_constant(rs, lam, t), d_constant(rs, lam, t)
+        if not _normal_constants(C, D, log_scale):
+            return (f"C = {C!r}, D = {D!r} of weight {lam.dynkin} and the pairing scale "
+                    f"e^{log_scale:.6g} at t = {t!r}: not all normal floats")
+    return None
+
+
+def _ratio_defect(rs: RootSystem, lam: Weight, t: float, C: float, D: float) -> float:
+    """|(4 t pi)^(-dim/4) D - sqrt(C)| / sqrt(C) of the constants C and D of lam at t.
+
+    In log form, |expm1(log scale + log D - log C / 2)| from the closed
+    forms' logs, where C or D is below the smallest normal float or the
+    scale (4 t pi)^(-dim/4) is within a factor e of either end of the float
+    range: from t = 1e-100 on A2 C underflows to 0, and at t = 1e-300 the
+    scale passes the largest float.  There the log form was off at most
+    2.3e-13 (A2, t = 1e-300, levels <= 10).
+    """
+    log_scale = _log_pairing_scale(rs, t)
+    if _normal_constants(C, D, log_scale):
+        root_c = float(np.sqrt(C))
+        return float(abs(pairing_scale(rs, t) * D - root_c) / root_c)
+    shift = lam.coords + rs.rho
+    log_c = _log_gaussian_moment(rs, 2.0 * shift, t)
+    log_d = _log_gaussian_moment(rs, shift, 2.0 * t)
+    return float(abs(np.expm1(log_scale + log_d - log_c / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -329,7 +369,7 @@ def constants_row(rs: RootSystem, lam: Weight, t: float, order: int) -> Constant
         D=D,
         C_tilde=naive.value,
         C_tilde_err=naive.stderr,
-        ratio_check=_ratio_defect(rs, t, C, D),
+        ratio_check=_ratio_defect(rs, lam, t, C, D),
     )
 
 

@@ -156,7 +156,7 @@ def _gauss_rule(family: str, order: int, alpha: float = 0.0) -> tuple[np.ndarray
 
     Legendre by Newton's method (_legendre_rule), for every order the chamber
     rules take.  Hermite and Laguerre, which serve only the tridiagonal
-    rule at orders 8-20, by Golub-Welsch (Math. Comp. 23 (1969) 221): nodes
+    rule at orders 5-20, by Golub-Welsch (Math. Comp. 23 (1969) 221): nodes
     are the eigenvalues of the Jacobi matrix, diagonal a_k and off-diagonal
     sqrt(b_k); weights are the Christoffel numbers 1 / sum_{k<order}
     p_k(x)^2 of the orthonormal p_k, run by the same recurrence.  The
@@ -315,6 +315,12 @@ def _su3_invariants(c) -> tuple[np.ndarray, np.ndarray]:
     return tr2, det
 
 
+# tr H^2 below which p^3 = (tr H^2 / 6)^(3/2) of _eigs_desc_from_invariants
+# is no normal float (at t = 1e-300 a Cartesian draw's p^3 is 0, and
+# det / p^3 is 0 / 0)
+_TR2_UNDERFLOW = 6.0 * float(np.finfo(float).tiny) ** (2.0 / 3.0)
+
+
 def _eigs_desc_from_invariants(tr2: np.ndarray, det: np.ndarray) -> np.ndarray:
     p = np.sqrt(np.maximum(tr2, 0.0) / 6.0)
     safe = np.where(p > 0, p, 1.0)
@@ -341,12 +347,22 @@ def chamber_coordinates(model: GroupModel, coords) -> np.ndarray:
         Orthonormal t-coordinates of the chamber representative obtained by
         diagonalizing (closed-form, trace invariants) and sorting the
         spectrum, paired with the embedding elementwise (_pairings), so a
-        point has the same bits alone and in a batch.
+        point has the same bits alone and in a batch.  The coordinates are
+        homogeneous of degree 1, so an su(3) point whose tr H^2 is below
+        _TR2_UNDERFLOW is mapped scaled by the exact power of two that
+        brings its largest |coordinate| to [1/2, 1), and scaled back; every
+        other point keeps its bits.
     """
     c = np.asarray(coords, float)
     if model.kind == "SU2":
         return np.linalg.norm(c, axis=-1)[..., None]
-    return _su3_chamber(*_su3_invariants([c[..., a] for a in range(8)]))
+    tr2, det = _su3_invariants([c[..., a] for a in range(8)])
+    small = tr2 < _TR2_UNDERFLOW
+    if not small.any():
+        return _su3_chamber(tr2, det)
+    exp = np.where(small, np.frexp(np.abs(c).max(axis=-1))[1], 0)[..., None]
+    c = np.ldexp(c, -exp)
+    return np.ldexp(_su3_chamber(*_su3_invariants([c[..., a] for a in range(8)])), exp)
 
 
 def _su3_chamber(tr2: np.ndarray, det: np.ndarray) -> np.ndarray:

@@ -254,11 +254,13 @@ def flag_volume(rs: RootSystem) -> float:
     return float(np.pi ** (rs.dim_k / 2.0) * rs.n_weyl * jacobian / mehta)
 
 
-def flag_volume_from_gaussian(rs: RootSystem, order: int = 200) -> float:
+def flag_volume_from_gaussian(rs: RootSystem, order: int = 64) -> float:
     """The flag volume by quadrature, the numerical route to flag_volume.
 
     V = pi^(dim_k/2) / Q, Q the chamber rule of the given order for the
     density times e^{-|Y|^2}, without any flag-volume factor (volume 1).
+    At the default order 64 it is within 2.0e-16 of the closed form,
+    relative, on A1 and 6.0e-16 on A2 (at order 200: 0 and 2.0e-16).
     """
     if rs.is_torus:
         return 1.0
@@ -335,15 +337,23 @@ def gaussian_linear_moment(rs: RootSystem, mu, t: float) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     mu = np.asarray(mu, float)
-    log_value = rs.dim_k / 2.0 * np.log(t * np.pi) + t * float(mu @ mu) / 4.0
+    log_value = _log_gaussian_moment(rs, mu, t)
     if log_value > LOG_FLOAT_MAX:
         raise ArithmeticError(f"the closed form e^{log_value:.6g} exceeds the largest float")
     return float((t * np.pi) ** (rs.dim_k / 2.0) * np.exp(t * float(mu @ mu) / 4.0))
 
 
-def tridiagonal_rule(model: GroupModel, order: int):
+def _log_gaussian_moment(rs: RootSystem, mu, t: float) -> float:
+    """The log of gaussian_linear_moment(rs, mu, t), at every t > 0."""
+    mu = np.asarray(mu, float)
+    return rs.dim_k / 2.0 * np.log(t * np.pi) + t * float(mu @ mu) / 4.0
+
+
+def tridiagonal_rule(model: GroupModel, order: int, moduli_order: int | None = None):
     """Chamber images (N, rank), weights (N,) and norm of the tridiagonal rule
-    for e^{-|c|^2} over su(2) or su(3), `order` points per axis.
+    for e^{-|c|^2} over su(2) or su(3): `order` Gauss-Hermite points per
+    diagonal axis and `moduli_order` (default `order`) Gauss-Laguerre points
+    per off-diagonal modulus, (order * moduli_order)^rank nodes in all.
 
     Unitary invariance brings H = -iY to real tridiagonal form (Trotter,
     Adv. Math. 54 (1984) 67; Dumitriu & Edelman, J. Math. Phys. 43 (2002)
@@ -362,6 +372,15 @@ def tridiagonal_rule(model: GroupModel, order: int):
     the integral over c_2 in R and rho > 0 of rho f(c_0 = rho, c_2, c_1 = 0)
     e^{-(c_2^2 + rho^2)}, or pi sum w f.  f = 1 gives pi^(dim_k/2) exactly.
 
+    The moduli need fewer points than the diagonal: on su(3) the chamber
+    image depends on (u, v) only through tr H^2 = H(c_2, c_7) + u + v and
+    det H = D(c_2, c_7) - h_00 v / 2 - h_22 u / 2, both affine in u and v
+    (q_02 = 0 and the triple product vanishes at the nodes).  On weylint's
+    A2 test integrands, against the order-192 chamber rule at 61 widths in
+    [1e-6, 8], 16^2 x 10^2 nodes were off at most 1.51e-14 relative and
+    16^4 nodes 1.45e-14, both at t = 0.75; 14^2 x 10^2 nodes were off
+    2.3e-12 there.
+
     The rule is built at unit width: chamber coordinates are homogeneous of
     degree 1 and the weights do not depend on the width, so width t takes
     the images times sqrt(t) and the norm times t^(dim_k/2).  The images
@@ -373,8 +392,9 @@ def tridiagonal_rule(model: GroupModel, order: int):
     image has the bits of models.chamber_coordinates at its zero-padded
     Cartesian node.
     """
+    moduli = order if moduli_order is None else moduli_order
     x, wx = _gauss_rule("hermite", order)
-    v, wv = _gauss_rule("laguerre", order)
+    v, wv = _gauss_rule("laguerre", moduli)
     rho = np.sqrt(v)
     if model.kind == "SU2":
         weights = np.multiply.outer(wv, wx).reshape(-1)
@@ -382,7 +402,7 @@ def tridiagonal_rule(model: GroupModel, order: int):
         return images, weights, np.pi
     if model.kind != "SU3":
         raise ValueError(f"the tridiagonal rule needs the SU2 or SU3 model, not {model.kind!r}")
-    u, wu = _gauss_rule("laguerre", order, 1.0)
+    u, wu = _gauss_rule("laguerre", moduli, 1.0)
     weights = reduce(np.multiply.outer, [wu, wv, wx, wx]).reshape(-1)
     # grid axes s = c_0, rho = c_5, c_2 and c_7
     c = [np.sqrt(u)[:, None, None, None], 0.0, x[:, None], 0.0, 0.0, rho[:, None, None], 0.0, x]
@@ -418,9 +438,11 @@ def cartesian_oracle_integrate(model: GroupModel, f, t: float, scheme: MonteCarl
 class _NormalDraw:
     """n points of Normal(0, scale^2) in R^dim, handed to models.haar_mean a
     block at a time: blocks() draws the blocks of models._block_edges(n,
-    models._BLOCK), the blocks of an (n, dim) array, one rng.normal call
-    each, in stream order.  Normal variates use no cached state, so the
-    blocks hold the rows of rng.normal(0, scale, (n, dim)) bit for bit."""
+    models._BLOCK), the blocks of an (n, dim) array, in stream order, each
+    by rng.standard_normal into one buffer that the next block reuses, then
+    scaled in place.  Normal variates use no cached state, and rng.normal
+    forms 0 + scale * z, so the blocks hold the rows of rng.normal(0,
+    scale, (n, dim)) bit for bit and leave the generator in its state."""
 
     rng: np.random.Generator
     scale: float
@@ -432,5 +454,8 @@ class _NormalDraw:
 
     def blocks(self):
         edges = _block_edges(self.n, _BLOCK)
+        buffer = np.empty((min(self.n, _BLOCK + 1), self.dim))
         for lo, hi in zip(edges, edges[1:]):
-            yield self.rng.normal(0.0, self.scale, size=(hi - lo, self.dim))
+            block = self.rng.standard_normal(out=buffer[:hi - lo])
+            block *= self.scale
+            yield block

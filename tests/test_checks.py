@@ -148,10 +148,10 @@ def test_a_scaled_su2_character_fails_the_plancherel_rule_row(monkeypatch):
 
 def test_weylint_maps_each_width_and_order_to_the_chamber_once(monkeypatch, a2):
     # A2 at t = 1: 20 cases at 3 Gaussian widths, the unit-width rules of
-    # orders 16 and 8 mapped to the chamber in one block pass each, from
-    # their nodes' invariants (models._su3_chamber), and scaled to every
-    # width, and the Monte-Carlo row's samples once; one pass per width
-    # would map 3 * (16^4 + 8^4) nodes
+    # 16^2 x 10^2 and 8^2 x 5^2 nodes mapped to the chamber in one block
+    # pass each, from their nodes' invariants (models._su3_chamber), and
+    # scaled to every width, and the Monte-Carlo row's samples once; one
+    # pass per width would map 3 * (16^2 10^2 + 8^2 5^2) nodes
     points = []
 
     def counted(model, coords):
@@ -170,12 +170,27 @@ def test_weylint_maps_each_width_and_order_to_the_chamber_once(monkeypatch, a2):
     widths = {case[0] for case in cases}
     assert len(cases) == 20 and len(widths) == 3
     assert report["summary"]["failed"] == 0
-    assert sum(points) == 16**4 + 8**4 + cfg.mc_samples
+    assert sum(points) == 16**2 * 10**2 + 8**2 * 5**2 + cfg.mc_samples
 
     def blocks(n):
         return -(-n // models._BLOCK)
 
-    assert len(points) == blocks(16**4) + blocks(8**4) + blocks(cfg.mc_samples)
+    assert len(points) == (blocks(16**2 * 10**2) + blocks(8**2 * 5**2)
+                           + blocks(cfg.mc_samples))
+
+
+@pytest.mark.parametrize("t", [1e-6, 0.05, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0])
+def test_weylint_tridiagonal_rule_matches_the_order_192_chamber_route(a2, su3, t):
+    # weylint's su(3) rule, 16 Gauss-Hermite points per diagonal axis and
+    # 10 Gauss-Laguerre points per modulus, against the chamber route at
+    # twice the default order, case by case; the worst case, 1.51e-14,
+    # is at t = 0.75, where 16^4 nodes read 1.45e-14
+    assert checks._TRIDIAGONAL_ORDER["SU3"] == (16, 10)
+    cases = invariant_test_functions(a2, t)
+    values = tridiagonal_integrals(a2, su3, cases, 16, 10)
+    for case, value in zip(cases, values):
+        ref = chamber_integral(a2, case, 192)
+        assert abs(value - ref) <= 5e-14 * abs(ref), (case, value, ref)
 
 
 def test_shared_tridiagonal_values_equal_the_rule_case_by_case(a2, su3):

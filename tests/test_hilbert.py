@@ -412,6 +412,25 @@ def test_ratio_defect_equals_the_constants_row_and_the_direct_expression(a1, a2)
                 assert ratio == constants_row(rs, lam, t, 16).ratio_check
 
 
+@pytest.mark.parametrize("group, t", [("A1", 1e-300), ("A2", 1e-100), ("A2", 1e-300)])
+def test_ratio_defect_in_log_form_where_the_constants_leave_the_float_range(group, t):
+    # C underflows to 0 (A1 at 1e-300, A2 from 1e-100) and the pairing scale
+    # (4 t pi)^(-dim/4) passes the largest float (A2 at 1e-300): once a
+    # ZeroDivisionError or OverflowError, now the defect from the logs
+    rs = build_root_system(group)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in enumerate_dominant(rs, 4):
+            C, D = c_constant(rs, lam, t), d_constant(rs, lam, t)
+            assert C == 0.0 and D == 0.0
+            defect = ratio_defect(rs, lam, t)
+            assert type(defect) is float and 0.0 <= defect <= 1e-12
+            assert defect == constants_row(rs, lam, t, 16).ratio_check
+        note = hilbert.dictionary_range_note(rs, enumerate_dominant(rs, 2), t)
+    assert note.startswith(f"C = 0.0, D = 0.0 of weight {(0,) * rs.rank}")
+    assert hilbert.dictionary_range_note(rs, enumerate_dominant(rs, 2), 1.0) is None
+
+
 def test_constants_row(a1):
     row = constants_row(a1, weight(a1, (0,)), 1.0, 64)
     assert row.d == 1

@@ -1,3 +1,4 @@
+import warnings
 from math import gamma
 
 import numpy as np
@@ -495,6 +496,28 @@ def test_chamber_coordinates_match_eigvalsh(su3):
     u2 = np.array([1, 1, -2]) / np.sqrt(6.0)
     ref = np.stack([eigs @ u1, eigs @ u2], axis=-1)
     assert np.abs(fast - ref).max() < 1e-12
+
+
+def test_chamber_coordinates_of_tiny_points_are_the_scaled_coordinates(su3):
+    # chamber coordinates are homogeneous of degree 1; below tr H^2 =
+    # _TR2_UNDERFLOW p^3 is no normal float (at 2^-400, p^3 is 0 and the
+    # parent took 0 / 0), so such points are mapped scaled by a power of two.
+    # Points above it keep their bits, in a batch that holds tiny points too
+    coords = np.random.default_rng(7).normal(size=(64, 8))
+    ref = chamber_coordinates(su3, coords)
+    for k in (-340, -345, -400, -600, -1000):
+        scale = 2.0**k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = chamber_coordinates(su3, scale * coords)
+        assert np.abs(tiny / scale - ref).max() <= 1e-15 * np.abs(ref).max(), k
+    mixed = coords.copy()
+    mixed[::2] *= 2.0**-400
+    mixed[1] = 0.0
+    got = chamber_coordinates(su3, mixed)
+    assert np.array_equal(got[3::2], ref[3::2])
+    assert np.array_equal(got[1], [0.0, 0.0])
+    assert np.abs(got[::2] / 2.0**-400 - ref[::2]).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_su2_character_values(su2):
